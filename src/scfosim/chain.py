@@ -8,19 +8,27 @@ stream in memory.
 
 Noise is modeled as dense random tone banks rather than RNG samples so the
 same underlying waveform exists on every antenna's (offset) sample grid.
+
+Chunking never changes a sample value: sources evaluate the exact-grid form of
+eval_tones, whose blocks are anchored at absolute sample indices, and the
+resamplers fold every output in the same strict tap order whatever the tile
+or chunk it falls in (see resampler._fir_rows).  Every sample value is
+therefore independent of ``chunk``; only the grouping of the correlators'
+partial sums follows it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .frontend import QuantKind, QuantizerSpec, grid_times, quantize_array
+from .frontend import QuantizerSpec, quantize_array
 from .resampler import Resampler, design_bank
-from .signal import combine, eval_tones, synth_signal
+from .signal import SampleGrid, combine, eval_tones, synth_signal
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,13 @@ class _SegmentedCorrelator:
 
 
 class _WelchCross:
-    """Averaged cross/auto spectra (hann, 75% overlap) over a leading cap."""
+    """Averaged cross/auto spectra (hann, 75% overlap) over a leading cap.
+
+    The segment spectra are summed in batches of at most BATCH segments, so
+    only one batch of FFTs is held at a time.
+    """
+
+    BATCH = 256
 
     def __init__(self, nfft: int = 1024, cap: int = 1 << 20):
         self.nfft = nfft
@@ -123,23 +137,29 @@ class _WelchCross:
         self._stored += take
 
     def spectra(self):
-        a = np.concatenate(self._a)
-        b = np.concatenate(self._b)
         n, step = self.nfft, self.nfft // 4
         win = np.hanning(n)
-        nblk = (len(a) - n) // step + 1
-        sl_a = np.lib.stride_tricks.sliding_window_view(a, n)[::step][:nblk]
-        sl_b = np.lib.stride_tricks.sliding_window_view(b, n)[::step][:nblk]
-        fa = np.fft.rfft(sl_a * win, axis=1)
-        fb = np.fft.rfft(sl_b * win, axis=1)
-        sab = np.mean(fa * np.conj(fb), axis=0)
-        saa = np.mean(np.abs(fa) ** 2, axis=0)
-        sbb = np.mean(np.abs(fb) ** 2, axis=0)
-        return sab, saa, sbb
+        seg_a = sliding_window_view(np.concatenate(self._a), n)[::step]
+        seg_b = sliding_window_view(np.concatenate(self._b), n)[::step]
+        sab = np.zeros(n // 2 + 1, dtype=np.complex128)
+        saa = np.zeros(n // 2 + 1)
+        sbb = np.zeros(n // 2 + 1)
+        for lo in range(0, len(seg_a), self.BATCH):
+            fa = np.fft.rfft(seg_a[lo : lo + self.BATCH] * win, axis=1)
+            fb = np.fft.rfft(seg_b[lo : lo + self.BATCH] * win, axis=1)
+            sab += np.sum(fa * np.conj(fb), axis=0)
+            saa += np.sum(np.abs(fa) ** 2, axis=0)
+            sbb += np.sum(np.abs(fb) ** 2, axis=0)
+        nseg = len(seg_a)
+        return sab / nseg, saa / nseg, sbb / nseg
 
 
 class _AntennaSource:
-    """Chunked evaluation of one antenna's analytic waveform on its grid."""
+    """Chunked evaluation of one antenna's analytic waveform on its grid.
+
+    Each chunk is the exact-grid form of eval_tones, whose values depend only
+    on the absolute sample index, never on the chunk size.
+    """
 
     def __init__(self, tones, rate: Fraction, chunk: int):
         self.amps, self.freqs, self.phases = tones
@@ -148,9 +168,9 @@ class _AntennaSource:
         self.next_index = 0
 
     def next_chunk(self) -> np.ndarray:
-        t = grid_times(Fraction(0), self.rate, self.next_index, self.chunk)
+        grid = SampleGrid(self.rate, self.next_index, self.chunk)
         self.next_index += self.chunk
-        return eval_tones(self.amps, self.freqs, self.phases, t)
+        return eval_tones(self.amps, self.freqs, self.phases, grid)
 
 
 def run_dual_chain(

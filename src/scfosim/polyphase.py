@@ -86,8 +86,10 @@ def demux_resample(
     Inputs are distributed round-robin into k lanes (lane = absolute index
     mod k).  Each block consumes sum(advances) samples, so a skip or repeat
     landing mid-block shifts the commutator roll by the surplus or deficit;
-    every slice reconstructs its N-tap window through lane/slot arithmetic
-    and the per-slice phases come from one closed-form slice table.
+    the per-slice phases come from one closed-form plan for all blocks, and
+    every slice folds its N-tap window with the resampler's own kernel
+    (resampler._fir_rows), so the sums run in the same order as on the
+    direct path.
     """
     f_c = Fraction(f_c)
     N = bank.taps_per_phase
@@ -117,20 +119,10 @@ def demux_resample(
     K = blocks * k
     n_all, lut_all = n_all[:K], lut_all[:K]
 
-    # lane view of the input: lanes[l, slot] = x[slot*k + l], zero-padded so
-    # pre-stream window positions resolve
+    # zero-pad the front so pre-stream window positions resolve; lane i mod k,
+    # slot i div k of the commutator is x_pad[i], so the fold reads x_pad
     pad_left = max(0, int(-(n_all[0])) if K else 0)
-    pad_right = (-(pad_left + len(x))) % k
-    x_pad = np.concatenate(
-        [np.zeros(pad_left, dtype=x.dtype), x, np.zeros(pad_right, dtype=x.dtype)]
-    )
-    lanes = x_pad.reshape(-1, k).T
-
-    # per-output window indices, reconstructed via lane/slot arithmetic
-    idx = n_all[:, None] + np.arange(N)[None, :] + pad_left
-    lane = idx % k
-    slot = idx // k
-    windows = lanes[lane, slot]
+    x_pad = np.concatenate([np.zeros(pad_left, dtype=x.dtype), x])
 
     commutator = CommutatorState(k=k)
     block_adv = np.empty(blocks, dtype=np.int64)
@@ -142,12 +134,12 @@ def demux_resample(
     for consumed in block_adv:
         commutator.roll(int(consumed))
 
+    rel = n_all + pad_left
     if fixed_point:
         scale = in_step / float(1 << (bank.coeff_bits - 1))
-        acc = np.einsum("ij,ij->i", windows, bank.table_int[lut_all])
-        data = acc * scale
+        data = _fir_rows(x_pad, rel, bank.table_int, lut_all) * scale
     else:
-        data = _fir_rows(windows, bank.table[lut_all])
+        data = _fir_rows(x_pad, rel, bank.table, lut_all)
 
     first_valid = None
     valid = np.flatnonzero(n_all >= 0)

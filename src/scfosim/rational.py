@@ -9,6 +9,7 @@ strings and both convert exactly (no float parsing anywhere).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -173,7 +174,7 @@ def phase_run(
     done = 0
     while done < count:
         # rebase: position = whole + fnum/fden with 0 <= fnum < fden
-        fden = base.denominator * den // _gcd(base.denominator, den)
+        fden = math.lcm(base.denominator, den)
         fnum0 = base.numerator * (fden // base.denominator)
         whole, fnum0 = divmod(fnum0, fden)
         rnum = step_num * (fden // den)
@@ -189,12 +190,6 @@ def phase_run(
         done += chunk
         base = Fraction(whole) + Fraction(fnum0 + chunk * rnum, fden)
     return n_out, lut_out, base
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _round_half_even_array(num: np.ndarray, den: int) -> np.ndarray:

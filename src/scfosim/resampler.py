@@ -14,6 +14,13 @@ come from one grid decomposition (see rational.phase_run); the output is
 sum_m h_i[m] * x[n_k + m], which evaluates the input at p_k + c where
 c = (N-1)/2 is the prototype center.  Output timestamps absorb that group
 delay, so a sample's time always names the analog instant it represents.
+
+Fold order: every path computes that sum with one kernel, _fir_rows, as the
+strict left fold ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, tiled FIR_TILE
+outputs at a time.  Tiling changes only which outputs are computed together,
+never the order of any one output's sum, so float outputs are bit-identical
+however the input is chunked and whether the path is direct, whole-stream or
+demultiplexed.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DesignInfeasible, ChainWasQuantized, StreamTooShort
 from .frontend import QuantKind, QuantizerSpec, SampleStream, quantize_array
@@ -229,18 +237,38 @@ def significant_taps(bank: CoefficientBank, frac: float = 0.1) -> dict:
     return {"mean": float(counts.mean()), "max": int(counts.max())}
 
 
-def _fir_rows(windows: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """One dot product per row as a strict left fold over taps.
+# Outputs per tile of _fir_rows: one tile's taps x outputs products (56 x 1024
+# float64, 448 KiB) stay in cache while they are summed.
+FIR_TILE = 1024
 
-    Every path (direct streaming, whole-stream, demultiplexed) reduces in
-    this exact order, which is what makes float outputs bit-identical
-    across schedulings.
+
+def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    """Output j = sum_m table[lut[j], m] * buf[rel[j] + m], as a strict left fold.
+
+    The one FIR kernel of every path (streaming, whole-stream, demultiplexed;
+    float and fixed point).  Outputs go in tiles of FIR_TILE: the tile's
+    windows are gathered, multiplied by their tap rows and copied into a
+    contiguous taps x outputs layout, and the tap rows are then added one by
+    one, ((p_0 + p_1) + p_2) + ...  That order never depends on the tile or
+    on how many outputs a call yields, which is what makes float outputs
+    bit-identical across schedulings.  (np.add.reduce would not do: it sums
+    pairwise once a row is long enough, and a one-output tile is.)  Integer
+    inputs fold exactly in int64.
     """
-    out = windows[:, 0] * taps[:, 0]
-    tmp = np.empty_like(out)
-    for m in range(1, windows.shape[1]):
-        np.multiply(windows[:, m], taps[:, m], out=tmp)
-        out += tmp
+    N = table.shape[1]
+    wins = sliding_window_view(buf, N)
+    out = np.empty(len(rel), dtype=np.result_type(buf, table))
+    cols = np.empty((N, min(FIR_TILE, len(rel))), dtype=out.dtype)
+    for lo in range(0, len(rel), FIR_TILE):
+        hi = min(lo + FIR_TILE, len(rel))
+        prod = wins[rel[lo:hi]]
+        prod *= table[lut[lo:hi]]
+        tile = cols[:, : hi - lo]
+        tile[...] = prod.T
+        acc = out[lo:hi]
+        acc[:] = tile[0]
+        for m in range(1, N):
+            acc += tile[m]
     return out
 
 
@@ -322,7 +350,6 @@ class Resampler:
         return out
 
     def _dot_windows(self, n_abs: np.ndarray, lut: np.ndarray) -> np.ndarray:
-        N = self.bank.taps_per_phase
         rel = n_abs - self._buf_base
         if rel[0] < 0:
             # zero-pad the pre-stream region (those outputs are flagged invalid)
@@ -331,22 +358,9 @@ class Resampler:
             self._buf_base -= pad
             rel = n_abs - self._buf_base
         if self.fixed_point:
-            wins = np.lib.stride_tricks.sliding_window_view(self._buf, N)[rel]
             scale = self.in_step / float(1 << (self.bank.coeff_bits - 1))
-            acc = np.einsum("ij,ij->i", wins, self.bank.table_int[lut])
-            return acc * scale
-        # same fold order as _fir_rows, without materializing the windows
-        table = self.bank.table
-        buf = self._buf
-        out = buf[rel] * table[lut, 0]
-        tmp = np.empty_like(out)
-        idx = np.empty_like(rel)
-        for m in range(1, N):
-            np.add(rel, m, out=idx)
-            np.take(buf, idx, out=tmp)
-            tmp *= table[lut, m]
-            out += tmp
-        return out
+            return _fir_rows(self._buf, rel, self.bank.table_int, lut) * scale
+        return _fir_rows(self._buf, rel, self.bank.table, lut)
 
     def _trim(self, last_n: int) -> None:
         keep_from = last_n - self._buf_base  # oldest index any future window needs

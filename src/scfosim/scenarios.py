@@ -246,6 +246,13 @@ def _figure(out_dir: Path, name: str, enabled: bool, fn: str, *args):
     return path
 
 
+def _alias(freq: Fraction, rate: Fraction) -> Fraction:
+    """Frequency at which a real tone at ``freq`` appears when sampled at
+    ``rate``: folded onto [0, rate/2]."""
+    r = freq % rate
+    return min(r, rate - r)
+
+
 # ---------------------------------------------------------------------------
 # the experiments
 
@@ -327,12 +334,13 @@ def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = 
     antennas = _washout_antennas(cfg)
     summary = Summary()
 
-    # interference-only streams: the clock tones of the two antennas differ by
-    # scale * (f_a1 - f_a2); windows of varying start and length sample the
-    # washing statistics
+    # interference-only streams: each antenna samples its own clock tone
+    # scale * f_a, which lands at its alias on [0, f_a/2] (1/4 f_a for the
+    # default 3/4), so the tones differ by the difference of the aliases;
+    # windows of varying start and length sample the washing statistics
     scale = _frac(cfg["clock_tone_scale"])
-    f_a = [a.desk_rate(f_c) for a in antennas]
-    delta_f = abs(float(scale * (f_a[0] - f_a[1])))
+    landed = [_alias(scale * f_a, f_a) for f_a in (a.desk_rate(f_c) for a in antennas)]
+    delta_f = abs(float(landed[0] - landed[1]))
     longest = max(cfg["targets_dwt"]) / (2 * math.pi * delta_f)
     n_in = int(1.45 * longest * float(f_c)) + 4096
     streams = _resampled_tone_streams(antennas, f_c, bank, n_in)
@@ -389,7 +397,7 @@ def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = 
     )
     summary.write(out_dir / "summary.txt")
     _figure(out_dir, "washout.png", figures, "plot_washout", rows)
-    return {"summary": summary, "results": results, "sky_rho": sky_rho}
+    return {"summary": summary, "results": results, "sky_rho": sky_rho, "delta_f": delta_f}
 
 
 def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = True, jobs: int = 1) -> dict:

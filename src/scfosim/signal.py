@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +42,8 @@ class ToneBankSignal:
 
     def eval(self, t) -> np.ndarray | float:
         """Evaluate sum(a_k * sin(2*pi*f_k*t + phi_k)) at time(s) t (seconds)."""
-        t_arr = np.asarray(t, dtype=np.float64)
-        out = np.zeros(t_arr.shape, dtype=np.float64)
-        for tone in self.tones:
-            out += tone.amplitude * np.sin(TWO_PI * tone.freq_hz * t_arr + tone.phase_rad)
-        if np.isscalar(t) or t_arr.ndim == 0:
+        out = _eval_times(*_tone_arrays(self.tones), t)
+        if np.isscalar(t) or out.ndim == 0:
             return float(out)
         return out
 
@@ -55,10 +53,15 @@ class ToneBankSignal:
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(amplitudes, freqs, phases) as float64 arrays, for bulk evaluation."""
-        amps = np.array([t.amplitude for t in self.tones], dtype=np.float64)
-        freqs = np.array([t.freq_hz for t in self.tones], dtype=np.float64)
-        phases = np.array([t.phase_rad for t in self.tones], dtype=np.float64)
-        return amps, freqs, phases
+        return _tone_arrays(self.tones)
+
+
+def _tone_arrays(tones) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column arrays of a tone tuple, shared by ToneBankSignal.arrays and .eval."""
+    amps = np.array([t.amplitude for t in tones], dtype=np.float64)
+    freqs = np.array([t.freq_hz for t in tones], dtype=np.float64)
+    phases = np.array([t.phase_rad for t in tones], dtype=np.float64)
+    return amps, freqs, phases
 
 
 class InterferenceKind(enum.Enum):
@@ -190,12 +193,41 @@ def inject(
     return replace(sig, tones=sig.tones + (tone,))
 
 
+class SampleGrid(NamedTuple):
+    """Samples ``start .. start+count-1`` of the exact grid t_n = n / rate (epoch 0)."""
+
+    rate: Fraction
+    start: int
+    count: int
+
+
+# Samples per block of the grid form of eval_tones.  Blocks start at absolute
+# sample indices that are multiples of TONE_BLOCK, so a sample's value does not
+# depend on how the stream is cut into chunks.
+TONE_BLOCK = 1024
+
+
 def eval_tones(
-    amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray, t: np.ndarray, dtype=np.float64
+    amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray, t, dtype=np.float64
 ) -> np.ndarray:
-    """Bulk evaluation used by the streaming chains (per-chunk, in-place)."""
+    """sum(a_k * sin(2*pi*f_k*t + phi_k)) over a tone bank, for the streaming chains.
+
+    ``t`` is either an array of float times (seconds) or a SampleGrid.  The
+    grid form never forms t_n in floats: with TONE_BLOCK = B it writes sample
+    n_b + k of block b as sin(theta_b + w k) = sin(theta_b) cos(w k) +
+    cos(theta_b) sin(w k), where theta_b = 2*pi*frac(n_b f / rate) + phi is
+    exact up to its final rounding and w k comes from per-call cos/sin tables.
+    A chunk is then one (blocks x 2 tones) @ (2 tones x B) product.
+    """
+    if isinstance(t, SampleGrid):
+        return _grid_tones(amps, freqs, phases, t).astype(dtype, copy=False)
+    return _eval_times(amps, freqs, phases, t, dtype)
+
+
+def _eval_times(amps, freqs, phases, t, dtype=np.float64) -> np.ndarray:
+    """Float-time form of eval_tones, one sin pass per tone; any shape of t."""
     tt = np.asarray(t, dtype=dtype)
-    out = np.zeros(len(tt), dtype=dtype)
+    out = np.zeros(tt.shape, dtype=dtype)
     tmp = np.empty_like(out)
     for a, f, p in zip(amps, freqs, phases):
         np.multiply(tt, dtype(TWO_PI * f), out=tmp)
@@ -204,6 +236,35 @@ def eval_tones(
         tmp *= dtype(a)
         out += tmp
     return out
+
+
+def _grid_tones(amps, freqs, phases, grid: SampleGrid) -> np.ndarray:
+    B = TONE_BLOCK
+    rate = Fraction(grid.rate)
+    first = grid.start // B
+    # a one-row product would go to BLAS GEMV, which sums in another order than
+    # GEMM; two rows or more keep every block's values independent of the chunk
+    nblk = max(-(-(grid.start + grid.count) // B) - first, 2)
+    k = np.arange(B, dtype=np.float64)
+    table = np.empty((2 * len(freqs), B))
+    coef = np.empty((nblk, 2 * len(freqs)))
+    for i, (a, f, p) in enumerate(zip(amps, freqs, phases)):
+        cyc = Fraction(float(f)) / rate  # cycles per sample, exact
+        num, den = cyc.numerator, cyc.denominator
+        # frac(k * cyc) for k < B: a 40-bit head times k is exact in float64
+        head = Fraction((num % den) * 2**40 // den, 2**40)
+        tail = float(Fraction(num % den, den) - head)
+        w = TWO_PI * ((k * float(head)) % 1.0 + k * tail)
+        table[2 * i] = np.cos(w)
+        table[2 * i + 1] = np.sin(w)
+        # theta_b = 2*pi*frac(n_b * cyc) + phi with n_b = (first + j) * B, exactly
+        r0 = first * B * num % den
+        step = B * num % den
+        theta = TWO_PI * np.array([(r0 + j * step) % den / den for j in range(nblk)]) + float(p)
+        coef[:, 2 * i] = float(a) * np.sin(theta)
+        coef[:, 2 * i + 1] = float(a) * np.cos(theta)
+    lo = grid.start - first * B
+    return (coef @ table).ravel()[lo : lo + grid.count]
 
 
 def save_tonebank(sig: ToneBankSignal, path) -> None:

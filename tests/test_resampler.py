@@ -7,7 +7,9 @@ from scfosim.errors import ChainWasQuantized, DesignInfeasible, StreamTooShort
 from scfosim.frontend import QuantKind, QuantizerSpec, SampleStream, Zone, sample
 from scfosim.rational import PhaseAccumulator
 from scfosim.resampler import (
+    FIR_TILE,
     Resampler,
+    _fir_rows,
     design_bank,
     export_bank,
     export_response_csv,
@@ -212,6 +214,34 @@ class TestResampling:
         out_many = np.concatenate(outs)
         m = min(len(out_one), len(out_many))
         assert np.array_equal(out_one[:m], out_many[:m])
+
+    @pytest.mark.parametrize("outputs", [1, FIR_TILE, FIR_TILE + 1])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_fir_rows_is_a_left_fold(self, bank19, outputs, fixed):
+        rng = np.random.default_rng(outputs)
+        buf = rng.standard_normal(outputs + 200)
+        table = bank19.table
+        if fixed:
+            buf = np.rint(buf * 32).astype(np.int64)
+            table = bank19.table_int
+        rel = np.sort(rng.integers(0, len(buf) - 56, outputs))
+        lut = rng.integers(0, 1024, outputs)
+        got = _fir_rows(buf, rel, table, lut)
+        for j in range(outputs):
+            acc = buf[rel[j]] * table[lut[j], 0]
+            for m in range(1, 56):
+                acc = acc + buf[rel[j] + m] * table[lut[j], m]
+            assert got[j] == acc
+
+    def test_streaming_one_output_per_call(self, bank19):
+        rng = np.random.default_rng(8)
+        data = rng.standard_normal(3000)
+        ratio = Fraction(999, 1000)
+        out_one = Resampler(bank19, ratio).process(data)
+        many = Resampler(bank19, ratio)
+        out_many = np.concatenate([many.process(data[i : i + 1]) for i in range(3000)])
+        m = min(len(out_one), len(out_many))
+        assert m > 2900 and np.array_equal(out_one[:m], out_many[:m])
 
     def test_fixed_point_close_to_float(self, bank19):
         sig = synth_signal(seed=3, n_tones=12, band=(50.0, 400.0))

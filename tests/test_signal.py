@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from scfosim.errors import EmptyBand, UnknownAntenna
+from scfosim.frontend import grid_times
 from scfosim.signal import (
+    TONE_BLOCK,
     InterferenceKind,
     InterferenceSpec,
+    SampleGrid,
     Tone,
     ToneBankSignal,
     combine,
+    eval_tones,
     inject,
     load_tonebank,
     save_tonebank,
@@ -78,6 +83,72 @@ class TestEval:
         both = combine(a, b)
         t = np.linspace(0, 1, 257)
         assert a.eval(t) + b.eval(t) == pytest.approx(both.eval(t), abs=1e-12)
+
+
+def chain_bank():
+    """The requant-loss chain's bank: 16 sky plus 16 noise tones at f_c = 1 MHz."""
+    band = (0.0833 * 5e5, 0.9167 * 5e5)
+    return combine(synth_signal(1, 16, band), synth_signal(1110, 16, band)).arrays()
+
+
+def exact_tones(amps, freqs, phases, rate, indices):
+    """sum a sin(2 pi frac(n f / rate) + phi) with the phase reduced in exact rationals."""
+    out = []
+    for n in indices:
+        total = 0.0
+        for a, f, p in zip(amps, freqs, phases):
+            cyc = n * Fraction(float(f)) / rate
+            total += a * math.sin(2 * math.pi * float(cyc - math.floor(cyc)) + p)
+        out.append(total)
+    return np.array(out)
+
+
+class TestEvalTonesGrid:
+    F_C = Fraction(1_000_000)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("start", [0, 100_000_000 - 700])
+    def test_matches_exact_phase_oracle(self, sign, start):
+        amps, freqs, phases = chain_bank()
+        rate = self.F_C * (1 + sign * Fraction(1, 10000))
+        count = 2 * TONE_BLOCK + 300
+        got = eval_tones(amps, freqs, phases, SampleGrid(rate, start, count))
+        assert got.shape == (count,)
+        picks = np.r_[0:40, TONE_BLOCK - 20 : TONE_BLOCK + 20, count - 40 : count]
+        want = exact_tones(amps, freqs, phases, rate, [start + int(j) for j in picks])
+        assert np.max(np.abs(got[picks] - want)) < 1e-11
+
+    def test_close_to_float_time_form(self):
+        amps, freqs, phases = chain_bank()
+        rate = self.F_C * (1 + Fraction(1, 10000))
+        got = eval_tones(amps, freqs, phases, SampleGrid(rate, 12_345, 5000))
+        t = grid_times(Fraction(0), rate, 12_345, 5000)
+        assert np.max(np.abs(got - eval_tones(amps, freqs, phases, t))) < 1e-8
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1000, TONE_BLOCK, TONE_BLOCK + 1, 3 * TONE_BLOCK - 7])
+    def test_bit_identical_across_chunkings(self, chunk):
+        amps, freqs, phases = chain_bank()
+        rate = self.F_C * (1 - Fraction(1, 10000))
+        start, total = 3 * TONE_BLOCK - 2, 4 * TONE_BLOCK + 11
+        whole = eval_tones(amps, freqs, phases, SampleGrid(rate, start, total))
+        if chunk == 1:
+            total = 40  # crosses a block boundary
+        pieces = [
+            eval_tones(amps, freqs, phases, SampleGrid(rate, n, min(chunk, start + total - n)))
+            for n in range(start, start + total, chunk)
+        ]
+        assert np.array_equal(np.concatenate(pieces), whole[:total])
+
+    def test_empty_bank_and_empty_grid(self):
+        none = np.zeros(0)
+        assert np.array_equal(eval_tones(none, none, none, SampleGrid(Fraction(10), 3, 4)), np.zeros(4))
+        amps, freqs, phases = chain_bank()
+        assert len(eval_tones(amps, freqs, phases, SampleGrid(Fraction(10**6), 0, 0))) == 0
+
+    def test_float_form_is_tone_bank_eval(self):
+        sig = synth_signal(seed=7, n_tones=40, band=(1e3, 4.5e5))
+        t = np.arange(4096) / 1.0001e6 + 0.37
+        assert np.array_equal(eval_tones(*sig.arrays(), t), sig.eval(t))
 
 
 class TestInject:
