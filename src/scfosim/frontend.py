@@ -1,9 +1,12 @@
 """Antenna digitizer model: band limiting, sampling, amplitude quantization.
 
 The digitizer is ideal (no jitter, no interleaving spurs); artefacts enter
-only as injected tones.  Sample times come from the exact rational grid
-epoch + k/f_a, converted chunk-wise to float64 so there is no cumulative
-drift.  Quantizers: Lloyd-Max optimal 16-level for a loaded Gaussian
+only as injected tones.  Sample k sits at the exact rational instant
+epoch + k/f_a and is synthesized by the grid form of signal.eval_tones, the
+same kernel the streaming chains use: each tone's phase is reduced in exact
+rationals and no sample time is ever formed in floats, so there is no drift
+however long the stream, and sample values do not depend on how the stream
+is chunked.  Quantizers: Lloyd-Max optimal 16-level for a loaded Gaussian
 (computed at startup by Lloyd iteration, not a transcribed table) and a
 mid-rise uniform 256-level quantizer clipping at +/-4 sigma.
 """
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import AlreadyQuantized, BandZoneMismatch
-from .signal import ToneBankSignal
+from .signal import SampleGrid, ToneBankSignal, eval_tones
 
 
 class Zone(enum.Enum):
@@ -124,6 +127,7 @@ def sample(
     if n < 1:
         raise ValueError("n must be >= 1")
     f_a = Fraction(f_a)
+    epoch = Fraction(epoch)
     if zone is Zone.ZONE2:
         lo_lim = float(f_a) / 2.0 * (1.0 - band_slack)
         hi_lim = float(f_a) * (1.0 + band_slack)
@@ -133,12 +137,12 @@ def sample(
                 f"band {sig.band} outside Nyquist zone 2 ({lo_lim}, {hi_lim}) of f_a={float(f_a)}"
             )
     data = np.empty(n, dtype=np.float64)
-    chunk = 1 << 20
+    tones = sig.arrays()
+    chunk = 1 << 20  # whole TONE_BLOCKs, so no block is synthesized twice
     for start in range(0, n, chunk):
         count = min(chunk, n - start)
-        t = grid_times(Fraction(epoch), f_a, start, count)
-        data[start : start + count] = sig.eval(t)
-    return SampleStream(rate=f_a, epoch=Fraction(epoch), data=data, zone=zone)
+        data[start : start + count] = eval_tones(*tones, SampleGrid(f_a, start, count, epoch))
+    return SampleStream(rate=f_a, epoch=epoch, data=data, zone=zone)
 
 
 @functools.lru_cache(maxsize=None)

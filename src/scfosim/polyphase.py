@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import StreamTooShort, TapCountNotDivisible
 from .frontend import QuantizerSpec, SampleStream
-from .rational import PhaseAccumulator, phase_run
+from .rational import PhaseAccumulator, count_outputs, phase_run
 from .resampler import (
     CoefficientBank,
     _fir_rows,
@@ -109,15 +109,11 @@ def demux_resample(
         x = np.asarray(stream.data, dtype=np.float64)
 
     # closed-form phases for every block at once: positions p = p0 + (j+1)*ratio
+    # whose window [n, n+N-1] fits the stream, in whole demuxed clocks only
     pos0 = Fraction(start_position) - ratio
-    upper = len(x) - N  # newest window sample index n must satisfy n <= upper... n+N-1 <= len-1
-    total = int((upper - 0.6 - float(pos0)) / float(ratio))
-    total = max(total, 0)
-    n_all, lut_all, _ = phase_run(pos0, ratio, P, total)
-    keep = int(np.searchsorted(n_all, upper + 1, side="left"))
-    blocks = keep // k  # whole demuxed clocks only
+    blocks = count_outputs(pos0, ratio, P, len(x) - N) // k
     K = blocks * k
-    n_all, lut_all = n_all[:K], lut_all[:K]
+    n_all, lut_all, _ = phase_run(pos0, ratio, P, K)
 
     # zero-pad the front so pre-stream window positions resolve; lane i mod k,
     # slot i div k of the commutator is x_pad[i], so the fold reads x_pad

@@ -17,10 +17,11 @@ delay, so a sample's time always names the analog instant it represents.
 
 Fold order: every path computes that sum with one kernel, _fir_rows, as the
 strict left fold ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, tiled FIR_TILE
-outputs at a time.  Tiling changes only which outputs are computed together,
-never the order of any one output's sum, so float outputs are bit-identical
-however the input is chunked and whether the path is direct, whole-stream or
-demultiplexed.
+outputs at a time: a tile's products h_m x_m sit in an outputs x taps array
+whose tap columns are added into the outputs one column after another.
+Tiling changes only which outputs are computed together, never the order of
+any one output's sum, so float outputs are bit-identical however the input is
+chunked and whether the path is direct, whole-stream or demultiplexed.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DesignInfeasible, ChainWasQuantized, StreamTooShort
 from .frontend import QuantKind, QuantizerSpec, SampleStream, quantize_array
-from .rational import PhaseAccumulator, phase_run, round_half_even
-from .signal import ToneBankSignal
+from .rational import PhaseAccumulator, count_outputs, phase_run, round_half_even
+from .signal import SampleGrid, ToneBankSignal, eval_tones
 
 
 @dataclass(frozen=True)
@@ -247,28 +248,25 @@ def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarr
 
     The one FIR kernel of every path (streaming, whole-stream, demultiplexed;
     float and fixed point).  Outputs go in tiles of FIR_TILE: the tile's
-    windows are gathered, multiplied by their tap rows and copied into a
-    contiguous taps x outputs layout, and the tap rows are then added one by
-    one, ((p_0 + p_1) + p_2) + ...  That order never depends on the tile or
-    on how many outputs a call yields, which is what makes float outputs
-    bit-identical across schedulings.  (np.add.reduce would not do: it sums
-    pairwise once a row is long enough, and a one-output tile is.)  Integer
-    inputs fold exactly in int64.
+    windows are gathered into an outputs x taps product and multiplied by
+    their tap rows, and the product's tap columns are then added one by one
+    into the outputs, ((p_0 + p_1) + p_2) + ...  That order never depends on
+    the tile or on how many outputs a call yields, which is what makes float
+    outputs bit-identical across schedulings.  (np.add.reduce would not do:
+    it sums pairwise once a row is long enough, and a one-output tile is.)
+    Integer inputs fold exactly in int64.
     """
     N = table.shape[1]
     wins = sliding_window_view(buf, N)
     out = np.empty(len(rel), dtype=np.result_type(buf, table))
-    cols = np.empty((N, min(FIR_TILE, len(rel))), dtype=out.dtype)
     for lo in range(0, len(rel), FIR_TILE):
         hi = min(lo + FIR_TILE, len(rel))
         prod = wins[rel[lo:hi]]
         prod *= table[lut[lo:hi]]
-        tile = cols[:, : hi - lo]
-        tile[...] = prod.T
         acc = out[lo:hi]
-        acc[:] = tile[0]
+        acc[:] = prod[:, 0]
         for m in range(1, N):
-            acc += tile[m]
+            acc += prod[:, m]
     return out
 
 
@@ -320,26 +318,10 @@ class Resampler:
         P = self.bank.phases
         # outputs need window [n, n+N-1]; n <= H must hold
         H = self._received - N
-        if H < 0:
+        count = count_outputs(self._pos, self.ratio, P, H) if H >= 0 else 0
+        if count == 0:
             return np.zeros(0, dtype=np.float64)
-        # conservative bulk count, then exact single steps to the boundary
-        approx = int((H - 0.6 - float(self._pos)) / float(self.ratio)) - 2
-        parts = []
-        if approx > 0:
-            n, lut, pos = phase_run(self._pos, self.ratio, P, approx)
-            assert n[-1] <= H
-            self._pos = pos
-            parts.append((n, lut))
-        while True:
-            n1, lut1, pos1 = phase_run(self._pos, self.ratio, P, 1)
-            if n1[0] > H:
-                break
-            self._pos = pos1
-            parts.append((n1, lut1))
-        if not parts:
-            return np.zeros(0, dtype=np.float64)
-        n_all = np.concatenate([p[0] for p in parts])
-        lut_all = np.concatenate([p[1] for p in parts])
+        n_all, lut_all, self._pos = phase_run(self._pos, self.ratio, P, count)
         out = self._dot_windows(n_all, lut_all)
         if self.first_valid_output is None:
             valid = np.flatnonzero(n_all >= 0)
@@ -467,17 +449,14 @@ def resample_error(in_sig: ToneBankSignal, out: SampleStream) -> dict:
     """Compare resampled data against the analytic ground truth.
 
     Output timestamps already absorb the filter group delay, so the truth is
-    simply the signal evaluated at the exact output times.  Errors are in
+    simply the signal evaluated on the exact output grid.  Errors are in
     linear units of the truth RMS.
     """
     if out.quant is not QuantKind.FLOAT or any(step.startswith("q") for step in out.lineage):
         raise ChainWasQuantized(f"chain {out.lineage} includes quantization")
-    from .frontend import grid_times
-
     sl = out.valid_slice()
     count = sl.stop - sl.start
-    t = grid_times(out.epoch, out.rate, sl.start, count)
-    truth = in_sig.eval(t)
+    truth = eval_tones(*in_sig.arrays(), SampleGrid(out.rate, sl.start, count, out.epoch))
     err = out.data[sl] - truth
     ref = np.sqrt(np.mean(truth**2))
     if ref == 0.0:

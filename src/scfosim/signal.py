@@ -13,6 +13,7 @@ grids, which the chain experiments rely on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -194,11 +195,12 @@ def inject(
 
 
 class SampleGrid(NamedTuple):
-    """Samples ``start .. start+count-1`` of the exact grid t_n = n / rate (epoch 0)."""
+    """Samples ``start .. start+count-1`` of the exact grid t_n = epoch + n / rate."""
 
     rate: Fraction
     start: int
     count: int
+    epoch: Fraction = Fraction(0)
 
 
 # Samples per block of the grid form of eval_tones.  Blocks start at absolute
@@ -210,14 +212,15 @@ TONE_BLOCK = 1024
 def eval_tones(
     amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray, t, dtype=np.float64
 ) -> np.ndarray:
-    """sum(a_k * sin(2*pi*f_k*t + phi_k)) over a tone bank, for the streaming chains.
+    """sum(a_k * sin(2*pi*f_k*t + phi_k)) over a tone bank.
 
-    ``t`` is either an array of float times (seconds) or a SampleGrid.  The
-    grid form never forms t_n in floats: with TONE_BLOCK = B it writes sample
-    n_b + k of block b as sin(theta_b + w k) = sin(theta_b) cos(w k) +
-    cos(theta_b) sin(w k), where theta_b = 2*pi*frac(n_b f / rate) + phi is
-    exact up to its final rounding and w k comes from per-call cos/sin tables.
-    A chunk is then one (blocks x 2 tones) @ (2 tones x B) product.
+    ``t`` is either an array of float times (seconds) or a SampleGrid; the
+    chains and frontend.sample use the grid form.  It never forms t_n in
+    floats: with TONE_BLOCK = B it writes sample n_b + k of block b as
+    sin(theta_b + w k) = sin(theta_b) cos(w k) + cos(theta_b) sin(w k), where
+    theta_b = 2*pi*frac(f epoch + n_b f / rate) + phi is exact up to its final
+    rounding and w k comes from per-call cos/sin tables.  A chunk is then one
+    (blocks x 2 tones) @ (2 tones x B) product.
     """
     if isinstance(t, SampleGrid):
         return _grid_tones(amps, freqs, phases, t).astype(dtype, copy=False)
@@ -248,8 +251,10 @@ def _grid_tones(amps, freqs, phases, grid: SampleGrid) -> np.ndarray:
     k = np.arange(B, dtype=np.float64)
     table = np.empty((2 * len(freqs), B))
     coef = np.empty((nblk, 2 * len(freqs)))
+    epoch = Fraction(grid.epoch)
     for i, (a, f, p) in enumerate(zip(amps, freqs, phases)):
-        cyc = Fraction(float(f)) / rate  # cycles per sample, exact
+        F = Fraction(float(f))
+        cyc = F / rate  # cycles per sample, exact
         num, den = cyc.numerator, cyc.denominator
         # frac(k * cyc) for k < B: a 40-bit head times k is exact in float64
         head = Fraction((num % den) * 2**40 // den, 2**40)
@@ -257,10 +262,13 @@ def _grid_tones(amps, freqs, phases, grid: SampleGrid) -> np.ndarray:
         w = TWO_PI * ((k * float(head)) % 1.0 + k * tail)
         table[2 * i] = np.cos(w)
         table[2 * i + 1] = np.sin(w)
-        # theta_b = 2*pi*frac(n_b * cyc) + phi with n_b = (first + j) * B, exactly
-        r0 = first * B * num % den
-        step = B * num % den
-        theta = TWO_PI * np.array([(r0 + j * step) % den / den for j in range(nblk)]) + float(p)
+        # theta_b = 2*pi*frac(F epoch + n_b cyc) + phi with n_b = (first + j) * B,
+        # reduced exactly over the common denominator D of cyc and F epoch
+        at0 = F * epoch
+        D = math.lcm(den, at0.denominator)
+        r0 = (first * B * num * (D // den) + at0.numerator * (D // at0.denominator)) % D
+        step = B * num * (D // den) % D
+        theta = TWO_PI * np.array([(r0 + j * step) % D / D for j in range(nblk)]) + float(p)
         coef[:, 2 * i] = float(a) * np.sin(theta)
         coef[:, 2 * i + 1] = float(a) * np.cos(theta)
     lo = grid.start - first * B

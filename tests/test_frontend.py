@@ -18,7 +18,7 @@ from scfosim.frontend import (
     quantizer_efficiency,
     sample,
 )
-from scfosim.signal import Tone, ToneBankSignal, synth_signal
+from scfosim.signal import SampleGrid, Tone, ToneBankSignal, eval_tones, synth_signal
 
 
 def tone_bank(*tones, band=None):
@@ -63,6 +63,18 @@ class TestSample:
         # slack lets a slightly protruding band through
         sig2 = tone_bank((1.0, 495.0, 0.0), band=(495.0, 900.0))
         sample(sig2, Fraction(1000), 64, Zone.ZONE2, band_slack=0.02)
+
+    @pytest.mark.parametrize(
+        "m, n", [(1000, (1 << 20) + 1), ((1 << 20) - 3, (1 << 20) + 5), (1 << 20, (1 << 20) + 1)]
+    )
+    def test_prefix_bit_identical_across_chunk_boundary(self, m, n):
+        # sample() synthesizes in 2^20-sample chunks; a sample's value must not
+        # depend on which chunk it fell in or on the stream length
+        sig = synth_signal(seed=4, n_tones=6, band=(1e3, 4e5))
+        f_a, epoch = Fraction(1_000_100), Fraction(7, 3)
+        long = sample(sig, f_a, n, epoch=epoch).data
+        assert np.array_equal(long[:m], sample(sig, f_a, m, epoch=epoch).data)
+        assert np.array_equal(long, eval_tones(*sig.arrays(), SampleGrid(f_a, 0, n, epoch)))
 
     def test_grid_times_match_exact_rational(self):
         rate = Fraction(30_000_000_001, 10)

@@ -9,6 +9,7 @@ from scfosim.errors import NegativeFrequency, RatioOutOfRange, ZeroDenominator
 from scfosim.rational import (
     PhaseAccumulator,
     accumulator_step,
+    count_outputs,
     make_rational,
     parse_frequency,
     phase_run,
@@ -161,6 +162,12 @@ class TestAccumulator:
         with pytest.raises(RatioOutOfRange):
             PhaseAccumulator(Fraction(1, 2), 1024)
 
+    def test_frac_width_must_be_power_of_two(self):
+        with pytest.raises(ValueError):
+            PhaseAccumulator(Fraction(1001, 1000), 1000)
+        with pytest.raises(ValueError):
+            phase_run(Fraction(0), Fraction(1001, 1000), 1000, 10)
+
     def test_functional_step_leaves_input_untouched(self):
         acc = PhaseAccumulator(Fraction(1001, 1000), 1024)
         advance, lut, acc2 = accumulator_step(acc)
@@ -199,3 +206,51 @@ class TestAccumulator:
         assert np.all(np.diff(n) >= 0)
         oracle, _ = brute_force_steps(ratio, 10, 1024)
         assert [l for _, l in oracle] == list(lut[:10])
+
+
+def brute_force_count(position, ratio, frac_width, last_n):
+    """Outputs whose sample index n stays <= last_n, by single accumulator steps."""
+    acc = PhaseAccumulator(ratio, frac_width, position=position)
+    count = 0
+    while True:
+        acc.step()
+        if acc.grid_index()[0] > last_n:
+            return count
+        count += 1
+
+
+class TestCountOutputs:
+    @given(
+        num=st.integers(501, 1499),
+        den=st.sampled_from([1000, 997, 1024]),
+        width=st.sampled_from([1, 2, 8, 256, 1024]),
+        last_n=st.integers(-3, 60),
+        start=st.one_of(
+            st.fractions(Fraction(-5), Fraction(5), max_denominator=5000),
+            # fractional part exactly +-1/2
+            st.integers(-5, 5).map(lambda k: k + Fraction(1, 2)),
+        ),
+        tie=st.integers(0, 40),
+        on_tie=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_single_steps(self, num, den, width, last_n, start, tie, on_tie):
+        ratio = Fraction(num, den)
+        if not Fraction(1, 2) < ratio < Fraction(3, 2):
+            return
+        if on_tie:
+            # output tie+1 lands exactly on the rounding tie G + 1/2 of the bound
+            G = (last_n + 1) * width - width // 2 - 1
+            start = Fraction(2 * G + 1, 2 * width) - (tie + 1) * ratio
+        want = brute_force_count(start, ratio, width, last_n)
+        assert count_outputs(start, ratio, width, last_n) == want
+
+    @pytest.mark.parametrize("width, counted", [(1024, 0), (2, 1)])
+    def test_tie_rounds_half_to_even(self, width, counted):
+        # the first output lands on x = H + 1/2 - 1/(2P), where x*P = G + 1/2
+        # exactly; G = (H+1)P - P/2 - 1 is odd for P >= 4 (the tie rounds up to
+        # sample H+1) and even for P = 2 (it rounds down and stays on H)
+        ratio, last_n = Fraction(1), 5
+        x = last_n + Fraction(1, 2) - Fraction(1, 2 * width)
+        assert count_outputs(x - ratio, ratio, width, last_n) == counted
+        assert brute_force_count(x - ratio, ratio, width, last_n) == counted

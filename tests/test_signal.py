@@ -91,13 +91,13 @@ def chain_bank():
     return combine(synth_signal(1, 16, band), synth_signal(1110, 16, band)).arrays()
 
 
-def exact_tones(amps, freqs, phases, rate, indices):
-    """sum a sin(2 pi frac(n f / rate) + phi) with the phase reduced in exact rationals."""
+def exact_tones(amps, freqs, phases, rate, indices, epoch=Fraction(0)):
+    """sum a sin(2 pi frac(f (epoch + n / rate)) + phi) with the phase reduced in exact rationals."""
     out = []
     for n in indices:
         total = 0.0
         for a, f, p in zip(amps, freqs, phases):
-            cyc = n * Fraction(float(f)) / rate
+            cyc = Fraction(float(f)) * (epoch + Fraction(n) / rate)
             total += a * math.sin(2 * math.pi * float(cyc - math.floor(cyc)) + p)
         out.append(total)
     return np.array(out)
@@ -116,6 +116,19 @@ class TestEvalTonesGrid:
         assert got.shape == (count,)
         picks = np.r_[0:40, TONE_BLOCK - 20 : TONE_BLOCK + 20, count - 40 : count]
         want = exact_tones(amps, freqs, phases, rate, [start + int(j) for j in picks])
+        assert np.max(np.abs(got[picks] - want)) < 1e-11
+
+    @pytest.mark.parametrize("epoch", [Fraction(0), Fraction(123_456_789, 7) + Fraction(1, 3 * 10**9)])
+    @pytest.mark.parametrize("start", [0, 5_000_000 - 300])
+    def test_epoch_matches_exact_phase_oracle(self, epoch, start):
+        # t_n = epoch + n / rate; the epoch (here up to ~1.8e7 s, far from a
+        # whole number of any tone's periods) enters each block's phase exactly
+        amps, freqs, phases = chain_bank()
+        rate = self.F_C * (1 + Fraction(1, 10000))
+        count = TONE_BLOCK + 600
+        got = eval_tones(amps, freqs, phases, SampleGrid(rate, start, count, epoch))
+        picks = np.r_[0:30, TONE_BLOCK - 310 : TONE_BLOCK - 290, count - 30 : count]
+        want = exact_tones(amps, freqs, phases, rate, [start + int(j) for j in picks], epoch)
         assert np.max(np.abs(got[picks] - want)) < 1e-11
 
     def test_close_to_float_time_form(self):
