@@ -89,7 +89,7 @@ class PhaseAccumulator:
     """
 
     ratio: Fraction
-    frac_width: int = 1024  # a power of two
+    frac_width: int = 1024
     position: Fraction = Fraction(0)
     _last_n: int | None = field(default=None, repr=False)
 
@@ -100,7 +100,8 @@ class PhaseAccumulator:
             raise RatioOutOfRange(
                 f"ratio {self.ratio} outside (0.5, 1.5); the scheme assumes small offsets"
             )
-        _log2_width(self.frac_width)
+        if self.frac_width < 1:
+            raise ValueError("frac_width must be >= 1")
 
     def clone(self) -> "PhaseAccumulator":
         return PhaseAccumulator(self.ratio, self.frac_width, self.position, self._last_n)
@@ -153,14 +154,6 @@ def accumulator_step(acc: PhaseAccumulator) -> tuple[int, int, PhaseAccumulator]
     return advance, lut, out
 
 
-def _log2_width(frac_width: int) -> int:
-    """log2 of a LUT width, which must be a power of two (ValueError otherwise)."""
-    shift = frac_width.bit_length() - 1
-    if frac_width < 1 or frac_width != 1 << shift:
-        raise ValueError(f"frac_width must be a power of two, got {frac_width}")
-    return shift
-
-
 def count_outputs(position: Fraction, ratio: Fraction, frac_width: int, last_n: int) -> int:
     """How many of the positions ``position + (j+1)*ratio``, j = 0, 1, ... have
     integer sample n <= last_n on the 1/frac_width grid.
@@ -187,11 +180,9 @@ def phase_run(
     Returns int64 arrays (n, lut) where n is the integer sample index and lut
     the LUT index of each successive position, plus the exact final position.
     Work is chunked so the int64 intermediates cannot overflow even for
-    extreme rational denominators.  ``frac_width`` must be a power of two, so
-    the grid index splits into (n, lut) with a shift and a mask.
+    extreme rational denominators.
     """
     P = frac_width
-    shift = _log2_width(P)
     half = P // 2
     den = ratio.denominator
     base = Fraction(position)  # positions emitted are base + (j+1)*ratio
@@ -209,16 +200,11 @@ def phase_run(
         limit = (1 << 62) // P
         max_j = (limit - fden) // max(abs(rnum), 1)
         chunk = int(min(count - done, max(max_j, 1)))
-        a = np.arange(1, chunk + 1, dtype=np.int64)
-        a *= rnum
-        a += fnum0
-        a <<= shift  # (fnum0 + j*rnum) * P
-        g = _round_half_even_array(a, fden)
-        g += half
-        n_seg = n_out[done : done + chunk]
-        np.right_shift(g, shift, out=n_seg)
-        n_seg += whole
-        np.bitwise_and(g, P - 1, out=lut_out[done : done + chunk])
+        j = np.arange(1, chunk + 1, dtype=np.int64)
+        a = (fnum0 + j * rnum) * P
+        g = _round_half_even_array(a, fden) + half
+        n_out[done : done + chunk] = whole + g // P
+        lut_out[done : done + chunk] = g % P
         done += chunk
         base = Fraction(whole) + Fraction(fnum0 + chunk * rnum, fden)
     return n_out, lut_out, base
@@ -227,9 +213,6 @@ def phase_run(
 def _round_half_even_array(num: np.ndarray, den: int) -> np.ndarray:
     """round_half_even for an int64 numerator array over a positive int denominator."""
     q, r = np.divmod(num, den)
-    r <<= 1
-    tie = r == den
-    tie &= (q & 1).astype(bool)
-    q += r > den
-    q += tie
-    return q
+    twice = 2 * r
+    up = (twice > den) | ((twice == den) & (q % 2 == 1))
+    return q + up

@@ -113,6 +113,16 @@ class TestDemuxEquivalence:
         adv, _ = acc.run(m)
         assert np.count_nonzero(adv == 2) > 50
 
+    @pytest.mark.parametrize("start", [Fraction(0), Fraction(-1, 2), Fraction(1, 3)])
+    def test_keeps_every_whole_block_of_direct(self, bank56, start):
+        # at this length a float estimate of the output count fell short of
+        # the last whole block (1936 instead of 1944 outputs)
+        s = rand_stream(2001, Fraction(1001, 1000) * 1_000_000, seed=7)
+        direct = resample(s, Fraction(1_000_000), bank56, start_position=start)
+        demux = demux_resample(s, Fraction(1_000_000), bank56, k=8, start_position=start)
+        assert len(demux) == (len(direct) // 8) * 8
+        assert np.array_equal(demux.data, direct.data[: len(demux)])
+
     def test_fixed_point_bit_identical(self, bank56):
         from scfosim.frontend import QuantKind, QuantizerSpec, quantize
 

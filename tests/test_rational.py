@@ -162,12 +162,6 @@ class TestAccumulator:
         with pytest.raises(RatioOutOfRange):
             PhaseAccumulator(Fraction(1, 2), 1024)
 
-    def test_frac_width_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            PhaseAccumulator(Fraction(1001, 1000), 1000)
-        with pytest.raises(ValueError):
-            phase_run(Fraction(0), Fraction(1001, 1000), 1000, 10)
-
     def test_functional_step_leaves_input_untouched(self):
         acc = PhaseAccumulator(Fraction(1001, 1000), 1024)
         advance, lut, acc2 = accumulator_step(acc)
