@@ -19,7 +19,6 @@ partial sums follows it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .frontend import QuantizerSpec, quantize_array
-from .resampler import Resampler, design_bank
+from .resampler import Resampler, cached_bank
 from .signal import SampleGrid, combine, eval_tones, synth_signal
 
 
@@ -68,11 +67,6 @@ class DualChainResult:
     freqs: np.ndarray
     loss_per_freq: np.ndarray
     n_samples: int
-
-
-@functools.lru_cache(maxsize=8)
-def _bank(taps: int, phases: int, bits):
-    return design_bank(taps, phases, bits)
 
 
 class _SegmentedCorrelator:
@@ -201,7 +195,7 @@ def run_dual_chain(
         f_a = f_c * ratio
         sources.append(_AntennaSource(tones, f_a, chunk))
         if chain.resample:
-            bank = _bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
+            bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
             c = Fraction(chain.bank_taps - 1, 2)
             p0 = c * (ratio - 1)  # aligns both antennas' output epochs
             resamplers.append(

@@ -26,6 +26,7 @@ chunked and whether the path is direct, whole-stream or demultiplexed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,6 +163,7 @@ def design_bank(
     table_int = None
     if coeff_bits is not None:
         table_int = quantize_taps(table, coeff_bits)
+        table_int.setflags(write=False)
         table = table_int / float(1 << (coeff_bits - 1))
     table.setflags(write=False)
     bank = CoefficientBank(
@@ -185,6 +187,13 @@ def design_bank(
             f"(N={N}, beta={beta:.3f})"
         )
     return bank
+
+
+@functools.lru_cache(maxsize=8)
+def cached_bank(N: int, P: int, coeff_bits: int | None = 19) -> CoefficientBank:
+    """``design_bank(N, P, coeff_bits)`` designed once per process and shared
+    by every caller; both tables are read-only, so sharing is safe."""
+    return design_bank(N, P, coeff_bits)
 
 
 @dataclass

@@ -9,6 +9,9 @@ products dw*T match the regimes of interest (the physics depends only on
 dw*T).  Every scenario writes one CSV per result table plus summary.txt
 with one PASS/FAIL line per check; identical config and seed give
 byte-identical CSV output.
+
+Antennas meet only at the correlator, so the whole-stream scenarios build
+their antennas in parallel processes (``_resampled_tone_streams``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import ConfigInvalid, Infeasible
 from .frontend import QuantKind, QuantizerSpec, Zone, sample
 from .mixer import MixerConfig, ssb_shift
 from .rational import parse_rational
-from .resampler import design_bank, resample
+from .resampler import cached_bank, resample
 from .signal import (
     InterferenceKind,
     InterferenceSpec,
@@ -174,7 +177,7 @@ def plan_offsets(
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a bare number for numpy scalars too
     return str(value)
 
 
@@ -279,16 +282,56 @@ def _washout_antennas(cfg, extended=True):
     return specs
 
 
-def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, jobs: int = 1, zone=Zone.ZONE1, shift=False, band=None):
-    """Per antenna: inject interference into (sky | empty) bank, sample at the
+def _map_forked(fn, items):
+    """``[fn(x) for x in items]`` with the last item run in a forked child
+    process while this one runs the rest; a child's exception is re-raised
+    here with its own class.  Serial where the platform cannot fork."""
+    import multiprocessing
+
+    if len(items) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(send, fn, items[-1]))
+    child.start()
+    send.close()  # the child holds the only send end, so its death reads as EOFError
+    try:
+        out = [fn(x) for x in items[:-1]]
+        ok, value = recv.recv()  # before join: a whole stream outgrows the pipe buffer
+    except BaseException:
+        child.terminate()
+        raise
+    finally:
+        recv.close()
+        child.join()
+    if not ok:
+        raise value
+    return out + [value]
+
+
+def _send_result(send, fn, item):
+    try:
+        send.send((True, fn(item)))
+    except Exception as exc:  # fn's, or the pickling of its result
+        send.send((False, exc))
+
+
+def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, zone=Zone.ZONE1, shift=False, band=None):
+    """Per antenna: inject interference into its sky (one signal for all, a
+    list with one per antenna, or None for an empty bank), sample at the
     antenna's desk rate, resample back to the common clock; optionally apply
-    the Zone-2 frequency-shift mixer.  Antennas process independently."""
+    the Zone-2 frequency-shift mixer.  Antennas are independent, so they run
+    in parallel processes (``_map_forked``) with the same output bytes."""
     clocks = {spec.antenna_id: spec.desk_rate(f_c) for spec in antennas}
     if band is None:
         band = (0.0833 * float(f_c) / 2, 0.9167 * float(f_c) / 2)
+    if sky is None:
+        sky = ToneBankSignal(tones=(), seed=0, band=band)
+    if not isinstance(sky, list):
+        sky = [sky] * len(antennas)
 
-    def one(spec):
-        bank_sig = sky if sky is not None else ToneBankSignal(tones=(), seed=0, band=band)
+    def one(item):
+        spec, bank_sig = item
         for interference in spec.interference:
             bank_sig = inject(bank_sig, interference, clocks, spec.antenna_id)
         f_a = clocks[spec.antenna_id]
@@ -300,15 +343,10 @@ def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, jobs: int = 1, 
             out = ssb_shift(out, MixerConfig(shift_hz=f_c - f_a))
         return out
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, antennas))
-    return [one(spec) for spec in antennas]
+    return _map_forked(one, list(zip(antennas, sky)))
 
 
-def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = True, jobs: int = 1) -> dict:
+def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
     defaults = {
         "seed": 1,
         "f_c": "1000000/1",
@@ -330,7 +368,7 @@ def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = 
     cfg = merge_config(defaults, cfg)
     rng = np.random.default_rng(cfg["seed"])
     f_c = _frac(cfg["f_c"])
-    bank = design_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
+    bank = cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
     antennas = _washout_antennas(cfg)
     summary = Summary()
 
@@ -400,7 +438,7 @@ def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = 
     return {"summary": summary, "results": results, "sky_rho": sky_rho, "delta_f": delta_f}
 
 
-def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = True, jobs: int = 1) -> dict:
+def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
     defaults = {
         "seed": 2,
         "f_c": "1000000/1",
@@ -417,7 +455,7 @@ def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = T
     }
     cfg = merge_config(defaults, cfg)
     f_c = _frac(cfg["f_c"])
-    bank = design_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
+    bank = cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
     # all offsets zero: the clock tones land at identical frequencies
     antennas = [
         AntennaChainSpec(
@@ -436,17 +474,13 @@ def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = T
     ]
     n_in = int(cfg["T"] * float(f_c) * 1.3) + 4096
     band = (0.0833 * float(f_c) / 2, 0.9167 * float(f_c) / 2)
-    streams = []
+    noise = [
+        synth_signal(cfg["seed"] * 977 + i, cfg["noise_tones"], band, rms=float(cfg["noise_rms"]))
+        for i in range(len(antennas))
+    ]
+    streams = _resampled_tone_streams(antennas, f_c, bank, n_in, sky=noise)
     p_tone = float(cfg["clock_tone_amplitude"]) ** 2 / 2.0
     p_noise = float(cfg["noise_rms"]) ** 2
-    for i, spec in enumerate(antennas):
-        noise = synth_signal(cfg["seed"] * 977 + i, cfg["noise_tones"], band, rms=float(cfg["noise_rms"]))
-        from .signal import inject
-
-        clocks = {a.antenna_id: a.desk_rate(f_c) for a in antennas}
-        bank_sig = inject(noise, spec.interference[0], clocks, spec.antenna_id)
-        stream = sample(bank_sig, spec.desk_rate(f_c), n_in)
-        streams.append(resample(stream, f_c, bank))
     rep = correlate(streams[0], streams[1], T=cfg["T"])
     predicted = p_tone / (p_tone + p_noise)
     measured = abs(rep.rho)
@@ -467,7 +501,7 @@ def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = T
     return {"summary": summary, "rho": measured, "predicted": predicted}
 
 
-def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path, figures: bool = True, jobs: int = 1) -> dict:
+def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
     """Out-of-band contamination: Zone 2 decorrelates all of it; Zone 1 keeps
     a correlating region between the passband edge and Nyquist."""
     defaults = {
@@ -485,7 +519,7 @@ def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path, figures: bool = Tru
     }
     cfg = merge_config(defaults, cfg)
     f_c = _frac(cfg["f_c"])
-    bank = design_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
+    bank = cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
     summary = Summary()
     rows = []
 
@@ -574,7 +608,7 @@ def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path, figures: bool = Tru
     return {"summary": summary, "rows": rows}
 
 
-def scenario_relaxed_antialias(cfg: dict | None, out_dir: Path, figures: bool = True, jobs: int = 1) -> dict:
+def scenario_relaxed_antialias(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
     """A relaxed analog anti-alias filter lets an out-of-band tone alias into
     the band at reduced amplitude; with SCFO on the alias decorrelates, with
     SCFO off it correlates fully (the filter is then load-bearing)."""
@@ -596,30 +630,27 @@ def scenario_relaxed_antialias(cfg: dict | None, out_dir: Path, figures: bool = 
     }
     cfg = merge_config(defaults, cfg)
     f_c = _frac(cfg["f_c"])
-    bank = design_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
+    bank = cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
     filt = FilterSpec(points=tuple((float(a), float(b)) for a, b in cfg["filter_points"]))
     expected_gain = filt.gain(float(cfg["probe_hz"]))
     n_in = int(cfg["T"] * float(f_c) * 1.3) + 4096
+    probe = ToneBankSignal(
+        tones=(Tone(float(cfg["probe_amplitude"]), float(cfg["probe_hz"]), 0.1),),
+        seed=cfg["seed"], band=(0.05 * float(f_c), 0.45 * float(f_c)),
+    )
+    filtered = antialias(probe, filt)
     summary = Summary()
     rows = []
 
     def run(offsets):
-        streams = []
-        for i, off in enumerate(offsets):
-            spec = AntennaChainSpec(
+        antennas = [
+            AntennaChainSpec(
                 antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off),
                 extended_offsets=True,
             )
-            probe = ToneBankSignal(
-                tones=(Tone(float(cfg["probe_amplitude"]), float(cfg["probe_hz"]), 0.1),),
-                seed=cfg["seed"], band=(0.05 * float(f_c), 0.45 * float(f_c)),
-            )
-            filtered = antialias(probe, filt)
-            stream = sample(filtered, spec.desk_rate(f_c), n_in)
-            c = Fraction(bank.taps_per_phase - 1, 2)
-            ratio = spec.desk_rate(f_c) / f_c
-            streams.append(resample(stream, f_c, bank, start_position=c * (ratio - 1)))
-        return streams
+            for i, off in enumerate(offsets)
+        ]
+        return _resampled_tone_streams(antennas, f_c, bank, n_in, sky=filtered)
 
     on = run(cfg["offsets_hz"])
     rep_on = correlate(on[0], on[1], T=cfg["T"])
@@ -651,7 +682,7 @@ def scenario_relaxed_antialias(cfg: dict | None, out_dir: Path, figures: bool = 
     return {"summary": summary, "rows": rows}
 
 
-def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True, jobs: int = 1) -> dict:
+def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
     """Numerical version of the final-shift diagram: after per-antenna
     f_c - f_a shifts, the common sky tone lands at one frequency with a flat
     cross-spectrum phase slope, while the per-antenna clock tones stay split
@@ -672,7 +703,7 @@ def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True, 
     }
     cfg = merge_config(defaults, cfg)
     f_c = _frac(cfg["f_c"])
-    bank = design_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
+    bank = cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
     summary = Summary()
     band2 = (0.56 * float(f_c), 0.94 * float(f_c))
     n_fft = int(cfg["n_fft"])
@@ -703,7 +734,7 @@ def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True, 
         seed=cfg["seed"], band=band2,
     )
     sky_streams = _resampled_tone_streams(
-        antennas(False), f_c, bank, n_in, sky=sky, zone=Zone.ZONE2, shift=True, band=band2, jobs=jobs
+        antennas(False), f_c, bank, n_in, sky=sky, zone=Zone.ZONE2, shift=True, band=band2
     )
     # sky tone peak bins must coincide
     peaks = []
@@ -749,7 +780,7 @@ def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True, 
 
     # clock tones land apart by the offset difference times the rule scale
     clock_streams = _resampled_tone_streams(
-        antennas(True), f_c, bank, n_in, zone=Zone.ZONE2, shift=True, band=band2, jobs=jobs
+        antennas(True), f_c, bank, n_in, zone=Zone.ZONE2, shift=True, band=band2
     )
     cpeaks = []
     for s in clock_streams:
@@ -783,7 +814,7 @@ def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True, 
     return {"summary": summary, "sky_peaks": peaks, "clock_peaks": cpeaks, "residual_hz": residual_hz}
 
 
-def scenario_requant_loss(cfg: dict | None, out_dir: Path, figures: bool = True, jobs: int = 1) -> dict:
+def scenario_requant_loss(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
     """Desk-scale reproduction of the 4-bit vs 4-bit+resample+8-bit
     sensitivity-loss comparison; the acceptance target is the difference."""
     defaults = {
@@ -857,7 +888,7 @@ def scenario_requant_loss(cfg: dict | None, out_dir: Path, figures: bool = True,
     return {"summary": summary, "report": rep}
 
 
-def scenario_offset_plan(cfg: dict | None, out_dir: Path, figures: bool = True, jobs: int = 1) -> dict:
+def scenario_offset_plan(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
     """Feasibility of pairwise-separated offset ladders, including the
     2000-antenna, 10 kHz minimum, +/-10 MHz case."""
     defaults = {
@@ -924,10 +955,10 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, cfg: dict | None = None, out_dir=None, figures: bool = True, jobs: int = 1) -> dict:
+def run_scenario(name: str, cfg: dict | None = None, out_dir=None, figures: bool = True) -> dict:
     """Execute a named scenario; writes CSVs, figures and summary.txt."""
     if name not in SCENARIOS:
         raise ConfigInvalid("scenario", f"unknown scenario {name!r}; see list-scenarios")
     func, _ = SCENARIOS[name]
     out_dir = Path(out_dir) if out_dir is not None else Path(name)
-    return func(cfg, out_dir, figures=figures, jobs=jobs)
+    return func(cfg, out_dir, figures=figures)

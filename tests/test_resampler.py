@@ -10,6 +10,7 @@ from scfosim.resampler import (
     FIR_TILE,
     Resampler,
     _fir_rows,
+    cached_bank,
     design_bank,
     export_bank,
     export_response_csv,
@@ -40,6 +41,13 @@ class TestDesign:
         r = response(bank19, 512, 1001, 0.0, 1.0)
         i = int(np.argmin(np.abs(r.freq - 0.5)))
         assert abs(10 ** (r.mag_db[i] / 20.0) - 1.0) < 1e-4
+
+    def test_cached_bank_is_shared_and_read_only(self, bank19):
+        shared = cached_bank(56, 1024, 19)
+        assert cached_bank(56, 1024, 19) is shared
+        assert np.array_equal(shared.table_int, bank19.table_int)
+        assert not shared.table.flags.writeable
+        assert not shared.table_int.flags.writeable
 
     def test_two_tap_linear_interpolator(self):
         b = design_bank(2, 2, None, passband=(0.01, 0.2), max_ripple_db=60)

@@ -1,13 +1,25 @@
+import csv
+import multiprocessing
+import os
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from scfosim.resampler import design_bank
+from scfosim.errors import BandZoneMismatch
+from scfosim.frontend import Zone, sample
+from scfosim.resampler import cached_bank, design_bank, resample
 from scfosim.scenarios import (
+    AntennaChainSpec,
+    _map_forked,
     _resampled_tone_streams,
     _washout_antennas,
+    run_scenario,
     scenario_selfclock_washout,
 )
+from scfosim.signal import Tone, ToneBankSignal, synth_signal
+
+F_C = Fraction(1_000_000)
 
 
 def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
@@ -33,3 +45,79 @@ def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
     # the 3/4 f_a tones alias to 1/4 f_a: 1/4 of the 2120 Hz clock split
     assert result["delta_f"] == 530.0
     assert abs(abs(peaks[0] - peaks[1]) - result["delta_f"]) <= 2 * float(f_c) / n_fft
+
+
+def antenna_pair(zone=Zone.ZONE1):
+    return [
+        AntennaChainSpec(f"m{i + 1:03d}", "B1", Fraction(off), zone=zone, extended_offsets=True)
+        for i, off in enumerate((4_240_000, -4_240_000))
+    ]
+
+
+def test_map_forked_matches_serial_bit_for_bit():
+    sky = synth_signal(3, 8, (0.05 * float(F_C), 0.45 * float(F_C)))
+    bank = cached_bank(56, 1024, 19)
+
+    def one(spec):
+        f_a = spec.desk_rate(F_C)
+        start = Fraction(bank.taps_per_phase - 1, 2) * (f_a / F_C - 1)
+        return resample(sample(sky, f_a, 50_000), F_C, bank, start_position=start)
+
+    antennas = antenna_pair()
+    forked = _map_forked(one, antennas)
+    serial = [one(spec) for spec in antennas]
+    assert not multiprocessing.active_children()
+    assert len(forked) == 2
+    for got, want in zip(forked, serial):
+        assert got.data.dtype == want.data.dtype
+        assert np.array_equal(got.data, want.data)
+        assert (got.rate, got.epoch, got.valid_start, got.valid_end) == (
+            want.rate, want.epoch, want.valid_start, want.valid_end
+        )
+
+
+@pytest.mark.parametrize("wrong", [1, 0], ids=["forked-antenna", "own-antenna"])
+def test_antenna_errors_reach_the_caller_with_their_class(wrong):
+    # a Zone-2 antenna whose sky band lies in Zone 1 raises BandZoneMismatch,
+    # whether it is the antenna run in the child or the one run here
+    zone2 = ToneBankSignal((Tone(1.0, 0.7 * float(F_C), 0.5),), seed=0, band=(0.56e6, 0.94e6))
+    zone1 = ToneBankSignal((Tone(1.0, 0.3 * float(F_C), 0.5),), seed=0, band=(0.05e6, 0.45e6))
+    skies = [zone2, zone2]
+    skies[wrong] = zone1
+    with pytest.raises(BandZoneMismatch):
+        _resampled_tone_streams(
+            antenna_pair(Zone.ZONE2), F_C, cached_bank(56, 1024, 19), 20_000,
+            sky=skies, zone=Zone.ZONE2, shift=True,
+        )
+    assert not multiprocessing.active_children()
+
+
+def test_map_forked_raises_when_the_child_dies():
+    def die_in_child(x):
+        if x == 1:
+            os._exit(3)
+        return x
+
+    with pytest.raises(EOFError):
+        _map_forked(die_in_child, [0, 1])
+    assert not multiprocessing.active_children()
+
+
+LABEL_COLUMNS = {"case", "quantity"}
+
+
+@pytest.mark.parametrize(
+    "name", ["scfo-off-control", "zone1-vs-zone2-alias", "relaxed-antialias", "zone2-shift", "offset-plan"]
+)
+def test_stream_scenario_passes_at_defaults_and_writes_numbers(name, tmp_path):
+    run_scenario(name, None, out_dir=tmp_path, figures=False)
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert lines and all(line.startswith("PASS ") for line in lines), lines
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert tables
+    for table in tables:
+        with open(table) as fh:
+            for row in csv.DictReader(fh):
+                for column, cell in row.items():
+                    if column not in LABEL_COLUMNS:
+                        float(cell)  # raises on a cell such as np.float64(...)
