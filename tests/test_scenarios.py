@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import multiprocessing
 import os
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +49,22 @@ def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
     assert abs(abs(peaks[0] - peaks[1]) - result["delta_f"]) <= 2 * float(f_c) / n_fft
 
 
+@contextlib.contextmanager
+def deadline(seconds=60):
+    """Turn a hang (a child never joined, a pipe never read) into a failure."""
+
+    def expire(*_):  # not TimeoutError: multiprocessing swallows OSErrors while joining
+        raise AssertionError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def antenna_pair(zone=Zone.ZONE1):
     return [
         AntennaChainSpec(f"m{i + 1:03d}", "B1", Fraction(off), zone=zone, extended_offsets=True)
@@ -64,7 +82,8 @@ def test_map_forked_matches_serial_bit_for_bit():
         return resample(sample(sky, f_a, 50_000), F_C, bank, start_position=start)
 
     antennas = antenna_pair()
-    forked = _map_forked(one, antennas)
+    with deadline():
+        forked = _map_forked(one, antennas)
     serial = [one(spec) for spec in antennas]
     assert not multiprocessing.active_children()
     assert len(forked) == 2
@@ -84,7 +103,7 @@ def test_antenna_errors_reach_the_caller_with_their_class(wrong):
     zone1 = ToneBankSignal((Tone(1.0, 0.3 * float(F_C), 0.5),), seed=0, band=(0.05e6, 0.45e6))
     skies = [zone2, zone2]
     skies[wrong] = zone1
-    with pytest.raises(BandZoneMismatch):
+    with deadline(), pytest.raises(BandZoneMismatch):
         _resampled_tone_streams(
             antenna_pair(Zone.ZONE2), F_C, cached_bank(56, 1024, 19), 20_000,
             sky=skies, zone=Zone.ZONE2, shift=True,
@@ -98,7 +117,7 @@ def test_map_forked_raises_when_the_child_dies():
             os._exit(3)
         return x
 
-    with pytest.raises(EOFError):
+    with deadline(), pytest.raises(EOFError):
         _map_forked(die_in_child, [0, 1])
     assert not multiprocessing.active_children()
 
