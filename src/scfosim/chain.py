@@ -15,10 +15,19 @@ resamplers fold every output in the same strict tap order whatever the tile
 or chunk it falls in (see resampler._fir_rows).  Every sample value is
 therefore independent of ``chunk``; only the grouping of the correlators'
 partial sums follows it.
+
+Each antenna is processed on its own and the two meet only at the
+correlators, so each chain runs its two antennas in two processes: antenna 1
+streams its chunks from a forked child (``forked_stream``).  No chunk value
+depends on which process computed it, and the correlators add the same arrays
+in the same order, so every result is the same as a one-process run.  Pin
+BLAS to one thread (OPENBLAS_NUM_THREADS=1): a BLAS thread pool in each
+process oversubscribes the cores and takes the gain back.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -167,6 +176,55 @@ class _AntennaSource:
         return eval_tones(self.amps, self.freqs, self.phases, grid)
 
 
+@contextlib.contextmanager
+def forked_stream(make):
+    """Iterate ``make()``'s values, computed in a forked child process.
+
+    The child starts on entry, so it works while this process does.  It sends
+    each value over a one-way pipe, and a send blocks until this process reads
+    it, so the child runs at most one value ahead.  A child's exception is
+    re-raised here with its own class; a child that dies reads as EOFError.
+    On every exit path the child is terminated (it may be computing a surplus
+    value) and joined.  Where the platform cannot fork, ``make()`` runs here.
+    """
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield make()
+        return
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_values, args=(send, make))
+    child.start()
+    send.close()  # the child holds the only send end, so its death reads as EOFError
+    try:
+        yield _received(recv)
+    finally:
+        child.terminate()
+        recv.close()
+        child.join()
+
+
+def _send_values(send, make):
+    try:
+        for value in make():
+            send.send((True, value))
+        send.send((False, None))
+    except Exception as exc:  # make's, or the pickling of a value
+        send.send((False, exc))
+
+
+def _received(recv):
+    while True:
+        ok, value = recv.recv()  # before join: one value can outgrow the pipe buffer
+        if ok:
+            yield value
+        elif value is None:
+            return
+        else:
+            raise value
+
+
 def run_dual_chain(
     chain: ChainSpec,
     model: SignalModel,
@@ -185,24 +243,25 @@ def run_dual_chain(
     noise_rms = float(np.sqrt(1.0 / model.snr))
     sigma_in = float(np.sqrt(1.0 + noise_rms**2))
 
-    sources = []
-    resamplers = []  # (chain_state, float_state) per antenna
-    for i in (0, 1):
+    def antenna(i):
+        """Yield antenna i's (chain, float twin) outputs, one source chunk at a time."""
         noise = synth_signal(model.noise_seed(i), model.n_noise_tones, band, rms=noise_rms)
-        tones = combine(sky, noise).arrays()
         sign = 1 if i == 0 else -1
         ratio = 1 + sign * Fraction(chain.offset) if chain.resample else Fraction(1)
-        f_a = f_c * ratio
-        sources.append(_AntennaSource(tones, f_a, chunk))
+        source = _AntennaSource(combine(sky, noise).arrays(), f_c * ratio, chunk)
         if chain.resample:
             bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
-            c = Fraction(chain.bank_taps - 1, 2)
-            p0 = c * (ratio - 1)  # aligns both antennas' output epochs
-            resamplers.append(
-                (Resampler(bank, ratio, p0), Resampler(bank, ratio, p0))
-            )
-        else:
-            resamplers.append(None)
+            p0 = Fraction(chain.bank_taps - 1, 2) * (ratio - 1)  # aligns both output epochs
+            twin_c, twin_f = Resampler(bank, ratio, p0), Resampler(bank, ratio, p0)
+        while True:
+            raw = source.next_chunk()
+            q = raw
+            if chain.input_quant is not None:
+                q = quantize_array(raw, chain.input_quant, sigma_in)
+            out_c, out_f = (twin_c.process(q), twin_f.process(raw)) if chain.resample else (q, raw)
+            if chain.out_quant is not None:
+                out_c = quantize_array(out_c, chain.out_quant, sigma_in)
+            yield out_c, out_f
 
     skip = chain.bank_taps + 16  # discard filter-edge outputs uniformly
     seg_len = max(n_out // segments, 1)
@@ -214,38 +273,28 @@ def run_dual_chain(
     pend = [[np.zeros(0)] * 2 for _ in range(2)]  # [antenna][0=chain,1=float]
     skipped = [[0, 0], [0, 0]]
     done = 0
-    while done < n_out:
-        for i in (0, 1):
-            raw = sources[i].next_chunk()
-            if chain.input_quant is not None:
-                q = quantize_array(raw, chain.input_quant, sigma_in)
-            else:
-                q = raw
-            if chain.resample:
-                out_c = resamplers[i][0].process(q)
-                out_f = resamplers[i][1].process(raw)
-            else:
-                out_c, out_f = q, raw
-            if chain.out_quant is not None:
-                out_c = quantize_array(out_c, chain.out_quant, sigma_in)
-            for j, arr in ((0, out_c), (1, out_f)):
-                if skipped[i][j] < skip:
-                    drop = min(skip - skipped[i][j], len(arr))
-                    arr = arr[drop:]
-                    skipped[i][j] += drop
-                pend[i][j] = np.concatenate([pend[i][j], arr])
-        m = min(len(pend[i][j]) for i in (0, 1) for j in (0, 1))
-        m = min(m, n_out - done)
-        if m == 0:
-            continue
-        corr_chain.add(pend[0][0][:m], pend[1][0][:m])
-        corr_float.add(pend[0][1][:m], pend[1][1][:m])
-        welch_chain.add(pend[0][0][:m], pend[1][0][:m])
-        welch_float.add(pend[0][1][:m], pend[1][1][:m])
-        for i in (0, 1):
-            for j in (0, 1):
-                pend[i][j] = pend[i][j][m:]
-        done += m
+    with forked_stream(lambda: antenna(1)) as far:  # forks before antenna 0's first chunk
+        near = antenna(0)
+        while done < n_out:
+            for i, outs in enumerate((next(near), next(far))):
+                for j, arr in enumerate(outs):
+                    if skipped[i][j] < skip:
+                        drop = min(skip - skipped[i][j], len(arr))
+                        arr = arr[drop:]
+                        skipped[i][j] += drop
+                    pend[i][j] = np.concatenate([pend[i][j], arr])
+            m = min(len(pend[i][j]) for i in (0, 1) for j in (0, 1))
+            m = min(m, n_out - done)
+            if m == 0:
+                continue
+            corr_chain.add(pend[0][0][:m], pend[1][0][:m])
+            corr_float.add(pend[0][1][:m], pend[1][1][:m])
+            welch_chain.add(pend[0][0][:m], pend[1][0][:m])
+            welch_float.add(pend[0][1][:m], pend[1][1][:m])
+            for i in (0, 1):
+                for j in (0, 1):
+                    pend[i][j] = pend[i][j][m:]
+            done += m
 
     rho_c = corr_chain.rho_total()
     rho_f = corr_float.rho_total()

@@ -93,4 +93,7 @@ class Infeasible(ScfoError):
 class ConfigInvalid(ScfoError):
     def __init__(self, field, message):
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(field, message)  # both args, so it pickles across processes
+
+    def __str__(self):
+        return f"{self.field}: {self.args[1]}"

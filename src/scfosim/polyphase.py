@@ -120,15 +120,12 @@ def demux_resample(
     pad_left = max(0, int(-(n_all[0])) if K else 0)
     x_pad = np.concatenate([np.zeros(pad_left, dtype=x.dtype), x])
 
-    commutator = CommutatorState(k=k)
-    block_adv = np.empty(blocks, dtype=np.int64)
+    # the barrel after every block: the per-block advances (block heads'
+    # differences) telescope, so their sum is last head - head before block 0
+    consumed = 0
     if blocks:
-        prev_head = PhaseAccumulator(ratio, P, position=pos0).grid_index()[0]
-        heads = n_all[k - 1 :: k]
-        block_adv[0] = heads[0] - prev_head
-        np.subtract(heads[1:], heads[:-1], out=block_adv[1:])
-    for consumed in block_adv:
-        commutator.roll(int(consumed))
+        consumed = int(n_all[-1]) - PhaseAccumulator(ratio, P, position=pos0).grid_index()[0]
+    commutator = CommutatorState(k=k, roll_offset=consumed % k, blocks=blocks)
 
     rel = n_all + pad_left
     if fixed_point:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec, SignalModel
+from .chain import ChainSpec, SignalModel, forked_stream
 from .correlator import correlate, sensitivity_loss, washing_suppression_db
 from .errors import ConfigInvalid, Infeasible
 from .frontend import QuantKind, QuantizerSpec, Zone, sample
@@ -284,36 +284,15 @@ def _washout_antennas(cfg, extended=True):
 
 def _map_forked(fn, items):
     """``[fn(x) for x in items]`` with the last item run in a forked child
-    process while this one runs the rest; a child's exception is re-raised
-    here with its own class.  Serial where the platform cannot fork."""
-    import multiprocessing
-
-    if len(items) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    process (``forked_stream``) while this one runs the rest."""
+    if len(items) < 2:
         return [fn(x) for x in items]
-    ctx = multiprocessing.get_context("fork")
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_result, args=(send, fn, items[-1]))
-    child.start()
-    send.close()  # the child holds the only send end, so its death reads as EOFError
-    try:
-        out = [fn(x) for x in items[:-1]]
-        ok, value = recv.recv()  # before join: a whole stream outgrows the pipe buffer
-    except BaseException:
-        child.terminate()
-        raise
-    finally:
-        recv.close()
-        child.join()
-    if not ok:
-        raise value
-    return out + [value]
 
+    def last():
+        yield fn(items[-1])
 
-def _send_result(send, fn, item):
-    try:
-        send.send((True, fn(item)))
-    except Exception as exc:  # fn's, or the pickling of its result
-        send.send((False, exc))
+    with forked_stream(last) as rest:
+        return [fn(x) for x in items[:-1]] + list(rest)
 
 
 def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, zone=Zone.ZONE1, shift=False, band=None):

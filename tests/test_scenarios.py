@@ -140,3 +140,23 @@ def test_stream_scenario_passes_at_defaults_and_writes_numbers(name, tmp_path):
                 for column, cell in row.items():
                     if column not in LABEL_COLUMNS:
                         float(cell)  # raises on a cell such as np.float64(...)
+
+
+def test_requant_loss_writes_its_verdicts_and_numbers(tmp_path):
+    run_scenario("requant-loss", {"samples": 200_000}, out_dir=tmp_path, figures=False)
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert len(lines) == 3, lines  # two verdicts, then the overall line
+    assert lines[0].split(" ", 1)[1].startswith("requantization loss difference = ")
+    assert lines[1].split(" ", 1)[1].startswith("Monte Carlo stderr = ")
+    assert lines[2].split(" ", 1)[1] == "overall"
+    assert all(line.split(" ", 1)[0] in ("PASS", "FAIL") for line in lines), lines
+    for table in ("requant_loss.csv", "loss_vs_freq.csv"):
+        with open(tmp_path / table) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            for cell in row.values():
+                float(cell)
+    with open(tmp_path / "requant_loss.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert int(row["n_samples"]) == 200_000
