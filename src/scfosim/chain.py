@@ -110,10 +110,6 @@ class _SegmentedCorrelator:
         rows = np.array(self.segs)
         return rows[:, 0] / np.sqrt(rows[:, 1] * rows[:, 2])
 
-    @property
-    def total(self) -> int:
-        return len(self.segs) * self.seg_len + self._fill
-
 
 class _WelchCross:
     """Averaged cross/auto spectra (hann, 75% overlap) over a leading cap.

@@ -41,7 +41,6 @@ class CorrelationAccumulator:
         self.sab = 0.0 + 0.0j
         self.saa = 0.0
         self.sbb = 0.0
-        self.count = 0
 
     def add(self, a: np.ndarray, b: np.ndarray) -> None:
         if len(a) != len(b):
@@ -58,7 +57,6 @@ class CorrelationAccumulator:
         self.sab += np.sum(a * np.conj(b))
         self.saa += float(np.sum(a.real**2 + a.imag**2))
         self.sbb += float(np.sum(b.real**2 + b.imag**2))
-        self.count += len(a)
 
     def rho(self) -> complex:
         sab, saa, sbb = self.sab, self.saa, self.sbb
@@ -71,10 +69,6 @@ class CorrelationAccumulator:
             return 0.0 + 0.0j
         return complex(sab / denom)
 
-    @property
-    def total(self) -> int:
-        return self.count + len(self._carry_a)
-
 
 @dataclass
 class CorrelationReport:
@@ -82,23 +76,21 @@ class CorrelationReport:
     T: float
     n_samples: int
     suppression_db: float
-    per_freq_loss: list | None = None
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.rho)
 
 
 def correlate(a: SampleStream, b: SampleStream, T: float, start: int | None = None) -> CorrelationReport:
     """Normalized correlation over exactly floor(T * rate) samples.
 
+    A float T counts as the decimal it prints as (0.3 is 3/10 s, not the
+    binary double just below it), so T = 0.3 at 1 MHz gives 300,000 samples.
     Real streams are converted to their analytic signals first, so one code
     path serves Zone-1 and Zone-2 scenarios.  ``start`` picks the window
     start (absolute index); by default the first jointly valid sample.
     """
     if Fraction(a.rate) != Fraction(b.rate):
         raise RateMismatch(f"{a.rate} != {b.rate}")
-    n = int(Fraction(T) * Fraction(a.rate))
+    exact_T = Fraction(repr(float(T))) if isinstance(T, float) else Fraction(T)
+    n = int(exact_T * Fraction(a.rate))
     lo = max(a.valid_start, b.valid_start)
     hi = min(a.valid_end, b.valid_end)
     if start is None:

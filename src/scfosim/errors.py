@@ -1,7 +1,10 @@
 """Exception types raised by the library.
 
-Every domain error derives from ScfoError so callers (and the CLI) can
-distinguish domain failures (exit code 1) from usage errors (exit code 2).
+Every domain error derives from ScfoError.  The CLI (cli.py) exits with
+code 2 for usage errors: bad arguments, and ConfigInvalid (an unknown
+scenario, an unreadable config file, an unknown or out-of-rule config
+field).  Every other ScfoError, such as Infeasible or InsufficientOverlap,
+is a domain failure of the run and exits with code 1.
 """
 
 

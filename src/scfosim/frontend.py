@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erfinv, ndtr
 
 from .errors import AlreadyQuantized, BandZoneMismatch
 from .signal import SampleGrid, ToneBankSignal, eval_tones
@@ -46,6 +46,11 @@ class QuantizerSpec:
     def __post_init__(self):
         if self.kind is not QuantKind.FLOAT and not self.loading > 0:
             raise ValueError("loading must be > 0")
+
+    def step(self, sigma: float) -> float:
+        """Q8_UNIFORM level spacing for input RMS ``sigma``: 256 levels span
+        +/-4 design sigmas, the design sigma being sigma / loading."""
+        return 8.0 * (sigma / self.loading) / 256.0
 
 
 @dataclass
@@ -92,9 +97,6 @@ class SampleStream:
 
     def valid_slice(self) -> slice:
         return slice(self.valid_start, self.valid_end)
-
-    def time_of(self, index: int) -> Fraction:
-        return self.epoch + Fraction(index) / self.rate
 
 
 def grid_times(epoch: Fraction, rate: Fraction, start: int, count: int) -> np.ndarray:
@@ -158,7 +160,7 @@ def lloyd_max_levels(n_levels: int = 16, tol: float = 1e-12, max_iter: int = 200
 
     # start from uniform quantiles
     q = (np.arange(n_levels) + 0.5) / n_levels
-    levels = np.sqrt(2.0) * _erfinv_vec(2.0 * q - 1.0)
+    levels = np.sqrt(2.0) * erfinv(2.0 * q - 1.0)
     for _ in range(max_iter):
         thresholds = 0.5 * (levels[:-1] + levels[1:])
         edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
@@ -178,45 +180,25 @@ def lloyd_max_levels(n_levels: int = 16, tol: float = 1e-12, max_iter: int = 200
     return levels
 
 
-def _erfinv_vec(y):
-    from scipy.special import erfinv
-
-    return erfinv(y)
-
-
 def quantizer_levels(spec: QuantizerSpec, sigma: float) -> np.ndarray:
     """Reconstruction levels of ``spec`` for input RMS ``sigma``."""
-    design_sigma = sigma / spec.loading
     if spec.kind is QuantKind.Q4_OPTIMAL:
-        return lloyd_max_levels(16) * design_sigma
+        return lloyd_max_levels(16) * (sigma / spec.loading)
     if spec.kind is QuantKind.Q8_UNIFORM:
-        step = 8.0 * design_sigma / 256.0
-        return (np.arange(-128, 128) + 0.5) * step
+        return (np.arange(-128, 128) + 0.5) * spec.step(sigma)
     raise ValueError("FLOAT has no levels")
 
 
 def quantize_array(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarray:
     """Element-wise quantization of ``x`` to the levels of ``spec``."""
     if spec.kind is QuantKind.Q8_UNIFORM:
-        design_sigma = sigma / spec.loading
-        step = 8.0 * design_sigma / 256.0
+        step = spec.step(sigma)
         codes = np.clip(np.floor(x / step), -128, 127)
         return (codes + 0.5) * step
     levels = quantizer_levels(spec, sigma)
     thresholds = 0.5 * (levels[:-1] + levels[1:])
     idx = np.searchsorted(thresholds, x)
     return levels[idx]
-
-
-def quantize_codes(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarray:
-    """Integer codes instead of level values (for fixed-point paths)."""
-    design_sigma = sigma / spec.loading
-    if spec.kind is QuantKind.Q8_UNIFORM:
-        step = 8.0 * design_sigma / 256.0
-        return np.clip(np.floor(x / step), -128, 127).astype(np.int64)
-    levels = quantizer_levels(spec, sigma)
-    thresholds = 0.5 * (levels[:-1] + levels[1:])
-    return np.searchsorted(thresholds, x).astype(np.int64)
 
 
 def quantize(s: SampleStream, q: QuantizerSpec, sigma: float | None = None) -> SampleStream:
@@ -231,14 +213,11 @@ def quantize(s: SampleStream, q: QuantizerSpec, sigma: float | None = None) -> S
     if sigma is None:
         region = s.data[s.valid_slice()]
         sigma = float(np.sqrt(np.mean(np.square(region))))
-    data = quantize_array(s.data, q, sigma)
-    design_sigma = sigma / q.loading
-    scale = 8.0 * design_sigma / 256.0 if q.kind is QuantKind.Q8_UNIFORM else design_sigma
     return replace(
         s,
-        data=data,
+        data=quantize_array(s.data, q, sigma),
         quant=q.kind,
-        quant_scale=scale,
+        quant_scale=q.step(sigma) if q.kind is QuantKind.Q8_UNIFORM else sigma / q.loading,
         pps_marks=list(s.pps_marks),
         lineage=s.lineage + [q.kind.value],
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DesignInfeasible
 from .frontend import QuantKind, SampleStream
-from .rational import _round_half_even_array
+from .rational import phase_run
 from .resampler import _kaiser_beta, _kaiser_window, _sinc_exact
 
 
@@ -101,34 +101,14 @@ def quadrature_lut(bits_index: int, bits_word: int) -> np.ndarray:
 def oscillator_indices(start: Fraction, inc: Fraction, bits_index: int, count: int) -> np.ndarray:
     """LUT indices of an exact rational phase ramp (cycles), vectorized.
 
-    index_k = round(L * frac(start + k*inc)) mod L; the exact fraction is
-    carried in integers so the oscillator can never drift.
+    index_k = round(L * frac(start + k*inc)) mod L, ties to even: the ramp is
+    rational.phase_run's exact grid decomposition, whose LUT index is offset
+    by L/2, so the oscillator can never drift.
     """
-    import math
-
     L = 1 << bits_index
     inc = Fraction(inc)
-    start = Fraction(start)
-    den = start.denominator * inc.denominator // math.gcd(
-        start.denominator, inc.denominator
-    )
-    s_num = start.numerator * (den // start.denominator)
-    i_num = inc.numerator * (den // inc.denominator)
-    out = np.empty(count, dtype=np.int64)
-    done = 0
-    while done < count:
-        limit = (1 << 62) // L
-        span = max(int((limit - abs(s_num)) // max(abs(i_num), 1)), 1)
-        chunk = min(count - done, span)
-        k = np.arange(chunk, dtype=np.int64)
-        num = (s_num + k * i_num) * L
-        idx = _round_half_even_array(num, den) % L
-        out[done : done + chunk] = idx
-        done += chunk
-        s_num += chunk * i_num
-        # fold whole cycles away (shifts of L preserve index and tie parity)
-        s_num %= den
-    return out
+    _, lut, _ = phase_run(Fraction(start) - inc, inc, L, count)
+    return (lut + L // 2) % L
 
 
 def ssb_shift(stream: SampleStream, cfg: MixerConfig) -> SampleStream:

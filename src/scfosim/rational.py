@@ -61,11 +61,6 @@ def parse_frequency(text: str) -> Fraction:
     return value
 
 
-def format_rational(value: Fraction) -> str:
-    """Canonical "num/den" form (den always present) used by file formats."""
-    return f"{value.numerator}/{value.denominator}"
-
-
 def round_half_even(num: int, den: int) -> int:
     """Round num/den (den > 0) to the nearest integer, ties to even."""
     q, r = divmod(num, den)

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DesignInfeasible, ChainWasQuantized, StreamTooShort
-from .frontend import QuantKind, QuantizerSpec, SampleStream, quantize_array
+from .frontend import QuantKind, QuantizerSpec, SampleStream, quantize
 from .rational import PhaseAccumulator, count_outputs, phase_run, round_half_even
 from .signal import SampleGrid, ToneBankSignal, eval_tones
 
@@ -62,9 +62,6 @@ class CoefficientBank:
     @property
     def center(self) -> float:
         return (self.taps_per_phase - 1) / 2.0
-
-    def taps(self, phase: int) -> np.ndarray:
-        return self.table[phase]
 
 
 def _kaiser_beta(n_taps: int, transition_nyq: float) -> tuple[float, float]:
@@ -299,7 +296,6 @@ class Resampler:
         self.ratio = Fraction(ratio)
         # validates the +/-50% ratio assumption
         PhaseAccumulator(self.ratio, bank.phases, position=Fraction(start_position))
-        self.start_position = Fraction(start_position)
         self._pos = Fraction(start_position) - self.ratio  # position before output 0
         self.fixed_point = fixed_point
         self.in_step = in_step
@@ -359,10 +355,6 @@ class Resampler:
             self._buf = self._buf[keep_from:]
             self._buf_base += keep_from
 
-    def output_position(self, k: int) -> Fraction:
-        """Exact input-grid position of output sample k."""
-        return self.start_position + k * self.ratio
-
 
 def fixed_in_step(stream: SampleStream) -> float:
     """Input register grid for the fixed-point path (8-bit word model)."""
@@ -392,35 +384,23 @@ def finalize_stream(
     ratio = Fraction(stream.rate) / Fraction(f_c)
     epoch = stream.epoch + (Fraction(start_position) + c) / stream.rate
     valid_start = first_valid if first_valid is not None else len(data)
-    lineage = ["resample"]
-    quant = QuantKind.FLOAT
-    scale = None
-    if out_quant is not None and out_quant.kind is not QuantKind.FLOAT:
-        if out_sigma is None:
-            out_sigma = float(np.sqrt(np.mean(np.square(data[valid_start:]))))
-        data = quantize_array(data, out_quant, out_sigma)
-        design_sigma = out_sigma / out_quant.loading
-        scale = 8.0 * design_sigma / 256.0 if out_quant.kind is QuantKind.Q8_UNIFORM else design_sigma
-        quant = out_quant.kind
-        lineage.append(out_quant.kind.value)
     pps = []
     for j in stream.pps_marks:
         target = (Fraction(j) - c - Fraction(start_position)) / ratio
         k = round_half_even(target.numerator, target.denominator)
         if 0 <= k < len(data):
             pps.append(k)
-    return SampleStream(
+    out = SampleStream(
         rate=Fraction(f_c),
         epoch=epoch,
         data=data,
-        quant=quant,
         zone=stream.zone,
         pps_marks=pps,
         valid_start=valid_start,
         valid_end=len(data),
-        quant_scale=scale,
-        lineage=list(stream.lineage) + lineage,
+        lineage=list(stream.lineage) + ["resample"],
     )
+    return out if out_quant is None else quantize(out, out_quant, out_sigma)
 
 
 def resample(

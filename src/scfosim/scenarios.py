@@ -36,7 +36,6 @@ from .signal import (
     InterferenceSpec,
     Tone,
     ToneBankSignal,
-    combine,
     inject,
     synth_signal,
 )
@@ -119,29 +118,11 @@ class OffsetPlan:
         )
 
 
-def _first_primes(n: int) -> list[int]:
-    primes = []
-    cand = 2
-    while len(primes) < n:
-        if all(cand % p for p in primes if p * p <= cand):
-            primes.append(cand)
-        cand += 1
-    return primes
-
-
-def plan_offsets(
-    n: int,
-    min_pairwise: float,
-    max_abs: float,
-    resolution: float = 100.0,
-    prime_ladder: bool = False,
-) -> OffsetPlan:
-    """Deterministic ladder of n offsets on the resolution grid.
+def plan_offsets(n: int, min_pairwise: float, max_abs: float, resolution: float = 100.0) -> OffsetPlan:
+    """Deterministic uniform ladder of n offsets on the resolution grid.
 
     Pairwise separations stay at or above ``min_pairwise``; all offsets fit
-    in [-max_abs, +max_abs].  ``prime_ladder`` assigns prime multiples with
-    alternating signs instead of a uniform ladder (an option only; nothing
-    here depends on primality).
+    in [-max_abs, +max_abs].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -154,19 +135,12 @@ def plan_offsets(
         )
     step_units = max(int(math.ceil(min_pairwise / float(res))), 1)
     step = step_units * res
-    if prime_ladder:
-        primes = _first_primes(n)
-        assignments = []
-        for i, p in enumerate(primes):
-            sign = 1 if i % 2 == 0 else -1
-            assignments.append(sign * p * step)
-    else:
-        assignments = [(i - n // 2) * step for i in range(n)]
+    assignments = [(i - n // 2) * step for i in range(n)]
     worst = max(abs(a) for a in assignments)
     if float(worst) > max_abs:
         raise Infeasible(
             f"ladder spans +/-{float(worst):.6g} Hz > max_abs {max_abs:.6g} Hz "
-            f"(binding constraint: {'prime ladder growth' if prime_ladder else 'max_abs'})"
+            "(binding constraint: max_abs)"
         )
     return OffsetPlan(n_antennas=n, min_pairwise_hz=min_pairwise, assignments=assignments)
 
@@ -226,8 +200,15 @@ def merge_config(defaults: dict, override: dict | None) -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """Config overrides from a JSON object file; an unreadable file is invalid."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid("config", f"cannot read {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigInvalid("config", f"{path} holds no JSON object")
+    return cfg
 
 
 def _frac(value) -> Fraction:
@@ -236,17 +217,6 @@ def _frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise ConfigInvalid("rational", f"{value!r} must be an integer or 'num/den' string")
-
-
-def _figure(out_dir: Path, name: str, enabled: bool, fn: str, *args):
-    """Render one figure (matplotlib imports only happen when enabled)."""
-    if not enabled:
-        return None
-    from . import plots
-
-    path = out_dir / name
-    getattr(plots, fn)(path, *args)
-    return path
 
 
 def _alias(freq: Fraction, rate: Fraction) -> Fraction:
@@ -260,26 +230,33 @@ def _alias(freq: Fraction, rate: Fraction) -> Fraction:
 # the experiments
 
 
-def _washout_antennas(cfg, extended=True):
-    scale = _frac(cfg["clock_tone_scale"])
-    specs = []
-    for i, off in enumerate(cfg["offsets_hz"]):
-        specs.append(
-            AntennaChainSpec(
-                antenna_id=f"m{i + 1:03d}",
-                band=cfg["band"],
-                offset=_frac(off),
-                extended_offsets=extended,
-                interference=[
-                    InterferenceSpec(
-                        kind=InterferenceKind.SELF_CLOCK_DERIVED,
-                        amplitude=float(cfg["clock_tone_amplitude"]),
-                        clock_scale=scale,
-                    )
-                ],
-            )
+def _antennas(cfg, zone=Zone.ZONE1, interference=(), offsets=None):
+    """One antenna per offset (``cfg["offsets_hz"]`` by default), named
+    m001, m002, ... on ``cfg["band"]`` with extended offsets allowed."""
+    return [
+        AntennaChainSpec(
+            antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off), zone=zone,
+            interference=list(interference), extended_offsets=True,
         )
-    return specs
+        for i, off in enumerate(cfg["offsets_hz"] if offsets is None else offsets)
+    ]
+
+
+def _clock_tone(cfg, amplitude: float) -> InterferenceSpec:
+    """Each antenna's own clock tone at ``cfg["clock_tone_scale"]`` * f_a."""
+    return InterferenceSpec(
+        kind=InterferenceKind.SELF_CLOCK_DERIVED,
+        amplitude=amplitude,
+        clock_scale=_frac(cfg["clock_tone_scale"]),
+    )
+
+
+def _peak_hz(stream, n_fft: int, f_c: Fraction) -> float:
+    """Frequency of the strongest bin of the Hann-windowed FFT of the first
+    ``n_fft`` valid samples."""
+    seg = stream.data[stream.valid_start : stream.valid_start + n_fft]
+    spec = np.abs(np.fft.fft(seg * np.hanning(n_fft)))
+    return np.fft.fftfreq(n_fft, d=1.0 / float(f_c))[int(np.argmax(spec))]
 
 
 def _map_forked(fn, items):
@@ -325,7 +302,7 @@ def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, zone=Zone.ZONE1
     return _map_forked(one, list(zip(antennas, sky)))
 
 
-def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
+def scenario_selfclock_washout(cfg: dict | None, out_dir: Path) -> dict:
     defaults = {
         "seed": 1,
         "f_c": "1000000/1",
@@ -348,7 +325,7 @@ def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = 
     rng = np.random.default_rng(cfg["seed"])
     f_c = _frac(cfg["f_c"])
     bank = cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
-    antennas = _washout_antennas(cfg)
+    antennas = _antennas(cfg, interference=[_clock_tone(cfg, float(cfg["clock_tone_amplitude"]))])
     summary = Summary()
 
     # interference-only streams: each antenna samples its own clock tone
@@ -392,13 +369,7 @@ def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = 
     # sky correlation rides the same chains
     sky = synth_signal(cfg["seed"], cfg["sky_tones"], (0.0833 * float(f_c) / 2, 0.9167 * float(f_c) / 2))
     sky_n_in = int(cfg["sky_T"] * float(f_c) * 1.2) + 4096
-    sky_streams = _resampled_tone_streams(
-        [AntennaChainSpec(a.antenna_id, a.band, a.offset, extended_offsets=True) for a in antennas],
-        f_c,
-        bank,
-        sky_n_in,
-        sky=sky,
-    )
+    sky_streams = _resampled_tone_streams(_antennas(cfg), f_c, bank, sky_n_in, sky=sky)
     sky_rep = correlate(sky_streams[0], sky_streams[1], T=cfg["sky_T"])
     sky_rho = abs(sky_rep.rho)
     summary.check(
@@ -413,11 +384,10 @@ def scenario_selfclock_washout(cfg: dict | None, out_dir: Path, figures: bool = 
         rows,
     )
     summary.write(out_dir / "summary.txt")
-    _figure(out_dir, "washout.png", figures, "plot_washout", rows)
     return {"summary": summary, "results": results, "sky_rho": sky_rho, "delta_f": delta_f}
 
 
-def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
+def scenario_scfo_off_control(cfg: dict | None, out_dir: Path) -> dict:
     defaults = {
         "seed": 2,
         "f_c": "1000000/1",
@@ -436,21 +406,9 @@ def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = T
     f_c = _frac(cfg["f_c"])
     bank = cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
     # all offsets zero: the clock tones land at identical frequencies
-    antennas = [
-        AntennaChainSpec(
-            antenna_id=f"m{i + 1:03d}",
-            band=cfg["band"],
-            offset=Fraction(0),
-            interference=[
-                InterferenceSpec(
-                    kind=InterferenceKind.SELF_CLOCK_DERIVED,
-                    amplitude=float(cfg["clock_tone_amplitude"]),
-                    clock_scale=_frac(cfg["clock_tone_scale"]),
-                )
-            ],
-        )
-        for i in range(2)
-    ]
+    antennas = _antennas(
+        cfg, interference=[_clock_tone(cfg, float(cfg["clock_tone_amplitude"]))], offsets=[0, 0]
+    )
     n_in = int(cfg["T"] * float(f_c) * 1.3) + 4096
     band = (0.0833 * float(f_c) / 2, 0.9167 * float(f_c) / 2)
     noise = [
@@ -480,7 +438,7 @@ def scenario_scfo_off_control(cfg: dict | None, out_dir: Path, figures: bool = T
     return {"summary": summary, "rho": measured, "predicted": predicted}
 
 
-def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
+def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path) -> dict:
     """Out-of-band contamination: Zone 2 decorrelates all of it; Zone 1 keeps
     a correlating region between the passband edge and Nyquist."""
     defaults = {
@@ -503,23 +461,10 @@ def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path, figures: bool = Tru
     rows = []
 
     def antennas(zone, probe_hz):
-        return [
-            AntennaChainSpec(
-                antenna_id=f"m{i + 1:03d}",
-                band=cfg["band"],
-                offset=_frac(off),
-                zone=zone,
-                extended_offsets=True,
-                interference=[
-                    InterferenceSpec(
-                        kind=InterferenceKind.FIXED_RF,
-                        amplitude=float(cfg["probe_amplitude"]),
-                        freq_hz=probe_hz,
-                    )
-                ],
-            )
-            for i, off in enumerate(cfg["offsets_hz"])
-        ]
+        probe = InterferenceSpec(
+            kind=InterferenceKind.FIXED_RF, amplitude=float(cfg["probe_amplitude"]), freq_hz=probe_hz
+        )
+        return _antennas(cfg, zone, [probe])
 
     n_in = int(cfg["T"] * float(f_c) * 1.3) + 4096
 
@@ -568,9 +513,7 @@ def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path, figures: bool = Tru
         band=(0.56 * float(f_c), 0.94 * float(f_c)),
     )
     z2_sky = _resampled_tone_streams(
-        [AntennaChainSpec(a.antenna_id, a.band, a.offset, zone=Zone.ZONE2, extended_offsets=True)
-         for a in antennas(Zone.ZONE2, 0.0)],
-        f_c, bank, n_in, sky=sky, zone=Zone.ZONE2, shift=True,
+        _antennas(cfg, Zone.ZONE2), f_c, bank, n_in, sky=sky, zone=Zone.ZONE2, shift=True,
         band=(0.56 * float(f_c), 0.94 * float(f_c)),
     )
     rho = abs(correlate(z2_sky[0], z2_sky[1], T=cfg["T"]).rho)
@@ -583,11 +526,10 @@ def scenario_zone1_vs_zone2(cfg: dict | None, out_dir: Path, figures: bool = Tru
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "zone_probes.csv", ["case", "probe_hz", "rho_mag"], rows)
     summary.write(out_dir / "summary.txt")
-    _figure(out_dir, "zone_probes.png", figures, "plot_zone_probes", rows)
     return {"summary": summary, "rows": rows}
 
 
-def scenario_relaxed_antialias(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
+def scenario_relaxed_antialias(cfg: dict | None, out_dir: Path) -> dict:
     """A relaxed analog anti-alias filter lets an out-of-band tone alias into
     the band at reduced amplitude; with SCFO on the alias decorrelates, with
     SCFO off it correlates fully (the filter is then load-bearing)."""
@@ -622,14 +564,7 @@ def scenario_relaxed_antialias(cfg: dict | None, out_dir: Path, figures: bool = 
     rows = []
 
     def run(offsets):
-        antennas = [
-            AntennaChainSpec(
-                antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off),
-                extended_offsets=True,
-            )
-            for i, off in enumerate(offsets)
-        ]
-        return _resampled_tone_streams(antennas, f_c, bank, n_in, sky=filtered)
+        return _resampled_tone_streams(_antennas(cfg, offsets=offsets), f_c, bank, n_in, sky=filtered)
 
     on = run(cfg["offsets_hz"])
     rep_on = correlate(on[0], on[1], T=cfg["T"])
@@ -661,7 +596,7 @@ def scenario_relaxed_antialias(cfg: dict | None, out_dir: Path, figures: bool = 
     return {"summary": summary, "rows": rows}
 
 
-def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
+def scenario_zone2_shift(cfg: dict | None, out_dir: Path) -> dict:
     """Numerical version of the final-shift diagram: after per-antenna
     f_c - f_a shifts, the common sky tone lands at one frequency with a flat
     cross-spectrum phase slope, while the per-antenna clock tones stay split
@@ -688,40 +623,15 @@ def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True) 
     n_fft = int(cfg["n_fft"])
     n_in = int(n_fft * 1.35) + 8192
 
-    def antennas(with_clock_tone):
-        specs = []
-        for i, off in enumerate(cfg["offsets_hz"]):
-            interference = []
-            if with_clock_tone:
-                interference.append(
-                    InterferenceSpec(
-                        kind=InterferenceKind.SELF_CLOCK_DERIVED,
-                        amplitude=1.0,
-                        clock_scale=_frac(cfg["clock_tone_scale"]),
-                    )
-                )
-            specs.append(
-                AntennaChainSpec(
-                    antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off),
-                    zone=Zone.ZONE2, extended_offsets=True, interference=interference,
-                )
-            )
-        return specs
-
     sky = ToneBankSignal(
         tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),),
         seed=cfg["seed"], band=band2,
     )
     sky_streams = _resampled_tone_streams(
-        antennas(False), f_c, bank, n_in, sky=sky, zone=Zone.ZONE2, shift=True, band=band2
+        _antennas(cfg, Zone.ZONE2), f_c, bank, n_in, sky=sky, zone=Zone.ZONE2, shift=True, band=band2
     )
     # sky tone peak bins must coincide
-    peaks = []
-    for s in sky_streams:
-        seg = s.data[s.valid_start : s.valid_start + n_fft]
-        spec = np.abs(np.fft.fft(seg * np.hanning(n_fft)))
-        freqs = np.fft.fftfreq(n_fft, d=1.0 / float(f_c))
-        peaks.append(freqs[int(np.argmax(spec))])
+    peaks = [_peak_hz(s, n_fft, f_c) for s in sky_streams]
     bin_hz = float(f_c) / n_fft
     expected = float(f_c) * (1.0 - cfg["sky_hz_frac"])
     summary.check(
@@ -758,17 +668,13 @@ def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True) 
     )
 
     # clock tones land apart by the offset difference times the rule scale
+    clock_antennas = _antennas(cfg, Zone.ZONE2, [_clock_tone(cfg, 1.0)])
     clock_streams = _resampled_tone_streams(
-        antennas(True), f_c, bank, n_in, zone=Zone.ZONE2, shift=True, band=band2
+        clock_antennas, f_c, bank, n_in, zone=Zone.ZONE2, shift=True, band=band2
     )
-    cpeaks = []
-    for s in clock_streams:
-        seg = s.data[s.valid_start : s.valid_start + n_fft]
-        spec = np.abs(np.fft.fft(seg * np.hanning(n_fft)))
-        freqs = np.fft.fftfreq(n_fft, d=1.0 / float(f_c))
-        cpeaks.append(freqs[int(np.argmax(spec))])
+    cpeaks = [_peak_hz(s, n_fft, f_c) for s in clock_streams]
     scale = _frac(cfg["clock_tone_scale"])
-    rates = [a.desk_rate(f_c) for a in antennas(True)]
+    rates = [a.desk_rate(f_c) for a in clock_antennas]
     # tone at scale*f_a samples to (1-scale)*f_a, then shifts by f_c - f_a
     landing = [float(f_c - Fraction(scale) * r) for r in rates]
     expected_sep = abs(landing[0] - landing[1])
@@ -789,11 +695,10 @@ def scenario_zone2_shift(cfg: dict | None, out_dir: Path, figures: bool = True) 
         ],
     )
     summary.write(out_dir / "summary.txt")
-    _figure(out_dir, "zone2_spectra.png", figures, "plot_spectra_pair", sky_streams, clock_streams, float(f_c))
     return {"summary": summary, "sky_peaks": peaks, "clock_peaks": cpeaks, "residual_hz": residual_hz}
 
 
-def scenario_requant_loss(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
+def scenario_requant_loss(cfg: dict | None, out_dir: Path) -> dict:
     """Desk-scale reproduction of the 4-bit vs 4-bit+resample+8-bit
     sensitivity-loss comparison; the acceptance target is the difference."""
     defaults = {
@@ -863,11 +768,10 @@ def scenario_requant_loss(cfg: dict | None, out_dir: Path, figures: bool = True)
         [(f, la, lb) for f, la, lb in rep.per_freq],
     )
     summary.write(out_dir / "summary.txt")
-    _figure(out_dir, "loss_vs_freq.png", figures, "plot_loss_vs_freq", rep.per_freq)
     return {"summary": summary, "report": rep}
 
 
-def scenario_offset_plan(cfg: dict | None, out_dir: Path, figures: bool = True) -> dict:
+def scenario_offset_plan(cfg: dict | None, out_dir: Path) -> dict:
     """Feasibility of pairwise-separated offset ladders, including the
     2000-antenna, 10 kHz minimum, +/-10 MHz case."""
     defaults = {
@@ -875,13 +779,10 @@ def scenario_offset_plan(cfg: dict | None, out_dir: Path, figures: bool = True) 
         "min_pairwise": 10_000.0,
         "max_abs": 10_000_000.0,
         "resolution": 1000.0,
-        "prime_ladder": False,
     }
     cfg = merge_config(defaults, cfg)
     summary = Summary()
-    plan = plan_offsets(
-        cfg["n"], cfg["min_pairwise"], cfg["max_abs"], cfg["resolution"], cfg["prime_ladder"]
-    )
+    plan = plan_offsets(cfg["n"], cfg["min_pairwise"], cfg["max_abs"], cfg["resolution"])
     summary.check(
         plan.validate(),
         f"{cfg['n']} offsets on the {cfg['resolution']:g} Hz grid keep pairwise "
@@ -934,10 +835,16 @@ SCENARIOS = {
 }
 
 
-def run_scenario(name: str, cfg: dict | None = None, out_dir=None, figures: bool = True) -> dict:
-    """Execute a named scenario; writes CSVs, figures and summary.txt."""
+def run_scenario(name: str, cfg: dict | None = None, out_dir=None, figures: bool = False) -> dict:
+    """Execute a named scenario; writes its CSVs and summary.txt into
+    ``out_dir`` (default: a directory named after the scenario).
+
+    No figures are drawn: ``figures`` is accepted only as False.
+    """
     if name not in SCENARIOS:
         raise ConfigInvalid("scenario", f"unknown scenario {name!r}; see list-scenarios")
+    if figures:
+        raise ConfigInvalid("figures", "figure rendering is not available")
     func, _ = SCENARIOS[name]
     out_dir = Path(out_dir) if out_dir is not None else Path(name)
-    return func(cfg, out_dir, figures=figures)
+    return func(cfg, out_dir)

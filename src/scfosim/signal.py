@@ -69,7 +69,6 @@ class InterferenceKind(enum.Enum):
     SELF_CLOCK_DERIVED = "self-clock"
     CROSS_CLOCK_LEAK = "cross-clock"
     FIXED_RF = "fixed-rf"
-    ALIAS_PROBE = "alias-probe"
 
 
 @dataclass(frozen=True)

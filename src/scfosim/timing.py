@@ -147,12 +147,3 @@ def tick_trace_rows(f_a: Fraction, pps: PpsModel, n_ticks: int) -> list[dict]:
         prev_idx = idx
     return rows
 
-
-def write_tick_trace(path, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write("tick,ideal_s,jittered_s,sample_index,inter_tick_count\n")
-        for r in rows:
-            fh.write(
-                f"{r['tick']},{r['ideal_s']},{r['jittered_s']!r},"
-                f"{r['sample_index']},{r['inter_tick_count']}\n"
-            )

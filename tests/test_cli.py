@@ -1,0 +1,73 @@
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from scfosim.cli import main
+from scfosim.scenarios import SCENARIOS, run_scenario
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_list_scenarios_prints_every_name(capsys):
+    assert main(["list-scenarios"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert names == list(SCENARIOS)
+    assert len(names) == 7
+
+
+def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
+    assert main(["run", "offset-plan", "--out", str(tmp_path / "cli")]) == 0
+    run_scenario("offset-plan", out_dir=tmp_path / "api")
+    summary = (tmp_path / "cli" / "summary.txt").read_text()
+    assert summary == (tmp_path / "api" / "summary.txt").read_text()
+    # the printed verdicts are the summary's check lines
+    assert capsys.readouterr().out.splitlines() == summary.splitlines()[:-1]
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [
+        ("no-such-scenario", None),
+        ("offset-plan", '{"no_such_field": 1}'),
+        ("offset-plan", "not json"),
+        ("offset-plan", "[1, 2]"),
+        ("offset-plan", "absent"),
+    ],
+    ids=["unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file"],
+)
+def test_usage_errors_exit_2(tmp_path, capsys, name, config):
+    argv = ["run", name, "--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        if config != "absent":
+            path.write_text(config)
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("scfosim: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_arguments_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        main(["run"])
+    assert exc.value.code == 2
+
+
+def test_domain_error_exits_1(tmp_path, capsys):
+    config = tmp_path / "infeasible.json"
+    config.write_text(json.dumps({"n": 5000, "max_abs": 1000.0}))
+    assert main(["run", "offset-plan", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert "Infeasible" in capsys.readouterr().err
+
+
+def test_every_declared_script_exists_and_runs(capsys):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry(["list-scenarios"]) == 0, name
+    assert capsys.readouterr().out

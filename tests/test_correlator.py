@@ -80,6 +80,15 @@ class TestCorrelate:
         rep = correlate(cstream(a, fs), cstream(b, fs), T=0.9)
         assert abs(rep.rho) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "T, n", [(0.3, 300_000), (0.7, 700_000), (0.4, 400_000), (Fraction(3, 10), 300_000)]
+    )
+    def test_window_counts_the_decimal_T(self, T, n):
+        # int(Fraction(0.3) * 1e6) is 299,999: the double nearest 0.3 lies below it
+        x = np.ones(n + 1, dtype=np.complex128)
+        rep = correlate(cstream(x, 1_000_000), cstream(x, 1_000_000), T=T)
+        assert rep.n_samples == n
+
 
 class TestAccumulatorAssociativity:
     def test_blocked_equals_oneshot_bitwise(self):

@@ -74,6 +74,23 @@ class TestOscillator:
         assert np.all((0 <= idx) & (idx < 1024))
         assert idx[7] == round(Fraction(-1) % 1 * 1024) % 1024
 
+    @pytest.mark.parametrize(
+        "start, inc, bits",
+        [
+            (Fraction(3, 7), Fraction(12345, 1_000_000), 10),
+            (Fraction(2, 9), Fraction(-4_240_000, 1_004_240_000), 10),
+            (Fraction(1, 4096), Fraction(1, 2048), 10),  # every index an exact half-LUT tie
+            (Fraction(-5, 3), Fraction(-1, 7), 8),
+            (Fraction(10**15 + 1, 3), Fraction(1, 2**40 + 3), 10),  # start numerator * L > 2**63
+        ],
+        ids=["nonzero-start", "negative-inc", "half-lut-ties", "negative-start-L256", "wide-start"],
+    )
+    def test_every_index_is_the_rounded_exact_phase(self, start, inc, bits):
+        L = 1 << bits
+        idx = oscillator_indices(start, inc, bits, 3000)
+        want = [round(L * ((start + k * inc) % 1)) % L for k in range(3000)]
+        assert idx.tolist() == want
+
     def test_lut_word_quantization(self):
         table = quadrature_lut(10, 20)
         assert len(table) == 1024

@@ -207,6 +207,19 @@ class TestResampling:
         with pytest.raises(ChainWasQuantized):
             resample_error(sig, out)
 
+    @pytest.mark.parametrize("kind", [QuantKind.Q8_UNIFORM, QuantKind.Q4_OPTIMAL])
+    @pytest.mark.parametrize("sigma", [None, 0.8])
+    def test_out_quant_is_quantize_of_the_float_output(self, bank19, kind, sigma):
+        from scfosim.frontend import quantize
+
+        s = sample(synth_signal(seed=4, n_tones=8, band=(50.0, 300.0)), Fraction(1001), 4000)
+        spec = QuantizerSpec(kind, 0.5)
+        got = resample(s, Fraction(1000), bank19, out_quant=spec, out_sigma=sigma)
+        want = quantize(resample(s, Fraction(1000), bank19), spec, sigma)
+        assert np.array_equal(got.data, want.data)
+        assert (got.quant, got.quant_scale, got.lineage) == (want.quant, want.quant_scale, want.lineage)
+        assert got.lineage == ["resample", kind.value]
+
     def test_stream_too_short(self, bank_float):
         with pytest.raises(StreamTooShort):
             resample(stream_from(np.zeros(40)), Fraction(1000), bank_float)

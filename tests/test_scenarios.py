@@ -8,16 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scfosim.errors import BandZoneMismatch
+from scfosim.errors import BandZoneMismatch, ConfigInvalid
 from scfosim.frontend import Zone, sample
 from scfosim.resampler import cached_bank, design_bank, resample
 from scfosim.scenarios import (
     AntennaChainSpec,
     _map_forked,
+    _antennas,
+    _clock_tone,
     _resampled_tone_streams,
-    _washout_antennas,
+    SCENARIOS,
     run_scenario,
-    scenario_selfclock_washout,
 )
 from scfosim.signal import Tone, ToneBankSignal, synth_signal
 
@@ -27,15 +28,9 @@ F_C = Fraction(1_000_000)
 def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
     # reduced size; offsets, tone scale and rates are the scenario defaults
     cfg = {"targets_dwt": [100.0], "windows": 2, "sky_T": 0.02}
-    result = scenario_selfclock_washout(cfg, tmp_path, figures=False)
-    antennas = _washout_antennas(
-        {
-            "band": "B1",
-            "offsets_hz": ["4240000/1", "-4240000/1"],
-            "clock_tone_scale": "3/4",
-            "clock_tone_amplitude": 1.0,
-        }
-    )
+    result = run_scenario("selfclock-washout", cfg, out_dir=tmp_path)
+    defaults = {"band": "B1", "offsets_hz": ["4240000/1", "-4240000/1"], "clock_tone_scale": "3/4"}
+    antennas = _antennas(defaults, interference=[_clock_tone(defaults, 1.0)])
     f_c = Fraction(1_000_000)
     n_fft = 1 << 16
     streams = _resampled_tone_streams(antennas, f_c, design_bank(56, 1024, 19), n_fft + 4096)
@@ -129,7 +124,7 @@ LABEL_COLUMNS = {"case", "quantity"}
     "name", ["scfo-off-control", "zone1-vs-zone2-alias", "relaxed-antialias", "zone2-shift", "offset-plan"]
 )
 def test_stream_scenario_passes_at_defaults_and_writes_numbers(name, tmp_path):
-    run_scenario(name, None, out_dir=tmp_path, figures=False)
+    run_scenario(name, None, out_dir=tmp_path)
     lines = (tmp_path / "summary.txt").read_text().splitlines()
     assert lines and all(line.startswith("PASS ") for line in lines), lines
     tables = sorted(tmp_path.glob("*.csv"))
@@ -143,7 +138,7 @@ def test_stream_scenario_passes_at_defaults_and_writes_numbers(name, tmp_path):
 
 
 def test_requant_loss_writes_its_verdicts_and_numbers(tmp_path):
-    run_scenario("requant-loss", {"samples": 200_000}, out_dir=tmp_path, figures=False)
+    run_scenario("requant-loss", {"samples": 200_000}, out_dir=tmp_path)
     lines = (tmp_path / "summary.txt").read_text().splitlines()
     assert len(lines) == 3, lines  # two verdicts, then the overall line
     assert lines[0].split(" ", 1)[1].startswith("requantization loss difference = ")
@@ -160,3 +155,18 @@ def test_requant_loss_writes_its_verdicts_and_numbers(tmp_path):
     with open(tmp_path / "requant_loss.csv") as fh:
         (row,) = csv.DictReader(fh)
     assert int(row["n_samples"]) == 200_000
+
+
+def test_figures_are_refused(tmp_path):
+    with pytest.raises(ConfigInvalid):
+        run_scenario("offset-plan", None, out_dir=tmp_path, figures=True)
+    assert not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_passes_at_its_full_defaults(name, tmp_path):
+    # minutes each for selfclock-washout (~5 GB peak) and requant-loss (1e8 samples)
+    run_scenario(name, out_dir=tmp_path)
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert len(lines) >= 2 and all(line.startswith("PASS ") for line in lines), lines
