@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.signal
 
 from .errors import (
     EnvelopeRegimeViolated,
@@ -23,51 +22,6 @@ from .errors import (
     RateMismatch,
 )
 from .frontend import SampleStream
-
-_BLOCK = 4096
-
-
-class CorrelationAccumulator:
-    """Order-pinned correlation sums.
-
-    Sums are accumulated per absolute 4096-sample block and folded left to
-    right, so feeding the same data in any chunking yields bit-identical
-    results (the associativity property the block tests rely on).
-    """
-
-    def __init__(self):
-        self._carry_a = np.zeros(0, dtype=np.complex128)
-        self._carry_b = np.zeros(0, dtype=np.complex128)
-        self.sab = 0.0 + 0.0j
-        self.saa = 0.0
-        self.sbb = 0.0
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        if len(a) != len(b):
-            raise ValueError("chunks must have equal length")
-        a = np.concatenate([self._carry_a, np.asarray(a, dtype=np.complex128)])
-        b = np.concatenate([self._carry_b, np.asarray(b, dtype=np.complex128)])
-        whole = (len(a) // _BLOCK) * _BLOCK
-        for lo in range(0, whole, _BLOCK):
-            sl = slice(lo, lo + _BLOCK)
-            self._fold(a[sl], b[sl])
-        self._carry_a, self._carry_b = a[whole:], b[whole:]
-
-    def _fold(self, a, b):
-        self.sab += np.sum(a * np.conj(b))
-        self.saa += float(np.sum(a.real**2 + a.imag**2))
-        self.sbb += float(np.sum(b.real**2 + b.imag**2))
-
-    def rho(self) -> complex:
-        sab, saa, sbb = self.sab, self.saa, self.sbb
-        if len(self._carry_a):
-            sab = sab + np.sum(self._carry_a * np.conj(self._carry_b))
-            saa = saa + float(np.sum(np.abs(self._carry_a) ** 2))
-            sbb = sbb + float(np.sum(np.abs(self._carry_b) ** 2))
-        denom = math.sqrt(saa * sbb)
-        if denom == 0.0:
-            return 0.0 + 0.0j
-        return complex(sab / denom)
 
 
 @dataclass
@@ -83,14 +37,20 @@ def correlate(a: SampleStream, b: SampleStream, T: float, start: int | None = No
 
     A float T counts as the decimal it prints as (0.3 is 3/10 s, not the
     binary double just below it), so T = 0.3 at 1 MHz gives 300,000 samples.
-    Real streams are converted to their analytic signals first, so one code
-    path serves Zone-1 and Zone-2 scenarios.  ``start`` picks the window
-    start (absolute index); by default the first jointly valid sample.
+    ``start`` picks the window start (absolute index); by default the first
+    jointly valid sample.  Complex windows (Zone 2) are summed as they are.
+    Real windows are correlated as their analytic signals, summed by Parseval
+    over the rfft bins X, Y: sum x_a*conj(y_a) = (1/n) sum_k w_k X_k conj(Y_k)
+    with w = 1 at DC and at an even n's Nyquist bin and 4 elsewhere, the
+    one-sided weighting of the analytic spectrum (Marple 1999, "Computing the
+    discrete-time analytic signal via FFT", IEEE Trans. SP 47(9)).
     """
     if Fraction(a.rate) != Fraction(b.rate):
         raise RateMismatch(f"{a.rate} != {b.rate}")
     exact_T = Fraction(repr(float(T))) if isinstance(T, float) else Fraction(T)
-    n = int(exact_T * Fraction(a.rate))
+    n = math.floor(exact_T * Fraction(a.rate))
+    if n < 1:
+        raise InsufficientSamples(f"T = {T} s holds {n} samples at {a.rate} samples/s")
     lo = max(a.valid_start, b.valid_start)
     hi = min(a.valid_end, b.valid_end)
     if start is None:
@@ -101,13 +61,15 @@ def correlate(a: SampleStream, b: SampleStream, T: float, start: int | None = No
         )
     xa = a.data[start : start + n]
     xb = b.data[start : start + n]
-    if not np.iscomplexobj(xa):
-        xa = scipy.signal.hilbert(xa)
-    if not np.iscomplexobj(xb):
-        xb = scipy.signal.hilbert(xb)
-    acc = CorrelationAccumulator()
-    acc.add(xa, xb)
-    rho = acc.rho()
+    if a.is_complex != b.is_complex:
+        raise ValueError("cannot correlate a real window with a complex one")
+    if not a.is_complex:  # sqrt(w) * rfft, so every sum below carries w; 1/n cancels
+        xa, xb = np.fft.rfft(xa), np.fft.rfft(xb)
+        xa[1 : (n + 1) // 2] *= 2.0
+        xb[1 : (n + 1) // 2] *= 2.0
+    sab = np.vdot(xb, xa)
+    denom = math.sqrt(np.vdot(xa, xa).real * np.vdot(xb, xb).real)
+    rho = 0.0 + 0.0j if denom == 0.0 else complex(sab / denom)
     mag = abs(rho)
     supp = float("inf") if mag == 0.0 else -10.0 * math.log10(mag)
     return CorrelationReport(rho=rho, T=float(T), n_samples=n, suppression_db=supp)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -125,9 +126,8 @@ def plan_offsets(n: int, min_pairwise: float, max_abs: float, resolution: float 
     in [-max_abs, +max_abs].
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ConfigInvalid("n", f"{n} antennas; at least 1 is needed")
     res = Fraction(resolution).limit_denominator(10**9) if not isinstance(resolution, Fraction) else resolution
-    res = Fraction(res)
     if n * min_pairwise > 2 * max_abs + float(res):
         raise Infeasible(
             f"n*min_pairwise = {n * min_pairwise:.6g} Hz exceeds the available span "
@@ -185,14 +185,24 @@ class Summary:
             print(("PASS " if ok else "FAIL ") + text)
 
 
+def _kind(value) -> type:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return numbers.Real  # int and float stand in for each other
+    return type(value)
+
+
 def merge_config(defaults: dict, override: dict | None) -> dict:
+    """Defaults with each override laid over them; an override must be of
+    its default's kind (a number, a string, a list or a nested object)."""
     if override is None:
         return defaults
     out = dict(defaults)
     for key, value in override.items():
         if key not in defaults:
             raise ConfigInvalid(key, "unknown configuration field")
-        if isinstance(value, dict) and isinstance(defaults[key], dict):
+        if _kind(value) is not _kind(defaults[key]):
+            raise ConfigInvalid(key, f"{value!r} is not of the kind of its default {defaults[key]!r}")
+        if isinstance(value, dict):
             out[key] = merge_config(defaults[key], value)
         else:
             out[key] = value

@@ -1,5 +1,7 @@
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,8 +36,13 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("offset-plan", "not json"),
         ("offset-plan", "[1, 2]"),
         ("offset-plan", "absent"),
+        ("offset-plan", '{"n": 0}'),
+        ("scfo-off-control", '{"T": "x"}'),
     ],
-    ids=["unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file"],
+    ids=[
+        "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
+        "no-antennas", "wrong-kind",
+    ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):
     argv = ["run", name, "--out", str(tmp_path / "out")]
@@ -71,3 +78,10 @@ def test_every_declared_script_exists_and_runs(capsys):
         entry = getattr(importlib.import_module(module), attr)
         assert entry(["list-scenarios"]) == 0, name
     assert capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # scipy.signal alone takes ~0.85 s to import, paid by every CLI call
+    probe = "import sys, scfosim.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

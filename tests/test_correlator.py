@@ -6,7 +6,6 @@ import pytest
 
 from scfosim.chain import ChainSpec, SignalModel
 from scfosim.correlator import (
-    CorrelationAccumulator,
     coherence_loss,
     correlate,
     sensitivity_loss,
@@ -90,19 +89,56 @@ class TestCorrelate:
         assert rep.n_samples == n
 
 
-class TestAccumulatorAssociativity:
-    def test_blocked_equals_oneshot_bitwise(self):
-        rng = np.random.default_rng(3)
-        n = 40_000
+def hilbert_rho(a, b):
+    """The analytic-signal correlation the real path must reproduce."""
+    from scipy.signal import hilbert
+
+    ha, hb = hilbert(a), hilbert(b)
+    return np.sum(ha * np.conj(hb)) / math.sqrt(np.sum(np.abs(ha) ** 2) * np.sum(np.abs(hb) ** 2))
+
+
+def real_pair(kind, n):
+    t = np.arange(n) / n
+    if kind == "on-bin":
+        return np.cos(2 * np.pi * 37 * t + 0.2), np.cos(2 * np.pi * 37 * t + 1.1)
+    if kind == "between-bins":
+        return np.cos(2 * np.pi * 37.4 * t + 0.2), np.sin(2 * np.pi * 37.4 * t)
+    rng = np.random.default_rng(n)
+    common = rng.standard_normal(n)
+    return common + rng.standard_normal(n), common + rng.standard_normal(n)
+
+
+class TestCorrelationPaths:
+    @pytest.mark.parametrize("n", [1001, 1000, 997, 100_003])
+    @pytest.mark.parametrize("kind", ["on-bin", "between-bins", "noise"])
+    def test_real_path_equals_hilbert_reference(self, n, kind):
+        a, b = real_pair(kind, n)
+        rep = correlate(cstream(a), cstream(b), T=Fraction(n, 1000))
+        assert rep.n_samples == n
+        assert abs(rep.rho - hilbert_rho(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1000, 1001])
+    def test_complex_path_equals_direct_sum(self, n):
+        rng = np.random.default_rng(4)
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        one = CorrelationAccumulator()
-        one.add(a, b)
-        blocked = CorrelationAccumulator()
-        for lo in (0, 1234, 5000, 20_000, 33_333):
-            hi = {0: 1234, 1234: 5000, 5000: 20_000, 20_000: 33_333, 33_333: n}[lo]
-            blocked.add(a[lo:hi], b[lo:hi])
-        assert one.rho() == blocked.rho()  # bit-for-bit
+        b = 0.5 * a + rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        expect = np.sum(a * np.conj(b)) / math.sqrt(np.sum(np.abs(a) ** 2) * np.sum(np.abs(b) ** 2))
+        rep = correlate(cstream(a), cstream(b), T=Fraction(n, 1000))
+        assert abs(rep.rho - expect) <= 1e-12
+
+    def test_mixed_pair_rejected(self):
+        x = np.ones(100)
+        with pytest.raises(ValueError):
+            correlate(cstream(x), cstream(x.astype(np.complex128)), T=0.05)
+        with pytest.raises(ValueError):
+            correlate(cstream(x.astype(np.complex128)), cstream(x), T=0.05)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("T", [0, 0.0, -0.01])
+    def test_empty_or_negative_window_rejected(self, dtype, T):
+        x = np.ones(100, dtype=dtype)
+        with pytest.raises(InsufficientSamples):
+            correlate(cstream(x), cstream(x), T=T)
 
 
 class TestWashingFormula:

@@ -166,7 +166,7 @@ def test_figures_are_refused(tmp_path):
 @pytest.mark.slow
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_scenario_passes_at_its_full_defaults(name, tmp_path):
-    # minutes each for selfclock-washout (~5 GB peak) and requant-loss (1e8 samples)
+    # ~45 s and ~0.7 GB peak for selfclock-washout, minutes for requant-loss (1e8 samples)
     run_scenario(name, out_dir=tmp_path)
     lines = (tmp_path / "summary.txt").read_text().splitlines()
     assert len(lines) >= 2 and all(line.startswith("PASS ") for line in lines), lines
