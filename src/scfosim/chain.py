@@ -35,8 +35,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .frontend import QuantizerSpec, quantize_array
-from .resampler import Resampler, cached_bank
+from .resampler import PASSBAND, Resampler, cached_bank
 from .signal import SampleGrid, combine, eval_tones, synth_signal
+
+WELCH_NFFT = 1024  # samples per window of the per-frequency loss spectra
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ class SignalModel:
     n_sky_tones: int = 16
     n_noise_tones: int = 16
     snr: float = 1.0  # sky power over noise power per antenna
-    band_frac: tuple[float, float] = (0.0833, 0.9167)
+    band_frac: tuple[float, float] = PASSBAND
 
     def noise_seed(self, antenna: int) -> int:
         return self.sky_seed * 1009 + 101 + antenna
@@ -227,7 +229,7 @@ def run_dual_chain(
     n_out: int,
     f_c: Fraction = Fraction(1_000_000),
     segments: int = 64,
-    welch_nfft: int = 1024,
+    welch_nfft: int = WELCH_NFFT,
     welch_cap: int = 1 << 20,
     chunk: int = 1 << 19,
 ) -> DualChainResult:

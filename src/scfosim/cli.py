@@ -29,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-scenarios":
-        for name, (_, description) in SCENARIOS.items():
+        for name, (_, description, _) in SCENARIOS.items():
             print(f"{name:22s} {description}")
         return 0
     try:
@@ -41,7 +41,8 @@ def main(argv: list[str] | None = None) -> int:
     except ScfoError as exc:
         print(f"scfosim: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    result["summary"].print()
+    for line in result["summary"].verdicts():
+        print(line)
     return 0
 
 

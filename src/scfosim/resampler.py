@@ -124,11 +124,15 @@ def quantize_taps(taps: np.ndarray, bits: int) -> np.ndarray:
     return out.reshape(np.shape(taps))
 
 
+# Band the bank keeps flat, as fractions of Nyquist; scenario skies fill it.
+PASSBAND = (0.0833, 0.9167)
+
+
 def design_bank(
     N: int,
     P: int,
     coeff_bits: int | None = 19,
-    passband: tuple[float, float] = (0.0833, 0.9167),
+    passband: tuple[float, float] = PASSBAND,
     window: tuple = ("kaiser", None),
     cutoff: float = 1.0,
     max_ripple_db: float = 0.05,

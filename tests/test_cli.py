@@ -38,10 +38,26 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("offset-plan", "absent"),
         ("offset-plan", '{"n": 0}'),
         ("scfo-off-control", '{"T": "x"}'),
+        ("zone2-shift", '{"f_c": "abc"}'),
+        ("zone2-shift", '{"f_c": "1/0"}'),
+        ("zone2-shift", '{"offsets_hz": ["4240000/1", "4.2e6.1"]}'),
+        ("zone2-shift", '{"clock_tone_scale": "3/0"}'),
+        ("requant-loss", '{"offset_ratio": "1//10000"}'),
+        ("offset-plan", '{"resolution": 0}'),
+        ("offset-plan", '{"resolution": -1000.0}'),
+        ("requant-loss", '{"segments": 0}'),
+        ("requant-loss", '{"segments": 1}'),
+        ("requant-loss", '{"samples": 0}'),
+        ("requant-loss", '{"samples": 1000}'),
+        ("selfclock-washout", '{"windows": 0}'),
+        ("selfclock-washout", '{"targets_dwt": []}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
-        "no-antennas", "wrong-kind",
+        "no-antennas", "wrong-kind", "f_c-not-rational", "f_c-zero-denominator",
+        "offset-not-rational", "clock-scale-zero-denominator", "offset-ratio-not-rational",
+        "zero-resolution", "negative-resolution", "no-segments", "one-segment", "no-samples",
+        "fewer-samples-than-a-spectrum-window", "no-windows", "no-targets",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):

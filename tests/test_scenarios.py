@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import json
 import multiprocessing
 import os
 import signal
@@ -18,6 +19,7 @@ from scfosim.scenarios import (
     _clock_tone,
     _resampled_tone_streams,
     SCENARIOS,
+    merge_config,
     run_scenario,
 )
 from scfosim.signal import Tone, ToneBankSignal, synth_signal
@@ -99,10 +101,7 @@ def test_antenna_errors_reach_the_caller_with_their_class(wrong):
     skies = [zone2, zone2]
     skies[wrong] = zone1
     with deadline(), pytest.raises(BandZoneMismatch):
-        _resampled_tone_streams(
-            antenna_pair(Zone.ZONE2), F_C, cached_bank(56, 1024, 19), 20_000,
-            sky=skies, zone=Zone.ZONE2, shift=True,
-        )
+        _resampled_tone_streams(antenna_pair(Zone.ZONE2), F_C, cached_bank(56, 1024, 19), 20_000, sky=skies)
     assert not multiprocessing.active_children()
 
 
@@ -155,6 +154,13 @@ def test_requant_loss_writes_its_verdicts_and_numbers(tmp_path):
     with open(tmp_path / "requant_loss.csv") as fh:
         (row,) = csv.DictReader(fh)
     assert int(row["n_samples"]) == 200_000
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_default_is_settable_from_a_config_file(name):
+    # the defaults written out as a config file come back unchanged
+    defaults = SCENARIOS[name][2]
+    assert merge_config(defaults, json.loads(json.dumps(defaults))) == defaults
 
 
 def test_figures_are_refused(tmp_path):
