@@ -16,18 +16,21 @@ or chunk it falls in (see resampler._fir_rows).  Every sample value is
 therefore independent of ``chunk``; only the grouping of the correlators'
 partial sums follows it.
 
-Each antenna is processed on its own and the two meet only at the
-correlators, so each chain runs its two antennas in two processes: antenna 1
-streams its chunks from a forked child (``forked_stream``).  No chunk value
-depends on which process computed it, and the correlators add the same arrays
-in the same order, so every result is the same as a one-process run.  Pin
-BLAS to one thread (OPENBLAS_NUM_THREADS=1): a BLAS thread pool in each
-process oversubscribes the cores and takes the gain back.
+A chain and its float twin meet only in the final loss, so each runs in its
+own process over both antennas: this process computes the chain and
+correlates its pair, and a forked child (``map_forked``) does the same for the
+float twin.  Both evaluate the source waveforms, so no sample crosses the
+fork; the child sends one message at the end (its total and per-segment rho
+and its Welch coherence), and each process computes half of the Welch
+spectra.  A chain and its twin give equal output lengths on each antenna, so
+each correlator adds the same arrays in the same order as a one-process run,
+and every result is the same.  Pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1): a BLAS thread pool in each process oversubscribes
+the cores and takes the gain back.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -174,53 +177,41 @@ class _AntennaSource:
         return eval_tones(self.amps, self.freqs, self.phases, grid)
 
 
-@contextlib.contextmanager
-def forked_stream(make):
-    """Iterate ``make()``'s values, computed in a forked child process.
+def map_forked(fn, items):
+    """``[fn(x) for x in items]`` with the last item run in a forked child
+    process while this one runs the rest.
 
-    The child starts on entry, so it works while this process does.  It sends
-    each value over a one-way pipe, and a send blocks until this process reads
-    it, so the child runs at most one value ahead.  A child's exception is
-    re-raised here with its own class; a child that dies reads as EOFError.
-    On every exit path the child is terminated (it may be computing a surplus
-    value) and joined.  Where the platform cannot fork, ``make()`` runs here.
+    The child sends its one result over a one-way pipe.  A child's exception
+    is re-raised here with its own class; a child that dies reads as EOFError.
+    On every exit path the child is terminated and joined.  Where the platform
+    cannot fork, every item runs here.
     """
     import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        yield make()
-        return
+    if len(items) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_values, args=(send, make))
+    child = ctx.Process(target=_send_result, args=(send, fn, items[-1]))
     child.start()
     send.close()  # the child holds the only send end, so its death reads as EOFError
     try:
-        yield _received(recv)
+        head = [fn(x) for x in items[:-1]]
+        ok, last = recv.recv()  # before join: a result can outgrow the pipe buffer
     finally:
         child.terminate()
         recv.close()
         child.join()
+    if not ok:
+        raise last
+    return head + [last]
 
 
-def _send_values(send, make):
+def _send_result(send, fn, item):
     try:
-        for value in make():
-            send.send((True, value))
-        send.send((False, None))
-    except Exception as exc:  # make's, or the pickling of a value
+        send.send((True, fn(item)))
+    except Exception as exc:  # fn's, or the pickling of its result
         send.send((False, exc))
-
-
-def _received(recv):
-    while True:
-        ok, value = recv.recv()  # before join: one value can outgrow the pipe buffer
-        if ok:
-            yield value
-        elif value is None:
-            return
-        else:
-            raise value
 
 
 def run_dual_chain(
@@ -241,8 +232,9 @@ def run_dual_chain(
     noise_rms = float(np.sqrt(1.0 / model.snr))
     sigma_in = float(np.sqrt(1.0 + noise_rms**2))
 
-    def antenna(i):
-        """Yield antenna i's (chain, float twin) outputs, one source chunk at a time."""
+    def antenna(i, twin):
+        """Yield antenna i's chain output (its float twin's if ``twin``), one
+        source chunk at a time."""
         noise = synth_signal(model.noise_seed(i), model.n_noise_tones, band, rms=noise_rms)
         sign = 1 if i == 0 else -1
         ratio = 1 + sign * Fraction(chain.offset) if chain.resample else Fraction(1)
@@ -250,71 +242,56 @@ def run_dual_chain(
         if chain.resample:
             bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
             p0 = Fraction(chain.bank_taps - 1, 2) * (ratio - 1)  # aligns both output epochs
-            twin_c, twin_f = Resampler(bank, ratio, p0), Resampler(bank, ratio, p0)
+            resampler = Resampler(bank, ratio, p0)
         while True:
-            raw = source.next_chunk()
-            q = raw
-            if chain.input_quant is not None:
-                q = quantize_array(raw, chain.input_quant, sigma_in)
-            out_c, out_f = (twin_c.process(q), twin_f.process(raw)) if chain.resample else (q, raw)
-            if chain.out_quant is not None:
-                out_c = quantize_array(out_c, chain.out_quant, sigma_in)
-            yield out_c, out_f
+            out = source.next_chunk()
+            if chain.input_quant is not None and not twin:
+                out = quantize_array(out, chain.input_quant, sigma_in)
+            if chain.resample:
+                out = resampler.process(out)
+            if chain.out_quant is not None and not twin:
+                out = quantize_array(out, chain.out_quant, sigma_in)
+            yield out
 
     skip = chain.bank_taps + 16  # discard filter-edge outputs uniformly
     seg_len = max(n_out // segments, 1)
-    corr_chain = _SegmentedCorrelator(seg_len)
-    corr_float = _SegmentedCorrelator(seg_len)
-    welch_chain = _WelchCross(welch_nfft, welch_cap)
-    welch_float = _WelchCross(welch_nfft, welch_cap)
 
-    pend = [[np.zeros(0)] * 2 for _ in range(2)]  # [antenna][0=chain,1=float]
-    skipped = [[0, 0], [0, 0]]
-    done = 0
-    with forked_stream(lambda: antenna(1)) as far:  # forks before antenna 0's first chunk
-        near = antenna(0)
+    def channel(twin):
+        """Correlate the two antennas' chain (or float-twin) outputs: the
+        total and per-segment rho and the Welch coherence per frequency."""
+        corr, welch = _SegmentedCorrelator(seg_len), _WelchCross(welch_nfft, welch_cap)
+        streams = [antenna(0, twin), antenna(1, twin)]
+        pend = [np.zeros(0), np.zeros(0)]
+        skipped = [0, 0]
+        done = 0
         while done < n_out:
-            for i, outs in enumerate((next(near), next(far))):
-                for j, arr in enumerate(outs):
-                    if skipped[i][j] < skip:
-                        drop = min(skip - skipped[i][j], len(arr))
-                        arr = arr[drop:]
-                        skipped[i][j] += drop
-                    pend[i][j] = np.concatenate([pend[i][j], arr])
-            m = min(len(pend[i][j]) for i in (0, 1) for j in (0, 1))
-            m = min(m, n_out - done)
+            for i, stream in enumerate(streams):
+                arr = next(stream)
+                if skipped[i] < skip:
+                    drop = min(skip - skipped[i], len(arr))
+                    arr = arr[drop:]
+                    skipped[i] += drop
+                pend[i] = np.concatenate([pend[i], arr])
+            m = min(len(pend[0]), len(pend[1]), n_out - done)
             if m == 0:
                 continue
-            corr_chain.add(pend[0][0][:m], pend[1][0][:m])
-            corr_float.add(pend[0][1][:m], pend[1][1][:m])
-            welch_chain.add(pend[0][0][:m], pend[1][0][:m])
-            welch_float.add(pend[0][1][:m], pend[1][1][:m])
-            for i in (0, 1):
-                for j in (0, 1):
-                    pend[i][j] = pend[i][j][m:]
+            corr.add(pend[0][:m], pend[1][:m])
+            welch.add(pend[0][:m], pend[1][:m])
+            pend = [p[m:] for p in pend]
             done += m
+        sab, saa, sbb = welch.spectra()
+        return corr.rho_total(), corr.rho_segments(), np.abs(sab) / np.sqrt(saa * sbb)
 
-    rho_c = corr_chain.rho_total()
-    rho_f = corr_float.rho_total()
-    seg_c = corr_chain.rho_segments()
-    seg_f = corr_float.rho_segments()
-    n_seg = min(len(seg_c), len(seg_f))
-    seg_losses = 1.0 - seg_c[:n_seg] / seg_f[:n_seg]
-
-    sab_c, saa_c, sbb_c = welch_chain.spectra()
-    sab_f, saa_f, sbb_f = welch_float.spectra()
-    rho_fc = np.abs(sab_c) / np.sqrt(saa_c * sbb_c)
-    rho_ff = np.abs(sab_f) / np.sqrt(saa_f * sbb_f)
+    # the chain here, its float twin in a forked child: no sample crosses over
+    (rho_c, seg_c, coh_c), (rho_f, seg_f, coh_f) = map_forked(channel, [False, True])
     with np.errstate(divide="ignore", invalid="ignore"):
-        loss_f = 1.0 - rho_fc / rho_ff
-    freqs = np.fft.rfftfreq(welch_nfft, d=1.0 / float(f_c))
-
+        loss_f = 1.0 - coh_c / coh_f
     return DualChainResult(
         rho_chain=rho_c,
         rho_float=rho_f,
         loss=1.0 - rho_c / rho_f,
-        seg_losses=seg_losses,
-        freqs=freqs,
+        seg_losses=1.0 - seg_c / seg_f,  # both channels fill the same segments
+        freqs=np.fft.rfftfreq(welch_nfft, d=1.0 / float(f_c)),
         loss_per_freq=loss_f,
-        n_samples=done,
+        n_samples=n_out,
     )

@@ -190,14 +190,20 @@ def quantizer_levels(spec: QuantizerSpec, sigma: float) -> np.ndarray:
 
 
 def quantize_array(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarray:
-    """Element-wise quantization of ``x`` to the levels of ``spec``."""
+    """Element-wise quantization of ``x`` to the levels of ``spec``.
+
+    A Q4 sample's level index is the number of thresholds below it, the
+    ``np.searchsorted`` index on every non-NaN input; NaN, which no source
+    produces, maps to the lowest level.
+    """
     if spec.kind is QuantKind.Q8_UNIFORM:
         step = spec.step(sigma)
         codes = np.clip(np.floor(x / step), -128, 127)
         return (codes + 0.5) * step
     levels = quantizer_levels(spec, sigma)
-    thresholds = 0.5 * (levels[:-1] + levels[1:])
-    idx = np.searchsorted(thresholds, x)
+    idx = np.zeros(np.shape(x), dtype=np.intp)
+    for t in 0.5 * (levels[:-1] + levels[1:]):
+        idx += x > t
     return levels[idx]
 
 

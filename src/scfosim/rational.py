@@ -195,19 +195,19 @@ def phase_run(
         limit = (1 << 62) // P
         max_j = (limit - fden) // max(abs(rnum), 1)
         chunk = int(min(count - done, max(max_j, 1)))
-        j = np.arange(1, chunk + 1, dtype=np.int64)
-        a = (fnum0 + j * rnum) * P
-        g = _round_half_even_array(a, fden) + half
-        n_out[done : done + chunk] = whole + g // P
-        lut_out[done : done + chunk] = g % P
+        # numerators (fnum0 + j*rnum)*P over fden, rounded half-even in place
+        a = np.arange(1, chunk + 1, dtype=np.int64)
+        a *= rnum
+        a += fnum0
+        a *= P
+        g, twice = np.divmod(a, fden)
+        twice *= 2
+        g += (twice > fden) | ((twice == fden) & (g & 1))
+        g += half
+        n, lut = n_out[done : done + chunk], lut_out[done : done + chunk]
+        np.divmod(g, P, out=(n, lut))
+        n += whole
         done += chunk
         base = Fraction(whole) + Fraction(fnum0 + chunk * rnum, fden)
     return n_out, lut_out, base
 
-
-def _round_half_even_array(num: np.ndarray, den: int) -> np.ndarray:
-    """round_half_even for an int64 numerator array over a positive int denominator."""
-    q, r = np.divmod(num, den)
-    twice = 2 * r
-    up = (twice > den) | ((twice == den) & (q % 2 == 1))
-    return q + up

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import WELCH_NFFT, ChainSpec, SignalModel, forked_stream
+from .chain import WELCH_NFFT, ChainSpec, SignalModel, map_forked
 from .correlator import correlate, sensitivity_loss, washing_suppression_db
 from .errors import ConfigInvalid, Infeasible, ZeroDenominator
 from .frontend import FilterSpec, QuantKind, QuantizerSpec, Zone, antialias, sample
@@ -191,13 +191,18 @@ def _kind(value) -> type:
 
 def merge_config(defaults: dict, override: dict | None) -> dict:
     """A copy of the defaults with each override laid over them; an override
-    must be of its default's kind (a number, a string or a list)."""
+    must be of its default's kind (a number, a string or a list), and an
+    integer default takes only an integral number, stored as an int."""
     out = dict(defaults)
     for key, value in (override or {}).items():
         if key not in defaults:
             raise ConfigInvalid(key, "unknown configuration field")
         if _kind(value) is not _kind(defaults[key]):
             raise ConfigInvalid(key, f"{value!r} is not of the kind of its default {defaults[key]!r}")
+        if type(defaults[key]) is int:
+            if isinstance(value, float) and not value.is_integer():
+                raise ConfigInvalid(key, f"{value!r} is not an integer")
+            value = int(value)
         out[key] = value
     return out
 
@@ -314,25 +319,12 @@ def _peak_hz(stream, n_fft: int, f_c: Fraction) -> float:
     return np.fft.fftfreq(n_fft, d=1.0 / float(f_c))[int(np.argmax(spec))]
 
 
-def _map_forked(fn, items):
-    """``[fn(x) for x in items]`` with the last item run in a forked child
-    process (``forked_stream``) while this one runs the rest."""
-    if len(items) < 2:
-        return [fn(x) for x in items]
-
-    def last():
-        yield fn(items[-1])
-
-    with forked_stream(last) as rest:
-        return [fn(x) for x in items[:-1]] + list(rest)
-
-
 def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, band=None):
     """Per antenna: inject interference into its sky (one signal for all, a
     list with one per antenna, or None for an empty bank in ``band``), sample
     in the antenna's zone at its desk rate, resample back to the common clock,
     and shift a Zone-2 antenna by f_c - f_a.  Antennas are independent, so
-    they run in parallel processes (``_map_forked``) with the same output
+    they run in parallel processes (``chain.map_forked``) with the same output
     bytes."""
     clocks = {spec.antenna_id: spec.desk_rate(f_c) for spec in antennas}
     if band is None:
@@ -355,7 +347,7 @@ def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, band=None):
             out = ssb_shift(out, MixerConfig(shift_hz=f_c - f_a))
         return out
 
-    return _map_forked(one, list(zip(antennas, sky)))
+    return map_forked(one, list(zip(antennas, sky)))
 
 
 def _correlated_pair(antennas, f_c, bank, T, **streams):
@@ -564,7 +556,10 @@ def _relaxed_antialias(cfg, summary):
     the band at reduced amplitude; with SCFO on the alias decorrelates, with
     SCFO off it correlates fully (the filter is then load-bearing)."""
     f_c, bank = _clock_and_bank(cfg)
-    filt = FilterSpec(points=tuple((float(a), float(b)) for a, b in cfg["filter_points"]))
+    try:
+        filt = FilterSpec(points=tuple((float(a), float(b)) for a, b in cfg["filter_points"]))
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid("filter_points", f"not [Hz, dB] pairs sorted by Hz ({exc})") from exc
     expected_gain = filt.gain(float(cfg["probe_hz"]))
     probe = ToneBankSignal(
         tones=(Tone(float(cfg["probe_amplitude"]), float(cfg["probe_hz"]), 0.1),),
@@ -619,11 +614,15 @@ def _zone2_shift(cfg, summary):
     f_c - f_a shifts, the common sky tone lands at one frequency with a flat
     cross-spectrum phase slope, while the per-antenna clock tones stay split
     by the offset difference."""
+    segments, n_fft = cfg["segments"], cfg["n_fft"]
+    if segments < 3:
+        raise ConfigInvalid("segments", f"{segments}; the phase-slope fit needs at least 3")
+    if n_fft < segments:
+        raise ConfigInvalid("n_fft", f"{n_fft}; needs one sample per segment")
     f_c, bank = _clock_and_bank(cfg)
     tone = _clock_tone(cfg, 1.0)
     clock_antennas = _antennas(cfg, Zone.ZONE2, [tone])
     band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
-    n_fft = int(cfg["n_fft"])
     n_in = int(n_fft * 1.35) + 8192
 
     sky = ToneBankSignal(
@@ -645,7 +644,6 @@ def _zone2_shift(cfg, summary):
     )
 
     # flat cross-spectrum phase slope in time: no residual frequency offset
-    segments = int(cfg["segments"])
     seg_len = n_fft // segments
     lo = max(s.valid_start for s in sky_streams)
     a, b = (s.data[lo : lo + segments * seg_len].reshape(segments, seg_len) for s in sky_streams)
@@ -731,7 +729,7 @@ def _requant_loss(cfg, summary):
         snr=float(cfg["snr"]),
     )
     rep = sensitivity_loss(
-        cfg["seed"], blue, red, n=int(cfg["samples"]), model=model, segments=cfg["segments"]
+        cfg["seed"], blue, red, n=cfg["samples"], model=model, segments=cfg["segments"]
     )
     lo = cfg["target_diff"] - cfg["tolerance"]
     hi = cfg["target_diff"] + cfg["tolerance"]

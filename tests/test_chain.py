@@ -13,7 +13,6 @@ from scfosim.chain import ChainSpec, SignalModel, _AntennaSource, _WelchCross, r
 from scfosim.errors import ConfigInvalid
 from scfosim.frontend import QuantKind, QuantizerSpec
 
-F_C = Fraction(1_000_000)
 Q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
 CHAINS = {
     "q4-direct": ChainSpec("q4-direct", input_quant=Q4),
@@ -78,13 +77,14 @@ def test_forked_antenna_matches_the_serial_chain_bit_for_bit(name, monkeypatch):
         assert np.array_equal(got, want, equal_nan=True), f.name
 
 
-def fail_on(monkeypatch, below_f_c, action):
-    """Run ``action`` in place of next_chunk on the antenna sampling below
-    f_c (antenna 1, the forked one) or above it (antenna 0, this process's)."""
+def fail_on(monkeypatch, in_child, action):
+    """Run ``action`` in place of next_chunk in the forked child (the float
+    twin's channel) or in this process (the chain's channel)."""
+    here = os.getpid()
     original = _AntennaSource.next_chunk
 
     def next_chunk(self):
-        if (self.rate < F_C) == below_f_c:
+        if (os.getpid() != here) == in_child:
             action()
         return original(self)
 
@@ -96,22 +96,22 @@ def raise_config_invalid():
 
 
 def test_forked_antenna_error_reaches_the_caller_with_its_class(monkeypatch):
-    fail_on(monkeypatch, below_f_c=True, action=raise_config_invalid)
+    fail_on(monkeypatch, in_child=True, action=raise_config_invalid)
     with deadline(), pytest.raises(ConfigInvalid, match="chunk: rejected"):
         small_run("q4-resample-q8")
     assert not multiprocessing.active_children()
 
 
 def test_error_before_the_first_read_still_ends_the_child(monkeypatch):
-    # antenna 0 fails on its first chunk, before any chunk of antenna 1 is read
-    fail_on(monkeypatch, below_f_c=False, action=raise_config_invalid)
+    # this process fails on its first chunk, before it reads the child's result
+    fail_on(monkeypatch, in_child=False, action=raise_config_invalid)
     with deadline(), pytest.raises(ConfigInvalid):
         small_run("q4-resample-q8")
     assert not multiprocessing.active_children()
 
 
 def test_forked_antenna_death_raises_eof(monkeypatch):
-    fail_on(monkeypatch, below_f_c=True, action=lambda: os._exit(3))
+    fail_on(monkeypatch, in_child=True, action=lambda: os._exit(3))
     with deadline(), pytest.raises(EOFError):
         small_run("q4-resample-q8")
     assert not multiprocessing.active_children()

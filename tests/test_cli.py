@@ -51,6 +51,14 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("requant-loss", '{"samples": 1000}'),
         ("selfclock-washout", '{"windows": 0}'),
         ("selfclock-washout", '{"targets_dwt": []}'),
+        ("zone2-shift", '{"segments": 0}'),
+        ("zone2-shift", '{"segments": 2}'),
+        ("zone2-shift", '{"n_fft": 0}'),
+        ("zone2-shift", '{"n_fft": 8}'),
+        ("requant-loss", '{"segments": 2.5}'),
+        ("offset-plan", '{"n": 2.5}'),
+        ("relaxed-antialias", '{"filter_points": [[0.0]]}'),
+        ("relaxed-antialias", '{"filter_points": [[500000.0, 0.0], [0.0, 0.0]]}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
@@ -58,6 +66,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "offset-not-rational", "clock-scale-zero-denominator", "offset-ratio-not-rational",
         "zero-resolution", "negative-resolution", "no-segments", "one-segment", "no-samples",
         "fewer-samples-than-a-spectrum-window", "no-windows", "no-targets",
+        "no-fit-segments", "two-fit-segments", "no-fft-points", "fewer-fft-points-than-segments",
+        "fractional-segments", "fractional-antennas", "filter-point-not-a-pair", "filter-points-unsorted",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):
@@ -70,6 +80,13 @@ def test_usage_errors_exit_2(tmp_path, capsys, name, config):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("scfosim: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_an_integral_float_fills_an_integer_field(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"n": 20.0}')
+    assert main(["run", "offset-plan", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "summary.txt").read_text().startswith("PASS 20 offsets")
 
 
 def test_bad_arguments_exit_2():

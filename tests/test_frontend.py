@@ -16,6 +16,7 @@ from scfosim.frontend import (
     quantize,
     quantize_array,
     quantizer_efficiency,
+    quantizer_levels,
     sample,
 )
 from scfosim.signal import SampleGrid, Tone, ToneBankSignal, eval_tones, synth_signal
@@ -129,6 +130,19 @@ class TestQuantize:
         q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL)
         out4 = quantize_array(np.array([50.0]), q4, sigma=1.0)
         assert out4[0] == pytest.approx(lloyd_max_levels(16)[-1])
+
+    def test_q4_level_index_is_the_searchsorted_index(self):
+        spec = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
+        sigma = 1.3
+        levels = quantizer_levels(spec, sigma)
+        t = 0.5 * (levels[:-1] + levels[1:])
+        rng = np.random.default_rng(5)
+        x = np.concatenate([
+            t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+            [-np.inf, np.inf], sigma * 3 * rng.standard_normal(10_000),
+        ])
+        assert np.array_equal(quantize_array(x, spec, sigma), levels[np.searchsorted(t, x)])
+        assert quantize_array(np.array([np.nan]), spec, sigma)[0] == levels[0]
 
     def test_idempotent_on_levels(self):
         rng = np.random.default_rng(3)

@@ -192,6 +192,28 @@ class TestAccumulator:
         assert acc_a.position == end_pos
         assert all(a in (0, 1, 2) for a, _ in singles)
 
+    @given(
+        data=st.data(),
+        frac_width=st.sampled_from([2, 256, 1000, 1024]),
+        count=st.integers(1, 200),
+        tie=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_phase_run_matches_the_oracle(self, data, frac_width, count, tie):
+        # a denominator that divides P puts every position of a tie start on a tie
+        den = data.draw(st.one_of(st.integers(1, 10**6), st.sampled_from([2, 256, 1000, 1024])))
+        ratio = Fraction(data.draw(st.integers(den // 2 + 1, max(den // 2 + 1, (3 * den - 1) // 2))), den)
+        if tie:  # start * P on a half-integer, where round-half-even decides
+            start = Fraction(2 * data.draw(st.integers(-3 * frac_width, 3 * frac_width)) + 1, 2 * frac_width)
+        else:
+            start = Fraction(data.draw(st.integers(-(10**6), 10**6)), data.draw(st.integers(1, 10**6)))
+        n, lut, end = phase_run(start, ratio, frac_width, count)
+        oracle, oracle_end = brute_force_steps(ratio, count, frac_width, start)
+        first_n = ((start * frac_width).__round__() + frac_width // 2) // frac_width
+        assert list(n) == list(first_n + np.cumsum([a for a, _ in oracle]))
+        assert list(lut) == [l for _, l in oracle]
+        assert end == oracle_end
+
     def test_phase_run_huge_denominator_chunks(self):
         # micro-Hz style ratio: exercises the overflow-guard chunking
         ratio = Fraction(3_000_000_000_000_001, 3_000_000_000_000_000)

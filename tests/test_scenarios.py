@@ -9,12 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scfosim.chain import map_forked
 from scfosim.errors import BandZoneMismatch, ConfigInvalid
 from scfosim.frontend import Zone, sample
 from scfosim.resampler import cached_bank, design_bank, resample
 from scfosim.scenarios import (
     AntennaChainSpec,
-    _map_forked,
     _antennas,
     _clock_tone,
     _resampled_tone_streams,
@@ -80,7 +80,7 @@ def test_map_forked_matches_serial_bit_for_bit():
 
     antennas = antenna_pair()
     with deadline():
-        forked = _map_forked(one, antennas)
+        forked = map_forked(one, antennas)
     serial = [one(spec) for spec in antennas]
     assert not multiprocessing.active_children()
     assert len(forked) == 2
@@ -112,7 +112,7 @@ def test_map_forked_raises_when_the_child_dies():
         return x
 
     with deadline(), pytest.raises(EOFError):
-        _map_forked(die_in_child, [0, 1])
+        map_forked(die_in_child, [0, 1])
     assert not multiprocessing.active_children()
 
 
