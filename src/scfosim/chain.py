@@ -4,7 +4,9 @@ A chain is sample -> (quantize) -> (resample) -> (requantize); its float
 twin runs on the identical float samples so the loss 1 - rho/rho_float
 isolates exactly the chain's quantization steps.  Everything streams in
 chunks: the 1e8-sample runs the acceptance suite demands never hold a full
-stream in memory.
+stream in memory.  Each source stops at the last sample its chain reads for
+the outputs the correlator takes (rational.count_inputs), so its last chunk
+is short and nothing past it is synthesized, quantized or resampled.
 
 Noise is modeled as dense random tone banks rather than RNG samples so the
 same underlying waveform exists on every antenna's (offset) sample grid.
@@ -37,7 +39,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import StreamTooShort
 from .frontend import QuantizerSpec, quantize_array
+from .rational import count_inputs
 from .resampler import PASSBAND, Resampler, cached_bank
 from .signal import SampleGrid, combine, eval_tones, synth_signal
 
@@ -159,21 +163,28 @@ class _WelchCross:
 
 
 class _AntennaSource:
-    """Chunked evaluation of one antenna's analytic waveform on its grid.
+    """Chunked evaluation of one antenna's analytic waveform on its grid,
+    samples 0 to ``stop`` - 1.
 
     Each chunk is the exact-grid form of eval_tones, whose values depend only
-    on the absolute sample index, never on the chunk size.
+    on the absolute sample index, never on the chunk size.  The last chunk
+    ends at ``stop``; a read after it raises StreamTooShort, never yields an
+    empty chunk.
     """
 
-    def __init__(self, tones, rate: Fraction, chunk: int):
+    def __init__(self, tones, rate: Fraction, chunk: int, stop: int):
         self.amps, self.freqs, self.phases = tones
         self.rate = Fraction(rate)
         self.chunk = chunk
+        self.stop = stop
         self.next_index = 0
 
     def next_chunk(self) -> np.ndarray:
-        grid = SampleGrid(self.rate, self.next_index, self.chunk)
-        self.next_index += self.chunk
+        count = min(self.chunk, self.stop - self.next_index)
+        if count < 1:
+            raise StreamTooShort(f"read past the last of {self.stop} source samples")
+        grid = SampleGrid(self.rate, self.next_index, count)
+        self.next_index += count
         return eval_tones(self.amps, self.freqs, self.phases, grid)
 
 
@@ -232,17 +243,22 @@ def run_dual_chain(
     noise_rms = float(np.sqrt(1.0 / model.snr))
     sigma_in = float(np.sqrt(1.0 + noise_rms**2))
 
+    skip = chain.bank_taps + 16  # discard filter-edge outputs uniformly
+
     def antenna(i, twin):
         """Yield antenna i's chain output (its float twin's if ``twin``), one
-        source chunk at a time."""
+        source chunk at a time, from exactly the source samples that give
+        n_out + skip outputs."""
         noise = synth_signal(model.noise_seed(i), model.n_noise_tones, band, rms=noise_rms)
         sign = 1 if i == 0 else -1
         ratio = 1 + sign * Fraction(chain.offset) if chain.resample else Fraction(1)
-        source = _AntennaSource(combine(sky, noise).arrays(), f_c * ratio, chunk)
+        stop = n_out + skip
         if chain.resample:
             bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
             p0 = Fraction(chain.bank_taps - 1, 2) * (ratio - 1)  # aligns both output epochs
             resampler = Resampler(bank, ratio, p0)
+            stop = count_inputs(p0, ratio, bank.phases, bank.taps_per_phase, n_out + skip)
+        source = _AntennaSource(combine(sky, noise).arrays(), f_c * ratio, chunk, stop)
         while True:
             out = source.next_chunk()
             if chain.input_quant is not None and not twin:
@@ -253,7 +269,6 @@ def run_dual_chain(
                 out = quantize_array(out, chain.out_quant, sigma_in)
             yield out
 
-    skip = chain.bank_taps + 16  # discard filter-edge outputs uniformly
     seg_len = max(n_out // segments, 1)
 
     def channel(twin):
@@ -266,6 +281,8 @@ def run_dual_chain(
         done = 0
         while done < n_out:
             for i, stream in enumerate(streams):
+                if len(pend[i]) >= n_out - done:
+                    continue  # its source may be spent; what it holds suffices
                 arr = next(stream)
                 if skipped[i] < skip:
                     drop = min(skip - skipped[i], len(arr))

@@ -30,13 +30,24 @@ class CorrelationReport:
     T: float
     n_samples: int
     suppression_db: float
+    start: int  # absolute index of the window's first sample
+
+
+def window_length(T: float, rate: Fraction) -> int:
+    """Samples in an integration of ``T`` seconds at ``rate``: floor(T * rate),
+    where a float T counts as the decimal it prints as (0.3 is 3/10 s, not
+    the binary double just below it), so T = 0.3 at 1 MHz gives 300,000.
+    Fewer than one sample raises InsufficientSamples."""
+    exact_T = Fraction(repr(float(T))) if isinstance(T, float) else Fraction(T)
+    n = math.floor(exact_T * Fraction(rate))
+    if n < 1:
+        raise InsufficientSamples(f"T = {T} s holds {n} samples at {rate} samples/s")
+    return n
 
 
 def correlate(a: SampleStream, b: SampleStream, T: float, start: int | None = None) -> CorrelationReport:
-    """Normalized correlation over exactly floor(T * rate) samples.
+    """Normalized correlation over exactly window_length(T, rate) samples.
 
-    A float T counts as the decimal it prints as (0.3 is 3/10 s, not the
-    binary double just below it), so T = 0.3 at 1 MHz gives 300,000 samples.
     ``start`` picks the window start (absolute index); by default the first
     jointly valid sample.  Complex windows (Zone 2) are summed as they are.
     Real windows are correlated as their analytic signals, summed by Parseval
@@ -47,10 +58,7 @@ def correlate(a: SampleStream, b: SampleStream, T: float, start: int | None = No
     """
     if Fraction(a.rate) != Fraction(b.rate):
         raise RateMismatch(f"{a.rate} != {b.rate}")
-    exact_T = Fraction(repr(float(T))) if isinstance(T, float) else Fraction(T)
-    n = math.floor(exact_T * Fraction(a.rate))
-    if n < 1:
-        raise InsufficientSamples(f"T = {T} s holds {n} samples at {a.rate} samples/s")
+    n = window_length(T, a.rate)
     lo = max(a.valid_start, b.valid_start)
     hi = min(a.valid_end, b.valid_end)
     if start is None:
@@ -72,7 +80,7 @@ def correlate(a: SampleStream, b: SampleStream, T: float, start: int | None = No
     rho = 0.0 + 0.0j if denom == 0.0 else complex(sab / denom)
     mag = abs(rho)
     supp = float("inf") if mag == 0.0 else -10.0 * math.log10(mag)
-    return CorrelationReport(rho=rho, T=float(T), n_samples=n, suppression_db=supp)
+    return CorrelationReport(rho=rho, T=float(T), n_samples=n, suppression_db=supp, start=start)
 
 
 def washing_suppression_db(delta_f: float, T: float) -> float:

@@ -167,6 +167,23 @@ def count_outputs(position: Fraction, ratio: Fraction, frac_width: int, last_n: 
     return max(count, 0)
 
 
+def count_inputs(start: Fraction, ratio: Fraction, frac_width: int, taps: int, outputs: int) -> int:
+    """The fewest input samples from which a resampler whose output k sits at
+    ``start + k*ratio`` computes ``outputs`` outputs; the inverse of
+    count_outputs.
+
+    Output k reads the ``taps`` samples from n_k, the integer sample of its
+    position on the 1/frac_width grid.  n_k never decreases, so the last
+    output's window ends the input; windows that begin before sample 0 read
+    zeros, and still need ``taps`` samples to have arrived.
+    """
+    if outputs < 1:
+        raise ValueError("outputs must be >= 1")
+    last = Fraction(start) + (outputs - 1) * Fraction(ratio)
+    g = round_half_even(last.numerator * frac_width, last.denominator)
+    return max((g + frac_width // 2) // frac_width, 0) + taps
+
+
 def phase_run(
     position: Fraction, ratio: Fraction, frac_width: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, Fraction]:

@@ -34,11 +34,11 @@ from pathlib import Path
 import numpy as np
 
 from .chain import WELCH_NFFT, ChainSpec, SignalModel, map_forked
-from .correlator import correlate, sensitivity_loss, washing_suppression_db
+from .correlator import correlate, sensitivity_loss, washing_suppression_db, window_length
 from .errors import ConfigInvalid, Infeasible, ZeroDenominator
 from .frontend import FilterSpec, QuantKind, QuantizerSpec, Zone, antialias, sample
 from .mixer import MixerConfig, ssb_shift
-from .rational import parse_rational
+from .rational import count_inputs, count_outputs, parse_rational
 from .resampler import PASSBAND, cached_bank, resample
 from .signal import (
     InterferenceKind,
@@ -319,13 +319,37 @@ def _peak_hz(stream, n_fft: int, f_c: Fraction) -> float:
     return np.fft.fftfreq(n_fft, d=1.0 / float(f_c))[int(np.argmax(spec))]
 
 
-def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, band=None):
+def _start_position(bank, ratio: Fraction) -> Fraction:
+    """Where output 0 sits on an antenna's input grid: c*(ratio - 1), with c
+    the prototype center, so every antenna's outputs share one epoch, c/f_c."""
+    return Fraction(bank.taps_per_phase - 1, 2) * (ratio - 1)
+
+
+def _outputs_holding(antennas, f_c, bank, n: int) -> int:
+    """Common-clock outputs per antenna whose joint valid region holds ``n``
+    samples: ``n`` plus each stage's edge losses.  The resampler's outputs
+    before its first valid one read before sample 0 (they number the
+    positions on samples below 0), and a Zone-2 shift loses its Hilbert
+    half-length at each end."""
+    lead = trail = 0
+    for spec in antennas:
+        ratio = spec.desk_rate(f_c) / f_c
+        lead = max(lead, count_outputs(_start_position(bank, ratio) - ratio, ratio, bank.phases, -1))
+        if spec.zone is Zone.ZONE2:
+            trail = MixerConfig.hilbert_taps // 2
+            lead = max(lead, trail)
+    return lead + n + trail
+
+
+def _resampled_tone_streams(antennas, f_c, bank, n_out, sky=None, band=None):
     """Per antenna: inject interference into its sky (one signal for all, a
     list with one per antenna, or None for an empty bank in ``band``), sample
     in the antenna's zone at its desk rate, resample back to the common clock,
-    and shift a Zone-2 antenna by f_c - f_a.  Antennas are independent, so
-    they run in parallel processes (``chain.map_forked``) with the same output
-    bytes."""
+    and shift a Zone-2 antenna by f_c - f_a.  Each antenna samples exactly the
+    inputs (``rational.count_inputs``) from which the resampler computes
+    ``n_out`` outputs; one more output can come along when it shares the last
+    one's window.  Antennas are independent, so they run in parallel
+    processes (``chain.map_forked``) with the same output bytes."""
     clocks = {spec.antenna_id: spec.desk_rate(f_c) for spec in antennas}
     if band is None:
         band = _band(PASSBAND, f_c / 2)
@@ -340,9 +364,10 @@ def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, band=None):
             bank_sig = inject(bank_sig, interference, clocks, spec.antenna_id)
         f_a = clocks[spec.antenna_id]
         ratio = f_a / f_c
-        c = Fraction(bank.taps_per_phase - 1, 2)
+        start = _start_position(bank, ratio)
+        n_in = count_inputs(start, ratio, bank.phases, bank.taps_per_phase, n_out)
         stream = sample(bank_sig, f_a, n_in, zone=spec.zone, band_slack=0.02)
-        out = resample(stream, f_c, bank, start_position=c * (ratio - 1))
+        out = resample(stream, f_c, bank, start_position=start)
         if spec.zone is Zone.ZONE2:
             out = ssb_shift(out, MixerConfig(shift_hz=f_c - f_a))
         return out
@@ -351,11 +376,12 @@ def _resampled_tone_streams(antennas, f_c, bank, n_in, sky=None, band=None):
 
 
 def _correlated_pair(antennas, f_c, bank, T, **streams):
-    """Build an antenna pair long enough to correlate over ``T`` seconds
-    (``_resampled_tone_streams`` options in ``streams``); returns the
-    correlation report and the two streams."""
-    n_in = int(T * float(f_c) * 1.3) + 4096
-    pair = _resampled_tone_streams(antennas, f_c, bank, n_in, **streams)
+    """Build an antenna pair whose joint valid region holds correlate's
+    window of ``T`` seconds, ``window_length(T, f_c)`` samples, and at most
+    one more (``_resampled_tone_streams`` options in ``streams``); returns
+    the correlation report over that window and the two streams."""
+    n_out = _outputs_holding(antennas, f_c, bank, window_length(T, f_c))
+    pair = _resampled_tone_streams(antennas, f_c, bank, n_out, **streams)
     return correlate(pair[0], pair[1], T=T), pair
 
 
@@ -384,6 +410,9 @@ def _correlated_pair(antennas, f_c, bank, T, **streams):
 def _selfclock_washout(cfg, summary):
     if not cfg["targets_dwt"]:
         raise ConfigInvalid("targets_dwt", "at least one dw*T target is needed")
+    for target in cfg["targets_dwt"]:
+        if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0 < target < math.inf:
+            raise ConfigInvalid("targets_dwt", f"{target!r} is not a positive finite dw*T")
     if cfg["windows"] < 1:
         raise ConfigInvalid("windows", f"{cfg['windows']} windows; at least 1 is needed")
     rng = np.random.default_rng(cfg["seed"])
@@ -398,8 +427,15 @@ def _selfclock_washout(cfg, summary):
     landed = [_alias(tone.clock_scale * f_a, f_a) for f_a in (a.desk_rate(f_c) for a in antennas)]
     delta_f = abs(float(landed[0] - landed[1]))
     longest = max(cfg["targets_dwt"]) / (2 * math.pi * delta_f)
+    # a float-derived input count on purpose: it sets the range the window
+    # starts are drawn from, and each antenna yields its own output count from
+    # it; the pair needs only the shorter, the joint valid end
     n_in = int(1.45 * longest * float(f_c)) + 4096
-    streams = _resampled_tone_streams(antennas, f_c, bank, n_in)
+    n_out = min(
+        count_outputs(_start_position(bank, r) - r, r, bank.phases, n_in - bank.taps_per_phase)
+        for r in (a.desk_rate(f_c) / f_c for a in antennas)
+    )
+    streams = _resampled_tone_streams(antennas, f_c, bank, n_out)
     lo = max(s.valid_start for s in streams)
     hi = min(s.valid_end for s in streams)
 
@@ -410,7 +446,7 @@ def _selfclock_washout(cfg, summary):
         products = []
         for w in range(cfg["windows"]):
             T_w = T0 * (1 + cfg["window_jitter"] * (2 * rng.uniform() - 1))
-            n_w = int(T_w * float(f_c))
+            n_w = window_length(T_w, f_c)
             start = int(rng.integers(lo, hi - n_w))
             rep = correlate(streams[0], streams[1], T=T_w, start=start)
             dwt = 2 * math.pi * delta_f * rep.n_samples / float(f_c)
@@ -585,7 +621,8 @@ def _relaxed_antialias(cfg, summary):
         abs(rep_off.rho) > 0.99,
         f"SCFO off: aliased probe correlates fully, |rho| = {abs(rep_off.rho):.5f}",
     )
-    amp = float(np.sqrt(np.mean(on[0].data[on[0].valid_slice()] ** 2))) * np.sqrt(2)
+    window = on[0].data[rep_on.start : rep_on.start + rep_on.n_samples]
+    amp = float(np.sqrt(np.mean(window**2))) * np.sqrt(2)
     gain = amp / float(cfg["probe_amplitude"])
     rows.append(("filter_gain", expected_gain, gain))
     summary.check(
@@ -623,13 +660,13 @@ def _zone2_shift(cfg, summary):
     tone = _clock_tone(cfg, 1.0)
     clock_antennas = _antennas(cfg, Zone.ZONE2, [tone])
     band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
-    n_in = int(n_fft * 1.35) + 8192
+    n_out = _outputs_holding(clock_antennas, f_c, bank, n_fft)
 
     sky = ToneBankSignal(
         tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),),
         seed=cfg["seed"], band=band2,
     )
-    sky_streams = _resampled_tone_streams(_antennas(cfg, Zone.ZONE2), f_c, bank, n_in, sky=sky)
+    sky_streams = _resampled_tone_streams(_antennas(cfg, Zone.ZONE2), f_c, bank, n_out, sky=sky)
     # sky tone peak bins must coincide
     peaks = [_peak_hz(s, n_fft, f_c) for s in sky_streams]
     bin_hz = float(f_c) / n_fft
@@ -661,7 +698,7 @@ def _zone2_shift(cfg, summary):
     )
 
     # clock tones land apart by the offset difference times the rule scale
-    clock_streams = _resampled_tone_streams(clock_antennas, f_c, bank, n_in, band=band2)
+    clock_streams = _resampled_tone_streams(clock_antennas, f_c, bank, n_out, band=band2)
     cpeaks = [_peak_hz(s, n_fft, f_c) for s in clock_streams]
     # tone at scale*f_a samples to (1-scale)*f_a, then shifts by f_c - f_a
     landing = [float(f_c - tone.clock_scale * a.desk_rate(f_c)) for a in clock_antennas]

@@ -3,15 +3,16 @@ import multiprocessing
 import os
 import pickle
 import signal
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from scfosim.chain import ChainSpec, SignalModel, _AntennaSource, _WelchCross, run_dual_chain
-from scfosim.errors import ConfigInvalid
+from scfosim.errors import ConfigInvalid, StreamTooShort
 from scfosim.frontend import QuantKind, QuantizerSpec
+from scfosim.signal import SampleGrid, eval_tones, synth_signal
 
 Q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
 CHAINS = {
@@ -122,3 +123,39 @@ def test_config_invalid_survives_pickling():
     assert type(exc) is ConfigInvalid
     assert exc.field == "a"
     assert str(exc) == "a: b"
+
+
+@pytest.mark.parametrize("name", sorted(CHAINS))
+def test_a_run_inside_one_chunk_does_not_depend_on_the_chunk(name):
+    # 3,000 outputs: each source stops inside the first chunk of either size
+    with deadline():
+        runs = [
+            run_dual_chain(CHAINS[name], SignalModel(sky_seed=5), 3_000, segments=4, chunk=chunk)
+            for chunk in (4096, 1 << 19)
+        ]
+    for f in fields(runs[0]):
+        assert np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name), equal_nan=True), f.name
+
+
+def test_antennas_whose_sources_stop_in_different_chunks():
+    # at ratios 1.01 and 0.99 the sources stop at 20,328 and 19,926 samples,
+    # on either side of the 20,000-sample chunk edge; the spent one is not read
+    chain = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
+    with deadline():
+        split = run_dual_chain(chain, SignalModel(sky_seed=3), 20_000, segments=8, chunk=20_000)
+        whole = run_dual_chain(chain, SignalModel(sky_seed=3), 20_000, segments=8, chunk=1 << 19)
+    assert split.n_samples == 20_000
+    # the same samples; only the grouping of the correlators' sums differs
+    assert np.allclose(split.seg_losses, whole.seg_losses, rtol=0, atol=1e-12)
+    assert abs(split.loss - whole.loss) <= 1e-12
+
+
+def test_a_source_stops_at_its_last_sample():
+    tones = synth_signal(2, 4, (1e5, 4e5)).arrays()
+    rate = Fraction(1_000_100)
+    source = _AntennaSource(tones, rate, chunk=100, stop=250)
+    chunks = [source.next_chunk() for _ in range(3)]
+    assert [len(c) for c in chunks] == [100, 100, 50]
+    assert np.array_equal(np.concatenate(chunks), eval_tones(*tones, SampleGrid(rate, 0, 250)))
+    with pytest.raises(StreamTooShort):
+        source.next_chunk()

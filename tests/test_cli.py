@@ -51,6 +51,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("requant-loss", '{"samples": 1000}'),
         ("selfclock-washout", '{"windows": 0}'),
         ("selfclock-washout", '{"targets_dwt": []}'),
+        ("selfclock-washout", '{"targets_dwt": ["x"]}'),
+        ("selfclock-washout", '{"targets_dwt": [100.0, -1.0]}'),
         ("zone2-shift", '{"segments": 0}'),
         ("zone2-shift", '{"segments": 2}'),
         ("zone2-shift", '{"n_fft": 0}'),
@@ -66,6 +68,7 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "offset-not-rational", "clock-scale-zero-denominator", "offset-ratio-not-rational",
         "zero-resolution", "negative-resolution", "no-segments", "one-segment", "no-samples",
         "fewer-samples-than-a-spectrum-window", "no-windows", "no-targets",
+        "target-not-a-number", "negative-target",
         "no-fit-segments", "two-fit-segments", "no-fft-points", "fewer-fft-points-than-segments",
         "fractional-segments", "fractional-antennas", "filter-point-not-a-pair", "filter-points-unsorted",
     ],

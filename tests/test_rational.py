@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfosim.errors import NegativeFrequency, RatioOutOfRange, ZeroDenominator
+from scfosim.resampler import Resampler, cached_bank
 from scfosim.rational import (
     PhaseAccumulator,
     accumulator_step,
+    count_inputs,
     count_outputs,
     make_rational,
     parse_frequency,
@@ -270,3 +272,47 @@ class TestCountOutputs:
         x = last_n + Fraction(1, 2) - Fraction(1, 2 * width)
         assert count_outputs(x - ratio, ratio, width, last_n) == counted
         assert brute_force_count(x - ratio, ratio, width, last_n) == counted
+
+
+RATIOS = st.fractions(Fraction(1, 2), Fraction(3, 2), max_denominator=10_000).filter(
+    lambda r: Fraction(1, 2) < r < Fraction(3, 2)
+)
+STARTS = st.one_of(
+    st.fractions(Fraction(-20), Fraction(20), max_denominator=5000),
+    st.integers(-20, 20).map(lambda k: k + Fraction(1, 2)),  # a rounding tie
+)
+
+
+class TestCountInputs:
+    @given(
+        ratio=RATIOS,
+        start=STARTS,
+        width=st.sampled_from([2, 8, 256, 1024]),
+        taps=st.integers(1, 64),
+        outputs=st.integers(1, 400),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_fewest_inputs_count_outputs_takes(self, ratio, start, width, taps, outputs):
+        def made(n_in):  # the count Resampler._produce takes from n_in inputs
+            return count_outputs(start - ratio, ratio, width, n_in - taps) if n_in >= taps else 0
+
+        n_in = count_inputs(start, ratio, width, taps, outputs)
+        assert made(n_in) >= outputs > made(n_in - 1)
+        if n_in > taps:  # the last output's window starts inside the stream;
+            # ratio > 1/2, so at most one more output shares that window
+            assert made(n_in) <= outputs + 1
+
+    @given(ratio=RATIOS, start=STARTS, outputs=st.integers(1, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_a_resampler_fed_that_many_inputs_computes_the_outputs(self, ratio, start, outputs):
+        bank = cached_bank(56, 1024, 19)
+
+        def made(n_in):
+            return len(Resampler(bank, ratio, start).process(np.zeros(n_in)))
+
+        n_in = count_inputs(start, ratio, bank.phases, bank.taps_per_phase, outputs)
+        assert made(n_in) >= outputs > made(n_in - 1)
+
+    def test_needs_one_output(self):
+        with pytest.raises(ValueError):
+            count_inputs(Fraction(0), Fraction(1), 1024, 56, 0)

@@ -14,9 +14,12 @@ from scfosim.errors import BandZoneMismatch, ConfigInvalid
 from scfosim.frontend import Zone, sample
 from scfosim.resampler import cached_bank, design_bank, resample
 from scfosim.scenarios import (
+    ZONE_BANDS,
     AntennaChainSpec,
     _antennas,
     _clock_tone,
+    _correlated_pair,
+    _outputs_holding,
     _resampled_tone_streams,
     SCENARIOS,
     merge_config,
@@ -35,7 +38,8 @@ def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
     antennas = _antennas(defaults, interference=[_clock_tone(defaults, 1.0)])
     f_c = Fraction(1_000_000)
     n_fft = 1 << 16
-    streams = _resampled_tone_streams(antennas, f_c, design_bank(56, 1024, 19), n_fft + 4096)
+    bank = design_bank(56, 1024, 19)
+    streams = _resampled_tone_streams(antennas, f_c, bank, _outputs_holding(antennas, f_c, bank, n_fft))
     peaks = []
     for s in streams:
         seg = s.data[s.valid_start : s.valid_start + n_fft]
@@ -90,6 +94,37 @@ def test_map_forked_matches_serial_bit_for_bit():
         assert (got.rate, got.epoch, got.valid_start, got.valid_end) == (
             want.rate, want.epoch, want.valid_start, want.valid_end
         )
+
+
+def zone_sky(zone):
+    """One tone inside the zone's band: 0.3 f_c in Zone 1, 0.7 f_c in Zone 2."""
+    hz = (0.3 if zone is Zone.ZONE1 else 0.7) * float(F_C)
+    band = tuple(frac * float(F_C) for frac in ZONE_BANDS[zone])
+    return ToneBankSignal((Tone(1.0, hz, 0.5),), seed=0, band=band)
+
+
+@pytest.mark.parametrize("zone", [Zone.ZONE1, Zone.ZONE2], ids=["zone1", "zone2"])
+def test_correlated_pair_holds_its_window_and_little_more(zone):
+    bank = cached_bank(56, 1024, 19)
+    rep, pair = _correlated_pair(antenna_pair(zone), F_C, bank, 0.02, sky=zone_sky(zone))
+    lo = max(s.valid_start for s in pair)
+    hi = min(s.valid_end for s in pair)
+    assert rep.n_samples == 20_000
+    assert rep.start == lo
+    assert hi - (lo + rep.n_samples) in (0, 1)  # one more output may share the last window
+    assert abs(rep.rho) > 0.99
+
+
+@pytest.mark.parametrize("zone", [Zone.ZONE1, Zone.ZONE2], ids=["zone1", "zone2"])
+def test_a_shorter_stream_is_a_prefix_of_a_longer_one(zone):
+    # stopping the input early changes no valid sample, through the Zone-2 shift too
+    bank = cached_bank(56, 1024, 19)
+    antennas = antenna_pair(zone)
+    short = _resampled_tone_streams(antennas, F_C, bank, 5_000, sky=zone_sky(zone))
+    long = _resampled_tone_streams(antennas, F_C, bank, 9_000, sky=zone_sky(zone))
+    for s, l in zip(short, long):
+        assert s.valid_start == l.valid_start
+        assert np.array_equal(s.data[s.valid_slice()], l.data[s.valid_slice()])
 
 
 @pytest.mark.parametrize("wrong", [1, 0], ids=["forked-antenna", "own-antenna"])
