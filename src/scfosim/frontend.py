@@ -99,17 +99,6 @@ class SampleStream:
         return slice(self.valid_start, self.valid_end)
 
 
-def grid_times(epoch: Fraction, rate: Fraction, start: int, count: int) -> np.ndarray:
-    """float64 times of samples start..start+count-1 on the exact grid.
-
-    The chunk base is converted from the exact rational once, so rounding
-    stays at one ulp of the instant itself rather than accumulating.
-    """
-    base = float(epoch + Fraction(start) / rate)
-    step = 1.0 / float(rate)
-    return base + np.arange(count, dtype=np.float64) * step
-
-
 def sample(
     sig: ToneBankSignal,
     f_a: Fraction,
@@ -279,14 +268,6 @@ class FilterSpec:
     def gain(self, f: float) -> float:
         db = self.gain_db(f)
         return 0.0 if db <= self.BLOCKED_DB else 10.0 ** (db / 20.0)
-
-    @classmethod
-    def allpass(cls) -> "FilterSpec":
-        return cls(points=((0.0, 0.0),))
-
-    @classmethod
-    def brickwall(cls, edge_hz: float) -> "FilterSpec":
-        return cls(points=((0.0, 0.0), (edge_hz, 0.0), (edge_hz, 2 * cls.BLOCKED_DB)))
 
 
 def antialias(sig: ToneBankSignal, filt: FilterSpec) -> ToneBankSignal:

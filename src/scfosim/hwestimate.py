@@ -93,14 +93,3 @@ def estimate(cfg: HwConfig, device: DeviceTable = DEFAULT_DEVICE) -> dict:
         "power": POWER_NOTE,
     }
 
-
-def load_device_table(path) -> DeviceTable:
-    """Device file: one 'name,multipliers,m20k,les' line (comments allowed)."""
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, mult, m20k, les = [c.strip() for c in line.split(",")]
-            return DeviceTable(name=name, multipliers=int(mult), m20k=int(m20k), les=int(les))
-    raise ValueError(f"no device row found in {path}")

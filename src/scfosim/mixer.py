@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DesignInfeasible
 from .frontend import QuantKind, SampleStream
 from .rational import phase_run
-from .resampler import _kaiser_beta, _kaiser_window, _sinc_exact
+from .resampler import _kaiser_beta, _kaiser_window
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,6 @@ class MixerConfig:
     band: tuple[float, float] = (0.05, 0.95)
     phase_lut_bits: int = 10
     lut_word_bits: int = 20
-    decimate2: bool = False
-    extra_phase: tuple[float, float] | None = None  # (rad at t=0, rad/s ramp)
 
     def __post_init__(self):
         if self.hilbert_taps % 2 == 0:
@@ -135,50 +133,15 @@ def ssb_shift(stream: SampleStream, cfg: MixerConfig) -> SampleStream:
     idx = oscillator_indices(start, inc, cfg.phase_lut_bits, len(x))
     osc = table[idx] + 1j * table[(idx - L // 4) % L]  # cos + j sin
 
-    out = analytic * osc
-    if cfg.extra_phase is not None:
-        phi0, rate = cfg.extra_phase
-        from .frontend import grid_times
-
-        t = grid_times(stream.epoch, stream.rate, 0, len(x))
-        out = out * np.exp(1j * (phi0 + rate * t))
-
-    valid_start = max(stream.valid_start, c)
-    valid_end = min(stream.valid_end, len(x) - c)
-    pps = list(stream.pps_marks)
-    rate = stream.rate
-    epoch = stream.epoch
-    lineage = list(stream.lineage) + ["ssb"]
-    if cfg.decimate2:
-        hb = halfband_lowpass(cfg.hilbert_taps)
-        c2 = len(hb) // 2
-        out = np.convolve(out, hb)[c2 : c2 + len(x)]
-        out = out[::2]
-        valid_start = (max(valid_start, c2) + 1) // 2
-        valid_end = min(valid_end, len(x) - c2) // 2
-        pps = sorted({min(k // 2, len(out) - 1) for k in pps}) if len(out) else []
-        rate = rate / 2
-        lineage.append("decimate2")
-    result = SampleStream(
-        rate=rate,
-        epoch=epoch,
-        data=out,
+    return SampleStream(
+        rate=stream.rate,
+        epoch=stream.epoch,
+        data=analytic * osc,
         quant=QuantKind.FLOAT,
         zone=stream.zone,
-        pps_marks=pps,
-        valid_start=valid_start,
-        valid_end=valid_end,
-        lineage=lineage,
+        pps_marks=list(stream.pps_marks),
+        valid_start=max(stream.valid_start, c),
+        valid_end=min(stream.valid_end, len(x) - c),
+        lineage=list(stream.lineage) + ["ssb"],
     )
-    return result
 
-
-def halfband_lowpass(n_taps: int) -> np.ndarray:
-    """Kaiser-windowed half-band LPF (odd length, even offsets zero)."""
-    if n_taps % 2 == 0:
-        raise ValueError("n_taps must be odd")
-    c = n_taps // 2
-    r = (np.arange(n_taps) - c).astype(float)
-    _, beta = _kaiser_beta(n_taps, 0.1)
-    h = 0.5 * _sinc_exact(r / 2.0) * _kaiser_window(r, n_taps, beta)
-    return h / h.sum() * 1.0

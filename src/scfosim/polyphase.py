@@ -11,63 +11,19 @@ skip/repeat events, on both the float and the fixed-point paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import StreamTooShort, TapCountNotDivisible
 from .frontend import QuantizerSpec, SampleStream
-from .rational import PhaseAccumulator, count_outputs, phase_run
+from .rational import count_outputs, phase_run
 from .resampler import (
     CoefficientBank,
     _fir_rows,
     finalize_stream,
     fixed_in_step,
 )
-
-
-@dataclass
-class SliceTable:
-    """Per-slice accumulator outputs for one demuxed clock."""
-
-    advances: np.ndarray
-    lut_indices: np.ndarray
-    fracs: list[Fraction]
-
-
-@dataclass
-class CommutatorState:
-    """Barrel-roll bookkeeping: which lane receives the next input sample."""
-
-    k: int
-    roll_offset: int = 0
-    blocks: int = field(default=0)
-
-    def roll(self, consumed: int) -> None:
-        self.roll_offset = (self.roll_offset + consumed) % self.k
-        self.blocks += 1
-
-
-def slice_phase_table(acc: PhaseAccumulator, k: int) -> SliceTable:
-    """The k phases of one demuxed clock, derived from one accumulator state.
-
-    Pure: ``acc`` is not advanced.  The result equals k sequential
-    accumulator steps (phi_j = phi_0 + j*(ratio-1) after integer folding).
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n, lut, _ = phase_run(acc.position, acc.ratio, acc.frac_width, k)
-    prev = acc.grid_index()[0] if acc._last_n is None else acc._last_n
-    adv = np.empty(k, dtype=np.int64)
-    adv[0] = n[0] - prev
-    np.subtract(n[1:], n[:-1], out=adv[1:])
-    fracs = []
-    pos = acc.position
-    for _ in range(k):
-        pos = pos + acc.ratio
-        fracs.append(pos - round(pos))
-    return SliceTable(advances=adv, lut_indices=lut, fracs=fracs)
 
 
 def demux_resample(
@@ -120,13 +76,6 @@ def demux_resample(
     pad_left = max(0, int(-(n_all[0])) if K else 0)
     x_pad = np.concatenate([np.zeros(pad_left, dtype=x.dtype), x])
 
-    # the barrel after every block: the per-block advances (block heads'
-    # differences) telescope, so their sum is last head - head before block 0
-    consumed = 0
-    if blocks:
-        consumed = int(n_all[-1]) - PhaseAccumulator(ratio, P, position=pos0).grid_index()[0]
-    commutator = CommutatorState(k=k, roll_offset=consumed % k, blocks=blocks)
-
     rel = n_all + pad_left
     if fixed_point:
         scale = in_step / float(1 << (bank.coeff_bits - 1))
@@ -146,7 +95,6 @@ def demux_resample(
                 "multiplies": int(K) * N,
                 "blocks": blocks,
                 "k": k,
-                "final_roll_offset": commutator.roll_offset,
             }
         )
 

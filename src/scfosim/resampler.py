@@ -54,9 +54,7 @@ class CoefficientBank:
     coeff_bits: int | None
     table: np.ndarray
     table_int: np.ndarray | None
-    window: str
     beta: float
-    cutoff: float
     passband: tuple[float, float]
 
     @property
@@ -133,16 +131,14 @@ def design_bank(
     P: int,
     coeff_bits: int | None = 19,
     passband: tuple[float, float] = PASSBAND,
-    window: tuple = ("kaiser", None),
-    cutoff: float = 1.0,
     max_ripple_db: float = 0.05,
 ) -> CoefficientBank:
     """Design the P-phase fractional-delay bank.
 
     The prototype is a Kaiser-windowed sinc with the transition centered at
-    Nyquist; when beta is not given it is chosen from the gap between the
-    passband edge and its image above Nyquist.  The design is verified
-    against ``max_ripple_db`` over the passband before being returned.
+    Nyquist; beta is chosen from the gap between the passband edge and its
+    image above Nyquist.  The design is verified against ``max_ripple_db``
+    over the passband before being returned.
     """
     if N < 2:
         raise ValueError("need at least 2 taps")
@@ -150,16 +146,11 @@ def design_bank(
         raise ValueError("P must be a power of two >= 2")
     if not (0.0 <= passband[0] < passband[1] < 1.0):
         raise ValueError("passband must lie inside (0, 1) normalized to Nyquist")
-    kind, beta = window if isinstance(window, tuple) else (window, None)
-    if kind != "kaiser":
-        raise ValueError(f"unsupported window {kind!r}")
-    if beta is None:
-        transition = 2.0 * (1.0 - passband[1])
-        _, beta = _kaiser_beta(N, transition)
+    _, beta = _kaiser_beta(N, 2.0 * (1.0 - passband[1]))
     c = (N - 1) / 2.0
     d = (np.arange(P) - P // 2) / P
     x = np.arange(N)[None, :] - c - d[:, None]
-    table = cutoff * _sinc_exact(cutoff * x) * _kaiser_window(x, N, beta)
+    table = _sinc_exact(x) * _kaiser_window(x, N, beta)
     table /= table.sum(axis=1, keepdims=True)  # exact unit DC gain per phase
     table_int = None
     if coeff_bits is not None:
@@ -173,9 +164,7 @@ def design_bank(
         coeff_bits=coeff_bits,
         table=table,
         table_int=table_int,
-        window="kaiser",
         beta=float(beta),
-        cutoff=float(cutoff),
         passband=(float(passband[0]), float(passband[1])),
     )
     worst = 0.0
@@ -236,16 +225,6 @@ def response(
         first = np.flatnonzero(~zero)[0]
         delay_err[zero] = delay_err[first]
     return ResponseCurve(freq, mag_db, delay_err, phase, nominal)
-
-
-def significant_taps(bank: CoefficientBank, frac: float = 0.1) -> dict:
-    """Per-phase counts of taps above ``frac`` of the unit DC gain.
-
-    This is the paper-style accounting of how many output samples a
-    skip/repeat transient touches "in any way".
-    """
-    counts = np.count_nonzero(np.abs(bank.table) > frac, axis=1)
-    return {"mean": float(counts.mean()), "max": int(counts.max())}
 
 
 # Outputs per tile of _fir_rows: one tile's taps x outputs products (56 x 1024
@@ -465,8 +444,8 @@ def export_bank(bank: CoefficientBank, path) -> None:
     with open(path, "w") as fh:
         fh.write(
             f"# coefficient bank N={bank.taps_per_phase} P={bank.phases} "
-            f"bits={bank.coeff_bits} window={bank.window} beta={bank.beta!r} "
-            f"cutoff={bank.cutoff!r} passband={bank.passband[0]!r},{bank.passband[1]!r}\n"
+            f"bits={bank.coeff_bits} window=kaiser beta={bank.beta!r} "
+            f"cutoff=1.0 passband={bank.passband[0]!r},{bank.passband[1]!r}\n"
         )
         if bank.table_int is not None:
             for row in bank.table_int:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .chain import WELCH_NFFT, ChainSpec, SignalModel, map_forked
 from .correlator import correlate, sensitivity_loss, washing_suppression_db, window_length
-from .errors import ConfigInvalid, Infeasible, ZeroDenominator
+from .errors import ConfigInvalid, Infeasible, InsufficientSamples, ZeroDenominator
 from .frontend import FilterSpec, QuantKind, QuantizerSpec, Zone, antialias, sample
 from .mixer import MixerConfig, ssb_shift
 from .rational import count_inputs, count_outputs, parse_rational
@@ -311,10 +311,18 @@ def _clock_tone(cfg, amplitude: float) -> InterferenceSpec:
     )
 
 
+def _valid_run(stream, start: int, n: int) -> np.ndarray:
+    """Samples ``start .. start+n-1`` of ``stream``, which must end inside its
+    valid region."""
+    if start + n > stream.valid_end:
+        raise InsufficientSamples(f"{n} samples from {start} pass the valid end {stream.valid_end}")
+    return stream.data[start : start + n]
+
+
 def _peak_hz(stream, n_fft: int, f_c: Fraction) -> float:
     """Frequency of the strongest bin of the Hann-windowed FFT of the first
     ``n_fft`` valid samples."""
-    seg = stream.data[stream.valid_start : stream.valid_start + n_fft]
+    seg = _valid_run(stream, stream.valid_start, n_fft)
     spec = np.abs(np.fft.fft(seg * np.hanning(n_fft)))
     return np.fft.fftfreq(n_fft, d=1.0 / float(f_c))[int(np.argmax(spec))]
 
@@ -415,6 +423,8 @@ def _selfclock_washout(cfg, summary):
             raise ConfigInvalid("targets_dwt", f"{target!r} is not a positive finite dw*T")
     if cfg["windows"] < 1:
         raise ConfigInvalid("windows", f"{cfg['windows']} windows; at least 1 is needed")
+    if not 0 <= cfg["window_jitter"] < 1:
+        raise ConfigInvalid("window_jitter", f"{cfg['window_jitter']} is not a fraction in [0, 1)")
     rng = np.random.default_rng(cfg["seed"])
     f_c, bank = _clock_and_bank(cfg)
     tone = _clock_tone(cfg, float(cfg["clock_tone_amplitude"]))
@@ -447,6 +457,10 @@ def _selfclock_washout(cfg, summary):
         for w in range(cfg["windows"]):
             T_w = T0 * (1 + cfg["window_jitter"] * (2 * rng.uniform() - 1))
             n_w = window_length(T_w, f_c)
+            if hi - n_w <= lo:
+                raise ConfigInvalid(
+                    "window_jitter", f"a {n_w}-sample window does not fit the {hi - lo} valid samples"
+                )
             start = int(rng.integers(lo, hi - n_w))
             rep = correlate(streams[0], streams[1], T=T_w, start=start)
             dwt = 2 * math.pi * delta_f * rep.n_samples / float(f_c)
@@ -683,7 +697,7 @@ def _zone2_shift(cfg, summary):
     # flat cross-spectrum phase slope in time: no residual frequency offset
     seg_len = n_fft // segments
     lo = max(s.valid_start for s in sky_streams)
-    a, b = (s.data[lo : lo + segments * seg_len].reshape(segments, seg_len) for s in sky_streams)
+    a, b = (_valid_run(s, lo, segments * seg_len).reshape(segments, seg_len) for s in sky_streams)
     phases = np.unwrap([np.angle(np.vdot(y, x)) for x, y in zip(a, b)])
     times = (np.arange(segments) + 0.5) * seg_len / float(f_c)
     slope, intercept = np.polyfit(times, phases, 1)

@@ -1,9 +1,10 @@
 """Analytic broadband test signals built from banks of sinusoids.
 
 A ToneBankSignal is the "analog" ground truth of every experiment: a sum of
-sinusoids with randomized amplitudes, frequencies and phases that can be
-evaluated at any real-valued time.  Interference tones tied to antenna
-sample clocks (or to fixed RF frequencies) are appended with inject().
+sinusoids with randomized amplitudes, frequencies and phases, evaluated on
+each antenna's exact rational sample grid (eval_tones with a SampleGrid).
+Interference tones tied to antenna sample clocks (or to fixed RF
+frequencies) are appended with inject().
 
 Dense random banks double as band-limited noise: unlike RNG samples they
 stay consistent when the same waveform is sampled on two different clock
@@ -35,34 +36,22 @@ class Tone:
 
 @dataclass(frozen=True)
 class ToneBankSignal:
-    """Immutable sum-of-sinusoids signal; evaluation is pure."""
+    """Immutable sum-of-sinusoids signal."""
 
     tones: tuple[Tone, ...]
     seed: int
     band: tuple[float, float]
-
-    def eval(self, t) -> np.ndarray | float:
-        """Evaluate sum(a_k * sin(2*pi*f_k*t + phi_k)) at time(s) t (seconds)."""
-        out = _eval_times(*_tone_arrays(self.tones), t)
-        if np.isscalar(t) or out.ndim == 0:
-            return float(out)
-        return out
 
     def rms(self) -> float:
         """Analytic RMS: sqrt(sum a_k^2 / 2) (distinct tone frequencies)."""
         return float(np.sqrt(sum(tone.amplitude**2 for tone in self.tones) / 2.0))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(amplitudes, freqs, phases) as float64 arrays, for bulk evaluation."""
-        return _tone_arrays(self.tones)
-
-
-def _tone_arrays(tones) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column arrays of a tone tuple, shared by ToneBankSignal.arrays and .eval."""
-    amps = np.array([t.amplitude for t in tones], dtype=np.float64)
-    freqs = np.array([t.freq_hz for t in tones], dtype=np.float64)
-    phases = np.array([t.phase_rad for t in tones], dtype=np.float64)
-    return amps, freqs, phases
+        """(amplitudes, freqs, phases) as float64 arrays, for eval_tones."""
+        amps = np.array([t.amplitude for t in self.tones], dtype=np.float64)
+        freqs = np.array([t.freq_hz for t in self.tones], dtype=np.float64)
+        phases = np.array([t.phase_rad for t in self.tones], dtype=np.float64)
+        return amps, freqs, phases
 
 
 class InterferenceKind(enum.Enum):
@@ -89,18 +78,20 @@ class InterferenceSpec:
     phase_rad: float = 0.0
 
 
+# Span of synth_signal's log-uniform tone amplitudes, strongest to weakest.
+AMP_SPAN_DB = 20.0
+
+
 def synth_signal(
     seed: int,
     n_tones: int,
     band: tuple[float, float],
-    amp_dist: tuple = ("loguniform", 20.0),
     rms: float = 1.0,
 ) -> ToneBankSignal:
     """Reproducible random tone bank occupying ``band``, normalized to ``rms``.
 
     Frequencies are uniform in band via jittered strata so occupancy stays
-    flat; amplitudes default to log-uniform over a 20 dB span (configurable:
-    ("loguniform", span_db), ("uniform",) or ("equal",)) with a stride
+    flat; amplitudes are log-uniform over AMP_SPAN_DB with a stride
     assignment that spreads strong and weak tones evenly across the band;
     phases uniform in [0, 2*pi).
     """
@@ -114,16 +105,7 @@ def synth_signal(
         freqs = f_lo + (f_hi - f_lo) * (np.arange(n_tones) + rng.uniform(0, 1, n_tones)) / n_tones
     else:
         freqs = np.full(n_tones, f_lo)
-    kind = amp_dist[0]
-    if kind == "loguniform":
-        span_db = amp_dist[1] if len(amp_dist) > 1 else 20.0
-        amps = 10.0 ** (-_strata(n_tones, rng) * span_db / 20.0)
-    elif kind == "uniform":
-        amps = 0.1 + 0.9 * _strata(n_tones, rng)
-    elif kind == "equal":
-        amps = np.ones(n_tones)
-    else:
-        raise ValueError(f"unknown amplitude distribution {kind!r}")
+    amps = 10.0 ** (-_strata(n_tones, rng) * AMP_SPAN_DB / 20.0)
     phases = rng.uniform(0.0, TWO_PI, n_tones)
     scale = rms / np.sqrt(np.sum(amps**2) / 2.0)
     tones = tuple(
@@ -213,9 +195,11 @@ def eval_tones(
 ) -> np.ndarray:
     """sum(a_k * sin(2*pi*f_k*t + phi_k)) over a tone bank.
 
-    ``t`` is either an array of float times (seconds) or a SampleGrid; the
-    chains and frontend.sample use the grid form.  It never forms t_n in
-    floats: with TONE_BLOCK = B it writes sample n_b + k of block b as
+    ``t`` is a SampleGrid or an array of float times (seconds).  Every stream
+    is sampled through the grid form; the float form stays only because
+    perfbench's tracing test calls it with float times.  The grid form never
+    forms t_n in floats: with TONE_BLOCK = B it writes sample n_b + k of
+    block b as
     sin(theta_b + w k) = sin(theta_b) cos(w k) + cos(theta_b) sin(w k), where
     theta_b = 2*pi*frac(f epoch + n_b f / rate) + phi is exact up to its final
     rounding and w k comes from per-call cos/sin tables.  A chunk is then one
@@ -243,7 +227,7 @@ def _eval_times(amps, freqs, phases, t, dtype=np.float64) -> np.ndarray:
 def _grid_tones(amps, freqs, phases, grid: SampleGrid) -> np.ndarray:
     B = TONE_BLOCK
     rate = Fraction(grid.rate)
-    first = grid.start // B
+    first = int(grid.start) // B  # a Python int: the exact phase sums below outgrow int64
     # a one-row product would go to BLAS GEMV, which sums in another order than
     # GEMM; two rows or more keep every block's values independent of the chunk
     nblk = max(-(-(grid.start + grid.count) // B) - first, 2)
@@ -272,37 +256,3 @@ def _grid_tones(amps, freqs, phases, grid: SampleGrid) -> np.ndarray:
         coef[:, 2 * i + 1] = float(a) * np.cos(theta)
     lo = grid.start - first * B
     return (coef @ table).ravel()[lo : lo + grid.count]
-
-
-def save_tonebank(sig: ToneBankSignal, path) -> None:
-    """One tone per line: amplitude, frequency_hz, phase_rad [, oob flag]."""
-    with open(path, "w") as fh:
-        fh.write(f"# tonebank seed={sig.seed} band={sig.band[0]!r},{sig.band[1]!r}\n")
-        fh.write("# amplitude frequency_hz phase_rad out_of_band\n")
-        for tone in sig.tones:
-            fh.write(
-                f"{tone.amplitude!r} {tone.freq_hz!r} {tone.phase_rad!r} "
-                f"{int(tone.out_of_band)}\n"
-            )
-
-
-def load_tonebank(path) -> ToneBankSignal:
-    seed = 0
-    band = (0.0, 0.0)
-    tones = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line.startswith("# tonebank"):
-                parts = dict(p.split("=", 1) for p in line[2:].split() if "=" in p)
-                seed = int(parts.get("seed", 0))
-                lo, hi = parts["band"].split(",")
-                band = (float(lo), float(hi))
-                continue
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split()
-            tones.append(
-                Tone(float(cols[0]), float(cols[1]), float(cols[2]), bool(int(cols[3])))
-            )
-    return ToneBankSignal(tones=tuple(tones), seed=seed, band=band)

@@ -53,6 +53,9 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("selfclock-washout", '{"targets_dwt": []}'),
         ("selfclock-washout", '{"targets_dwt": ["x"]}'),
         ("selfclock-washout", '{"targets_dwt": [100.0, -1.0]}'),
+        ("selfclock-washout", '{"window_jitter": 1.5}'),
+        ("selfclock-washout", '{"window_jitter": -0.1}'),
+        ("selfclock-washout", '{"targets_dwt": [100.0], "windows": 4, "window_jitter": 0.9}'),
         ("zone2-shift", '{"segments": 0}'),
         ("zone2-shift", '{"segments": 2}'),
         ("zone2-shift", '{"n_fft": 0}'),
@@ -68,7 +71,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "offset-not-rational", "clock-scale-zero-denominator", "offset-ratio-not-rational",
         "zero-resolution", "negative-resolution", "no-segments", "one-segment", "no-samples",
         "fewer-samples-than-a-spectrum-window", "no-windows", "no-targets",
-        "target-not-a-number", "negative-target",
+        "target-not-a-number", "negative-target", "jitter-above-one", "negative-jitter",
+        "jittered-window-longer-than-the-streams",
         "no-fit-segments", "two-fit-segments", "no-fft-points", "fewer-fft-points-than-segments",
         "fractional-segments", "fractional-antennas", "filter-point-not-a-pair", "filter-points-unsorted",
     ],

@@ -1,6 +1,6 @@
 import pytest
 
-from scfosim.hwestimate import DEFAULT_DEVICE, DeviceTable, HwConfig, estimate, load_device_table
+from scfosim.hwestimate import DEFAULT_DEVICE, DeviceTable, HwConfig, estimate
 
 
 class TestGoldenValues:
@@ -59,10 +59,7 @@ class TestDeviceTable:
         assert DEFAULT_DEVICE.multipliers == 6290
         assert DEFAULT_DEVICE.m20k == 5851
 
-    def test_load_from_file(self, tmp_path):
-        p = tmp_path / "dev.csv"
-        p.write_text("# name,multipliers,m20k,les\nBIGFPGA, 10000, 8000, 2000000\n")
-        dev = load_device_table(p)
-        assert dev == DeviceTable("BIGFPGA", 10000, 8000, 2_000_000)
+    def test_custom_device(self):
+        dev = DeviceTable("BIGFPGA", 10000, 8000, 2_000_000)
         r = estimate(HwConfig(), device=dev)
         assert r["device"] == "BIGFPGA"

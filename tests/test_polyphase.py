@@ -5,13 +5,8 @@ import pytest
 
 from scfosim.errors import TapCountNotDivisible
 from scfosim.frontend import SampleStream
-from scfosim.polyphase import (
-    CommutatorState,
-    demux_resample,
-    slice_phase_table,
-    verify_demux,
-)
-from scfosim.rational import PhaseAccumulator, accumulator_step
+from scfosim.polyphase import demux_resample, verify_demux
+from scfosim.rational import PhaseAccumulator
 from scfosim.resampler import CoefficientBank, design_bank, resample
 
 
@@ -28,9 +23,7 @@ def constant_bank(n_taps, phases=2):
         coeff_bits=None,
         table=table,
         table_int=None,
-        window="constant",
         beta=0.0,
-        cutoff=1.0,
         passband=(0.0, 1.0),
     )
 
@@ -38,46 +31,6 @@ def constant_bank(n_taps, phases=2):
 def rand_stream(n, rate, seed=0):
     rng = np.random.default_rng(seed)
     return SampleStream(rate=Fraction(rate), epoch=Fraction(0), data=rng.standard_normal(n))
-
-
-class TestSlicePhaseTable:
-    def test_unit_ratio_equal_fracs(self):
-        acc = PhaseAccumulator(Fraction(1), 1024)
-        table = slice_phase_table(acc, 4)
-        assert all(f == table.fracs[0] for f in table.fracs)
-        assert np.all(table.advances == 1)
-
-    def test_linear_phase_progression(self):
-        delta = Fraction(1, 100)
-        acc = PhaseAccumulator(1 + delta, 1024)
-        table = slice_phase_table(acc, 3)
-        # fractions advance by exactly delta per slice (mod the +/-0.5 fold)
-        f0 = table.fracs[0]
-        for j, f in enumerate(table.fracs):
-            expect = f0 + j * delta
-            expect -= round(expect)
-            assert f == expect
-
-    def test_matches_sequential_steps(self):
-        for ratio in (Fraction(1001, 1000), Fraction(993, 1000), Fraction(9, 8)):
-            acc = PhaseAccumulator(ratio, 256, position=Fraction(3, 7))
-            table = slice_phase_table(acc, 8)
-            seq = []
-            walker = acc
-            for _ in range(8):
-                a, l, walker = accumulator_step(walker)
-                seq.append((a, l))
-            assert list(zip(table.advances, table.lut_indices)) == seq
-            # pure: the original accumulator did not move
-            assert acc.position == Fraction(3, 7)
-
-    def test_then_advancing_by_k_equals_k_steps(self):
-        acc = PhaseAccumulator(Fraction(1001, 1000), 1024)
-        acc.run(17)  # arbitrary starting state
-        table = slice_phase_table(acc, 5)
-        adv, lut = acc.run(5)
-        assert np.array_equal(table.advances, adv)
-        assert np.array_equal(table.lut_indices, lut)
 
 
 class TestDemuxEquivalence:
@@ -152,24 +105,3 @@ class TestDemuxEquivalence:
         # same arithmetic as direct form: N multiplies per output sample
         direct = resample(s, Fraction(1_000_000), bank56)
         assert abs(len(direct) - stats["outputs"]) < 8  # whole blocks only
-
-    def test_commutator_roll_tracks_consumption(self, bank56):
-        s = rand_stream(30_000, Fraction(1001, 1000) * 1_000_000, seed=6)
-        stats = {}
-        demux_resample(s, Fraction(1_000_000), bank56, k=8, stats=stats)
-        # total consumed inputs mod k defines the final barrel position
-        acc = PhaseAccumulator(Fraction(1001, 1000), 1024)
-        adv, _ = acc.run(stats["outputs"])
-        assert stats["final_roll_offset"] == int(adv.sum()) % 8
-
-
-class TestCommutatorState:
-    def test_roll_wraps(self):
-        c = CommutatorState(k=3)
-        c.roll(3)
-        assert c.roll_offset == 0
-        c.roll(4)  # a skip inside the block shifts the barrel by the surplus
-        assert c.roll_offset == 1
-        c.roll(2)  # a repeat shifts it back
-        assert c.roll_offset == 0
-        assert c.blocks == 3

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from scfosim.chain import map_forked
-from scfosim.errors import BandZoneMismatch, ConfigInvalid
-from scfosim.frontend import Zone, sample
+from scfosim.errors import BandZoneMismatch, ConfigInvalid, InsufficientSamples
+from scfosim.frontend import SampleStream, Zone, sample
 from scfosim.resampler import cached_bank, design_bank, resample
 from scfosim.scenarios import (
     ZONE_BANDS,
@@ -20,6 +20,7 @@ from scfosim.scenarios import (
     _clock_tone,
     _correlated_pair,
     _outputs_holding,
+    _peak_hz,
     _resampled_tone_streams,
     SCENARIOS,
     merge_config,
@@ -48,6 +49,14 @@ def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
     # the 3/4 f_a tones alias to 1/4 f_a: 1/4 of the 2120 Hz clock split
     assert result["delta_f"] == 530.0
     assert abs(abs(peaks[0] - peaks[1]) - result["delta_f"]) <= 2 * float(f_c) / n_fft
+
+
+def test_peak_reads_only_valid_samples():
+    tone = np.cos(2 * np.pi * 0.1 * np.arange(4096))
+    stream = SampleStream(rate=F_C, epoch=Fraction(0), data=tone, valid_start=100, valid_end=1100)
+    assert _peak_hz(stream, 1000, F_C) == pytest.approx(0.1 * float(F_C))
+    with pytest.raises(InsufficientSamples):
+        _peak_hz(stream, 1024, F_C)  # 24 samples past the valid end
 
 
 @contextlib.contextmanager
