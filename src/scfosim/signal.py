@@ -190,9 +190,7 @@ class SampleGrid(NamedTuple):
 TONE_BLOCK = 1024
 
 
-def eval_tones(
-    amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray, t, dtype=np.float64
-) -> np.ndarray:
+def eval_tones(amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray, t) -> np.ndarray:
     """sum(a_k * sin(2*pi*f_k*t + phi_k)) over a tone bank.
 
     ``t`` is a SampleGrid or an array of float times (seconds).  Every stream
@@ -206,20 +204,20 @@ def eval_tones(
     (blocks x 2 tones) @ (2 tones x B) product.
     """
     if isinstance(t, SampleGrid):
-        return _grid_tones(amps, freqs, phases, t).astype(dtype, copy=False)
-    return _eval_times(amps, freqs, phases, t, dtype)
+        return _grid_tones(amps, freqs, phases, t)
+    return _eval_times(amps, freqs, phases, t)
 
 
-def _eval_times(amps, freqs, phases, t, dtype=np.float64) -> np.ndarray:
-    """Float-time form of eval_tones, one sin pass per tone; any shape of t."""
-    tt = np.asarray(t, dtype=dtype)
-    out = np.zeros(tt.shape, dtype=dtype)
+def _eval_times(amps, freqs, phases, t) -> np.ndarray:
+    """Float-time form of eval_tones, one float64 sin pass per tone; any shape of t."""
+    tt = np.asarray(t, dtype=np.float64)
+    out = np.zeros(tt.shape, dtype=np.float64)
     tmp = np.empty_like(out)
     for a, f, p in zip(amps, freqs, phases):
-        np.multiply(tt, dtype(TWO_PI * f), out=tmp)
-        tmp += dtype(p)
+        np.multiply(tt, TWO_PI * f, out=tmp)
+        tmp += p
         np.sin(tmp, out=tmp)
-        tmp *= dtype(a)
+        tmp *= a
         out += tmp
     return out
 

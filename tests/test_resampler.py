@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfosim.errors import ChainWasQuantized, DesignInfeasible, StreamTooShort
 from scfosim.frontend import QuantKind, QuantizerSpec, SampleStream, Zone, sample
@@ -235,7 +237,31 @@ class TestResampling:
         m = min(len(out_one), len(out_many))
         assert np.array_equal(out_one[:m], out_many[:m])
 
-    @pytest.mark.parametrize("outputs", [1, FIR_TILE, FIR_TILE + 1])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fixed=st.booleans(),
+        sizes=st.lists(
+            # past the first 55 inputs, a chunk yields about one output per input
+            st.one_of(st.integers(0, 3), st.integers(FIR_TILE - 2, FIR_TILE + 3)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_random_chunks_match_oneshot(self, bank19, fixed, sizes):
+        sizes = sizes + [60]  # enough inputs that the stream yields outputs at all
+        data = np.random.default_rng(9).standard_normal(sum(sizes))
+        kw = {"fixed_point": True, "in_step": 1 / 32} if fixed else {}
+        ratio = Fraction(1001, 1000)
+        out_one = Resampler(bank19, ratio, **kw).process(data)
+        many = Resampler(bank19, ratio, **kw)
+        bounds = np.cumsum([0] + sizes)
+        outs = [many.process(data[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(np.concatenate(outs), out_one)
+
+    @pytest.mark.parametrize(
+        "outputs",
+        [1, 2, FIR_TILE - 1, FIR_TILE, FIR_TILE + 1, FIR_TILE + 2, 2 * FIR_TILE, 2 * FIR_TILE + 1],
+    )
     @pytest.mark.parametrize("fixed", [False, True])
     def test_fir_rows_is_a_left_fold(self, bank19, outputs, fixed):
         rng = np.random.default_rng(outputs)
@@ -252,6 +278,20 @@ class TestResampling:
             for m in range(1, 56):
                 acc = acc + buf[rel[j] + m] * table[lut[j], m]
             assert got[j] == acc
+
+    @pytest.mark.parametrize("outputs", [1, 2, FIR_TILE + 1])
+    def test_fir_rows_order_decides_a_sum(self, outputs):
+        # a left fold loses every +1 to the 1e16 before -1e16 cancels it; a
+        # pairwise sum keeps some of them
+        buf = np.ones(56)
+        buf[0], buf[-1] = 1e16, -1e16
+        left = 0.0
+        for v in buf.tolist():
+            left = left + v
+        assert left == 0.0 and np.sum(buf) != left
+        zeros = np.zeros(outputs, dtype=np.int64)
+        got = _fir_rows(buf, zeros, np.ones((1, 56)), zeros)
+        assert np.all(got == left)
 
     def test_streaming_one_output_per_call(self, bank19):
         rng = np.random.default_rng(8)
