@@ -45,7 +45,9 @@ from .rational import count_inputs
 from .resampler import PASSBAND, Resampler, cached_bank
 from .signal import SampleGrid, combine, eval_tones, synth_signal
 
+F_C = Fraction(1_000_000)  # the chains' common clock
 WELCH_NFFT = 1024  # samples per window of the per-frequency loss spectra
+WELCH_CAP = 1 << 20  # leading samples the loss spectra average over
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,7 @@ class ChainSpec:
     name: str
     input_quant: QuantizerSpec | None = None
     resample: bool = False
-    offset: Fraction = Fraction(0)  # f_a = f_c*(1 +/- offset) when resampling
+    offset: Fraction = Fraction(0)  # f_a = F_C*(1 +/- offset) when resampling
     out_quant: QuantizerSpec | None = None
     bank_taps: int = 56
     bank_phases: int = 1024
@@ -70,7 +72,6 @@ class SignalModel:
     n_sky_tones: int = 16
     n_noise_tones: int = 16
     snr: float = 1.0  # sky power over noise power per antenna
-    band_frac: tuple[float, float] = PASSBAND
 
     def noise_seed(self, antenna: int) -> int:
         return self.sky_seed * 1009 + 101 + antenna
@@ -129,7 +130,7 @@ class _WelchCross:
 
     BATCH = 256
 
-    def __init__(self, nfft: int = 1024, cap: int = 1 << 20):
+    def __init__(self, nfft: int = WELCH_NFFT, cap: int = WELCH_CAP):
         self.nfft = nfft
         self.cap = cap
         self._a = []
@@ -229,16 +230,13 @@ def run_dual_chain(
     chain: ChainSpec,
     model: SignalModel,
     n_out: int,
-    f_c: Fraction = Fraction(1_000_000),
     segments: int = 64,
-    welch_nfft: int = WELCH_NFFT,
-    welch_cap: int = 1 << 20,
     chunk: int = 1 << 19,
 ) -> DualChainResult:
-    """Run one chain and its float twin over two antennas; see ChainSpec."""
-    f_c = Fraction(f_c)
-    nyq = float(f_c) / 2.0
-    band = (model.band_frac[0] * nyq, model.band_frac[1] * nyq)
+    """Run one chain and its float twin over two antennas at the common
+    clock F_C, with the sky and noise in the bank's PASSBAND; see ChainSpec."""
+    nyq = float(F_C) / 2.0
+    band = (PASSBAND[0] * nyq, PASSBAND[1] * nyq)
     sky = synth_signal(model.sky_seed, model.n_sky_tones, band, rms=1.0)
     noise_rms = float(np.sqrt(1.0 / model.snr))
     sigma_in = float(np.sqrt(1.0 + noise_rms**2))
@@ -258,7 +256,7 @@ def run_dual_chain(
             p0 = Fraction(chain.bank_taps - 1, 2) * (ratio - 1)  # aligns both output epochs
             resampler = Resampler(bank, ratio, p0)
             stop = count_inputs(p0, ratio, bank.phases, bank.taps_per_phase, n_out + skip)
-        source = _AntennaSource(combine(sky, noise).arrays(), f_c * ratio, chunk, stop)
+        source = _AntennaSource(combine(sky, noise).arrays(), F_C * ratio, chunk, stop)
         while True:
             out = source.next_chunk()
             if chain.input_quant is not None and not twin:
@@ -274,7 +272,7 @@ def run_dual_chain(
     def channel(twin):
         """Correlate the two antennas' chain (or float-twin) outputs: the
         total and per-segment rho and the Welch coherence per frequency."""
-        corr, welch = _SegmentedCorrelator(seg_len), _WelchCross(welch_nfft, welch_cap)
+        corr, welch = _SegmentedCorrelator(seg_len), _WelchCross()
         streams = [antenna(0, twin), antenna(1, twin)]
         pend = [np.zeros(0), np.zeros(0)]
         skipped = [0, 0]
@@ -308,7 +306,7 @@ def run_dual_chain(
         rho_float=rho_f,
         loss=1.0 - rho_c / rho_f,
         seg_losses=1.0 - seg_c / seg_f,  # both channels fill the same segments
-        freqs=np.fft.rfftfreq(welch_nfft, d=1.0 / float(f_c)),
+        freqs=np.fft.rfftfreq(WELCH_NFFT, d=1.0 / float(F_C)),
         loss_per_freq=loss_f,
         n_samples=n_out,
     )

@@ -196,18 +196,14 @@ def quantize_array(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarr
     return levels[idx]
 
 
-def quantize(s: SampleStream, q: QuantizerSpec, sigma: float | None = None) -> SampleStream:
-    """Quantize a float stream; measured RMS is used unless sigma is given.
-
-    Passing an analytic sigma keeps chunked pipelines reproducible.
-    """
+def quantize(s: SampleStream, q: QuantizerSpec) -> SampleStream:
+    """Quantize a float stream at the RMS measured over its valid region."""
     if s.quant is not QuantKind.FLOAT:
         raise AlreadyQuantized(f"stream already {s.quant.value}-quantized")
     if q.kind is QuantKind.FLOAT:
         return s
-    if sigma is None:
-        region = s.data[s.valid_slice()]
-        sigma = float(np.sqrt(np.mean(np.square(region))))
+    region = s.data[s.valid_slice()]
+    sigma = float(np.sqrt(np.mean(np.square(region))))
     return replace(
         s,
         data=quantize_array(s.data, q, sigma),

@@ -6,13 +6,12 @@ streams: the real input is split into a delay path S and a Hilbert path H
 by a quadrature oscillator whose phase comes from the exact rational
 accumulator and whose sine/cosine values come from a quantized lookup
 table, as the hardware would.  ``shift_hz`` is the signed amount by which
-the spectrum moves up; the Zone-2 default f_c - f_a makes the common sky
+the spectrum moves up; the Zone-2 shift f_c - f_a makes the common sky
 content land at the same absolute frequency in every antenna.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,17 +22,13 @@ from .rational import phase_run
 from .resampler import _kaiser_beta, _kaiser_window
 
 
-@dataclass(frozen=True)
-class MixerConfig:
-    shift_hz: Fraction
-    hilbert_taps: int = 127
-    band: tuple[float, float] = (0.05, 0.95)
-    phase_lut_bits: int = 10
-    lut_word_bits: int = 20
-
-    def __post_init__(self):
-        if self.hilbert_taps % 2 == 0:
-            raise ValueError("hilbert_taps must be odd")
+# The mixer's hardware: a Hilbert pair of HILBERT_TAPS taps, flat over
+# HILBERT_BAND (fractions of Nyquist), and an oscillator LUT of
+# 2**PHASE_LUT_BITS entries of LUT_WORD_BITS-bit words.
+HILBERT_TAPS = 127
+HILBERT_BAND = (0.05, 0.95)
+PHASE_LUT_BITS = 10
+LUT_WORD_BITS = 20
 
 
 def design_hilbert(n_taps: int, band: tuple[float, float]) -> dict:
@@ -109,7 +104,7 @@ def oscillator_indices(start: Fraction, inc: Fraction, bits_index: int, count: i
     return (lut + L // 2) % L
 
 
-def ssb_shift(stream: SampleStream, cfg: MixerConfig) -> SampleStream:
+def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     """Analytic-signal frequency shift of a real stream at the common rate.
 
     Output sample i corresponds to input sample i (the S/H group delay is
@@ -118,19 +113,18 @@ def ssb_shift(stream: SampleStream, cfg: MixerConfig) -> SampleStream:
     """
     if stream.is_complex:
         raise ValueError("ssb_shift expects a real input stream")
-    pair = design_hilbert(cfg.hilbert_taps, cfg.band)
-    h = pair["h"]
-    c = cfg.hilbert_taps // 2
+    h = design_hilbert(HILBERT_TAPS, HILBERT_BAND)["h"]
+    c = HILBERT_TAPS // 2
     x = stream.data
     conv = np.convolve(x, h)
     imag = conv[c : c + len(x)]
     analytic = x + 1j * imag
 
-    table = quadrature_lut(cfg.phase_lut_bits, cfg.lut_word_bits)
-    L = 1 << cfg.phase_lut_bits
-    inc = Fraction(cfg.shift_hz) / Fraction(stream.rate)
-    start = Fraction(cfg.shift_hz) * Fraction(stream.epoch)
-    idx = oscillator_indices(start, inc, cfg.phase_lut_bits, len(x))
+    table = quadrature_lut(PHASE_LUT_BITS, LUT_WORD_BITS)
+    L = 1 << PHASE_LUT_BITS
+    inc = Fraction(shift_hz) / Fraction(stream.rate)
+    start = Fraction(shift_hz) * Fraction(stream.epoch)
+    idx = oscillator_indices(start, inc, PHASE_LUT_BITS, len(x))
     osc = table[idx] + 1j * table[(idx - L // 4) % L]  # cos + j sin
 
     return SampleStream(

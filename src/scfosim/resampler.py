@@ -15,13 +15,14 @@ sum_m h_i[m] * x[n_k + m], which evaluates the input at p_k + c where
 c = (N-1)/2 is the prototype center.  Output timestamps absorb that group
 delay, so a sample's time always names the analog instant it represents.
 
-Fold order: every path computes that sum with one kernel, _fir_rows, as the
+Fold order: Resampler computes that sum with one kernel, _fir_rows, as the
 strict left fold ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, tiled FIR_TILE
 outputs at a time: a tile's products h_m x_m are copied into a taps x outputs
 array, and one np.add.reduce over its tap axis adds row m after row m - 1.
 Tiling changes only which outputs are computed together, never the order of
 any one output's sum, so float outputs are bit-identical however the input is
-chunked and whether the path is direct, whole-stream or demultiplexed.
+chunked.  Every path is a Resampler: whole-stream resample() feeds one, and
+polyphase.demux_resample is resample() cut to whole blocks of k outputs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DesignInfeasible, ChainWasQuantized, StreamTooShort
-from .frontend import QuantKind, QuantizerSpec, SampleStream, quantize
+from .frontend import QuantKind, SampleStream
 from .rational import PhaseAccumulator, count_outputs, phase_run, round_half_even
 from .signal import SampleGrid, ToneBankSignal, eval_tones
 
@@ -235,17 +236,17 @@ FIR_TILE = 512
 def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarray) -> np.ndarray:
     """Output j = sum_m table[lut[j], m] * buf[rel[j] + m], as a strict left fold.
 
-    The one FIR kernel of every path (streaming, whole-stream, demultiplexed;
-    float and fixed point).  Outputs go in tiles of FIR_TILE: the tile's
-    windows are gathered into an outputs x taps product and multiplied by
-    their tap rows; the product is copied once into a C-ordered taps x outputs
-    array, and one np.add.reduce over its first axis adds its contiguous rows
-    in order, ((p_0 + p_1) + p_2) + ...  A one-output tile has no outputs axis
-    to run along, and numpy would sum its lone column pairwise, so it is
-    folded by np.add.accumulate, a left fold by definition.  The order thus
-    never depends on the tile or on how many outputs a call yields, so float
-    outputs are bit-identical across schedulings; test_fir_rows_is_a_left_fold
-    (every tile width numpy treats apart) and the streaming tests pin it.
+    The FIR kernel of Resampler, float and fixed point.  Outputs go in tiles
+    of FIR_TILE: the tile's windows are gathered into an outputs x taps
+    product and multiplied by their tap rows; the product is copied once into
+    a C-ordered taps x outputs array, and one np.add.reduce over its first
+    axis adds its contiguous rows in order, ((p_0 + p_1) + p_2) + ...  A
+    one-output tile has no outputs axis to run along, and numpy would sum its
+    lone column pairwise, so it is folded by np.add.accumulate, a left fold by
+    definition.  The order thus never depends on the tile or on how many
+    outputs a call yields, so float outputs are bit-identical however the
+    input is chunked; test_fir_rows_is_a_left_fold (every tile width numpy
+    treats apart) and the streaming tests pin it.
     Integer inputs fold exactly in int64.
     """
     wins = sliding_window_view(buf, table.shape[1])
@@ -351,71 +352,50 @@ def fixed_in_step(stream: SampleStream) -> float:
     return float(np.sqrt(np.mean(np.square(region)))) / 32.0
 
 
-def finalize_stream(
-    stream: SampleStream,
-    f_c: Fraction,
-    bank: CoefficientBank,
-    data: np.ndarray,
-    first_valid: int | None,
-    start_position: Fraction,
-    out_quant: QuantizerSpec | None,
-    out_sigma: float | None,
-) -> SampleStream:
-    """Shared output assembly for the direct and demultiplexed paths:
-    group-delay-true epoch, PPS propagation, optional requantization."""
-    if len(data) == 0:
-        raise StreamTooShort("stream too short to produce any resampled output")
-    c = Fraction(bank.taps_per_phase - 1, 2)
-    ratio = Fraction(stream.rate) / Fraction(f_c)
-    epoch = stream.epoch + (Fraction(start_position) + c) / stream.rate
-    valid_start = first_valid if first_valid is not None else len(data)
-    pps = []
-    for j in stream.pps_marks:
-        target = (Fraction(j) - c - Fraction(start_position)) / ratio
-        k = round_half_even(target.numerator, target.denominator)
-        if 0 <= k < len(data):
-            pps.append(k)
-    out = SampleStream(
-        rate=Fraction(f_c),
-        epoch=epoch,
-        data=data,
-        zone=stream.zone,
-        pps_marks=pps,
-        valid_start=valid_start,
-        valid_end=len(data),
-        lineage=list(stream.lineage) + ["resample"],
-    )
-    return out if out_quant is None else quantize(out, out_quant, out_sigma)
-
-
 def resample(
     stream: SampleStream,
     f_c: Fraction,
     bank: CoefficientBank,
-    out_quant: QuantizerSpec | None = None,
-    out_sigma: float | None = None,
     start_position: Fraction = Fraction(0),
     fixed_point: bool = False,
 ) -> SampleStream:
     """Whole-stream resampling of ``stream`` to rate f_c.
 
-    ``out_quant`` requantizes the output (as the hardware does before the
-    channelizer); by default the float values are kept for analysis.
+    The stream is fed to one Resampler 1 << 20 inputs at a time, so no
+    whole-stream phase plan is held.  The output epoch is group-delay true,
+    and each PPS mark moves to the output nearest its input position.
     """
     f_c = Fraction(f_c)
+    start_position = Fraction(start_position)
     N = bank.taps_per_phase
     if len(stream) < N + 2:
         raise StreamTooShort(f"{len(stream)} samples cannot flush {N} taps")
     ratio = Fraction(stream.rate) / f_c
     in_step = fixed_in_step(stream) if fixed_point else None
     rs = Resampler(bank, ratio, start_position, fixed_point=fixed_point, in_step=in_step)
-    pieces = []
     chunk = 1 << 20
+    pieces = []
     for lo in range(0, len(stream), chunk):
         pieces.append(rs.process(stream.data[lo : lo + chunk]))
-    data = np.concatenate(pieces) if pieces else np.zeros(0)
-    return finalize_stream(
-        stream, f_c, bank, data, rs.first_valid_output, Fraction(start_position), out_quant, out_sigma
+    data = np.concatenate(pieces)
+    if len(data) == 0:
+        raise StreamTooShort("stream too short to produce any resampled output")
+    c = Fraction(N - 1, 2)
+    pps = []
+    for j in stream.pps_marks:
+        target = (Fraction(j) - c - start_position) / ratio
+        k = round_half_even(target.numerator, target.denominator)
+        if 0 <= k < len(data):
+            pps.append(k)
+    return SampleStream(
+        rate=f_c,
+        epoch=stream.epoch + (start_position + c) / stream.rate,
+        data=data,
+        zone=stream.zone,
+        pps_marks=pps,
+        valid_start=len(data) if rs.first_valid_output is None else rs.first_valid_output,
+        valid_end=len(data),
+        lineage=list(stream.lineage) + ["resample"],
     )
 
 

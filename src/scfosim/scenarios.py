@@ -37,7 +37,7 @@ from .chain import WELCH_NFFT, ChainSpec, SignalModel, map_forked
 from .correlator import correlate, sensitivity_loss, washing_suppression_db, window_length
 from .errors import ConfigInvalid, Infeasible, InsufficientSamples, ZeroDenominator
 from .frontend import FilterSpec, QuantKind, QuantizerSpec, Zone, antialias, sample
-from .mixer import MixerConfig, ssb_shift
+from .mixer import HILBERT_TAPS, ssb_shift
 from .rational import count_inputs, count_outputs, parse_rational
 from .resampler import PASSBAND, cached_bank, resample
 from .signal import (
@@ -285,8 +285,26 @@ def run_scenario(name: str, cfg: dict | None = None, out_dir=None, figures: bool
 _RESAMPLING = {"f_c": "1000000/1", "band": "B1", "taps": 56, "phases": 1024, "coeff_bits": 19}
 
 
+def _check_positive(cfg, *keys) -> None:
+    """Reject a value of one of ``keys`` that is not above 0."""
+    for key in keys:
+        if not cfg[key] > 0:
+            raise ConfigInvalid(key, f"{cfg[key]!r} is not positive")
+
+
+def _check_bank_fields(cfg) -> None:
+    """Reject a ``taps``, ``phases`` or ``coeff_bits`` no bank can be designed with."""
+    if cfg["taps"] < 2:
+        raise ConfigInvalid("taps", f"{cfg['taps']}; the filter needs at least 2 taps")
+    if cfg["phases"] < 2 or cfg["phases"] & (cfg["phases"] - 1):
+        raise ConfigInvalid("phases", f"{cfg['phases']} is not a power of two >= 2")
+    if cfg["coeff_bits"] < 1:
+        raise ConfigInvalid("coeff_bits", f"{cfg['coeff_bits']}; a signed tap needs at least 1 bit")
+
+
 def _clock_and_bank(cfg) -> tuple[Fraction, object]:
     """The common clock f_c and the cached coefficient bank of ``cfg``."""
+    _check_bank_fields(cfg)
     return _frac(cfg["f_c"], "f_c"), cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
 
 
@@ -344,7 +362,7 @@ def _outputs_holding(antennas, f_c, bank, n: int) -> int:
         ratio = spec.desk_rate(f_c) / f_c
         lead = max(lead, count_outputs(_start_position(bank, ratio) - ratio, ratio, bank.phases, -1))
         if spec.zone is Zone.ZONE2:
-            trail = MixerConfig.hilbert_taps // 2
+            trail = HILBERT_TAPS // 2
             lead = max(lead, trail)
     return lead + n + trail
 
@@ -377,7 +395,7 @@ def _resampled_tone_streams(antennas, f_c, bank, n_out, sky=None, band=None):
         stream = sample(bank_sig, f_a, n_in, zone=spec.zone, band_slack=0.02)
         out = resample(stream, f_c, bank, start_position=start)
         if spec.zone is Zone.ZONE2:
-            out = ssb_shift(out, MixerConfig(shift_hz=f_c - f_a))
+            out = ssb_shift(out, f_c - f_a)
         return out
 
     return map_forked(one, list(zip(antennas, sky)))
@@ -421,8 +439,7 @@ def _selfclock_washout(cfg, summary):
     for target in cfg["targets_dwt"]:
         if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0 < target < math.inf:
             raise ConfigInvalid("targets_dwt", f"{target!r} is not a positive finite dw*T")
-    if cfg["windows"] < 1:
-        raise ConfigInvalid("windows", f"{cfg['windows']} windows; at least 1 is needed")
+    _check_positive(cfg, "windows", "sky_tones")
     if not 0 <= cfg["window_jitter"] < 1:
         raise ConfigInvalid("window_jitter", f"{cfg['window_jitter']} is not a fraction in [0, 1)")
     rng = np.random.default_rng(cfg["seed"])
@@ -506,6 +523,7 @@ def _selfclock_washout(cfg, summary):
     },
 )
 def _scfo_off_control(cfg, summary):
+    _check_positive(cfg, "noise_tones")
     f_c, bank = _clock_and_bank(cfg)
     # all offsets zero: the clock tones land at identical frequencies
     antennas = _antennas(
@@ -761,6 +779,8 @@ def _requant_loss(cfg, summary):
         raise ConfigInvalid("segments", f"{cfg['segments']}; a standard error needs at least 2")
     if cfg["samples"] < max(cfg["segments"], WELCH_NFFT):
         raise ConfigInvalid("samples", f"{cfg['samples']}; needs one per segment and at least {WELCH_NFFT}")
+    _check_positive(cfg, "sky_tones", "noise_tones", "q4_loading", "q8_loading", "snr")
+    _check_bank_fields(cfg)
     q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, float(cfg["q4_loading"]))
     blue = ChainSpec("q4-direct", input_quant=q4)
     red = ChainSpec(
@@ -779,9 +799,7 @@ def _requant_loss(cfg, summary):
         n_noise_tones=cfg["noise_tones"],
         snr=float(cfg["snr"]),
     )
-    rep = sensitivity_loss(
-        cfg["seed"], blue, red, n=cfg["samples"], model=model, segments=cfg["segments"]
-    )
+    rep = sensitivity_loss(blue, red, n=cfg["samples"], model=model, segments=cfg["segments"])
     lo = cfg["target_diff"] - cfg["tolerance"]
     hi = cfg["target_diff"] + cfg["tolerance"]
     summary.check(

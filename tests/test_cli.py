@@ -64,6 +64,14 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("offset-plan", '{"n": 2.5}'),
         ("relaxed-antialias", '{"filter_points": [[0.0]]}'),
         ("relaxed-antialias", '{"filter_points": [[500000.0, 0.0], [0.0, 0.0]]}'),
+        ("zone2-shift", '{"taps": 1}'),
+        ("zone2-shift", '{"phases": 1000}'),
+        ("zone2-shift", '{"coeff_bits": 0}'),
+        ("requant-loss", '{"taps": 1, "samples": 2000}'),
+        ("requant-loss", '{"sky_tones": 0, "samples": 2000}'),
+        ("requant-loss", '{"q4_loading": 0, "samples": 2000}'),
+        ("scfo-off-control", '{"noise_tones": 0}'),
+        ("selfclock-washout", '{"sky_tones": 0}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
@@ -75,6 +83,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "jittered-window-longer-than-the-streams",
         "no-fit-segments", "two-fit-segments", "no-fft-points", "fewer-fft-points-than-segments",
         "fractional-segments", "fractional-antennas", "filter-point-not-a-pair", "filter-points-unsorted",
+        "one-tap", "phases-not-a-power-of-two", "no-coefficient-bits", "requant-one-tap",
+        "no-sky-tones", "zero-q4-loading", "no-noise-tones", "washout-no-sky-tones",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):

@@ -175,7 +175,7 @@ class TestSensitivityLoss:
     def test_float_chain_loss_near_zero(self):
         a = ChainSpec("float")
         b = ChainSpec("float2")
-        rep = sensitivity_loss(1, a, b, n=400_000, segments=16)
+        rep = sensitivity_loss(a, b, n=400_000, model=SignalModel(sky_seed=1), segments=16)
         assert abs(rep.loss_a) < 1e-12
         assert abs(rep.difference) < 1e-12
 
@@ -186,13 +186,7 @@ class TestSensitivityLoss:
         chain = ChainSpec("q4", input_quant=spec)
         ref = ChainSpec("float")
         model = SignalModel(sky_seed=3, snr=0.25)
-        rep = sensitivity_loss(3, ref, chain, n=2_000_000, model=model, segments=16)
+        rep = sensitivity_loss(ref, chain, n=2_000_000, model=model, segments=16)
         expected = 1.0 - quantizer_efficiency(spec)
         assert rep.difference == pytest.approx(expected, abs=1.5e-3)
         assert rep.stderr < 1e-3
-
-    def test_insufficient_samples_guard(self):
-        a = ChainSpec("q4", input_quant=QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0))
-        b = ChainSpec("float")
-        with pytest.raises(InsufficientSamples):
-            sensitivity_loss(1, a, b, n=200_000, segments=8, tol=1e-9)

@@ -6,7 +6,6 @@ import pytest
 from scfosim.errors import DesignInfeasible
 from scfosim.frontend import SampleStream, Zone, sample
 from scfosim.mixer import (
-    MixerConfig,
     design_hilbert,
     hilbert_response,
     image_rejection_db,
@@ -102,7 +101,7 @@ class TestOscillator:
 class TestSsbShift:
     def test_zero_shift_gives_analytic_signal(self):
         s, _ = tone_stream(100.0, 1000, 4000)
-        out = ssb_shift(s, MixerConfig(shift_hz=Fraction(0)))
+        out = ssb_shift(s, Fraction(0))
         sl = out.valid_slice()
         assert np.array_equal(out.data[sl].real, s.data[sl])
         # imaginary part is the Hilbert transform: for sin-based tones the
@@ -113,7 +112,7 @@ class TestSsbShift:
     def test_peak_moves_by_exact_shift(self):
         fs, f0, delta = 1000, 300.0, 40.0
         s, _ = tone_stream(f0, fs, 5000)
-        out = ssb_shift(s, MixerConfig(shift_hz=Fraction(-int(delta))))
+        out = ssb_shift(s, Fraction(-int(delta)))
         sl = out.valid_slice()
         seg = out.data[sl][:4000]
         spec = np.abs(np.fft.fft(seg * np.hanning(len(seg))))
@@ -123,7 +122,7 @@ class TestSsbShift:
 
     def test_magnitude_preserved_within_ripple(self):
         s, _ = tone_stream(250.0, 1000, 6000, amp=0.7)
-        out = ssb_shift(s, MixerConfig(shift_hz=Fraction(15)))
+        out = ssb_shift(s, Fraction(15))
         sl = out.valid_slice()
         # analytic tone amplitude equals the real tone amplitude
         mag = np.abs(out.data[sl])
@@ -134,7 +133,7 @@ class TestSsbShift:
         # line must sit at or below -60 dBc (1024-entry LUT)
         fs = 1_000_000
         s, _ = tone_stream(200_000.0, fs, 1 << 16)
-        out = ssb_shift(s, MixerConfig(shift_hz=Fraction(12_347)))
+        out = ssb_shift(s, Fraction(12_347))
         sl = out.valid_slice()
         seg = out.data[sl][: 1 << 15]
         win = np.blackman(len(seg))
@@ -163,7 +162,7 @@ class TestSsbShift:
             )
             s = sample(sig, f_a, 12_000, Zone.ZONE2)
             r = resample(s, f_c, bank)
-            out = ssb_shift(r, MixerConfig(shift_hz=f_c - f_a))
+            out = ssb_shift(r, f_c - f_a)
             sl = out.valid_slice()
             seg = out.data[sl][:8000]
             spec = np.abs(np.fft.fft(seg * np.hanning(len(seg))))

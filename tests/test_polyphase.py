@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scfosim.errors import TapCountNotDivisible
-from scfosim.frontend import SampleStream
+from scfosim.errors import StreamTooShort, TapCountNotDivisible
+from scfosim.frontend import SampleStream, Zone
 from scfosim.polyphase import demux_resample, verify_demux
 from scfosim.rational import PhaseAccumulator
 from scfosim.resampler import CoefficientBank, design_bank, resample
@@ -68,13 +68,44 @@ class TestDemuxEquivalence:
 
     @pytest.mark.parametrize("start", [Fraction(0), Fraction(-1, 2), Fraction(1, 3)])
     def test_keeps_every_whole_block_of_direct(self, bank56, start):
-        # at this length a float estimate of the output count fell short of
-        # the last whole block (1936 instead of 1944 outputs)
-        s = rand_stream(2001, Fraction(1001, 1000) * 1_000_000, seed=7)
-        direct = resample(s, Fraction(1_000_000), bank56, start_position=start)
-        demux = demux_resample(s, Fraction(1_000_000), bank56, k=8, start_position=start)
-        assert len(demux) == (len(direct) // 8) * 8
-        assert np.array_equal(demux.data, direct.data[: len(demux)])
+        # at 2001 samples direct gives 1944 outputs (1945 from start -1/2),
+        # where a float estimate of the output count once fell short of the
+        # last whole block (1936); at 2006 the cut drops 5 or 6 outputs
+        for n in (2001, 2006):
+            s = SampleStream(
+                rate=Fraction(1001, 1000) * 1_000_000,
+                epoch=Fraction(1, 3),
+                data=np.random.default_rng(7).standard_normal(n),
+                zone=Zone.ZONE2,
+                pps_marks=list(range(5, n, 3)),  # every third input: marks on both sides of the cut
+                lineage=["sample"],
+            )
+            direct = resample(s, Fraction(1_000_000), bank56, start_position=start)
+            demux = demux_resample(s, Fraction(1_000_000), bank56, k=8, start_position=start)
+            end = (len(direct) // 8) * 8
+            if n == 2006:
+                assert direct.pps_marks[0] < end <= direct.pps_marks[-1]
+            assert len(demux) == end
+            assert np.array_equal(demux.data, direct.data[:end])
+            assert demux.epoch == direct.epoch
+            assert (demux.valid_start, demux.valid_end) == (min(direct.valid_start, end), end)
+            assert demux.pps_marks == [j for j in direct.pps_marks if j < end]
+            assert (demux.zone, demux.lineage) == (direct.zone, direct.lineage)
+
+    def test_valid_region_ends_at_the_cut(self, bank56):
+        # 12 direct outputs, the first 9 before sample 0: the valid region
+        # starts past the one whole block, so the cut leaves it empty
+        s = rand_stream(58, Fraction(1000))
+        direct = resample(s, Fraction(1000), bank56, start_position=Fraction(-9))
+        demux = demux_resample(s, Fraction(1000), bank56, k=8, start_position=Fraction(-9))
+        assert (len(direct), direct.valid_start) == (12, 9)
+        assert (len(demux), demux.valid_start, demux.valid_end) == (8, 8, 8)
+
+    def test_fewer_outputs_than_a_block(self, bank56):
+        s = rand_stream(60, Fraction(1000))
+        assert 0 < len(resample(s, Fraction(1000), bank56)) < 8
+        with pytest.raises(StreamTooShort):
+            demux_resample(s, Fraction(1000), bank56, k=8)
 
     def test_fixed_point_bit_identical(self, bank56):
         from scfosim.frontend import QuantKind, QuantizerSpec, quantize
@@ -95,13 +126,3 @@ class TestDemuxEquivalence:
         s = rand_stream(2000, Fraction(1000))
         with pytest.raises(TapCountNotDivisible):
             demux_resample(s, Fraction(1000), bank56, k=5)
-
-    def test_work_accounting(self, bank56):
-        s = rand_stream(30_000, Fraction(1001, 1000) * 1_000_000, seed=5)
-        stats = {}
-        demux = demux_resample(s, Fraction(1_000_000), bank56, k=8, stats=stats)
-        assert stats["multiplies"] == stats["outputs"] * 56
-        assert stats["outputs"] == len(demux)
-        # same arithmetic as direct form: N multiplies per output sample
-        direct = resample(s, Fraction(1_000_000), bank56)
-        assert abs(len(direct) - stats["outputs"]) < 8  # whole blocks only

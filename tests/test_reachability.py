@@ -1,9 +1,11 @@
-"""Every public function and class of the package has a caller in the package.
+"""Every function and class of the package is reached from a root.
 
-A public module-level ``def`` or ``class`` of ``src/scfosim`` must be named
-by package code outside its own body, be exported from ``__init__``, or be
-listed in ``KEEP`` with the reason it stays.  Code that only tests reach is
-otherwise deleted, not kept alive by its own tests.
+The roots are the ``__init__`` exports, the bodies in ``scenarios.SCENARIOS``,
+``cli.main``, the names the benchmark in ``perfbench/`` calls
+(``PERFBENCH``), and ``KEEP``, each with the reason it stays although no
+package code calls it.  A module-level definition, public or private, is
+reached when a reached definition names it; code that only tests reach is
+deleted, not kept alive by its own tests.
 """
 
 import ast
@@ -24,6 +26,13 @@ KEEP = {
     "synchronize_pps": "multi-phase 1PPS capture, for the pps-alignment scenario (ROADMAP item 5)",
     "align_fifo": "FIFO centroid alignment, for the pps-alignment scenario (ROADMAP item 5)",
     "tick_trace_rows": "tick_trace.csv of the pps-alignment scenario (ROADMAP item 5)",
+    "quantize": "perfbench's hw-datapath builds its Q8 input stream with it",
+}
+
+# what perfbench/workloads.py, worker.py and record_reference.py call
+PERFBENCH = {
+    "run_scenario", "resample", "demux_resample", "design_bank", "lloyd_max_levels",
+    "quantize", "QuantizerSpec", "QuantKind", "SampleStream",
 }
 
 
@@ -40,12 +49,13 @@ def _names(node):
             yield sub.attr
 
 
-def _public_definitions(modules):
+def _definitions(modules):
+    """(module, name) of every module-level function and class."""
     return {
         (module, stmt.name)
         for module, tree in modules.items()
         for stmt in tree.body
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
     }
 
 
@@ -67,19 +77,59 @@ def _exported(modules):
     return set()
 
 
+def _scenario_bodies(modules):
+    """The functions registered in SCENARIOS by the ``@_scenario`` decorator."""
+    return {
+        stmt.name
+        for stmt in modules["scenarios"].body
+        if isinstance(stmt, ast.FunctionDef)
+        and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_scenario" for d in stmt.decorator_list)
+    }
+
+
+def _reached(modules):
+    """Names reached from the roots: a reached name reaches every name that
+    a module-level function or class of that name loads (in its body,
+    decorators and default values), whatever module it is in."""
+    loads = {}
+    for tree in modules.values():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                loads.setdefault(stmt.name, set()).update(_names(stmt))
+    roots = _exported(modules) | _scenario_bodies(modules) | {"main"} | set(KEEP) | PERFBENCH
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(loads.get(name, ()))
+    return reached
+
+
 def test_every_public_definition_has_a_package_caller_or_a_reason():
     modules = _modules()
     reached = _referenced(modules) | _exported(modules) | set(KEEP)
     orphans = sorted(
-        f"{module}.{name}" for module, name in _public_definitions(modules) if name not in reached
+        f"{module}.{name}"
+        for module, name in _definitions(modules)
+        if not name.startswith("_") and name not in reached
     )
     assert orphans == [], f"reached only from tests; delete them or add them to KEEP: {orphans}"
 
 
+def test_every_definition_is_reached_from_a_root():
+    modules = _modules()
+    reached = _reached(modules)
+    assert _scenario_bodies(modules), "no scenario body found"
+    unreached = sorted(f"{module}.{name}" for module, name in _definitions(modules) if name not in reached)
+    assert unreached == [], f"reached from no root; delete them or add them to KEEP: {unreached}"
+
+
 def test_keep_set_names_only_uncalled_definitions():
     modules = _modules()
-    defined = {name for _, name in _public_definitions(modules)}
+    defined = {name for _, name in _definitions(modules)}
     assert set(KEEP) <= defined, f"KEEP names what is gone: {sorted(set(KEEP) - defined)}"
+    assert PERFBENCH <= defined, f"PERFBENCH names what is gone: {sorted(PERFBENCH - defined)}"
     called = sorted(set(KEEP) & (_referenced(modules) | _exported(modules)))
     assert called == [], f"KEEP names what the package already calls: {called}"
     assert all(reason.strip() for reason in KEEP.values())
