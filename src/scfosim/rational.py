@@ -5,6 +5,14 @@ or accumulated position ever drifts: after n steps an accumulator's position
 is exactly ``n * ratio`` as a rational number.  Frequencies are Fractions in
 Hz (alias ``RationalFreq``); config files carry them as "num/den" or decimal
 strings and both convert exactly (no float parsing anywhere).
+
+A ratio num/den moves a position by exactly num whole samples every den
+steps, so its phase plan (read pointer and LUT index, see phase_run) is
+periodic: after den steps the grid index g = round_half_even(x * P) moves by
+num * P, n by num, and the LUT index repeats.  Round-half-even settles a tie
+by g's parity, so this holds only when num * P is even; when it is odd the
+plan repeats after 2 * den steps instead.  phase_run computes one period and
+repeats it.
 """
 
 from __future__ import annotations
@@ -191,6 +199,29 @@ def phase_run(
 
     Returns int64 arrays (n, lut) where n is the integer sample index and lut
     the LUT index of each successive position, plus the exact final position.
+    The plan is periodic (see the module docstring): with lap = 1 when
+    ratio.numerator * frac_width is even and 2 when it is odd, position
+    j + lap*den has n larger by lap*num and the same lut.  So only the first
+    min(count, lap*den) positions are computed; the rest repeat them.  Any
+    ratio works, negative and zero included.
+    """
+    lap = 1 if ratio.numerator * frac_width % 2 == 0 else 2
+    period = lap * ratio.denominator
+    if count <= period:
+        return _phase_plan(position, ratio, frac_width, count)
+    n_head, lut_head, _ = _phase_plan(position, ratio, frac_width, period)
+    reps = -(-count // period)
+    shift = lap * ratio.numerator * np.arange(reps, dtype=np.int64)
+    n = (n_head + shift[:, None]).ravel()[:count]
+    lut = np.tile(lut_head, reps)[:count]
+    return n, lut, Fraction(position) + count * ratio
+
+
+def _phase_plan(
+    position: Fraction, ratio: Fraction, frac_width: int, count: int
+) -> tuple[np.ndarray, np.ndarray, Fraction]:
+    """phase_run computed position by position, without using the period.
+
     Work is chunked so the int64 intermediates cannot overflow even for
     extreme rational denominators.
     """
@@ -212,18 +243,25 @@ def phase_run(
         limit = (1 << 62) // P
         max_j = (limit - fden) // max(abs(rnum), 1)
         chunk = int(min(count - done, max(max_j, 1)))
-        # numerators (fnum0 + j*rnum)*P over fden, rounded half-even in place
+        # numerators (fnum0 + j*rnum)*P over fden, rounded half-even in the
+        # output slices: g and twice the remainder first, then n and lut
         a = np.arange(1, chunk + 1, dtype=np.int64)
         a *= rnum
         a += fnum0
         a *= P
-        g, twice = np.divmod(a, fden)
+        g, twice = n_out[done : done + chunk], lut_out[done : done + chunk]
+        np.divmod(a, fden, out=(g, twice))
         twice *= 2
-        g += (twice > fden) | ((twice == fden) & (g & 1))
+        # round up when twice > fden, or at a tie (twice == fden) when the
+        # grid index whole * P + g is odd: twice + that parity > fden
+        up = np.bitwise_and(g, 1, out=a)
+        if whole * P & 1:
+            up ^= 1
+        up += twice
+        g += up > fden
         g += half
-        n, lut = n_out[done : done + chunk], lut_out[done : done + chunk]
-        np.divmod(g, P, out=(n, lut))
-        n += whole
+        np.divmod(g, P, out=(g, twice))
+        g += whole
         done += chunk
         base = Fraction(whole) + Fraction(fnum0 + chunk * rnum, fden)
     return n_out, lut_out, base

@@ -315,9 +315,9 @@ class Resampler:
         n_all, lut_all, self._pos = phase_run(self._pos, self.ratio, P, count)
         out = self._dot_windows(n_all, lut_all)
         if self.first_valid_output is None:
-            valid = np.flatnonzero(n_all >= 0)
-            if len(valid):
-                self.first_valid_output = self._emitted + int(valid[0])
+            first = int(np.searchsorted(n_all, 0))  # n never decreases
+            if first < len(n_all):
+                self.first_valid_output = self._emitted + first
         self._emitted += len(out)
         self._trim(int(n_all[-1]))
         return out
@@ -363,7 +363,8 @@ def resample(
 
     The stream is fed to one Resampler 1 << 20 inputs at a time, so no
     whole-stream phase plan is held.  The output epoch is group-delay true,
-    and each PPS mark moves to the output nearest its input position.
+    and each PPS mark moves to the output nearest its input position; marks
+    that land on one output leave one mark there.
     """
     f_c = Fraction(f_c)
     start_position = Fraction(start_position)
@@ -385,7 +386,7 @@ def resample(
     for j in stream.pps_marks:
         target = (Fraction(j) - c - start_position) / ratio
         k = round_half_even(target.numerator, target.denominator)
-        if 0 <= k < len(data):
+        if 0 <= k < len(data) and (not pps or k != pps[-1]):
             pps.append(k)
     return SampleStream(
         rate=f_c,

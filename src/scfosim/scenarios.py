@@ -524,6 +524,8 @@ def _selfclock_washout(cfg, summary):
 )
 def _scfo_off_control(cfg, summary):
     _check_positive(cfg, "noise_tones")
+    if cfg["noise_rms"] < 0:
+        raise ConfigInvalid("noise_rms", f"{cfg['noise_rms']!r}; an RMS cannot be negative")
     f_c, bank = _clock_and_bank(cfg)
     # all offsets zero: the clock tones land at identical frequencies
     antennas = _antennas(

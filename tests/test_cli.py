@@ -71,6 +71,7 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("requant-loss", '{"sky_tones": 0, "samples": 2000}'),
         ("requant-loss", '{"q4_loading": 0, "samples": 2000}'),
         ("scfo-off-control", '{"noise_tones": 0}'),
+        ("scfo-off-control", '{"noise_rms": -1}'),
         ("selfclock-washout", '{"sky_tones": 0}'),
     ],
     ids=[
@@ -84,7 +85,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "no-fit-segments", "two-fit-segments", "no-fft-points", "fewer-fft-points-than-segments",
         "fractional-segments", "fractional-antennas", "filter-point-not-a-pair", "filter-points-unsorted",
         "one-tap", "phases-not-a-power-of-two", "no-coefficient-bits", "requant-one-tap",
-        "no-sky-tones", "zero-q4-loading", "no-noise-tones", "washout-no-sky-tones",
+        "no-sky-tones", "zero-q4-loading", "no-noise-tones", "negative-noise-rms",
+        "washout-no-sky-tones",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):

@@ -92,6 +92,22 @@ class TestDemuxEquivalence:
             assert demux.pps_marks == [j for j in direct.pps_marks if j < end]
             assert (demux.zone, demux.lineage) == (direct.zone, direct.lineage)
 
+    def test_merged_marks_are_cut_with_the_data(self, bank56):
+        # a mark on every input: marks that round onto one output merge
+        # before the cut, so the demux marks are strictly increasing
+        s = SampleStream(
+            rate=Fraction(1001, 1000) * 1_000_000,
+            epoch=Fraction(0),
+            data=np.random.default_rng(3).standard_normal(3000),
+            pps_marks=list(range(3000)),
+        )
+        direct = resample(s, Fraction(1_000_000), bank56)
+        demux = demux_resample(s, Fraction(1_000_000), bank56, k=8)
+        end = len(direct) // 8 * 8
+        assert end < len(direct) and len(direct.pps_marks) < 3000
+        assert demux.pps_marks == [j for j in direct.pps_marks if j < end]
+        assert demux.pps_marks[-1] == end - 1
+
     def test_valid_region_ends_at_the_cut(self, bank56):
         # 12 direct outputs, the first 9 before sample 0: the valid region
         # starts past the one whole block, so the cut leaves it empty

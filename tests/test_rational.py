@@ -226,6 +226,65 @@ class TestAccumulator:
         assert [l for _, l in oracle] == list(lut[:10])
 
 
+def grid_positions(start, ratio, count, frac_width):
+    """Independent oracle: (n, lut) of each position start + (j+1)*ratio, one
+    Fraction at a time, for any ratio, negative and zero included."""
+    P = frac_width
+    ns, luts = [], []
+    for j in range(1, count + 1):
+        g = round((start + j * ratio) * P) + P // 2  # Fraction rounds half-even
+        ns.append(g // P)
+        luts.append(g % P)
+    return ns, luts
+
+
+class TestPeriodicPlan:
+    """phase_run repeats one period of its plan: den steps, or 2*den when
+    num * P is odd, since an odd move of g flips round-half-even's ties."""
+
+    @given(
+        data=st.data(),
+        frac_width=st.sampled_from([1, 2, 3, 5, 7, 256, 1023, 1024]),
+        den=st.integers(1, 16),
+        tie=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_oracle_over_several_periods(self, data, frac_width, den, tie):
+        num = data.draw(st.integers(-2 * den, 2 * den))
+        ratio = Fraction(num, den)
+        period = ratio.denominator * (1 if ratio.numerator * frac_width % 2 == 0 else 2)
+        count = data.draw(st.integers(0, 4 * period))
+        if tie:  # start * P on a half-integer, where round-half-even decides
+            start = Fraction(2 * data.draw(st.integers(-3 * frac_width, 3 * frac_width)) + 1, 2 * frac_width)
+        else:
+            start = Fraction(data.draw(st.integers(-1000, 1000)), data.draw(st.integers(1, 1000)))
+        n, lut, end = phase_run(start, ratio, frac_width, count)
+        assert (list(n), list(lut)) == grid_positions(start, ratio, count, frac_width)
+        assert n.dtype == lut.dtype == np.int64
+        assert end == start + count * ratio
+
+    def test_an_odd_move_doubles_the_period(self):
+        # P = 1, ratio 1: every position is a tie, and one step moves g by 1,
+        # so ties alternate between rounding down and up; a plan repeated
+        # every step would read [0, 1, 2, 3]
+        n, lut, end = phase_run(Fraction(-3, 2), Fraction(1), 1, 4)
+        assert list(n) == [0, 0, 2, 2]
+        assert list(lut) == [0, 0, 0, 0]
+        assert end == Fraction(5, 2)
+
+    @pytest.mark.parametrize("frac_width", [1, 3, 1023, 1024])
+    @pytest.mark.parametrize(
+        "ratio", [Fraction(1001, 1000), Fraction(7, 5), Fraction(-3, 4), Fraction(-1), Fraction(0)]
+    )
+    def test_counts_around_one_period(self, frac_width, ratio):
+        period = ratio.denominator * (1 if ratio.numerator * frac_width % 2 == 0 else 2)
+        for start in (Fraction(-3, 2 * frac_width), Fraction(5, 7)):
+            for count in (period - 1, period, period + 1):
+                n, lut, end = phase_run(start, ratio, frac_width, count)
+                assert (list(n), list(lut)) == grid_positions(start, ratio, count, frac_width)
+                assert end == start + count * ratio
+
+
 def brute_force_count(position, ratio, frac_width, last_n):
     """Outputs whose sample index n stays <= last_n, by single accumulator steps."""
     acc = PhaseAccumulator(ratio, frac_width, position=position)

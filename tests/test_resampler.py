@@ -290,6 +290,21 @@ class TestResampling:
         m = min(len(out_one), len(out_many))
         assert m > 2900 and np.array_equal(out_one[:m], out_many[:m])
 
+    @pytest.mark.parametrize("step", [1, 7, None])
+    def test_first_valid_output_does_not_depend_on_the_chunks(self, bank19, step):
+        # from -40/3 the first 13 outputs read before sample 0
+        data = np.random.default_rng(4).standard_normal(3000)
+        ratio, start = Fraction(1001, 1000), Fraction(-40, 3)
+        positions = (start + k * ratio for k in range(100))
+        first = next(k for k, p in enumerate(positions) if round(p * 1024) + 512 >= 0)
+        assert first == 13
+        rs = Resampler(bank19, ratio, start)
+        step = step or len(data)
+        for lo in range(0, len(data), step):
+            rs.process(data[lo : lo + step])
+        whole = resample(stream_from(data, rate=1001), Fraction(1000), bank19, start_position=start)
+        assert rs.first_valid_output == whole.valid_start == first
+
     def test_fixed_point_close_to_float(self, bank19):
         sig = synth_signal(seed=3, n_tones=12, band=(50.0, 400.0))
         s = sample(sig, Fraction(1001), 5000)
@@ -318,6 +333,18 @@ class TestPpsPropagation:
         out = resample(s, Fraction(1000), bank19)
         assert out.pps_marks == sorted(out.pps_marks)
         assert all(0 <= k < len(out) for k in out.pps_marks)
+
+
+    def test_marks_that_share_an_output_leave_one_mark(self, bank19):
+        # 1001 inputs per 1000 outputs: about every thousandth pair of
+        # adjacent marks rounds onto one output
+        f_a, f_c = Fraction(1001), Fraction(1000)
+        s = stream_from(np.zeros(3000), rate=f_a, pps_marks=list(range(3000)))
+        out = resample(s, f_c, bank19)
+        nearest = [round((j - Fraction(55, 2)) * f_c / f_a) for j in range(3000)]
+        nearest = [k for k in nearest if 0 <= k < len(out)]
+        assert len(set(nearest)) < len(nearest)
+        assert out.pps_marks == sorted(set(nearest))
 
 
 class TestTransients:
