@@ -1,21 +1,7 @@
 """Offset-clock sampling, resampling and correlation simulator."""
 
-from .rational import (
-    RationalFreq,
-    PhaseAccumulator,
-    accumulator_step,
-    make_rational,
-    parse_frequency,
-    parse_rational,
-)
+from .rational import parse_rational
 
-__all__ = [
-    "RationalFreq",
-    "PhaseAccumulator",
-    "accumulator_step",
-    "make_rational",
-    "parse_frequency",
-    "parse_rational",
-]
+__all__ = ["parse_rational"]
 
 __version__ = "0.1.0"

@@ -17,10 +17,6 @@ class ZeroDenominator(ScfoError):
     pass
 
 
-class NegativeFrequency(ScfoError):
-    pass
-
-
 class RatioOutOfRange(ScfoError):
     """Resampling ratio outside the +/-50% band the scheme assumes."""
 

@@ -47,10 +47,16 @@ class QuantizerSpec:
         if self.kind is not QuantKind.FLOAT and not self.loading > 0:
             raise ValueError("loading must be > 0")
 
-    def step(self, sigma: float) -> float:
-        """Q8_UNIFORM level spacing for input RMS ``sigma``: 256 levels span
-        +/-4 design sigmas, the design sigma being sigma / loading."""
-        return 8.0 * (sigma / self.loading) / 256.0
+    def scale(self, sigma: float) -> float:
+        """Level scale for input RMS ``sigma``, the design sigma being
+        sigma / loading: Q4_OPTIMAL's levels are Lloyd-Max levels times the
+        design sigma, and Q8_UNIFORM's spacing lets 256 levels span +/-4
+        design sigmas."""
+        if self.kind is QuantKind.Q4_OPTIMAL:
+            return sigma / self.loading
+        if self.kind is QuantKind.Q8_UNIFORM:
+            return 8.0 * (sigma / self.loading) / 256.0
+        raise ValueError("FLOAT has no levels")
 
 
 @dataclass
@@ -171,11 +177,10 @@ def lloyd_max_levels(n_levels: int = 16, tol: float = 1e-12, max_iter: int = 200
 
 def quantizer_levels(spec: QuantizerSpec, sigma: float) -> np.ndarray:
     """Reconstruction levels of ``spec`` for input RMS ``sigma``."""
+    scale = spec.scale(sigma)
     if spec.kind is QuantKind.Q4_OPTIMAL:
-        return lloyd_max_levels(16) * (sigma / spec.loading)
-    if spec.kind is QuantKind.Q8_UNIFORM:
-        return (np.arange(-128, 128) + 0.5) * spec.step(sigma)
-    raise ValueError("FLOAT has no levels")
+        return lloyd_max_levels(16) * scale
+    return (np.arange(-128, 128) + 0.5) * scale
 
 
 def quantize_array(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarray:
@@ -186,7 +191,7 @@ def quantize_array(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarr
     produces, maps to the lowest level.
     """
     if spec.kind is QuantKind.Q8_UNIFORM:
-        step = spec.step(sigma)
+        step = spec.scale(sigma)
         codes = np.clip(np.floor(x / step), -128, 127)
         return (codes + 0.5) * step
     levels = quantizer_levels(spec, sigma)
@@ -208,7 +213,7 @@ def quantize(s: SampleStream, q: QuantizerSpec) -> SampleStream:
         s,
         data=quantize_array(s.data, q, sigma),
         quant=q.kind,
-        quant_scale=q.step(sigma) if q.kind is QuantKind.Q8_UNIFORM else sigma / q.loading,
+        quant_scale=q.scale(sigma),
         pps_marks=list(s.pps_marks),
         lineage=s.lineage + [q.kind.value],
     )

@@ -3,11 +3,11 @@
 Removes the per-antenna digitizer down-conversion difference for Zone-2
 streams: the real input is split into a delay path S and a Hilbert path H
 (a matched odd-length pair), combined into the analytic signal, and rotated
-by a quadrature oscillator whose phase comes from the exact rational
-accumulator and whose sine/cosine values come from a quantized lookup
-table, as the hardware would.  ``shift_hz`` is the signed amount by which
-the spectrum moves up; the Zone-2 shift f_c - f_a makes the common sky
-content land at the same absolute frequency in every antenna.
+by a quadrature oscillator whose phase comes from the exact rational ramp
+rational.phase_run and whose sine/cosine values come from a quantized
+lookup table, as the hardware would.  ``shift_hz`` is the signed amount by
+which the spectrum moves up; the Zone-2 shift f_c - f_a makes the common
+sky content land at the same absolute frequency in every antenna.
 """
 
 from __future__ import annotations

@@ -1,47 +1,32 @@
 """Exact rational bookkeeping for clocks, frequency ratios and sample phase.
 
 All clock relationships are held as ``fractions.Fraction`` so that no ratio
-or accumulated position ever drifts: after n steps an accumulator's position
-is exactly ``n * ratio`` as a rational number.  Frequencies are Fractions in
-Hz (alias ``RationalFreq``); config files carry them as "num/den" or decimal
-strings and both convert exactly (no float parsing anywhere).
+or position ever drifts: step j of a ramp sits exactly at
+``position + (j+1) * ratio``.  Frequencies are Fractions in Hz; config files
+carry them as "num/den" or decimal strings, and parse_rational converts both
+exactly (no float parsing anywhere).
+
+phase_run is the one ramp: it splits each position on the 1/P grid into the
+integer sample n (the read pointer) and the LUT index.  count_outputs and
+count_inputs are its exact inverses: how many steps stay within a given last
+input sample, and how many input samples a given number of steps needs.
 
 A ratio num/den moves a position by exactly num whole samples every den
-steps, so its phase plan (read pointer and LUT index, see phase_run) is
-periodic: after den steps the grid index g = round_half_even(x * P) moves by
-num * P, n by num, and the LUT index repeats.  Round-half-even settles a tie
-by g's parity, so this holds only when num * P is even; when it is odd the
-plan repeats after 2 * den steps instead.  phase_run computes one period and
-repeats it.
+steps, so its phase plan is periodic: after den steps the grid index
+g = round_half_even(x * P) moves by num * P, n by num, and the LUT index
+repeats.  Round-half-even settles a tie by g's parity, so this holds only
+when num * P is even; when it is odd the plan repeats after 2 * den steps
+instead.  phase_run computes one period and repeats it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NegativeFrequency, RatioOutOfRange, ZeroDenominator
-
-# A frequency in Hz as an exact rational.  Plain Fraction is all the algebra
-# clock bookkeeping needs.
-RationalFreq = Fraction
-
-
-def make_rational(num: int, den: int = 1) -> Fraction:
-    """Build a validated non-negative frequency num/den Hz.
-
-    Raises ZeroDenominator if den == 0 and NegativeFrequency if the overall
-    value is negative (sign is normalized onto the numerator first).
-    """
-    if den == 0:
-        raise ZeroDenominator("denominator must be nonzero")
-    value = Fraction(num, den)
-    if value < 0:
-        raise NegativeFrequency(f"{num}/{den} is negative; frequencies must be >= 0")
-    return value
+from .errors import ZeroDenominator
 
 
 def parse_rational(text: str) -> Fraction:
@@ -61,14 +46,6 @@ def parse_rational(text: str) -> Fraction:
         raise
 
 
-def parse_frequency(text: str) -> Fraction:
-    """Parse a frequency string, additionally enforcing non-negativity."""
-    value = parse_rational(text)
-    if value < 0:
-        raise NegativeFrequency(f"{text!r} is negative")
-    return value
-
-
 def round_half_even(num: int, den: int) -> int:
     """Round num/den (den > 0) to the nearest integer, ties to even."""
     q, r = divmod(num, den)
@@ -76,85 +53,6 @@ def round_half_even(num: int, den: int) -> int:
     if twice > den or (twice == den and q % 2 == 1):
         return q + 1
     return q
-
-
-@dataclass
-class PhaseAccumulator:
-    """Exact sample-position accumulator driving the interpolation LUT.
-
-    ``ratio`` is f_a/f_c; ``position`` advances by exactly ``ratio`` per
-    output step.  Each step yields an integer FIFO advance (1 normal,
-    0 repeat when f_a < f_c, 2 skip when f_a > f_c) and a LUT index in
-    [0, P).  Index i stands for the delay-phase d = (i - P/2)/P samples, so
-    a fractional position of -0.5 addresses index 0 and a fraction just
-    below +0.5 addresses P-1; fractions within 1/(2P) of +0.5 fold onto
-    index 0 of the next sample.
-    """
-
-    ratio: Fraction
-    frac_width: int = 1024
-    position: Fraction = Fraction(0)
-    _last_n: int | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.ratio = Fraction(self.ratio)
-        self.position = Fraction(self.position)
-        if not Fraction(1, 2) < self.ratio < Fraction(3, 2):
-            raise RatioOutOfRange(
-                f"ratio {self.ratio} outside (0.5, 1.5); the scheme assumes small offsets"
-            )
-        if self.frac_width < 1:
-            raise ValueError("frac_width must be >= 1")
-
-    def clone(self) -> "PhaseAccumulator":
-        return PhaseAccumulator(self.ratio, self.frac_width, self.position, self._last_n)
-
-    @property
-    def frac(self) -> Fraction:
-        """Fractional part of the position, mapped into [-1/2, +1/2)."""
-        n = round_half_even(self.position.numerator, self.position.denominator)
-        return self.position - n
-
-    def grid_index(self) -> tuple[int, int]:
-        """(integer sample, LUT index) of the current position on the 1/P grid."""
-        p = self.position
-        g = round_half_even(p.numerator * self.frac_width, p.denominator)
-        half = self.frac_width // 2
-        return (g + half) // self.frac_width, (g + half) % self.frac_width
-
-    def step(self) -> tuple[int, int]:
-        """Advance by one output sample; return (advance, lut_index)."""
-        if self._last_n is None:
-            self._last_n, _ = self.grid_index()
-        self.position += self.ratio
-        n, lut = self.grid_index()
-        advance = n - self._last_n
-        self._last_n = n
-        return advance, lut
-
-    def run(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized equivalent of ``count`` calls to step().
-
-        Returns (advances, lut_indices) as int64 arrays and leaves the
-        accumulator state exactly as after ``count`` single steps.
-        """
-        if self._last_n is None:
-            self._last_n, _ = self.grid_index()
-        n, lut, pos = phase_run(self.position, self.ratio, self.frac_width, count)
-        adv = np.empty(count, dtype=np.int64)
-        if count:
-            adv[0] = n[0] - self._last_n
-            np.subtract(n[1:], n[:-1], out=adv[1:])
-            self._last_n = int(n[-1])
-        self.position = pos
-        return adv, lut
-
-
-def accumulator_step(acc: PhaseAccumulator) -> tuple[int, int, PhaseAccumulator]:
-    """Pure-functional single step: returns (advance, lut_index, new_acc)."""
-    out = acc.clone()
-    advance, lut = out.step()
-    return advance, lut, out
 
 
 def count_outputs(position: Fraction, ratio: Fraction, frac_width: int, last_n: int) -> int:
@@ -199,6 +97,9 @@ def phase_run(
 
     Returns int64 arrays (n, lut) where n is the integer sample index and lut
     the LUT index of each successive position, plus the exact final position.
+    LUT index i stands for the fraction (i - P/2)/P of a sample past n, so a
+    fraction of -1/2 addresses index 0, one just below +1/2 index P-1, and
+    one within 1/(2P) of +1/2 folds onto index 0 of sample n + 1.
     The plan is periodic (see the module docstring): with lap = 1 when
     ratio.numerator * frac_width is even and 2 when it is odd, position
     j + lap*den has n larger by lap*num and the same lut.  So only the first

@@ -4,9 +4,9 @@ A CoefficientBank holds P tap sets covering interpolation phases between
 -0.5 and +0.5 samples (windowed-sinc prototype, optionally quantized to a
 signed fixed-point width).  The streaming Resampler consumes samples at
 f_a and produces samples at f_c: each output is an N-tap dot product of
-the FIFO window selected by the exact rational phase accumulator, with the
-occasional repeat (advance 0) or skip (advance 2) of the read pointer when
-the accumulated fraction crosses +/-0.5.
+the FIFO window selected by the exact rational ramp rational.phase_run,
+with the occasional repeat (advance 0) or skip (advance 2) of the read
+pointer when the accumulated fraction crosses +/-0.5.
 
 Index bookkeeping: output k has exact position p_k = p0 + k*ratio on the
 input grid (ratio = f_a/f_c).  The FIFO read pointer n_k and LUT index i_k
@@ -34,9 +34,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DesignInfeasible, ChainWasQuantized, StreamTooShort
+from .errors import DesignInfeasible, ChainWasQuantized, RatioOutOfRange, StreamTooShort
 from .frontend import QuantKind, SampleStream
-from .rational import PhaseAccumulator, count_outputs, phase_run, round_half_even
+from .rational import count_outputs, phase_run, round_half_even
 from .signal import SampleGrid, ToneBankSignal, eval_tones
 
 
@@ -280,8 +280,10 @@ class Resampler:
     ):
         self.bank = bank
         self.ratio = Fraction(ratio)
-        # validates the +/-50% ratio assumption
-        PhaseAccumulator(self.ratio, bank.phases, position=Fraction(start_position))
+        if not Fraction(1, 2) < self.ratio < Fraction(3, 2):
+            raise RatioOutOfRange(
+                f"ratio {self.ratio} outside (0.5, 1.5); the scheme assumes small offsets"
+            )
         self._pos = Fraction(start_position) - self.ratio  # position before output 0
         self.fixed_point = fixed_point
         self.in_step = in_step

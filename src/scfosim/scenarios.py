@@ -65,8 +65,7 @@ OFFSET_GRID_HZ = {
     "B5stream": Fraction(1000),
 }
 
-OFFSET_LIMIT_HZ = Fraction(1_000_000)
-OFFSET_LIMIT_EXTENDED_HZ = Fraction(10_000_000)
+OFFSET_LIMIT_HZ = Fraction(10_000_000)
 
 # Band of each Nyquist zone's sky content, as fractions of the common clock.
 ZONE_BANDS = {Zone.ZONE1: (0.05, 0.45), Zone.ZONE2: (0.56, 0.94)}
@@ -85,18 +84,15 @@ class AntennaChainSpec:
     offset: Fraction = Fraction(0)
     zone: Zone = Zone.ZONE1
     interference: list[InterferenceSpec] = field(default_factory=list)
-    extended_offsets: bool = False
 
     def __post_init__(self):
         if self.band not in BAND_TABLE:
             raise ConfigInvalid(f"antennas[{self.antenna_id}].band", f"unknown band {self.band!r}")
         self.offset = Fraction(self.offset)
-        limit = OFFSET_LIMIT_EXTENDED_HZ if self.extended_offsets else OFFSET_LIMIT_HZ
-        if abs(self.offset) > limit:
+        if abs(self.offset) > OFFSET_LIMIT_HZ:
             raise ConfigInvalid(
                 f"antennas[{self.antenna_id}].offset",
-                f"|{self.offset}| Hz exceeds {limit} Hz"
-                + ("" if self.extended_offsets else " (extended mode allows 10 MHz)"),
+                f"|{self.offset}| Hz exceeds {OFFSET_LIMIT_HZ} Hz",
             )
         grid = OFFSET_GRID_HZ[self.band]
         if self.offset % grid != 0:
@@ -310,11 +306,11 @@ def _clock_and_bank(cfg) -> tuple[Fraction, object]:
 
 def _antennas(cfg, zone=Zone.ZONE1, interference=(), offsets=None):
     """One antenna per offset (``cfg["offsets_hz"]`` by default), named
-    m001, m002, ... on ``cfg["band"]`` with extended offsets allowed."""
+    m001, m002, ... on ``cfg["band"]``."""
     return [
         AntennaChainSpec(
             antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off, f"offsets_hz[{i}]"),
-            zone=zone, interference=list(interference), extended_offsets=True,
+            zone=zone, interference=list(interference),
         )
         for i, off in enumerate(cfg["offsets_hz"] if offsets is None else offsets)
     ]

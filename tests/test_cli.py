@@ -41,6 +41,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("zone2-shift", '{"f_c": "abc"}'),
         ("zone2-shift", '{"f_c": "1/0"}'),
         ("zone2-shift", '{"offsets_hz": ["4240000/1", "4.2e6.1"]}'),
+        ("zone2-shift", '{"offsets_hz": ["10000100/1", "0/1"]}'),
+        ("zone2-shift", '{"offsets_hz": ["4240050/1", "0/1"]}'),
         ("zone2-shift", '{"clock_tone_scale": "3/0"}'),
         ("requant-loss", '{"offset_ratio": "1//10000"}'),
         ("offset-plan", '{"resolution": 0}'),
@@ -77,7 +79,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
         "no-antennas", "wrong-kind", "f_c-not-rational", "f_c-zero-denominator",
-        "offset-not-rational", "clock-scale-zero-denominator", "offset-ratio-not-rational",
+        "offset-not-rational", "offset-above-10-mhz", "offset-off-the-100-hz-grid",
+        "clock-scale-zero-denominator", "offset-ratio-not-rational",
         "zero-resolution", "negative-resolution", "no-segments", "one-segment", "no-samples",
         "fewer-samples-than-a-spectrum-window", "no-windows", "no-targets",
         "target-not-a-number", "negative-target", "jitter-above-one", "negative-jitter",

@@ -5,18 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfosim.errors import NegativeFrequency, RatioOutOfRange, ZeroDenominator
+from scfosim.errors import ZeroDenominator
 from scfosim.resampler import Resampler, cached_bank
-from scfosim.rational import (
-    PhaseAccumulator,
-    accumulator_step,
-    count_inputs,
-    count_outputs,
-    make_rational,
-    parse_frequency,
-    phase_run,
-    round_half_even,
-)
+from scfosim.rational import count_inputs, count_outputs, parse_rational, phase_run, round_half_even
 
 
 def brute_force_steps(ratio, n_steps, frac_width=1024, position=Fraction(0)):
@@ -36,48 +27,49 @@ def brute_force_steps(ratio, n_steps, frac_width=1024, position=Fraction(0)):
     return out, pos
 
 
+def read_steps(ratio, count, frac_width=1024, position=Fraction(0)):
+    """(advances, lut, end) of phase_run's ``count`` steps from ``position``:
+    each step's read-pointer advance is the difference of its sample index n
+    from the previous one's, so the ramp starts one step early."""
+    n, lut, end = phase_run(position - ratio, ratio, frac_width, count + 1)
+    return np.diff(n), lut[1:], end
+
+
 class TestMakeRational:
+    """Clock frequencies come out of config text exact, through parse_rational."""
+
     def test_band1_clock_exact(self):
-        f = make_rational(4_000_000_000, 1)
+        f = parse_rational("4000000000")
         assert f == Fraction(4_000_000_000)
         assert float(f) == 4.0e9
 
     def test_gcd_reduction(self):
-        f = make_rational(2, 4)
+        f = parse_rational("2/4")
         assert f.numerator == 1 and f.denominator == 2
 
     def test_non_integer_hz_exact(self):
-        f = make_rational(30_000_000_001, 10)
-        assert f == Fraction(30_000_000_001, 10)
+        f = parse_rational(" 3000000000.1 ")
         assert f * 10 == 30_000_000_001
+        assert f - 3_000_000_000 == Fraction(1, 10)
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            make_rational(1, 0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(NegativeFrequency):
-            make_rational(-3, 7)
-        # sign normalized onto numerator first, so -3/-7 is fine
-        assert make_rational(-3, -7) == Fraction(3, 7)
+        for text in ("1/+0", "5/-0"):
+            with pytest.raises(ZeroDenominator):
+                parse_rational(text)
 
 
 class TestParse:
     def test_slash_form(self):
-        assert parse_frequency("30000000001/10") == Fraction(30_000_000_001, 10)
+        assert parse_rational("30000000001/10") == Fraction(30_000_000_001, 10)
 
     def test_decimal_exact(self):
         # exact decimal expansion, not float rounding
-        assert parse_frequency("3000000000.1") == Fraction(30_000_000_001, 10)
-        assert parse_frequency("0.1") == Fraction(1, 10)
-
-    def test_negative_rejected(self):
-        with pytest.raises(NegativeFrequency):
-            parse_frequency("-1/2")
+        assert parse_rational("3000000000.1") == Fraction(30_000_000_001, 10)
+        assert parse_rational("0.1") == Fraction(1, 10)
 
     def test_zero_den(self):
         with pytest.raises(ZeroDenominator):
-            parse_frequency("1/0")
+            parse_rational("1/0")
 
 
 class TestRoundHalfEven:
@@ -94,19 +86,16 @@ class TestRoundHalfEven:
 
 
 class TestAccumulator:
+    """The resampler's read pointer and LUT index, read off phase_run."""
+
     def test_unity_ratio_identity(self):
-        acc = PhaseAccumulator(Fraction(1), 1024)
-        luts = set()
-        for _ in range(200):
-            advance, lut = acc.step()
-            assert advance == 1
-            luts.add(lut)
-        assert luts == {512}  # zero fraction sits at the center index
+        advances, luts, _ = read_steps(Fraction(1), 200)
+        assert np.all(advances == 1)
+        assert set(luts) == {512}  # zero fraction sits at the center index
 
     def test_skip_every_thousand(self):
         # ratio 1001/1000: exactly one advance=2 event per 1000 output samples
-        acc = PhaseAccumulator(Fraction(1001, 1000), 1024)
-        advances, _ = acc.run(100_000)
+        advances, _, _ = read_steps(Fraction(1001, 1000), 100_000)
         assert np.count_nonzero(advances == 2) == 100
         events = np.flatnonzero(advances == 2)
         assert np.all(np.diff(events) == 1000)
@@ -115,22 +104,19 @@ class TestAccumulator:
         # frozen from the brute-force oracle: 10 repeats over 10_000 steps
         oracle, _ = brute_force_steps(Fraction(999, 1000), 10_000)
         assert sum(1 for a, _ in oracle if a == 0) == 10
-        acc = PhaseAccumulator(Fraction(999, 1000), 1024)
-        advances, _ = acc.run(10_000)
+        advances, _, _ = read_steps(Fraction(999, 1000), 10_000)
         assert np.count_nonzero(advances == 0) == 10
 
     def test_exact_position_after_many_steps(self):
         ratio = Fraction(1_000_001, 1_000_000)
-        acc = PhaseAccumulator(ratio, 1024)
         n = 1_000_000
-        acc.run(n)
-        assert acc.position == n * ratio  # exact rational equality
+        _, _, end = phase_run(Fraction(0), ratio, 1024, n)
+        assert end == n * ratio  # exact rational equality
 
     def test_skip_density_converges(self):
         ratio = Fraction(1001, 1000)
-        acc = PhaseAccumulator(ratio, 1024)
         n = 1_000_000
-        advances, _ = acc.run(n)
+        advances, _, _ = read_steps(ratio, n)
         non_unit = np.count_nonzero(advances != 1)
         assert abs(non_unit / n - abs(float(ratio - 1))) < 2 / n
 
@@ -138,38 +124,22 @@ class TestAccumulator:
         # lut sequence period = denominator of the reduced fractional increment
         for ratio in [Fraction(1001, 1000), Fraction(7, 8), Fraction(13, 12)]:
             period = (ratio - 1).denominator
-            acc = PhaseAccumulator(ratio, 1024)
-            _, luts = acc.run(4 * period)
+            _, luts, _ = read_steps(ratio, 4 * period)
             assert np.array_equal(luts[:period], luts[period : 2 * period])
             # and no shorter period divides it unless the oracle says so
             oracle, _ = brute_force_steps(ratio, 2 * period)
             assert [l for _, l in oracle] == list(luts[: 2 * period])
 
     def test_frac_endpoint_mapping(self):
+        def grid_index(position):  # (n, lut) of ``position`` itself
+            n, lut, _ = phase_run(position - 1, Fraction(1), 1024, 1)
+            return n[0], lut[0]
+
         # frac exactly -1/2 addresses index 0; frac just below +1/2 addresses P-1
-        acc = PhaseAccumulator(Fraction(1), 1024, position=Fraction(-1, 2))
-        n, lut = acc.grid_index()
-        assert lut == 0 and n == 0
-        acc = PhaseAccumulator(Fraction(1), 1024, position=Fraction(1, 2) - Fraction(1, 1000))
-        n, lut = acc.grid_index()
-        assert lut == 1023 and n == 0
+        assert grid_index(Fraction(-1, 2)) == (0, 0)
+        assert grid_index(Fraction(1, 2) - Fraction(1, 1000)) == (0, 1023)
         # within 1/(2P) of +1/2 the index folds onto the next sample
-        acc = PhaseAccumulator(Fraction(1), 1024, position=Fraction(1, 2) - Fraction(1, 10_000))
-        n, lut = acc.grid_index()
-        assert lut == 0 and n == 1
-
-    def test_ratio_out_of_range(self):
-        with pytest.raises(RatioOutOfRange):
-            PhaseAccumulator(Fraction(3, 2), 1024)
-        with pytest.raises(RatioOutOfRange):
-            PhaseAccumulator(Fraction(1, 2), 1024)
-
-    def test_functional_step_leaves_input_untouched(self):
-        acc = PhaseAccumulator(Fraction(1001, 1000), 1024)
-        advance, lut, acc2 = accumulator_step(acc)
-        assert acc.position == 0
-        assert acc2.position == Fraction(1001, 1000)
-        assert advance == 1
+        assert grid_index(Fraction(1, 2) - Fraction(1, 10_000)) == (1, 0)
 
     @given(
         num=st.integers(501, 1499),
@@ -180,19 +150,12 @@ class TestAccumulator:
     @settings(max_examples=40, deadline=None)
     def test_run_matches_single_steps_and_oracle(self, num, den, start_num, count):
         ratio = Fraction(num, den)
-        if not Fraction(1, 2) < ratio < Fraction(3, 2):
-            return
         start = Fraction(start_num, 1000)
-        acc_a = PhaseAccumulator(ratio, 256, position=start)
-        acc_b = PhaseAccumulator(ratio, 256, position=start)
-        adv_vec, lut_vec = acc_a.run(count)
-        singles = [acc_b.step() for _ in range(count)]
-        assert list(adv_vec) == [a for a, _ in singles]
-        assert list(lut_vec) == [l for _, l in singles]
+        advances, luts, end = read_steps(ratio, count, 256, start)
         oracle, end_pos = brute_force_steps(ratio, count, 256, start)
-        assert singles == oracle
-        assert acc_a.position == end_pos
-        assert all(a in (0, 1, 2) for a, _ in singles)
+        assert list(zip(advances.tolist(), luts.tolist())) == oracle
+        assert end == end_pos
+        assert all(a in (0, 1, 2) for a, _ in oracle)
 
     @given(
         data=st.data(),
@@ -286,14 +249,12 @@ class TestPeriodicPlan:
 
 
 def brute_force_count(position, ratio, frac_width, last_n):
-    """Outputs whose sample index n stays <= last_n, by single accumulator steps."""
-    acc = PhaseAccumulator(ratio, frac_width, position=position)
+    """Outputs whose sample index n stays <= last_n, one Fraction at a time."""
+    P = frac_width
     count = 0
-    while True:
-        acc.step()
-        if acc.grid_index()[0] > last_n:
-            return count
+    while (round((position + (count + 1) * ratio) * P) + P // 2) // P <= last_n:
         count += 1
+    return count
 
 
 class TestCountOutputs:

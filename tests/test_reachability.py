@@ -1,11 +1,12 @@
 """Every function and class of the package is reached from a root.
 
-The roots are the ``__init__`` exports, the bodies in ``scenarios.SCENARIOS``,
-``cli.main``, the names the benchmark in ``perfbench/`` calls
-(``PERFBENCH``), and ``KEEP``, each with the reason it stays although no
-package code calls it.  A module-level definition, public or private, is
-reached when a reached definition names it; code that only tests reach is
-deleted, not kept alive by its own tests.
+The roots are the bodies in ``scenarios.SCENARIOS``, ``cli.main``, the
+names the benchmark in ``perfbench/`` calls (``PERFBENCH``), and ``KEEP``,
+each with the reason it stays although no package code calls it.  A
+module-level definition, public or private, is reached when a reached
+definition names it; code that only tests reach is deleted, not kept alive
+by its own tests.  An ``__init__`` export is no root: a name in ``__all__``
+needs a package caller or a ``KEEP`` reason like any other.
 """
 
 import ast
@@ -70,13 +71,6 @@ def _referenced(modules):
     return seen
 
 
-def _exported(modules):
-    for stmt in modules["__init__"].body:
-        if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets):
-            return set(ast.literal_eval(stmt.value))
-    return set()
-
-
 def _scenario_bodies(modules):
     """The functions registered in SCENARIOS by the ``@_scenario`` decorator."""
     return {
@@ -96,7 +90,7 @@ def _reached(modules):
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 loads.setdefault(stmt.name, set()).update(_names(stmt))
-    roots = _exported(modules) | _scenario_bodies(modules) | {"main"} | set(KEEP) | PERFBENCH
+    roots = _scenario_bodies(modules) | {"main"} | set(KEEP) | PERFBENCH
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
@@ -108,7 +102,7 @@ def _reached(modules):
 
 def test_every_public_definition_has_a_package_caller_or_a_reason():
     modules = _modules()
-    reached = _referenced(modules) | _exported(modules) | set(KEEP)
+    reached = _referenced(modules) | set(KEEP)
     orphans = sorted(
         f"{module}.{name}"
         for module, name in _definitions(modules)
@@ -130,6 +124,6 @@ def test_keep_set_names_only_uncalled_definitions():
     defined = {name for _, name in _definitions(modules)}
     assert set(KEEP) <= defined, f"KEEP names what is gone: {sorted(set(KEEP) - defined)}"
     assert PERFBENCH <= defined, f"PERFBENCH names what is gone: {sorted(PERFBENCH - defined)}"
-    called = sorted(set(KEEP) & (_referenced(modules) | _exported(modules)))
+    called = sorted(set(KEEP) & _referenced(modules))
     assert called == [], f"KEEP names what the package already calls: {called}"
     assert all(reason.strip() for reason in KEEP.values())

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfosim.errors import ChainWasQuantized, DesignInfeasible, StreamTooShort
+from scfosim.errors import ChainWasQuantized, DesignInfeasible, RatioOutOfRange, StreamTooShort
 from scfosim.frontend import QuantKind, QuantizerSpec, SampleStream, Zone, sample
-from scfosim.rational import PhaseAccumulator
+from scfosim.rational import phase_run
 from scfosim.resampler import (
     FIR_TILE,
     Resampler,
@@ -156,9 +156,8 @@ class TestResampling:
         assert abs(peak - 300.0) < 0.5  # absolute Hz, not 300*f_a/f_c
 
     def test_skip_event_count(self, bank19):
-        acc = PhaseAccumulator(Fraction(1001, 1000), 1024)
-        adv, _ = acc.run(100_000)
-        skips = int(np.count_nonzero(adv == 2))
+        n, _, _ = phase_run(Fraction(0), Fraction(1001, 1000), 1024, 100_000)
+        skips = int(np.count_nonzero(np.diff(n, prepend=0) == 2))
         assert 99 <= skips <= 100
 
     def test_resample_error_in_band_tone(self, bank_float):
@@ -211,6 +210,19 @@ class TestResampling:
     def test_stream_too_short(self, bank_float):
         with pytest.raises(StreamTooShort):
             resample(stream_from(np.zeros(40)), Fraction(1000), bank_float)
+
+    def test_ratio_out_of_range(self, bank19):
+        # the scheme assumes offsets well inside +/-50%
+        for ratio in (Fraction(1, 2), Fraction(3, 2)):
+            with pytest.raises(RatioOutOfRange):
+                Resampler(bank19, ratio)
+
+    @pytest.mark.parametrize("ratio", [Fraction(501, 1000), Fraction(1499, 1000)])
+    def test_ratio_just_inside_the_bounds(self, bank19, ratio):
+        out = Resampler(bank19, ratio).process(np.ones(1000))
+        # outputs up to the last full 56-tap window, each at the bank's DC gain
+        assert abs(len(out) - (1000 - 55) / ratio) <= 1
+        assert np.allclose(out, 1.0, atol=1e-3)
 
     def test_streaming_chunks_match_oneshot(self, bank19):
         rng = np.random.default_rng(5)
@@ -359,9 +371,8 @@ class TestTransients:
         sl = out.valid_slice()
         truth = eval_tones(*sig.arrays(), SampleGrid(out.rate, sl.start, sl.stop - sl.start, out.epoch))
         err = np.abs(out.data[sl] - truth)
-        acc = PhaseAccumulator(f_a / f_c, 1024)
-        adv, _ = acc.run(sl.stop)
-        events = np.flatnonzero(adv[sl.start : sl.stop] != 1)
+        n, _, _ = phase_run(Fraction(0), f_a / f_c, 1024, sl.stop)
+        events = np.flatnonzero(np.diff(n, prepend=0)[sl.start : sl.stop] != 1)
         mask = np.ones(len(err), bool)
         N = 56
         for e in events:
@@ -374,9 +385,8 @@ class TestTransients:
         # a skip/repeat touches an output "in any way" through taps above 0.1
         assert np.count_nonzero(np.abs(bank19.table) > 0.1, axis=1).max() <= 8
         # paper-style accounting: 0.1% events x few(=3) taps <= 0.3% of data
-        acc = PhaseAccumulator(Fraction(1001, 1000), 1024)
-        adv, _ = acc.run(100_000)
-        events = int(np.count_nonzero(adv != 1))
+        n, _, _ = phase_run(Fraction(0), Fraction(1001, 1000), 1024, 100_000)
+        events = int(np.count_nonzero(np.diff(n, prepend=0) != 1))
         assert events * 3 / 100_000 <= 0.003 + 1e-12
 
 

@@ -77,7 +77,7 @@ def deadline(seconds=60):
 
 def antenna_pair(zone=Zone.ZONE1):
     return [
-        AntennaChainSpec(f"m{i + 1:03d}", "B1", Fraction(off), zone=zone, extended_offsets=True)
+        AntennaChainSpec(f"m{i + 1:03d}", "B1", Fraction(off), zone=zone)
         for i, off in enumerate((4_240_000, -4_240_000))
     ]
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scfosim.errors import PulseTooNarrow, WindowTooShort
-from scfosim.rational import parse_frequency
+from scfosim.rational import parse_rational
 from scfosim.timing import (
     AlignmentState,
     PpsModel,
@@ -43,7 +43,7 @@ class TestPpsSampleIndices:
         assert idx == [0, 10, 20, 30, 40]
 
     def test_non_integer_hz_alternating_counts(self):
-        f_a = parse_frequency("3000000000.1")
+        f_a = parse_rational("3000000000.1")
         pps = PpsModel(jitter_ns=0.0)
         idx = pps_sample_indices(f_a, pps, 21)
         counts = np.diff(idx)
