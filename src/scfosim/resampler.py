@@ -106,20 +106,18 @@ def quantize_taps(taps: np.ndarray, bits: int) -> np.ndarray:
     top = scale - 1  # two's complement positive limit
     raw = np.atleast_2d(taps * scale)
     out = np.clip(np.rint(raw), -scale, top).astype(np.int64)
-    for row, raw_row in zip(out, raw):
-        residual = scale - int(row.sum())
-        if residual == 0:
-            continue
-        err = raw_row - row
-        step = 1 if residual > 0 else -1
-        order = np.argsort(step * err)[::-1]
-        moved = 0
-        for idx in order:
-            if moved == abs(residual) or step * err[idx] <= 0:
-                break  # never move a tap against its own rounding error
-            if -scale < row[idx] + step <= top:
-                row[idx] += step
-                moved += 1
+    residual = scale - out.sum(axis=1)
+    step = np.sign(residual)
+    # Per row, visit taps by falling step * rounding error; a tap is eligible
+    # if moving it by step reduces its error and stays in range, and the
+    # first |residual| eligible taps move.
+    err = step[:, None] * (raw - out)
+    order = np.argsort(err, axis=1)[:, ::-1]
+    moved = np.take_along_axis(out, order, axis=1) + step[:, None]
+    ok = (np.take_along_axis(err, order, axis=1) > 0) & (-scale < moved) & (moved <= top)
+    take = ok & (np.cumsum(ok, axis=1) <= np.abs(residual)[:, None])
+    rows, cols = np.nonzero(take)
+    np.add.at(out, (rows, order[rows, cols]), step[rows])
     return out.reshape(np.shape(taps))
 
 

@@ -301,7 +301,10 @@ def _check_bank_fields(cfg) -> None:
 def _clock_and_bank(cfg) -> tuple[Fraction, object]:
     """The common clock f_c and the cached coefficient bank of ``cfg``."""
     _check_bank_fields(cfg)
-    return _frac(cfg["f_c"], "f_c"), cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
+    f_c = _frac(cfg["f_c"], "f_c")
+    if f_c <= 0:
+        raise ConfigInvalid("f_c", f"{cfg['f_c']!r} is not positive")
+    return f_c, cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
 
 
 def _antennas(cfg, zone=Zone.ZONE1, interference=(), offsets=None):

@@ -102,6 +102,49 @@ class TestLloydMax:
         assert rho_q / rho_f == pytest.approx(eta_oracle, abs=2.5e-3)
 
 
+class TestLloydMaxAgainstScipy:
+    """The standard-library Gaussian CDF against scipy.special's."""
+
+    @staticmethod
+    def scipy_levels(n_levels=16, tol=1e-12, max_iter=20000):
+        # the iteration in its earlier numpy form, on ndtr and erfinv
+        from scipy.special import erfinv, ndtr
+
+        q = (np.arange(n_levels) + 0.5) / n_levels
+        levels = np.sqrt(2.0) * erfinv(2.0 * q - 1.0)
+        for _ in range(max_iter):
+            edges = np.concatenate(([-np.inf], 0.5 * (levels[:-1] + levels[1:]), [np.inf]))
+            lo, hi = edges[:-1], edges[1:]
+            pdf = np.exp(-0.5 * edges * edges) / np.sqrt(2.0 * np.pi)
+            new = (pdf[:-1] - pdf[1:]) / (ndtr(hi) - ndtr(lo))
+            new = 0.5 * (new - new[::-1])
+            delta = np.max(np.abs(new - levels))
+            levels = new
+            if delta < tol:
+                return levels
+        raise RuntimeError("no convergence")
+
+    def test_levels_match_the_scipy_iteration(self):
+        assert np.max(np.abs(lloyd_max_levels(16) - self.scipy_levels())) <= 1e-12
+
+    def test_levels_are_cell_means_and_efficiency_matches(self):
+        from scipy.special import ndtr
+
+        lv = lloyd_max_levels(16)
+        thresholds = 0.5 * (lv[:-1] + lv[1:])
+        edges = np.concatenate(([-np.inf], thresholds, [np.inf]))
+        pdf = np.exp(-0.5 * edges * edges) / np.sqrt(2.0 * np.pi)
+        mass = np.diff(ndtr(edges))
+        assert np.max(np.abs((pdf[:-1] - pdf[1:]) / mass - lv)) <= 1e-12
+        for spec in (QuantizerSpec(QuantKind.Q4_OPTIMAL), QuantizerSpec(QuantKind.Q8_UNIFORM)):
+            levels = quantizer_levels(spec, 1.0)
+            t = 0.5 * (levels[:-1] + levels[1:])
+            e_xq = np.sum(np.diff(levels) * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi))
+            cells = np.diff(ndtr(np.concatenate(([-np.inf], t, [np.inf]))))
+            eta = e_xq**2 / np.sum(levels**2 * cells)
+            assert quantizer_efficiency(spec) == pytest.approx(eta, abs=1e-12)
+
+
 class TestQuantize:
     def make_stream(self, data):
         return SampleStream(rate=Fraction(1000), epoch=Fraction(0), data=np.asarray(data, float))

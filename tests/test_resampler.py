@@ -16,6 +16,7 @@ from scfosim.resampler import (
     design_bank,
     export_bank,
     export_response_csv,
+    quantize_taps,
     resample,
     resample_error,
     response,
@@ -84,6 +85,41 @@ class TestDesign:
         # 8 taps cannot hold 0.05 dB ripple over nearly the whole band
         with pytest.raises(DesignInfeasible):
             design_bank(8, 64, None, passband=(0.05, 0.95), max_ripple_db=0.05)
+
+
+def quantize_taps_by_row(taps, bits):
+    """The row-by-row form of ``quantize_taps``, kept as its oracle."""
+    scale = 1 << (bits - 1)
+    top = scale - 1
+    raw = np.atleast_2d(taps * scale)
+    out = np.clip(np.rint(raw), -scale, top).astype(np.int64)
+    for row, raw_row in zip(out, raw):
+        residual = scale - int(row.sum())
+        if residual == 0:
+            continue
+        err = raw_row - row
+        step = 1 if residual > 0 else -1
+        order = np.argsort(step * err)[::-1]
+        moved = 0
+        for idx in order:
+            if moved == abs(residual) or step * err[idx] <= 0:
+                break
+            if -scale < row[idx] + step <= top:
+                row[idx] += step
+                moved += 1
+    return out.reshape(np.shape(taps))
+
+
+@pytest.mark.parametrize(
+    "taps, phases, bits",
+    [
+        (56, 1024, 19), (40, 1024, 19), (48, 1024, 19), (64, 1024, 19), (56, 256, 19),
+        (56, 4096, 19), (56, 1024, 12), (56, 1024, 8), (16, 64, 4), (8, 16, 3),
+    ],
+)
+def test_quantize_taps_matches_the_row_loop(taps, phases, bits):
+    table = design_bank(taps, phases, None, max_ripple_db=1e9).table
+    assert np.array_equal(quantize_taps(table, bits), quantize_taps_by_row(table, bits))
 
 
 class TestResponse:
