@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import StreamTooShort
 from .frontend import QuantizerSpec, quantize_array
 from .rational import count_inputs
-from .resampler import PASSBAND, Resampler, cached_bank
+from .resampler import PASSBAND, Resampler, aligned_start, cached_bank
 from .signal import SampleGrid, combine, eval_tones, synth_signal
 
 F_C = Fraction(1_000_000)  # the chains' common clock
@@ -54,7 +54,6 @@ WELCH_CAP = 1 << 20  # leading samples the loss spectra average over
 class ChainSpec:
     """One processing-chain recipe applied symmetrically to both antennas."""
 
-    name: str
     input_quant: QuantizerSpec | None = None
     resample: bool = False
     offset: Fraction = Fraction(0)  # f_a = F_C*(1 +/- offset) when resampling
@@ -163,32 +162,6 @@ class _WelchCross:
         return sab / nseg, saa / nseg, sbb / nseg
 
 
-class _AntennaSource:
-    """Chunked evaluation of one antenna's analytic waveform on its grid,
-    samples 0 to ``stop`` - 1.
-
-    Each chunk is the exact-grid form of eval_tones, whose values depend only
-    on the absolute sample index, never on the chunk size.  The last chunk
-    ends at ``stop``; a read after it raises StreamTooShort, never yields an
-    empty chunk.
-    """
-
-    def __init__(self, tones, rate: Fraction, chunk: int, stop: int):
-        self.amps, self.freqs, self.phases = tones
-        self.rate = Fraction(rate)
-        self.chunk = chunk
-        self.stop = stop
-        self.next_index = 0
-
-    def next_chunk(self) -> np.ndarray:
-        count = min(self.chunk, self.stop - self.next_index)
-        if count < 1:
-            raise StreamTooShort(f"read past the last of {self.stop} source samples")
-        grid = SampleGrid(self.rate, self.next_index, count)
-        self.next_index += count
-        return eval_tones(self.amps, self.freqs, self.phases, grid)
-
-
 def map_forked(fn, items):
     """``[fn(x) for x in items]`` with the last item run in a forked child
     process while this one runs the rest.
@@ -253,12 +226,12 @@ def run_dual_chain(
         stop = n_out + skip
         if chain.resample:
             bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
-            p0 = Fraction(chain.bank_taps - 1, 2) * (ratio - 1)  # aligns both output epochs
+            p0 = aligned_start(bank, ratio)
             resampler = Resampler(bank, ratio, p0)
             stop = count_inputs(p0, ratio, bank.phases, bank.taps_per_phase, n_out + skip)
-        source = _AntennaSource(combine(sky, noise).arrays(), F_C * ratio, chunk, stop)
-        while True:
-            out = source.next_chunk()
+        tones = combine(sky, noise).arrays()
+        for lo in range(0, stop, chunk):
+            out = eval_tones(*tones, SampleGrid(F_C * ratio, lo, min(chunk, stop - lo)))
             if chain.input_quant is not None and not twin:
                 out = quantize_array(out, chain.input_quant, sigma_in)
             if chain.resample:
@@ -281,7 +254,9 @@ def run_dual_chain(
             for i, stream in enumerate(streams):
                 if len(pend[i]) >= n_out - done:
                     continue  # its source may be spent; what it holds suffices
-                arr = next(stream)
+                arr = next(stream, None)
+                if arr is None:
+                    raise StreamTooShort(f"antenna {i}'s source is spent before {n_out} outputs")
                 if skipped[i] < skip:
                     drop = min(skip - skipped[i], len(arr))
                     arr = arr[drop:]

@@ -26,10 +26,6 @@ class EmptyBand(ScfoError):
     pass
 
 
-class UnknownAntenna(ScfoError):
-    pass
-
-
 # frontend
 class BandZoneMismatch(ScfoError):
     pass

@@ -1,7 +1,7 @@
 """Antenna digitizer model: band limiting, sampling, amplitude quantization.
 
 The digitizer is ideal (no jitter, no interleaving spurs); artefacts enter
-only as injected tones.  Sample k sits at the exact rational instant
+only as tones in the analytic bank.  Sample k sits at the exact rational instant
 epoch + k/f_a and is synthesized by the grid form of signal.eval_tones, the
 same kernel the streaming chains use: each tone's phase is reduced in exact
 rationals and no sample time is ever formed in floats, so there is no drift
@@ -121,8 +121,8 @@ def sample(
     For ZONE2 the declared signal band must lie within (f_a/2, f_a), with a
     fractional ``band_slack`` allowance; the stream is flagged so downstream
     stages know a digitizer down-conversion (f -> f_a - f, spectrally
-    reversed) has occurred.  Injected out-of-band tones are exempt from the
-    check on purpose: alias probes are part of the experiments.
+    reversed) has occurred.  Only the declared band is checked, not each
+    tone: out-of-band clock tones and alias probes are part of the experiments.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -268,8 +268,6 @@ class FilterSpec:
         for (f0, g0), (f1, g1) in zip(pts, pts[1:]):
             if f0 <= f <= f1:
                 if f == f0:
-                    return g0
-                if f1 == f0:
                     return g0
                 return g0 + (g1 - g0) * (f - f0) / (f1 - f0)
         return pts[-1][1]

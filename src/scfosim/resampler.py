@@ -190,8 +190,6 @@ class ResponseCurve:
     freq: np.ndarray
     mag_db: np.ndarray
     delay_err_samples: np.ndarray
-    phase: int
-    nominal_delay: float
 
 
 def response(
@@ -223,7 +221,7 @@ def response(
     if np.any(zero) and n_freq > 1:
         first = np.flatnonzero(~zero)[0]
         delay_err[zero] = delay_err[first]
-    return ResponseCurve(freq, mag_db, delay_err, phase, nominal)
+    return ResponseCurve(freq, mag_db, delay_err)
 
 
 # Outputs per tile of _fir_rows: 512 timed faster than 256, 768, 1024 and 2048;
@@ -258,6 +256,12 @@ def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarr
         else:
             np.add.reduce(prod.T.copy(), axis=0, out=out[lo:hi])
     return out
+
+
+def aligned_start(bank: CoefficientBank, ratio: Fraction) -> Fraction:
+    """Where output 0 sits on an antenna's input grid: c*(ratio - 1), with c
+    the prototype center, so every antenna's outputs share one epoch, c/f_c."""
+    return Fraction(bank.taps_per_phase - 1, 2) * (ratio - 1)
 
 
 class Resampler:

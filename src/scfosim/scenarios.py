@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,15 +39,8 @@ from .errors import ConfigInvalid, Infeasible, InsufficientSamples, ZeroDenomina
 from .frontend import FilterSpec, QuantKind, QuantizerSpec, Zone, antialias, sample
 from .mixer import HILBERT_TAPS, ssb_shift
 from .rational import count_inputs, count_outputs, parse_rational
-from .resampler import PASSBAND, cached_bank, resample
-from .signal import (
-    InterferenceKind,
-    InterferenceSpec,
-    Tone,
-    ToneBankSignal,
-    inject,
-    synth_signal,
-)
+from .resampler import PASSBAND, aligned_start, cached_bank, resample
+from .signal import Tone, ToneBankSignal, synth_signal
 
 BAND_TABLE = {
     "B1": Fraction(4_000_000_000),
@@ -83,7 +76,6 @@ class AntennaChainSpec:
     band: str = "B1"
     offset: Fraction = Fraction(0)
     zone: Zone = Zone.ZONE1
-    interference: list[InterferenceSpec] = field(default_factory=list)
 
     def __post_init__(self):
         if self.band not in BAND_TABLE:
@@ -294,8 +286,10 @@ def _check_bank_fields(cfg) -> None:
         raise ConfigInvalid("taps", f"{cfg['taps']}; the filter needs at least 2 taps")
     if cfg["phases"] < 2 or cfg["phases"] & (cfg["phases"] - 1):
         raise ConfigInvalid("phases", f"{cfg['phases']} is not a power of two >= 2")
-    if cfg["coeff_bits"] < 1:
-        raise ConfigInvalid("coeff_bits", f"{cfg['coeff_bits']}; a signed tap needs at least 1 bit")
+    if not 1 <= cfg["coeff_bits"] <= 63:
+        raise ConfigInvalid(
+            "coeff_bits", f"{cfg['coeff_bits']}; a signed tap needs 1 to 63 bits of its int64 word"
+        )
 
 
 def _clock_and_bank(cfg) -> tuple[Fraction, object]:
@@ -307,25 +301,18 @@ def _clock_and_bank(cfg) -> tuple[Fraction, object]:
     return f_c, cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
 
 
-def _antennas(cfg, zone=Zone.ZONE1, interference=(), offsets=None):
-    """One antenna per offset (``cfg["offsets_hz"]`` by default), named
-    m001, m002, ... on ``cfg["band"]``."""
+def _antennas(cfg, zone=Zone.ZONE1, offsets=None):
+    """The antenna pair at two offsets (``cfg["offsets_hz"]`` by default),
+    named m001 and m002, on ``cfg["band"]``."""
+    offsets = cfg["offsets_hz"] if offsets is None else offsets
+    if len(offsets) != 2:
+        raise ConfigInvalid("offsets_hz", f"{len(offsets)} offsets; the scenario compares exactly 2 antennas")
     return [
         AntennaChainSpec(
-            antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off, f"offsets_hz[{i}]"),
-            zone=zone, interference=list(interference),
+            antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off, f"offsets_hz[{i}]"), zone=zone
         )
-        for i, off in enumerate(cfg["offsets_hz"] if offsets is None else offsets)
+        for i, off in enumerate(offsets)
     ]
-
-
-def _clock_tone(cfg, amplitude: float) -> InterferenceSpec:
-    """Each antenna's own clock tone at ``cfg["clock_tone_scale"]`` * f_a."""
-    return InterferenceSpec(
-        kind=InterferenceKind.SELF_CLOCK_DERIVED,
-        amplitude=amplitude,
-        clock_scale=_frac(cfg["clock_tone_scale"], "clock_tone_scale"),
-    )
 
 
 def _valid_run(stream, start: int, n: int) -> np.ndarray:
@@ -344,12 +331,6 @@ def _peak_hz(stream, n_fft: int, f_c: Fraction) -> float:
     return np.fft.fftfreq(n_fft, d=1.0 / float(f_c))[int(np.argmax(spec))]
 
 
-def _start_position(bank, ratio: Fraction) -> Fraction:
-    """Where output 0 sits on an antenna's input grid: c*(ratio - 1), with c
-    the prototype center, so every antenna's outputs share one epoch, c/f_c."""
-    return Fraction(bank.taps_per_phase - 1, 2) * (ratio - 1)
-
-
 def _outputs_holding(antennas, f_c, bank, n: int) -> int:
     """Common-clock outputs per antenna whose joint valid region holds ``n``
     samples: ``n`` plus each stage's edge losses.  The resampler's outputs
@@ -359,37 +340,35 @@ def _outputs_holding(antennas, f_c, bank, n: int) -> int:
     lead = trail = 0
     for spec in antennas:
         ratio = spec.desk_rate(f_c) / f_c
-        lead = max(lead, count_outputs(_start_position(bank, ratio) - ratio, ratio, bank.phases, -1))
+        lead = max(lead, count_outputs(aligned_start(bank, ratio) - ratio, ratio, bank.phases, -1))
         if spec.zone is Zone.ZONE2:
             trail = HILBERT_TAPS // 2
             lead = max(lead, trail)
     return lead + n + trail
 
 
-def _resampled_tone_streams(antennas, f_c, bank, n_out, sky=None, band=None):
-    """Per antenna: inject interference into its sky (one signal for all, a
-    list with one per antenna, or None for an empty bank in ``band``), sample
-    in the antenna's zone at its desk rate, resample back to the common clock,
-    and shift a Zone-2 antenna by f_c - f_a.  Each antenna samples exactly the
-    inputs (``rational.count_inputs``) from which the resampler computes
-    ``n_out`` outputs; one more output can come along when it shares the last
-    one's window.  Antennas are independent, so they run in parallel
-    processes (``chain.map_forked``) with the same output bytes."""
-    clocks = {spec.antenna_id: spec.desk_rate(f_c) for spec in antennas}
-    if band is None:
-        band = _band(PASSBAND, f_c / 2)
-    if sky is None:
-        sky = ToneBankSignal(tones=(), seed=0, band=band)
+def _resampled_tone_streams(antennas, f_c, bank, n_out, sky, clock_tone=None):
+    """Per antenna: take its sky (one signal for all, or a list with one per
+    antenna) plus, given ``clock_tone`` = (amplitude, scale), its own clock
+    tone at scale * f_a, sample in the antenna's zone at its desk rate f_a,
+    resample back to the common clock, and shift a Zone-2 antenna by
+    f_c - f_a.  Each antenna samples exactly the inputs
+    (``rational.count_inputs``) from which the resampler computes ``n_out``
+    outputs; one more output can come along when it shares the last one's
+    window.  Antennas are independent, so they run in parallel processes
+    (``chain.map_forked``) with the same output bytes."""
     if not isinstance(sky, list):
         sky = [sky] * len(antennas)
 
     def one(item):
         spec, bank_sig = item
-        for interference in spec.interference:
-            bank_sig = inject(bank_sig, interference, clocks, spec.antenna_id)
-        f_a = clocks[spec.antenna_id]
+        f_a = spec.desk_rate(f_c)
+        if clock_tone is not None:
+            amplitude, scale = clock_tone
+            # exact until the one float(): the tone sits at the rational scale * f_a
+            bank_sig = replace(bank_sig, tones=bank_sig.tones + (Tone(amplitude, float(scale * f_a), 0.0),))
         ratio = f_a / f_c
-        start = _start_position(bank, ratio)
+        start = aligned_start(bank, ratio)
         n_in = count_inputs(start, ratio, bank.phases, bank.taps_per_phase, n_out)
         stream = sample(bank_sig, f_a, n_in, zone=spec.zone, band_slack=0.02)
         out = resample(stream, f_c, bank, start_position=start)
@@ -443,14 +422,14 @@ def _selfclock_washout(cfg, summary):
         raise ConfigInvalid("window_jitter", f"{cfg['window_jitter']} is not a fraction in [0, 1)")
     rng = np.random.default_rng(cfg["seed"])
     f_c, bank = _clock_and_bank(cfg)
-    tone = _clock_tone(cfg, float(cfg["clock_tone_amplitude"]))
-    antennas = _antennas(cfg, interference=[tone])
+    scale = _frac(cfg["clock_tone_scale"], "clock_tone_scale")
+    antennas = _antennas(cfg)
 
     # interference-only streams: each antenna samples its own clock tone
     # scale * f_a, which lands at its alias on [0, f_a/2] (1/4 f_a for the
     # default 3/4), so the tones differ by the difference of the aliases;
     # windows of varying start and length sample the washing statistics
-    landed = [_alias(tone.clock_scale * f_a, f_a) for f_a in (a.desk_rate(f_c) for a in antennas)]
+    landed = [_alias(scale * f_a, f_a) for f_a in (a.desk_rate(f_c) for a in antennas)]
     delta_f = abs(float(landed[0] - landed[1]))
     longest = max(cfg["targets_dwt"]) / (2 * math.pi * delta_f)
     # a float-derived input count on purpose: it sets the range the window
@@ -458,10 +437,12 @@ def _selfclock_washout(cfg, summary):
     # it; the pair needs only the shorter, the joint valid end
     n_in = int(1.45 * longest * float(f_c)) + 4096
     n_out = min(
-        count_outputs(_start_position(bank, r) - r, r, bank.phases, n_in - bank.taps_per_phase)
+        count_outputs(aligned_start(bank, r) - r, r, bank.phases, n_in - bank.taps_per_phase)
         for r in (a.desk_rate(f_c) / f_c for a in antennas)
     )
-    streams = _resampled_tone_streams(antennas, f_c, bank, n_out)
+    no_sky = ToneBankSignal(tones=(), band=_band(PASSBAND, f_c / 2))
+    tone = (float(cfg["clock_tone_amplitude"]), scale)
+    streams = _resampled_tone_streams(antennas, f_c, bank, n_out, no_sky, clock_tone=tone)
     lo = max(s.valid_start for s in streams)
     hi = min(s.valid_end for s in streams)
 
@@ -496,7 +477,7 @@ def _selfclock_washout(cfg, summary):
 
     # sky correlation rides the same chains
     sky = synth_signal(cfg["seed"], cfg["sky_tones"], _band(PASSBAND, f_c / 2))
-    sky_rep, _ = _correlated_pair(_antennas(cfg), f_c, bank, cfg["sky_T"], sky=sky)
+    sky_rep, _ = _correlated_pair(antennas, f_c, bank, cfg["sky_T"], sky=sky)
     sky_rho = abs(sky_rep.rho)
     summary.check(
         sky_rho > cfg["sky_rho_min"],
@@ -526,16 +507,14 @@ def _scfo_off_control(cfg, summary):
     if cfg["noise_rms"] < 0:
         raise ConfigInvalid("noise_rms", f"{cfg['noise_rms']!r}; an RMS cannot be negative")
     f_c, bank = _clock_and_bank(cfg)
-    # all offsets zero: the clock tones land at identical frequencies
-    antennas = _antennas(
-        cfg, interference=[_clock_tone(cfg, float(cfg["clock_tone_amplitude"]))], offsets=[0, 0]
-    )
+    tone = (float(cfg["clock_tone_amplitude"]), _frac(cfg["clock_tone_scale"], "clock_tone_scale"))
+    antennas = _antennas(cfg, offsets=[0, 0])  # the clock tones land at identical frequencies
     noise = [
         synth_signal(cfg["seed"] * 977 + i, cfg["noise_tones"], _band(PASSBAND, f_c / 2),
                      rms=float(cfg["noise_rms"]))
         for i in range(len(antennas))
     ]
-    rep, _ = _correlated_pair(antennas, f_c, bank, cfg["T"], sky=noise)
+    rep, _ = _correlated_pair(antennas, f_c, bank, cfg["T"], sky=noise, clock_tone=tone)
     p_tone = float(cfg["clock_tone_amplitude"]) ** 2 / 2.0
     p_noise = float(cfg["noise_rms"]) ** 2
     predicted = p_tone / (p_tone + p_noise)
@@ -552,8 +531,9 @@ def _scfo_off_control(cfg, summary):
     }
 
 
-# (case, zone, source, frequency / f_c, whether it correlates, check text): a
-# probe is an RF tone injected into an empty sky, a sky one common tone.
+# (case, zone, source, frequency / f_c, whether it correlates, check text):
+# each sky is one tone, a probe of amplitude ``probe_amplitude`` and phase 0
+# or a unit sky tone of phase 0.7.
 _ZONE_CASES = (
     # Zone 1, between passband edge and Nyquist: sampled untranslated at the
     # same absolute frequency in both antennas
@@ -589,16 +569,9 @@ def _zone1_vs_zone2(cfg, summary):
     rows = []
     for case, zone, source, frac, correlates, text in _ZONE_CASES:
         hz = frac * float(f_c)
-        band = _band(ZONE_BANDS[zone], f_c)
-        if source == "sky":
-            antennas = _antennas(cfg, zone)
-            sky = ToneBankSignal(tones=(Tone(1.0, hz, 0.7),), seed=cfg["seed"], band=band)
-        else:
-            probe = InterferenceSpec(
-                kind=InterferenceKind.FIXED_RF, amplitude=float(cfg["probe_amplitude"]), freq_hz=hz
-            )
-            antennas, sky = _antennas(cfg, zone, [probe]), None
-        rep, _ = _correlated_pair(antennas, f_c, bank, cfg["T"], sky=sky, band=band)
+        tone = Tone(1.0, hz, 0.7) if source == "sky" else Tone(float(cfg["probe_amplitude"]), hz, 0.0)
+        sky = ToneBankSignal(tones=(tone,), band=_band(ZONE_BANDS[zone], f_c))
+        rep, _ = _correlated_pair(_antennas(cfg, zone), f_c, bank, cfg["T"], sky=sky)
         rho = abs(rep.rho)
         rows.append((case, hz, rho))
         ok = rho > cfg["correlated_min"] if correlates else rho < cfg["decorrelated_max"]
@@ -632,7 +605,7 @@ def _relaxed_antialias(cfg, summary):
     expected_gain = filt.gain(float(cfg["probe_hz"]))
     probe = ToneBankSignal(
         tones=(Tone(float(cfg["probe_amplitude"]), float(cfg["probe_hz"]), 0.1),),
-        seed=cfg["seed"], band=_band(ZONE_BANDS[Zone.ZONE1], f_c),
+        band=_band(ZONE_BANDS[Zone.ZONE1], f_c),
     )
     filtered = antialias(probe, filt)
     rows = []
@@ -690,16 +663,13 @@ def _zone2_shift(cfg, summary):
     if n_fft < segments:
         raise ConfigInvalid("n_fft", f"{n_fft}; needs one sample per segment")
     f_c, bank = _clock_and_bank(cfg)
-    tone = _clock_tone(cfg, 1.0)
-    clock_antennas = _antennas(cfg, Zone.ZONE2, [tone])
+    scale = _frac(cfg["clock_tone_scale"], "clock_tone_scale")
+    antennas = _antennas(cfg, Zone.ZONE2)
     band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
-    n_out = _outputs_holding(clock_antennas, f_c, bank, n_fft)
+    n_out = _outputs_holding(antennas, f_c, bank, n_fft)
 
-    sky = ToneBankSignal(
-        tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),),
-        seed=cfg["seed"], band=band2,
-    )
-    sky_streams = _resampled_tone_streams(_antennas(cfg, Zone.ZONE2), f_c, bank, n_out, sky=sky)
+    sky = ToneBankSignal(tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),), band=band2)
+    sky_streams = _resampled_tone_streams(antennas, f_c, bank, n_out, sky)
     # sky tone peak bins must coincide
     peaks = [_peak_hz(s, n_fft, f_c) for s in sky_streams]
     bin_hz = float(f_c) / n_fft
@@ -731,10 +701,11 @@ def _zone2_shift(cfg, summary):
     )
 
     # clock tones land apart by the offset difference times the rule scale
-    clock_streams = _resampled_tone_streams(clock_antennas, f_c, bank, n_out, band=band2)
+    no_sky = ToneBankSignal(tones=(), band=band2)
+    clock_streams = _resampled_tone_streams(antennas, f_c, bank, n_out, no_sky, clock_tone=(1.0, scale))
     cpeaks = [_peak_hz(s, n_fft, f_c) for s in clock_streams]
     # tone at scale*f_a samples to (1-scale)*f_a, then shifts by f_c - f_a
-    landing = [float(f_c - tone.clock_scale * a.desk_rate(f_c)) for a in clock_antennas]
+    landing = [float(f_c - scale * a.desk_rate(f_c)) for a in antennas]
     expected_sep = abs(landing[0] - landing[1])
     measured_sep = abs(cpeaks[0] - cpeaks[1])
     summary.check(
@@ -782,13 +753,17 @@ def _requant_loss(cfg, summary):
         raise ConfigInvalid("samples", f"{cfg['samples']}; needs one per segment and at least {WELCH_NFFT}")
     _check_positive(cfg, "sky_tones", "noise_tones", "q4_loading", "q8_loading", "snr")
     _check_bank_fields(cfg)
+    offset = _frac(cfg["offset_ratio"], "offset_ratio")
+    if not abs(offset) < Fraction(1, 2):
+        raise ConfigInvalid(
+            "offset_ratio", f"{cfg['offset_ratio']!r}; the red chain's ratios 1 +/- it leave (1/2, 3/2)"
+        )
     q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, float(cfg["q4_loading"]))
-    blue = ChainSpec("q4-direct", input_quant=q4)
+    blue = ChainSpec(input_quant=q4)
     red = ChainSpec(
-        "q4-resample-q8",
         input_quant=q4,
         resample=True,
-        offset=_frac(cfg["offset_ratio"], "offset_ratio"),
+        offset=offset,
         out_quant=QuantizerSpec(QuantKind.Q8_UNIFORM, float(cfg["q8_loading"])),
         bank_taps=cfg["taps"],
         bank_phases=cfg["phases"],

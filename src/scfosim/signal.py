@@ -3,8 +3,8 @@
 A ToneBankSignal is the "analog" ground truth of every experiment: a sum of
 sinusoids with randomized amplitudes, frequencies and phases, evaluated on
 each antenna's exact rational sample grid (eval_tones with a SampleGrid).
-Interference tones tied to antenna sample clocks (or to fixed RF
-frequencies) are appended with inject().
+An interference line is one more Tone in the bank: a scenario appends each
+antenna's own clock tone at scale * f_a, and an RF probe is a one-tone bank.
 
 Dense random banks double as band-limited noise: unlike RNG samples they
 stay consistent when the same waveform is sampled on two different clock
@@ -13,7 +13,6 @@ grids, which the chain experiments rely on.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -21,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyBand, UnknownAntenna
+from .errors import EmptyBand
 
 TWO_PI = 2.0 * np.pi
 
@@ -31,7 +30,6 @@ class Tone:
     amplitude: float
     freq_hz: float
     phase_rad: float
-    out_of_band: bool = False
 
 
 @dataclass(frozen=True)
@@ -39,7 +37,6 @@ class ToneBankSignal:
     """Immutable sum-of-sinusoids signal."""
 
     tones: tuple[Tone, ...]
-    seed: int
     band: tuple[float, float]
 
     def rms(self) -> float:
@@ -52,30 +49,6 @@ class ToneBankSignal:
         freqs = np.array([t.freq_hz for t in self.tones], dtype=np.float64)
         phases = np.array([t.phase_rad for t in self.tones], dtype=np.float64)
         return amps, freqs, phases
-
-
-class InterferenceKind(enum.Enum):
-    SELF_CLOCK_DERIVED = "self-clock"
-    CROSS_CLOCK_LEAK = "cross-clock"
-    FIXED_RF = "fixed-rf"
-
-
-@dataclass(frozen=True)
-class InterferenceSpec:
-    """One injected spectral line.
-
-    For clock-derived kinds the tone frequency is ``clock_scale * f_a`` of
-    the governing antenna (the injected one for SELF_CLOCK_DERIVED, the
-    named ``source_antenna`` for CROSS_CLOCK_LEAK); for the fixed kinds it
-    is the absolute ``freq_hz``.
-    """
-
-    kind: InterferenceKind
-    amplitude: float
-    clock_scale: Fraction | None = None
-    freq_hz: float | None = None
-    source_antenna: str | None = None
-    phase_rad: float = 0.0
 
 
 # Span of synth_signal's log-uniform tone amplitudes, strongest to weakest.
@@ -111,7 +84,7 @@ def synth_signal(
     tones = tuple(
         Tone(float(a * scale), float(f), float(p)) for a, f, p in zip(amps, freqs, phases)
     )
-    return ToneBankSignal(tones=tones, seed=seed, band=(float(f_lo), float(f_hi)))
+    return ToneBankSignal(tones=tones, band=(float(f_lo), float(f_hi)))
 
 
 def _strata(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -132,47 +105,8 @@ def _strata(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def combine(a: ToneBankSignal, b: ToneBankSignal) -> ToneBankSignal:
-    """Union of two banks (linear superposition); keeps a's seed and band."""
+    """Union of two banks (linear superposition); keeps a's band."""
     return replace(a, tones=a.tones + b.tones)
-
-
-def inject(
-    sig: ToneBankSignal,
-    spec: InterferenceSpec,
-    clocks: dict[str, Fraction],
-    antenna: str,
-) -> ToneBankSignal:
-    """Append the interference tone of ``spec`` for stream ``antenna``.
-
-    The frequency rule is evaluated on the exact rational clock and only then
-    converted to a real.  Tones outside the signal band are tagged.
-    """
-    if spec.kind is InterferenceKind.SELF_CLOCK_DERIVED:
-        ref = antenna
-    elif spec.kind is InterferenceKind.CROSS_CLOCK_LEAK:
-        ref = spec.source_antenna
-    else:
-        ref = None
-
-    if ref is not None:
-        if ref not in clocks:
-            raise UnknownAntenna(f"antenna {ref!r} not in clock map {sorted(clocks)}")
-        if spec.clock_scale is None:
-            raise ValueError("clock-derived interference needs clock_scale")
-        freq = float(Fraction(spec.clock_scale) * clocks[ref])
-    else:
-        if spec.freq_hz is None:
-            raise ValueError(f"{spec.kind.value} interference needs freq_hz")
-        freq = float(spec.freq_hz)
-
-    f_lo, f_hi = sig.band
-    tone = Tone(
-        amplitude=float(spec.amplitude),
-        freq_hz=freq,
-        phase_rad=float(spec.phase_rad),
-        out_of_band=not (f_lo <= freq <= f_hi),
-    )
-    return replace(sig, tones=sig.tones + (tone,))
 
 
 class SampleGrid(NamedTuple):

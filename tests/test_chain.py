@@ -9,16 +9,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scfosim.chain import ChainSpec, SignalModel, _AntennaSource, _WelchCross, run_dual_chain
+from scfosim import chain as chain_module
+from scfosim.chain import ChainSpec, SignalModel, _WelchCross, run_dual_chain
 from scfosim.errors import ConfigInvalid, StreamTooShort
 from scfosim.frontend import QuantKind, QuantizerSpec
-from scfosim.signal import SampleGrid, eval_tones, synth_signal
+from scfosim.rational import count_inputs
+from scfosim.resampler import aligned_start, cached_bank
 
 Q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
 CHAINS = {
-    "q4-direct": ChainSpec("q4-direct", input_quant=Q4),
+    "q4-direct": ChainSpec(input_quant=Q4),
     "q4-resample-q8": ChainSpec(
-        "q4-resample-q8",
         input_quant=Q4,
         resample=True,
         offset=Fraction(1, 10_000),
@@ -79,17 +80,17 @@ def test_forked_antenna_matches_the_serial_chain_bit_for_bit(name, monkeypatch):
 
 
 def fail_on(monkeypatch, in_child, action):
-    """Run ``action`` in place of next_chunk in the forked child (the float
-    twin's channel) or in this process (the chain's channel)."""
+    """Run ``action`` before each source chunk's eval_tones in the forked child
+    (the float twin's channel) or in this process (the chain's channel)."""
     here = os.getpid()
-    original = _AntennaSource.next_chunk
+    original = chain_module.eval_tones
 
-    def next_chunk(self):
+    def eval_tones(*args):
         if (os.getpid() != here) == in_child:
             action()
-        return original(self)
+        return original(*args)
 
-    monkeypatch.setattr(_AntennaSource, "next_chunk", next_chunk)
+    monkeypatch.setattr(chain_module, "eval_tones", eval_tones)
 
 
 def raise_config_invalid():
@@ -150,12 +151,32 @@ def test_antennas_whose_sources_stop_in_different_chunks():
     assert abs(split.loss - whole.loss) <= 1e-12
 
 
-def test_a_source_stops_at_its_last_sample():
-    tones = synth_signal(2, 4, (1e5, 4e5)).arrays()
-    rate = Fraction(1_000_100)
-    source = _AntennaSource(tones, rate, chunk=100, stop=250)
-    chunks = [source.next_chunk() for _ in range(3)]
-    assert [len(c) for c in chunks] == [100, 100, 50]
-    assert np.array_equal(np.concatenate(chunks), eval_tones(*tones, SampleGrid(rate, 0, 250)))
-    with pytest.raises(StreamTooShort):
-        source.next_chunk()
+def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
+    # both channels run here, so every source chunk's grid is recorded
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    grids = []
+    original = chain_module.eval_tones
+
+    def eval_tones(amps, freqs, phases, grid):
+        grids.append(grid)
+        return original(amps, freqs, phases, grid)
+
+    monkeypatch.setattr(chain_module, "eval_tones", eval_tones)
+    chain = CHAINS["q4-resample-q8"]
+    n_out, chunk = 3_000, 1_000
+    run_dual_chain(chain, SignalModel(sky_seed=3), n_out, segments=4, chunk=chunk)
+    bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
+    skip = chain.bank_taps + 16  # the edge outputs the chain discards
+    for ratio in (1 + chain.offset, 1 - chain.offset):
+        stop = count_inputs(aligned_start(bank, ratio), ratio, bank.phases, bank.taps_per_phase, n_out + skip)
+        mine = [(g.start, g.count) for g in grids if g.rate == chain_module.F_C * ratio]
+        want = [(lo, min(chunk, stop - lo)) for lo in range(0, stop, chunk)]
+        assert mine == want * 2  # the chain's channel, then its float twin's
+
+
+def test_a_spent_source_raises_stream_too_short(monkeypatch):
+    # a source that stops 100 samples in cannot feed 3,000 outputs
+    monkeypatch.setattr(chain_module, "count_inputs", lambda *args: 100)
+    with deadline(), pytest.raises(StreamTooShort):
+        run_dual_chain(CHAINS["q4-resample-q8"], SignalModel(sky_seed=3), 3_000, segments=4, chunk=1_000)
+    assert not multiprocessing.active_children()

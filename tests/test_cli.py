@@ -79,6 +79,15 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("scfo-off-control", '{"noise_tones": 0}'),
         ("scfo-off-control", '{"noise_rms": -1}'),
         ("selfclock-washout", '{"sky_tones": 0}'),
+        ("selfclock-washout", '{"offsets_hz": ["4240000/1"]}'),
+        ("selfclock-washout", '{"offsets_hz": ["4240000/1", "-4240000/1", "0/1"]}'),
+        ("zone1-vs-zone2-alias", '{"offsets_hz": ["4240000/1"]}'),
+        ("relaxed-antialias", '{"offsets_hz": ["4240000/1"]}'),
+        ("zone2-shift", '{"offsets_hz": ["4240000/1", "-4240000/1", "0/1"]}'),
+        ("requant-loss", '{"coeff_bits": 64}'),
+        ("scfo-off-control", '{"coeff_bits": 64}'),
+        ("requant-loss", '{"offset_ratio": "1/2"}'),
+        ("requant-loss", '{"offset_ratio": "-3/5"}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
@@ -95,6 +104,9 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "one-tap", "phases-not-a-power-of-two", "no-coefficient-bits", "requant-one-tap",
         "no-sky-tones", "zero-q4-loading", "no-noise-tones", "negative-noise-rms",
         "washout-no-sky-tones",
+        "washout-one-offset", "washout-three-offsets", "zone-probes-one-offset",
+        "relaxed-one-offset", "zone2-shift-three-offsets", "requant-64-bit-taps",
+        "control-64-bit-taps", "offset-ratio-half", "offset-ratio-below-minus-half",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):

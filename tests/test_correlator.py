@@ -173,9 +173,7 @@ class TestCoherenceLoss:
 
 class TestSensitivityLoss:
     def test_float_chain_loss_near_zero(self):
-        a = ChainSpec("float")
-        b = ChainSpec("float2")
-        rep = sensitivity_loss(a, b, n=400_000, model=SignalModel(sky_seed=1), segments=16)
+        rep = sensitivity_loss(ChainSpec(), ChainSpec(), n=400_000, model=SignalModel(sky_seed=1), segments=16)
         assert abs(rep.loss_a) < 1e-12
         assert abs(rep.difference) < 1e-12
 
@@ -183,8 +181,8 @@ class TestSensitivityLoss:
         from scfosim.frontend import quantizer_efficiency
 
         spec = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
-        chain = ChainSpec("q4", input_quant=spec)
-        ref = ChainSpec("float")
+        chain = ChainSpec(input_quant=spec)
+        ref = ChainSpec()
         model = SignalModel(sky_seed=3, snr=0.25)
         rep = sensitivity_loss(ref, chain, n=2_000_000, model=model, segments=16)
         expected = 1.0 - quantizer_efficiency(spec)

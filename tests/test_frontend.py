@@ -24,9 +24,7 @@ from scfosim.signal import SampleGrid, Tone, ToneBankSignal, eval_tones, synth_s
 def tone_bank(*tones, band=None):
     freqs = [t[1] for t in tones]
     band = band or (min(freqs), max(freqs))
-    return ToneBankSignal(
-        tones=tuple(Tone(*t) for t in tones), seed=0, band=band
-    )
+    return ToneBankSignal(tones=tuple(Tone(*t) for t in tones), band=band)
 
 
 class TestSample:

@@ -18,7 +18,7 @@ from scfosim.signal import Tone, ToneBankSignal
 
 def tone_stream(freq, fs, n, amp=1.0, phase=0.3, zone=Zone.ZONE1):
     band = (freq, freq)
-    sig = ToneBankSignal(tones=(Tone(amp, freq, phase),), seed=0, band=band)
+    sig = ToneBankSignal(tones=(Tone(amp, freq, phase),), band=band)
     return sample(sig, Fraction(fs), n, zone, band_slack=1.0), sig
 
 
@@ -158,7 +158,7 @@ class TestSsbShift:
         peaks = []
         for f_a in (Fraction(999), Fraction(1002)):
             sig = ToneBankSignal(
-                tones=(Tone(1.0, F, 0.2),), seed=0, band=(0.55 * float(f_a), 0.95 * float(f_a))
+                tones=(Tone(1.0, F, 0.2),), band=(0.55 * float(f_a), 0.95 * float(f_a))
             )
             s = sample(sig, f_a, 12_000, Zone.ZONE2)
             r = resample(s, f_c, bank)

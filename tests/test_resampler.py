@@ -182,7 +182,7 @@ class TestIdentityResampling:
 class TestResampling:
     def test_tone_absolute_frequency_preserved(self, bank_float):
         f_c, f_a = Fraction(1000), Fraction(1001)
-        sig = ToneBankSignal(tones=(Tone(1.0, 300.0, 0.4),), seed=0, band=(300.0, 300.0))
+        sig = ToneBankSignal(tones=(Tone(1.0, 300.0, 0.4),), band=(300.0, 300.0))
         s = sample(sig, f_a, 9000)
         out = resample(s, f_c, bank_float)
         sl = out.valid_slice()
@@ -198,7 +198,7 @@ class TestResampling:
 
     def test_resample_error_in_band_tone(self, bank_float):
         f_c, f_a = Fraction(1000), Fraction(1001)
-        sig = ToneBankSignal(tones=(Tone(1.0, 40.0, 1.0),), seed=0, band=(40.0, 40.0))
+        sig = ToneBankSignal(tones=(Tone(1.0, 40.0, 1.0),), band=(40.0, 40.0))
         s = sample(sig, f_a, 6000)
         out = resample(s, f_c, bank_float)
         err = resample_error(sig, out)
@@ -209,7 +209,7 @@ class TestResampling:
         # delay grid: rms ~ omega/(2P sqrt(3)) per unit amplitude
         f_c, f_a = Fraction(1000), Fraction(1001)
         for freq in (100.0, 200.0, 400.0):
-            sig = ToneBankSignal(tones=(Tone(1.0, freq, 0.3),), seed=0, band=(freq, freq))
+            sig = ToneBankSignal(tones=(Tone(1.0, freq, 0.3),), band=(freq, freq))
             s = sample(sig, f_a, 8000)
             out = resample(s, f_c, bank_float)
             err = resample_error(sig, out)
@@ -218,7 +218,7 @@ class TestResampling:
             assert err["rms_err"] == pytest.approx(predicted, rel=0.35)
 
     def test_resample_error_zero_signal(self, bank_float):
-        sig = ToneBankSignal(tones=(), seed=0, band=(0.0, 1.0))
+        sig = ToneBankSignal(tones=(), band=(0.0, 1.0))
         s = stream_from(np.zeros(1000))
         out = resample(s, Fraction(1000), bank_float)
         err = resample_error(sig, out)
@@ -227,7 +227,7 @@ class TestResampling:
     def test_guard_band_tone_reported_not_judged(self, bank_float):
         # beyond the passband edge the error may be large; the op just reports
         f_c, f_a = Fraction(1000), Fraction(1001)
-        sig = ToneBankSignal(tones=(Tone(1.0, 497.0, 0.0),), seed=0, band=(497.0, 497.0))
+        sig = ToneBankSignal(tones=(Tone(1.0, 497.0, 0.0),), band=(497.0, 497.0))
         s = sample(sig, f_a, 6000)
         out = resample(s, f_c, bank_float)
         err = resample_error(sig, out)

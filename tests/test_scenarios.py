@@ -12,12 +12,11 @@ import pytest
 from scfosim.chain import map_forked
 from scfosim.errors import BandZoneMismatch, ConfigInvalid, InsufficientSamples
 from scfosim.frontend import SampleStream, Zone, sample
-from scfosim.resampler import cached_bank, design_bank, resample
+from scfosim.resampler import aligned_start, cached_bank, design_bank, resample
 from scfosim.scenarios import (
     ZONE_BANDS,
     AntennaChainSpec,
     _antennas,
-    _clock_tone,
     _correlated_pair,
     _outputs_holding,
     _peak_hz,
@@ -35,12 +34,13 @@ def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
     # reduced size; offsets, tone scale and rates are the scenario defaults
     cfg = {"targets_dwt": [100.0], "windows": 2, "sky_T": 0.02}
     result = run_scenario("selfclock-washout", cfg, out_dir=tmp_path)
-    defaults = {"band": "B1", "offsets_hz": ["4240000/1", "-4240000/1"], "clock_tone_scale": "3/4"}
-    antennas = _antennas(defaults, interference=[_clock_tone(defaults, 1.0)])
+    antennas = _antennas({"band": "B1", "offsets_hz": ["4240000/1", "-4240000/1"]})
     f_c = Fraction(1_000_000)
     n_fft = 1 << 16
     bank = design_bank(56, 1024, 19)
-    streams = _resampled_tone_streams(antennas, f_c, bank, _outputs_holding(antennas, f_c, bank, n_fft))
+    n_out = _outputs_holding(antennas, f_c, bank, n_fft)
+    no_sky = ToneBankSignal((), band=(0.05e6, 0.45e6))
+    streams = _resampled_tone_streams(antennas, f_c, bank, n_out, no_sky, clock_tone=(1.0, Fraction(3, 4)))
     peaks = []
     for s in streams:
         seg = s.data[s.valid_start : s.valid_start + n_fft]
@@ -88,7 +88,7 @@ def test_map_forked_matches_serial_bit_for_bit():
 
     def one(spec):
         f_a = spec.desk_rate(F_C)
-        start = Fraction(bank.taps_per_phase - 1, 2) * (f_a / F_C - 1)
+        start = aligned_start(bank, f_a / F_C)
         return resample(sample(sky, f_a, 50_000), F_C, bank, start_position=start)
 
     antennas = antenna_pair()
@@ -109,7 +109,7 @@ def zone_sky(zone):
     """One tone inside the zone's band: 0.3 f_c in Zone 1, 0.7 f_c in Zone 2."""
     hz = (0.3 if zone is Zone.ZONE1 else 0.7) * float(F_C)
     band = tuple(frac * float(F_C) for frac in ZONE_BANDS[zone])
-    return ToneBankSignal((Tone(1.0, hz, 0.5),), seed=0, band=band)
+    return ToneBankSignal((Tone(1.0, hz, 0.5),), band=band)
 
 
 @pytest.mark.parametrize("zone", [Zone.ZONE1, Zone.ZONE2], ids=["zone1", "zone2"])
@@ -140,8 +140,8 @@ def test_a_shorter_stream_is_a_prefix_of_a_longer_one(zone):
 def test_antenna_errors_reach_the_caller_with_their_class(wrong):
     # a Zone-2 antenna whose sky band lies in Zone 1 raises BandZoneMismatch,
     # whether it is the antenna run in the child or the one run here
-    zone2 = ToneBankSignal((Tone(1.0, 0.7 * float(F_C), 0.5),), seed=0, band=(0.56e6, 0.94e6))
-    zone1 = ToneBankSignal((Tone(1.0, 0.3 * float(F_C), 0.5),), seed=0, band=(0.05e6, 0.45e6))
+    zone2 = ToneBankSignal((Tone(1.0, 0.7 * float(F_C), 0.5),), band=(0.56e6, 0.94e6))
+    zone1 = ToneBankSignal((Tone(1.0, 0.3 * float(F_C), 0.5),), band=(0.05e6, 0.45e6))
     skies = [zone2, zone2]
     skies[wrong] = zone1
     with deadline(), pytest.raises(BandZoneMismatch):

@@ -4,17 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scfosim.errors import EmptyBand, UnknownAntenna
+from scfosim import scenarios
+from scfosim.errors import EmptyBand
+from scfosim.resampler import cached_bank
 from scfosim.signal import (
     TONE_BLOCK,
-    InterferenceKind,
-    InterferenceSpec,
     SampleGrid,
     Tone,
     ToneBankSignal,
     combine,
     eval_tones,
-    inject,
     synth_signal,
 )
 
@@ -67,16 +66,16 @@ def on_grid(sig, rate, start, count):
 
 class TestEval:
     def test_empty_bank_is_zero(self):
-        sig = ToneBankSignal(tones=(), seed=0, band=(0.0, 1.0))
+        sig = ToneBankSignal(tones=(), band=(0.0, 1.0))
         assert on_grid(sig, 100, 37, 1)[0] == 0.0  # t = 0.37 s
 
     def test_quarter_period_peak(self):
-        sig = ToneBankSignal(tones=(Tone(1.0, 1.0, 0.0),), seed=0, band=(1.0, 1.0))
+        sig = ToneBankSignal(tones=(Tone(1.0, 1.0, 0.0),), band=(1.0, 1.0))
         assert on_grid(sig, 4, 1, 1)[0] == pytest.approx(1.0)  # t = 0.25 s
 
     def test_periodicity(self):
         # one period of the 3 Hz tone is 100 samples at 300 samples/s
-        sig = ToneBankSignal(tones=(Tone(0.7, 3.0, 1.1),), seed=0, band=(3.0, 3.0))
+        sig = ToneBankSignal(tones=(Tone(0.7, 3.0, 1.1),), band=(3.0, 3.0))
         idx = np.array([3, 36, 120])  # t = 0.01, 0.12, 0.4 s
         x = on_grid(sig, 300, 0, 300)
         assert x[idx] == pytest.approx(x[idx + 100], abs=1e-12)
@@ -172,56 +171,26 @@ class TestEvalTonesGrid:
         assert np.array_equal(eval_tones(amps, freqs, phases, SampleGrid(rate, np.int64(4097), 50)), want)
 
 
-class TestInject:
-    def setup_method(self):
-        self.clocks = {
-            "m001": Fraction(4_000_000_000),
-            "m002": Fraction(4_000_100_000),
-        }
-        self.sig = synth_signal(seed=1, n_tones=8, band=(0.25e9, 2.75e9))
+def test_clock_tone_sits_at_the_exact_scale_times_f_a(monkeypatch):
+    # a 200 Hz offset on B1 puts f_a at 1,000,000.05 Hz, where the exact rule
+    # and float(3/4) * float(f_a) differ in the last bit
+    antenna = scenarios.AntennaChainSpec("m001", "B1", Fraction(200))
+    f_c = Fraction(1_000_000)
+    f_a = antenna.desk_rate(f_c)
+    assert f_a.denominator != 1
+    assert float(Fraction(3, 4) * f_a) != 0.75 * float(f_a)
+    seen = []
+    real_sample = scenarios.sample
 
-    def test_self_clock_quarter_harmonic(self):
-        spec = InterferenceSpec(
-            kind=InterferenceKind.SELF_CLOCK_DERIVED,
-            amplitude=0.01,
-            clock_scale=Fraction(1, 4),
-        )
-        out = inject(self.sig, spec, self.clocks, antenna="m001")
-        assert out.tones[-1].freq_hz == 1.0e9
-        assert not out.tones[-1].out_of_band
+    def spy(sig, *args, **kwargs):
+        seen.append(sig)
+        return real_sample(sig, *args, **kwargs)
 
-    def test_cross_leak_uses_other_antennas_clock(self):
-        spec = InterferenceSpec(
-            kind=InterferenceKind.CROSS_CLOCK_LEAK,
-            amplitude=0.01,
-            clock_scale=Fraction(1, 4),
-            source_antenna="m002",
-        )
-        out = inject(self.sig, spec, self.clocks, antenna="m001")
-        assert out.tones[-1].freq_hz == 4_000_100_000 / 4
-
-    def test_fixed_rf_out_of_band_tagged(self):
-        spec = InterferenceSpec(
-            kind=InterferenceKind.FIXED_RF, amplitude=0.02, freq_hz=3.1e9
-        )
-        out = inject(self.sig, spec, self.clocks, antenna="m001")
-        assert out.tones[-1].freq_hz == 3.1e9
-        assert out.tones[-1].out_of_band
-
-    def test_unknown_antenna(self):
-        spec = InterferenceSpec(
-            kind=InterferenceKind.CROSS_CLOCK_LEAK,
-            amplitude=0.01,
-            clock_scale=Fraction(1, 2),
-            source_antenna="nope",
-        )
-        with pytest.raises(UnknownAntenna):
-            inject(self.sig, spec, self.clocks, antenna="m001")
-
-    def test_original_bank_untouched(self):
-        n = len(self.sig.tones)
-        spec = InterferenceSpec(
-            kind=InterferenceKind.FIXED_RF, amplitude=0.02, freq_hz=1e9
-        )
-        inject(self.sig, spec, self.clocks, antenna="m001")
-        assert len(self.sig.tones) == n
+    monkeypatch.setattr(scenarios, "sample", spy)
+    sky = synth_signal(seed=1, n_tones=4, band=(1e5, 4e5))
+    bank = cached_bank(56, 1024, 19)
+    # one antenna runs in this process, so the spy sees its bank
+    scenarios._resampled_tone_streams([antenna], f_c, bank, 2_000, sky, clock_tone=(0.5, Fraction(3, 4)))
+    (sig,) = seen
+    assert sig.tones[:-1] == sky.tones
+    assert sig.tones[-1] == Tone(0.5, float(Fraction(3, 4) * f_a), 0.0)
