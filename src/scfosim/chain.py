@@ -3,10 +3,14 @@
 A chain is sample -> (quantize) -> (resample) -> (requantize); its float
 twin runs on the identical float samples so the loss 1 - rho/rho_float
 isolates exactly the chain's quantization steps.  Everything streams in
-chunks: the 1e8-sample runs the acceptance suite demands never hold a full
-stream in memory.  Each source stops at the last sample its chain reads for
-the outputs the correlator takes (rational.count_inputs), so its last chunk
-is short and nothing past it is synthesized, quantized or resampled.
+chunks, and memory follows the chunk, not the stream: a source, its
+quantizers and its resampler (which plans PLAN_BLOCK outputs at a time) hold
+about one chunk each, the correlators hold per-segment sums, and the Welch
+spectra hold one batch of segments (see _WelchCross), so the 1e8-sample runs
+the acceptance suite demands take the memory of a short one.  Each source
+stops at the last sample its chain reads for the outputs the correlator
+takes (rational.count_inputs), so its last chunk is short and nothing past it
+is synthesized, quantized or resampled.
 
 Noise is modeled as dense random tone banks rather than RNG samples so the
 same underlying waveform exists on every antenna's (offset) sample grid.
@@ -123,8 +127,12 @@ class _SegmentedCorrelator:
 class _WelchCross:
     """Averaged cross/auto spectra (hann, 75% overlap) over a leading cap.
 
-    The segment spectra are summed in batches of at most BATCH segments, so
-    only one batch of FFTs is held at a time.
+    The segments are transformed in batches of BATCH as their samples arrive,
+    through one buffer that holds a batch's samples of both antennas: add()
+    fills it, and each time it is full folds its BATCH segments into the
+    running sums and keeps only the 3/4-window overlap with the next batch;
+    spectra() folds the last, partial batch.  So memory is one batch, however
+    long the cap, and the batches are those of one pass over all the samples.
     """
 
     BATCH = 256
@@ -132,34 +140,53 @@ class _WelchCross:
     def __init__(self, nfft: int = WELCH_NFFT, cap: int = WELCH_CAP):
         self.nfft = nfft
         self.cap = cap
-        self._a = []
-        self._b = []
-        self._stored = 0
+        self._win = np.hanning(nfft)
+        self._seen = 0  # samples taken, at most cap
+        self._buf = np.empty((2, (self.BATCH - 1) * (nfft // 4) + nfft))
+        self._fill = 0
+        self._nseg = 0
+        self._sab = np.zeros(nfft // 2 + 1, dtype=np.complex128)
+        self._saa = np.zeros(nfft // 2 + 1)
+        self._sbb = np.zeros(nfft // 2 + 1)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        if self._stored >= self.cap:
+        take = max(min(self.cap - self._seen, len(a)), 0)
+        self._seen += take
+        span = self._buf.shape[1]
+        overlap = self.nfft - self.nfft // 4  # the next batch's first segment starts here
+        pos = 0
+        while pos < take:
+            k = min(span - self._fill, take - pos)
+            self._buf[0, self._fill : self._fill + k] = a[pos : pos + k]
+            self._buf[1, self._fill : self._fill + k] = b[pos : pos + k]
+            self._fill += k
+            pos += k
+            if self._fill == span:
+                self._fold()
+                self._buf[:, :overlap] = self._buf[:, span - overlap :]
+                self._fill = overlap
+
+    def _fold(self) -> None:
+        """Add every segment of the buffer's ``_fill`` samples to the sums."""
+        n, step = self.nfft, self.nfft // 4
+        if self._fill < n:
             return
-        take = min(self.cap - self._stored, len(a))
-        self._a.append(np.asarray(a[:take]))
-        self._b.append(np.asarray(b[:take]))
-        self._stored += take
+        segs = sliding_window_view(self._buf[:, : self._fill], n, axis=1)[:, ::step]
+        fa = np.fft.rfft(segs[0] * self._win, axis=1)
+        fb = np.fft.rfft(segs[1] * self._win, axis=1)
+        self._saa += np.sum(np.abs(fa) ** 2, axis=0)
+        self._sbb += np.sum(np.abs(fb) ** 2, axis=0)
+        self._sab += np.sum(fa * np.conj(fb), axis=0)
+        self._nseg += len(fa)
 
     def spectra(self):
-        n, step = self.nfft, self.nfft // 4
-        win = np.hanning(n)
-        seg_a = sliding_window_view(np.concatenate(self._a), n)[::step]
-        seg_b = sliding_window_view(np.concatenate(self._b), n)[::step]
-        sab = np.zeros(n // 2 + 1, dtype=np.complex128)
-        saa = np.zeros(n // 2 + 1)
-        sbb = np.zeros(n // 2 + 1)
-        for lo in range(0, len(seg_a), self.BATCH):
-            fa = np.fft.rfft(seg_a[lo : lo + self.BATCH] * win, axis=1)
-            fb = np.fft.rfft(seg_b[lo : lo + self.BATCH] * win, axis=1)
-            sab += np.sum(fa * np.conj(fb), axis=0)
-            saa += np.sum(np.abs(fa) ** 2, axis=0)
-            sbb += np.sum(np.abs(fb) ** 2, axis=0)
-        nseg = len(seg_a)
-        return sab / nseg, saa / nseg, sbb / nseg
+        """The averaged (S_ab, S_aa, S_bb) over every segment of the samples
+        taken; call after the last add()."""
+        self._fold()
+        self._fill = 0  # folded; a second call returns the same spectra
+        if self._nseg == 0:
+            raise ValueError(f"fewer than {self.nfft} samples: no Welch segment")
+        return self._sab / self._nseg, self._saa / self._nseg, self._sbb / self._nseg
 
 
 def map_forked(fn, items):
@@ -261,7 +288,7 @@ def run_dual_chain(
                     drop = min(skip - skipped[i], len(arr))
                     arr = arr[drop:]
                     skipped[i] += drop
-                pend[i] = np.concatenate([pend[i], arr])
+                pend[i] = np.concatenate([pend[i], arr]) if len(pend[i]) else arr
             m = min(len(pend[0]), len(pend[1]), n_out - done)
             if m == 0:
                 continue

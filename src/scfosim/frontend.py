@@ -194,18 +194,25 @@ def quantizer_levels(spec: QuantizerSpec, sigma: float) -> np.ndarray:
 def quantize_array(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarray:
     """Element-wise quantization of ``x`` to the levels of ``spec``.
 
-    A Q4 sample's level index is the number of thresholds below it, the
-    ``np.searchsorted`` index on every non-NaN input; NaN, which no source
+    A Q8 sample is (clip(floor(x / step), -128, 127) + 0.5) * step, worked in
+    one array.  A Q4 sample's level index is the number of thresholds below
+    it, the ``np.searchsorted`` index on every non-NaN input, counted in
+    uint8 through one reused comparison buffer; NaN, which no source
     produces, maps to the lowest level.
     """
     if spec.kind is QuantKind.Q8_UNIFORM:
         step = spec.scale(sigma)
-        codes = np.clip(np.floor(x / step), -128, 127)
-        return (codes + 0.5) * step
+        out = np.divide(x, step)
+        np.floor(out, out=out)
+        np.clip(out, -128, 127, out=out)
+        out += 0.5
+        out *= step
+        return out
     levels = quantizer_levels(spec, sigma)
-    idx = np.zeros(np.shape(x), dtype=np.intp)
+    idx = np.zeros(np.shape(x), dtype=np.uint8)
+    above = np.empty(np.shape(x), dtype=bool)
     for t in 0.5 * (levels[:-1] + levels[1:]):
-        idx += x > t
+        idx += np.greater(x, t, out=above)
     return levels[idx]
 
 

@@ -23,6 +23,12 @@ Tiling changes only which outputs are computed together, never the order of
 any one output's sum, so float outputs are bit-identical however the input is
 chunked.  Every path is a Resampler: whole-stream resample() feeds one, and
 polyphase.demux_resample is resample() cut to whole blocks of k outputs.
+
+Memory: a Resampler holds its input chunk, the few samples the next window
+needs, and its output.  It plans and folds a call's outputs PLAN_BLOCK at a
+time, so the plan arrays n and lut and the window offsets rel never span a
+whole chunk; a block changes only which outputs are planned together, so the
+plan and every sum are those of one call.
 """
 
 from __future__ import annotations
@@ -141,6 +147,8 @@ def design_bank(
     """
     if N < 2:
         raise ValueError("need at least 2 taps")
+    if coeff_bits is not None and not 1 <= coeff_bits <= 63:
+        raise ValueError("coeff_bits must lie in 1..63, the signed int64 taps")
     if P < 2 or (P & (P - 1)):
         raise ValueError("P must be a power of two >= 2")
     if not (0.0 <= passband[0] < passband[1] < 1.0):
@@ -227,10 +235,15 @@ def response(
 # Outputs per tile of _fir_rows: 512 timed faster than 256, 768, 1024 and 2048;
 # a tile's 56 x 512 products (224 KiB) and their copy stay in cache.
 FIR_TILE = 512
+# Outputs per plan block of Resampler: a block's n, lut and rel (512 KiB each)
+# are planned and folded into the call's output before the next block's, so
+# none spans a whole chunk.
+PLAN_BLOCK = 1 << 16
 
 
-def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarray) -> np.ndarray:
-    """Output j = sum_m table[lut[j], m] * buf[rel[j] + m], as a strict left fold.
+def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarray, out=None) -> np.ndarray:
+    """Output j = sum_m table[lut[j], m] * buf[rel[j] + m], as a strict left fold,
+    written into ``out`` when given.
 
     The FIR kernel of Resampler, float and fixed point.  Outputs go in tiles
     of FIR_TILE: the tile's windows are gathered into an outputs x taps
@@ -246,7 +259,8 @@ def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarr
     Integer inputs fold exactly in int64.
     """
     wins = sliding_window_view(buf, table.shape[1])
-    out = np.empty(len(rel), dtype=np.result_type(buf, table))
+    if out is None:
+        out = np.empty(len(rel), dtype=np.result_type(buf, table))
     for lo in range(0, len(rel), FIR_TILE):
         hi = min(lo + FIR_TILE, len(rel))
         prod = wins[rel[lo:hi]]
@@ -316,17 +330,19 @@ class Resampler:
         count = count_outputs(self._pos, self.ratio, P, H) if H >= 0 else 0
         if count == 0:
             return np.zeros(0, dtype=np.float64)
-        n_all, lut_all, self._pos = phase_run(self._pos, self.ratio, P, count)
-        out = self._dot_windows(n_all, lut_all)
-        if self.first_valid_output is None:
-            first = int(np.searchsorted(n_all, 0))  # n never decreases
-            if first < len(n_all):
-                self.first_valid_output = self._emitted + first
-        self._emitted += len(out)
-        self._trim(int(n_all[-1]))
+        out = np.empty(count, dtype=np.float64)
+        for lo in range(0, count, PLAN_BLOCK):
+            n, lut, self._pos = phase_run(self._pos, self.ratio, P, min(PLAN_BLOCK, count - lo))
+            self._dot_windows(n, lut, out[lo : lo + len(n)])
+            if self.first_valid_output is None and n[-1] >= 0:
+                # n never decreases, so the first valid output is in this block
+                self.first_valid_output = self._emitted + lo + int(np.searchsorted(n, 0))
+        self._emitted += count
+        self._trim(int(n[-1]))
         return out
 
-    def _dot_windows(self, n_abs: np.ndarray, lut: np.ndarray) -> np.ndarray:
+    def _dot_windows(self, n_abs: np.ndarray, lut: np.ndarray, out: np.ndarray) -> None:
+        """Fold the windows that start at inputs n_abs with tap rows lut into out."""
         rel = n_abs - self._buf_base
         if rel[0] < 0:
             # zero-pad the pre-stream region (those outputs are flagged invalid)
@@ -336,13 +352,14 @@ class Resampler:
             rel = n_abs - self._buf_base
         if self.fixed_point:
             scale = self.in_step / float(1 << (self.bank.coeff_bits - 1))
-            return _fir_rows(self._buf, rel, self.bank.table_int, lut) * scale
-        return _fir_rows(self._buf, rel, self.bank.table, lut)
+            np.multiply(_fir_rows(self._buf, rel, self.bank.table_int, lut), scale, out=out)
+        else:
+            _fir_rows(self._buf, rel, self.bank.table, lut, out)
 
     def _trim(self, last_n: int) -> None:
         keep_from = last_n - self._buf_base  # oldest index any future window needs
         if keep_from > 0:
-            self._buf = self._buf[keep_from:]
+            self._buf = self._buf[keep_from:].copy()  # not a view that holds the chunk
             self._buf_base += keep_from
 
 
@@ -365,10 +382,10 @@ def resample(
 ) -> SampleStream:
     """Whole-stream resampling of ``stream`` to rate f_c.
 
-    The stream is fed to one Resampler 1 << 20 inputs at a time, so no
-    whole-stream phase plan is held.  The output epoch is group-delay true,
-    and each PPS mark moves to the output nearest its input position; marks
-    that land on one output leave one mark there.
+    The stream is fed to one Resampler 1 << 20 inputs at a time, so its
+    input buffer never copies the whole stream.  The output epoch is
+    group-delay true, and each PPS mark moves to the output nearest its input
+    position; marks that land on one output leave one mark there.
     """
     f_c = Fraction(f_c)
     start_position = Fraction(start_position)

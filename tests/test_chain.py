@@ -3,11 +3,13 @@ import multiprocessing
 import os
 import pickle
 import signal
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from scfosim import chain as chain_module
 from scfosim.chain import ChainSpec, SignalModel, _WelchCross, run_dual_chain
@@ -43,6 +45,60 @@ def test_welch_batches_change_only_rounding():
         welch.add(a[lo : lo + 3_000], b[lo : lo + 3_000])
     for got, ref in zip(welch.spectra(), want):
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
+
+
+def welch_one_pass(a, b, nfft, cap):
+    """The Welch sums of every segment of the leading ``cap`` samples, taken
+    in one pass over them all, BATCH segments per transform."""
+    n, step, win = nfft, nfft // 4, np.hanning(nfft)
+    seg_a = sliding_window_view(a[:cap], n)[::step]
+    seg_b = sliding_window_view(b[:cap], n)[::step]
+    sab = np.zeros(n // 2 + 1, dtype=np.complex128)
+    saa, sbb = np.zeros(n // 2 + 1), np.zeros(n // 2 + 1)
+    for lo in range(0, len(seg_a), _WelchCross.BATCH):
+        fa = np.fft.rfft(seg_a[lo : lo + _WelchCross.BATCH] * win, axis=1)
+        fb = np.fft.rfft(seg_b[lo : lo + _WelchCross.BATCH] * win, axis=1)
+        sab += np.sum(fa * np.conj(fb), axis=0)
+        saa += np.sum(np.abs(fa) ** 2, axis=0)
+        sbb += np.sum(np.abs(fb) ** 2, axis=0)
+    return sab / len(seg_a), saa / len(seg_a), sbb / len(seg_a)
+
+
+@pytest.mark.parametrize(
+    "total, cap, size",
+    [
+        (50_000, 40_000, 50_000),  # one add of everything, past the cap
+        (50_000, 40_000, 1),
+        (50_000, 40_000, 777),  # the cap falls inside an add
+        (50_000, 40_000, 3_000),
+        (5_000, 40_000, 777),  # fewer samples than one batch of segments
+    ],
+)
+def test_welch_spectra_do_not_depend_on_the_adds(total, cap, size):
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal(total)
+    b = 0.5 * a + rng.standard_normal(total)
+    welch = _WelchCross(nfft=256, cap=cap)
+    for lo in range(0, total, size):
+        welch.add(a[lo : lo + size], b[lo : lo + size])
+    for got, want in zip(welch.spectra(), welch_one_pass(a, b, 256, cap)):
+        assert np.array_equal(got, want)
+
+
+def test_chain_memory_does_not_grow_with_the_stream(monkeypatch):
+    # both channels run here, so tracemalloc sees every array of both
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    chain = CHAINS["q4-resample-q8"]
+    run_dual_chain(chain, SignalModel(sky_seed=3), 4_096)  # the bank and caches, before either peak
+    peaks = []
+    for n_out in (1 << 17, 1 << 19):
+        tracemalloc.start()
+        try:
+            run_dual_chain(chain, SignalModel(sky_seed=3), n_out, chunk=1 << 14)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
 @contextlib.contextmanager

@@ -176,6 +176,21 @@ class TestQuantize:
         assert np.array_equal(quantize_array(x, spec, sigma), levels[np.searchsorted(t, x)])
         assert quantize_array(np.array([np.nan]), spec, sigma)[0] == levels[0]
 
+    def test_q8_is_the_clipped_floor_code_bit_for_bit(self):
+        spec = QuantizerSpec(QuantKind.Q8_UNIFORM, 0.5)
+        sigma = 1.3
+        step = spec.scale(sigma)
+        edges = np.arange(-130, 131) * step
+        rng = np.random.default_rng(6)
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-np.inf, np.inf, np.nan], sigma * 3 * rng.standard_normal(10_000),
+        ])
+        kept = x.copy()
+        want = (np.clip(np.floor(x / step), -128, 127) + 0.5) * step
+        assert np.array_equal(quantize_array(x, spec, sigma), want, equal_nan=True)
+        assert np.array_equal(x, kept, equal_nan=True)  # the input is not written
+
     def test_idempotent_on_levels(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(10000)

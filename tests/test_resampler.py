@@ -10,6 +10,7 @@ from scfosim.frontend import QuantKind, QuantizerSpec, SampleStream, Zone, sampl
 from scfosim.rational import phase_run
 from scfosim.resampler import (
     FIR_TILE,
+    PLAN_BLOCK,
     Resampler,
     _fir_rows,
     cached_bank,
@@ -85,6 +86,12 @@ class TestDesign:
         # 8 taps cannot hold 0.05 dB ripple over nearly the whole band
         with pytest.raises(DesignInfeasible):
             design_bank(8, 64, None, passband=(0.05, 0.95), max_ripple_db=0.05)
+
+    @pytest.mark.parametrize("bits", [0, 64])
+    def test_coeff_bits_outside_1_to_63_raise_value_error(self, bits):
+        # 64 overflowed int64 in quantize_taps; 0 made a negative shift
+        with pytest.raises(ValueError, match="coeff_bits"):
+            design_bank(56, 1024, bits)
 
 
 def quantize_taps_by_row(taps, bits):
@@ -352,6 +359,22 @@ class TestResampling:
             rs.process(data[lo : lo + step])
         whole = resample(stream_from(data, rate=1001), Fraction(1000), bank19, start_position=start)
         assert rs.first_valid_output == whole.valid_start == first
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("ratio", [1 + Fraction(53, 50_000), 1 - Fraction(47, 50_000)])
+    # the first valid output in the first plan block, and past the second's start
+    @pytest.mark.parametrize("start", [Fraction(-40, 3), -PLAN_BLOCK - Fraction(301, 3)])
+    def test_one_call_over_plan_blocks_matches_small_calls(self, bank19, fixed, ratio, start):
+        data = np.random.default_rng(6).standard_normal(3 * PLAN_BLOCK + 1_000)
+        kw = {"fixed_point": True, "in_step": 1 / 32} if fixed else {}
+        one = Resampler(bank19, ratio, start, **kw)
+        out_one = one.process(data)
+        assert len(out_one) > 3 * PLAN_BLOCK  # the one call plans four blocks
+        many = Resampler(bank19, ratio, start, **kw)
+        out_many = np.concatenate([many.process(data[lo : lo + 5_000]) for lo in range(0, len(data), 5_000)])
+        assert np.array_equal(out_one, out_many)
+        n, _, _ = phase_run(start - ratio, ratio, bank19.phases, len(out_one))
+        assert one.first_valid_output == many.first_valid_output == int(np.searchsorted(n, 0))
 
     def test_fixed_point_close_to_float(self, bank19):
         sig = synth_signal(seed=3, n_tones=12, band=(50.0, 400.0))
