@@ -69,15 +69,15 @@ class SampleStream:
     ``data`` holds level values (float64) or complex samples; quantized
     streams also carry ``quant_scale`` (the level scale: step size for
     Q8_UNIFORM, design sigma for Q4_OPTIMAL) so integer codes can be
-    recovered.  ``valid`` marks the region unpolluted by filter edges.
+    recovered.  ``valid`` marks the region unpolluted by filter edges, and
+    ``lineage`` names the stages that made the stream, which resample_error
+    reads to refuse a quantized chain.
     """
 
     rate: Fraction
     epoch: Fraction
     data: np.ndarray
     quant: QuantKind = QuantKind.FLOAT
-    zone: Zone = Zone.ZONE1
-    pps_marks: list[int] = field(default_factory=list)
     valid_start: int = 0
     valid_end: int | None = None
     quant_scale: float | None = None
@@ -88,11 +88,6 @@ class SampleStream:
         self.epoch = Fraction(self.epoch)
         if self.valid_end is None:
             self.valid_end = len(self.data)
-        marks = list(self.pps_marks)
-        if any(b <= a for a, b in zip(marks, marks[1:])):
-            raise ValueError("pps_marks must be strictly increasing")
-        if marks and (marks[0] < 0 or marks[-1] >= len(self.data)):
-            raise ValueError("pps_marks out of range")
         if self.quant is QuantKind.Q4_OPTIMAL:
             if len(np.unique(self.data)) > 16:
                 raise ValueError("Q4 stream carries more than 16 distinct values")
@@ -119,10 +114,10 @@ def sample(
     """Digitize the analytic signal at rate f_a.
 
     For ZONE2 the declared signal band must lie within (f_a/2, f_a), with a
-    fractional ``band_slack`` allowance; the stream is flagged so downstream
-    stages know a digitizer down-conversion (f -> f_a - f, spectrally
-    reversed) has occurred.  Only the declared band is checked, not each
-    tone: out-of-band clock tones and alias probes are part of the experiments.
+    fractional ``band_slack`` allowance; sampling it down-converts
+    (f -> f_a - f, spectrally reversed).  Only the declared band is checked,
+    not each tone: out-of-band clock tones and alias probes are part of the
+    experiments.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -142,7 +137,7 @@ def sample(
     for start in range(0, n, chunk):
         count = min(chunk, n - start)
         data[start : start + count] = eval_tones(*tones, SampleGrid(f_a, start, count, epoch))
-    return SampleStream(rate=f_a, epoch=epoch, data=data, zone=zone)
+    return SampleStream(rate=f_a, epoch=epoch, data=data)
 
 
 LLOYD_TOL = 1e-12
@@ -229,7 +224,6 @@ def quantize(s: SampleStream, q: QuantizerSpec) -> SampleStream:
         data=quantize_array(s.data, q, sigma),
         quant=q.kind,
         quant_scale=q.scale(sigma),
-        pps_marks=list(s.pps_marks),
         lineage=s.lineage + [q.kind.value],
     )
 

@@ -132,8 +132,6 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
         epoch=stream.epoch,
         data=analytic * osc,
         quant=QuantKind.FLOAT,
-        zone=stream.zone,
-        pps_marks=list(stream.pps_marks),
         valid_start=max(stream.valid_start, c),
         valid_end=min(stream.valid_end, len(x) - c),
         lineage=list(stream.lineage) + ["ssb"],

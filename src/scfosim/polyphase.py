@@ -1,4 +1,4 @@
-"""Time-demultiplexed realization of the resampler and its equivalence check.
+"""Time-demultiplexed realization of the resampler.
 
 A k-way demux computes k output samples per demuxed clock, so it emits
 whole blocks of k outputs only.  The scheduling changes; the arithmetic must
@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import StreamTooShort, TapCountNotDivisible
 from .frontend import SampleStream
@@ -33,8 +31,8 @@ def demux_resample(
     """k-way demultiplexed resampling: resample() cut to whole blocks of k.
 
     The tap count N must be a multiple of k (TapCountNotDivisible).  The
-    data, valid region and PPS marks end at the last whole block; a stream
-    with no whole block raises StreamTooShort.
+    data and valid region end at the last whole block; a stream with no
+    whole block raises StreamTooShort.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -45,38 +43,4 @@ def demux_resample(
     end = len(out) // k * k
     if end == 0:
         raise StreamTooShort(f"{len(out)} outputs fill no block of k={k}")
-    return replace(
-        out,
-        data=out.data[:end],
-        pps_marks=[j for j in out.pps_marks if j < end],
-        valid_start=min(out.valid_start, end),
-        valid_end=end,
-    )
-
-
-def verify_demux(
-    bank: CoefficientBank,
-    ratio: Fraction,
-    n_samples: int,
-    k: int,
-    seed: int = 0,
-    fixed_point: bool = False,
-) -> dict:
-    """Run direct and demuxed paths on the same random stream and compare.
-
-    Returns {"passed": bool, "first_divergence": index or None, "checked": count}.
-    """
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal(n_samples)
-    f_c = Fraction(1_000_000)
-    f_a = Fraction(ratio) * f_c
-    stream = SampleStream(rate=f_a, epoch=Fraction(0), data=data)
-    direct = resample(stream, f_c, bank, fixed_point=fixed_point)
-    demux = demux_resample(stream, f_c, bank, k, fixed_point=fixed_point)
-    m = min(len(direct), len(demux))
-    a, b = direct.data[:m], demux.data[:m]
-    equal = a == b
-    if np.all(equal):
-        return {"passed": True, "first_divergence": None, "checked": int(m)}
-    first = int(np.flatnonzero(~equal)[0])
-    return {"passed": False, "first_divergence": first, "checked": int(m)}
+    return replace(out, data=out.data[:end], valid_start=min(out.valid_start, end), valid_end=end)

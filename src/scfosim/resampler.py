@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DesignInfeasible, ChainWasQuantized, RatioOutOfRange, StreamTooShort
 from .frontend import QuantKind, SampleStream
-from .rational import count_outputs, phase_run, round_half_even
+from .rational import count_outputs, phase_run
 from .signal import SampleGrid, ToneBankSignal, eval_tones
 
 
@@ -283,7 +283,9 @@ class Resampler:
 
     Feed input chunks with process(); each call returns the newly computable
     output samples.  One instance per stream; instances share their
-    (immutable) bank freely.
+    (immutable) bank freely.  With ``in_step`` None the fold is float;
+    given, inputs are rounded to integer multiples of in_step and folded
+    exactly in int64 against the bank's integer taps (the fixed-point path).
     """
 
     def __init__(
@@ -291,7 +293,6 @@ class Resampler:
         bank: CoefficientBank,
         ratio: Fraction,
         start_position: Fraction = Fraction(0),
-        fixed_point: bool = False,
         in_step: float | None = None,
     ):
         self.bank = bank
@@ -301,11 +302,10 @@ class Resampler:
                 f"ratio {self.ratio} outside (0.5, 1.5); the scheme assumes small offsets"
             )
         self._pos = Fraction(start_position) - self.ratio  # position before output 0
-        self.fixed_point = fixed_point
         self.in_step = in_step
-        if fixed_point and bank.table_int is None:
+        if in_step is not None and bank.table_int is None:
             raise ValueError("fixed-point path needs a quantized bank")
-        self._buf = np.zeros(0, dtype=np.int64 if fixed_point else np.float64)
+        self._buf = np.zeros(0, dtype=np.float64 if in_step is None else np.int64)
         self._buf_base = 0  # absolute input index of _buf[0]
         self._received = 0
         self._emitted = 0
@@ -314,9 +314,7 @@ class Resampler:
     def process(self, chunk: np.ndarray) -> np.ndarray:
         """Consume input samples, return all newly computable outputs."""
         data = np.asarray(chunk, dtype=np.float64)
-        if self.fixed_point:
-            if self.in_step is None:
-                raise ValueError("fixed-point path needs in_step")
+        if self.in_step is not None:
             data = np.rint(data / self.in_step).astype(np.int64)
         self._buf = np.concatenate([self._buf, data])
         self._received += len(data)
@@ -350,7 +348,7 @@ class Resampler:
             self._buf = np.concatenate([np.zeros(pad, dtype=self._buf.dtype), self._buf])
             self._buf_base -= pad
             rel = n_abs - self._buf_base
-        if self.fixed_point:
+        if self.in_step is not None:
             scale = self.in_step / float(1 << (self.bank.coeff_bits - 1))
             np.multiply(_fir_rows(self._buf, rel, self.bank.table_int, lut), scale, out=out)
         else:
@@ -383,9 +381,9 @@ def resample(
     """Whole-stream resampling of ``stream`` to rate f_c.
 
     The stream is fed to one Resampler 1 << 20 inputs at a time, so its
-    input buffer never copies the whole stream.  The output epoch is
-    group-delay true, and each PPS mark moves to the output nearest its input
-    position; marks that land on one output leave one mark there.
+    input buffer never copies the whole stream.  ``fixed_point`` runs the
+    integer path on the register grid fixed_in_step(stream).  The output
+    epoch is group-delay true, and the lineage gains "resample".
     """
     f_c = Fraction(f_c)
     start_position = Fraction(start_position)
@@ -394,7 +392,7 @@ def resample(
         raise StreamTooShort(f"{len(stream)} samples cannot flush {N} taps")
     ratio = Fraction(stream.rate) / f_c
     in_step = fixed_in_step(stream) if fixed_point else None
-    rs = Resampler(bank, ratio, start_position, fixed_point=fixed_point, in_step=in_step)
+    rs = Resampler(bank, ratio, start_position, in_step=in_step)
     chunk = 1 << 20
     pieces = []
     for lo in range(0, len(stream), chunk):
@@ -402,19 +400,10 @@ def resample(
     data = np.concatenate(pieces)
     if len(data) == 0:
         raise StreamTooShort("stream too short to produce any resampled output")
-    c = Fraction(N - 1, 2)
-    pps = []
-    for j in stream.pps_marks:
-        target = (Fraction(j) - c - start_position) / ratio
-        k = round_half_even(target.numerator, target.denominator)
-        if 0 <= k < len(data) and (not pps or k != pps[-1]):
-            pps.append(k)
     return SampleStream(
         rate=f_c,
-        epoch=stream.epoch + (start_position + c) / stream.rate,
+        epoch=stream.epoch + (start_position + Fraction(N - 1, 2)) / stream.rate,
         data=data,
-        zone=stream.zone,
-        pps_marks=pps,
         valid_start=len(data) if rs.first_valid_output is None else rs.first_valid_output,
         valid_end=len(data),
         lineage=list(stream.lineage) + ["resample"],

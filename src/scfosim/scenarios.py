@@ -417,7 +417,7 @@ def _selfclock_washout(cfg, summary):
     for target in cfg["targets_dwt"]:
         if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0 < target < math.inf:
             raise ConfigInvalid("targets_dwt", f"{target!r} is not a positive finite dw*T")
-    _check_positive(cfg, "windows", "sky_tones")
+    _check_positive(cfg, "windows", "sky_tones", "clock_tone_amplitude")
     if not 0 <= cfg["window_jitter"] < 1:
         raise ConfigInvalid("window_jitter", f"{cfg['window_jitter']} is not a fraction in [0, 1)")
     rng = np.random.default_rng(cfg["seed"])
@@ -503,7 +503,7 @@ def _selfclock_washout(cfg, summary):
     },
 )
 def _scfo_off_control(cfg, summary):
-    _check_positive(cfg, "noise_tones")
+    _check_positive(cfg, "noise_tones", "clock_tone_amplitude")
     if cfg["noise_rms"] < 0:
         raise ConfigInvalid("noise_rms", f"{cfg['noise_rms']!r}; an RMS cannot be negative")
     f_c, bank = _clock_and_bank(cfg)
@@ -565,6 +565,7 @@ _ZONE_CASES = (
 def _zone1_vs_zone2(cfg, summary):
     """Out-of-band contamination: Zone 2 decorrelates all of it; Zone 1 keeps
     a correlating region between the passband edge and Nyquist."""
+    _check_positive(cfg, "probe_amplitude")
     f_c, bank = _clock_and_bank(cfg)
     rows = []
     for case, zone, source, frac, correlates, text in _ZONE_CASES:
@@ -597,6 +598,7 @@ def _relaxed_antialias(cfg, summary):
     """A relaxed analog anti-alias filter lets an out-of-band tone alias into
     the band at reduced amplitude; with SCFO on the alias decorrelates, with
     SCFO off it correlates fully (the filter is then load-bearing)."""
+    _check_positive(cfg, "probe_amplitude")
     f_c, bank = _clock_and_bank(cfg)
     try:
         filt = FilterSpec(points=tuple((float(a), float(b)) for a, b in cfg["filter_points"]))

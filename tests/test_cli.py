@@ -88,6 +88,10 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("scfo-off-control", '{"coeff_bits": 64}'),
         ("requant-loss", '{"offset_ratio": "1/2"}'),
         ("requant-loss", '{"offset_ratio": "-3/5"}'),
+        ("scfo-off-control", '{"clock_tone_amplitude": 0.0, "noise_rms": 0.0}'),
+        ("relaxed-antialias", '{"probe_amplitude": 0.0}'),
+        ("zone1-vs-zone2-alias", '{"probe_amplitude": 0.0}'),
+        ("selfclock-washout", '{"clock_tone_amplitude": 0.0}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
@@ -107,6 +111,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "washout-one-offset", "washout-three-offsets", "zone-probes-one-offset",
         "relaxed-one-offset", "zone2-shift-three-offsets", "requant-64-bit-taps",
         "control-64-bit-taps", "offset-ratio-half", "offset-ratio-below-minus-half",
+        "control-no-clock-tone", "relaxed-no-probe", "zone-probes-no-probe",
+        "washout-no-clock-tone",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):

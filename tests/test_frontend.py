@@ -47,7 +47,6 @@ class TestSample:
         # two tones at 0.6 and 0.7 fs with distinct amplitudes
         sig = tone_bank((1.0, 700.0, 0.1), (0.5, 600.0, 0.2), band=(600.0, 700.0))
         s = sample(sig, fs, 1000, Zone.ZONE2)
-        assert s.zone is Zone.ZONE2
         spec = np.abs(np.fft.rfft(s.data))
         # 700 aliases to 300 (strong), 600 aliases to 400 (weak): order reversed
         assert spec[300] > spec[400] > 10 * np.median(spec)

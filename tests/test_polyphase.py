@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from scfosim.errors import StreamTooShort, TapCountNotDivisible
-from scfosim.frontend import SampleStream, Zone
-from scfosim.polyphase import demux_resample, verify_demux
+from scfosim.frontend import SampleStream
+from scfosim.polyphase import demux_resample
 from scfosim.rational import phase_run
 from scfosim.resampler import CoefficientBank, design_bank, resample
 
@@ -75,37 +75,16 @@ class TestDemuxEquivalence:
                 rate=Fraction(1001, 1000) * 1_000_000,
                 epoch=Fraction(1, 3),
                 data=np.random.default_rng(7).standard_normal(n),
-                zone=Zone.ZONE2,
-                pps_marks=list(range(5, n, 3)),  # every third input: marks on both sides of the cut
                 lineage=["sample"],
             )
             direct = resample(s, Fraction(1_000_000), bank56, start_position=start)
             demux = demux_resample(s, Fraction(1_000_000), bank56, k=8, start_position=start)
             end = (len(direct) // 8) * 8
-            if n == 2006:
-                assert direct.pps_marks[0] < end <= direct.pps_marks[-1]
             assert len(demux) == end
             assert np.array_equal(demux.data, direct.data[:end])
             assert demux.epoch == direct.epoch
             assert (demux.valid_start, demux.valid_end) == (min(direct.valid_start, end), end)
-            assert demux.pps_marks == [j for j in direct.pps_marks if j < end]
-            assert (demux.zone, demux.lineage) == (direct.zone, direct.lineage)
-
-    def test_merged_marks_are_cut_with_the_data(self, bank56):
-        # a mark on every input: marks that round onto one output merge
-        # before the cut, so the demux marks are strictly increasing
-        s = SampleStream(
-            rate=Fraction(1001, 1000) * 1_000_000,
-            epoch=Fraction(0),
-            data=np.random.default_rng(3).standard_normal(3000),
-            pps_marks=list(range(3000)),
-        )
-        direct = resample(s, Fraction(1_000_000), bank56)
-        demux = demux_resample(s, Fraction(1_000_000), bank56, k=8)
-        end = len(direct) // 8 * 8
-        assert end < len(direct) and len(direct.pps_marks) < 3000
-        assert demux.pps_marks == [j for j in direct.pps_marks if j < end]
-        assert demux.pps_marks[-1] == end - 1
+            assert demux.lineage == direct.lineage
 
     def test_valid_region_ends_at_the_cut(self, bank56):
         # 12 direct outputs, the first 9 before sample 0: the valid region
@@ -131,11 +110,6 @@ class TestDemuxEquivalence:
         demux = demux_resample(q, Fraction(1_000_000), bank56, k=4, fixed_point=True)
         m = min(len(direct), len(demux))
         assert np.array_equal(direct.data[:m], demux.data[:m])
-
-    def test_verify_demux_helper(self, bank56):
-        res = verify_demux(bank56, Fraction(1001, 1000), 30_000, k=8, seed=1)
-        assert res["passed"] and res["first_divergence"] is None
-        assert res["checked"] > 25_000
 
     def test_tap_count_not_divisible(self, bank56):
         s = rand_stream(2000, Fraction(1000))

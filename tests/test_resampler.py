@@ -292,7 +292,7 @@ class TestResampling:
     def test_random_chunks_match_oneshot(self, bank19, fixed, sizes):
         sizes = sizes + [60]  # enough inputs that the stream yields outputs at all
         data = np.random.default_rng(9).standard_normal(sum(sizes))
-        kw = {"fixed_point": True, "in_step": 1 / 32} if fixed else {}
+        kw = {"in_step": 1 / 32} if fixed else {}
         ratio = Fraction(1001, 1000)
         out_one = Resampler(bank19, ratio, **kw).process(data)
         many = Resampler(bank19, ratio, **kw)
@@ -366,7 +366,7 @@ class TestResampling:
     @pytest.mark.parametrize("start", [Fraction(-40, 3), -PLAN_BLOCK - Fraction(301, 3)])
     def test_one_call_over_plan_blocks_matches_small_calls(self, bank19, fixed, ratio, start):
         data = np.random.default_rng(6).standard_normal(3 * PLAN_BLOCK + 1_000)
-        kw = {"fixed_point": True, "in_step": 1 / 32} if fixed else {}
+        kw = {"in_step": 1 / 32} if fixed else {}
         one = Resampler(bank19, ratio, start, **kw)
         out_one = one.process(data)
         assert len(out_one) > 3 * PLAN_BLOCK  # the one call plans four blocks
@@ -385,37 +385,12 @@ class TestResampling:
         err = out_f.data[sl] - out_i.data[sl]
         assert np.sqrt(np.mean(err**2)) < 1e-2  # 8-bit word register grid
 
-
-class TestPpsPropagation:
-    def test_marks_land_at_group_delay_compensated_index(self, bank19):
-        f_c, f_a = Fraction(1000), Fraction(1001)
-        rng = np.random.default_rng(6)
-        marks = [100, 1777, 3502]
-        s = stream_from(rng.standard_normal(5000), rate=f_a, pps_marks=marks)
-        out = resample(s, f_c, bank19)
-        ratio = f_a / f_c
-        c = 27.5
-        for j, k in zip(marks, out.pps_marks):
-            expect = (j - c) / float(ratio)
-            assert abs(k - expect) <= 1.0
-
-    def test_marks_sorted_and_within(self, bank19):
-        s = stream_from(np.zeros(4000), rate=Fraction(1001), pps_marks=[5, 2000, 3900])
-        out = resample(s, Fraction(1000), bank19)
-        assert out.pps_marks == sorted(out.pps_marks)
-        assert all(0 <= k < len(out) for k in out.pps_marks)
-
-
-    def test_marks_that_share_an_output_leave_one_mark(self, bank19):
-        # 1001 inputs per 1000 outputs: about every thousandth pair of
-        # adjacent marks rounds onto one output
-        f_a, f_c = Fraction(1001), Fraction(1000)
-        s = stream_from(np.zeros(3000), rate=f_a, pps_marks=list(range(3000)))
-        out = resample(s, f_c, bank19)
-        nearest = [round((j - Fraction(55, 2)) * f_c / f_a) for j in range(3000)]
-        nearest = [k for k in nearest if 0 <= k < len(out)]
-        assert len(set(nearest)) < len(nearest)
-        assert out.pps_marks == sorted(set(nearest))
+    def test_fixed_point_with_a_float_bank_raises(self, bank_float):
+        with pytest.raises(ValueError, match="fixed-point path needs a quantized bank"):
+            Resampler(bank_float, Fraction(1001, 1000), in_step=1 / 32)
+        s = stream_from(np.random.default_rng(2).standard_normal(200), rate=1001)
+        with pytest.raises(ValueError, match="fixed-point path needs a quantized bank"):
+            resample(s, Fraction(1000), bank_float, fixed_point=True)
 
 
 class TestTransients:
