@@ -1,5 +1,5 @@
 """Complex cross-correlation with finite integration plus the metric suite:
-fringe-washing suppression, coherence loss, and quantization sensitivity loss.
+fringe-washing suppression and quantization sensitivity loss.
 
 dB convention: the paper-style suppression figures are 10*log10(dw*T)
 applied to the amplitude envelope 1/(dw*T); this convention reproduces the
@@ -93,15 +93,6 @@ def washing_suppression_db(delta_f: float, T: float) -> float:
             f"delta_f*T = {delta_f * T:.4g} <= 1/pi; no envelope regime yet"
         )
     return 10.0 * math.log10(2.0 * math.pi * delta_f * T)
-
-
-def coherence_loss(phi_pp: float) -> float:
-    """1 - sinc(phi_pp) for a uniform phase swing of phi_pp radians pk-pk."""
-    if phi_pp < 0:
-        raise ValueError("phi_pp must be >= 0")
-    if phi_pp == 0.0:
-        return 0.0
-    return 1.0 - math.sin(phi_pp) / phi_pp
 
 
 @dataclass

@@ -45,10 +45,6 @@ class StreamTooShort(ScfoError):
     pass
 
 
-class ChainWasQuantized(ScfoError):
-    pass
-
-
 # polyphase
 class TapCountNotDivisible(ScfoError):
     pass
@@ -68,15 +64,6 @@ class EnvelopeRegimeViolated(ScfoError):
 
 
 class InsufficientSamples(ScfoError):
-    pass
-
-
-# timing
-class PulseTooNarrow(ScfoError):
-    pass
-
-
-class WindowTooShort(ScfoError):
     pass
 
 

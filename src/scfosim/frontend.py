@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from statistics import NormalDist
 
@@ -69,9 +69,7 @@ class SampleStream:
     ``data`` holds level values (float64) or complex samples; quantized
     streams also carry ``quant_scale`` (the level scale: step size for
     Q8_UNIFORM, design sigma for Q4_OPTIMAL) so integer codes can be
-    recovered.  ``valid`` marks the region unpolluted by filter edges, and
-    ``lineage`` names the stages that made the stream, which resample_error
-    reads to refuse a quantized chain.
+    recovered.  ``valid`` marks the region unpolluted by filter edges.
     """
 
     rate: Fraction
@@ -81,7 +79,6 @@ class SampleStream:
     valid_start: int = 0
     valid_end: int | None = None
     quant_scale: float | None = None
-    lineage: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.rate = Fraction(self.rate)
@@ -224,7 +221,6 @@ def quantize(s: SampleStream, q: QuantizerSpec) -> SampleStream:
         data=quantize_array(s.data, q, sigma),
         quant=q.kind,
         quant_scale=q.scale(sigma),
-        lineage=s.lineage + [q.kind.value],
     )
 
 

@@ -134,6 +134,5 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
         quant=QuantKind.FLOAT,
         valid_start=max(stream.valid_start, c),
         valid_end=min(stream.valid_end, len(x) - c),
-        lineage=list(stream.lineage) + ["ssb"],
     )
 

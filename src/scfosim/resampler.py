@@ -40,10 +40,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DesignInfeasible, ChainWasQuantized, RatioOutOfRange, StreamTooShort
+from .errors import DesignInfeasible, RatioOutOfRange, StreamTooShort
 from .frontend import QuantKind, SampleStream
 from .rational import count_outputs, phase_run
-from .signal import SampleGrid, ToneBankSignal, eval_tones
 
 
 @dataclass(frozen=True)
@@ -383,7 +382,7 @@ def resample(
     The stream is fed to one Resampler 1 << 20 inputs at a time, so its
     input buffer never copies the whole stream.  ``fixed_point`` runs the
     integer path on the register grid fixed_in_step(stream).  The output
-    epoch is group-delay true, and the lineage gains "resample".
+    epoch is group-delay true.
     """
     f_c = Fraction(f_c)
     start_position = Fraction(start_position)
@@ -406,58 +405,5 @@ def resample(
         data=data,
         valid_start=len(data) if rs.first_valid_output is None else rs.first_valid_output,
         valid_end=len(data),
-        lineage=list(stream.lineage) + ["resample"],
     )
 
-
-def resample_error(in_sig: ToneBankSignal, out: SampleStream) -> dict:
-    """Compare resampled data against the analytic ground truth.
-
-    Output timestamps already absorb the filter group delay, so the truth is
-    simply the signal evaluated on the exact output grid.  Errors are in
-    linear units of the truth RMS.
-    """
-    if out.quant is not QuantKind.FLOAT or any(step.startswith("q") for step in out.lineage):
-        raise ChainWasQuantized(f"chain {out.lineage} includes quantization")
-    sl = out.valid_slice()
-    count = sl.stop - sl.start
-    truth = eval_tones(*in_sig.arrays(), SampleGrid(out.rate, sl.start, count, out.epoch))
-    err = out.data[sl] - truth
-    ref = np.sqrt(np.mean(truth**2))
-    if ref == 0.0:
-        return {"rms_err": float(np.sqrt(np.mean(err**2))), "max_err": float(np.max(np.abs(err), initial=0.0))}
-    return {
-        "rms_err": float(np.sqrt(np.mean(err**2)) / ref),
-        "max_err": float(np.max(np.abs(err)) / ref),
-    }
-
-
-def export_bank(bank: CoefficientBank, path) -> None:
-    """Text export, one phase per line (integer taps for fixed-point banks)."""
-    with open(path, "w") as fh:
-        fh.write(
-            f"# coefficient bank N={bank.taps_per_phase} P={bank.phases} "
-            f"bits={bank.coeff_bits} window=kaiser beta={bank.beta!r} "
-            f"cutoff=1.0 passband={bank.passband[0]!r},{bank.passband[1]!r}\n"
-        )
-        if bank.table_int is not None:
-            for row in bank.table_int:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
-        else:
-            for row in bank.table:
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def export_response_csv(bank: CoefficientBank, path, phases=(0,), n_freq: int = 1024) -> None:
-    """CSV columns: freq, then mag_db and delay_err per requested phase."""
-    curves = [response(bank, p, n_freq) for p in phases]
-    with open(path, "w") as fh:
-        cols = ["freq"]
-        for p in phases:
-            cols += [f"mag_db_phase{p}", f"delay_err_phase{p}"]
-        fh.write(",".join(cols) + "\n")
-        for i in range(n_freq):
-            row = [f"{curves[0].freq[i]:.9g}"]
-            for c in curves:
-                row += [f"{c.mag_db[i]:.9g}", f"{c.delay_err_samples[i]:.9g}"]
-            fh.write(",".join(row) + "\n")

@@ -417,7 +417,7 @@ def _selfclock_washout(cfg, summary):
     for target in cfg["targets_dwt"]:
         if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0 < target < math.inf:
             raise ConfigInvalid("targets_dwt", f"{target!r} is not a positive finite dw*T")
-    _check_positive(cfg, "windows", "sky_tones", "clock_tone_amplitude")
+    _check_positive(cfg, "windows", "sky_tones", "clock_tone_amplitude", "sky_T")
     if not 0 <= cfg["window_jitter"] < 1:
         raise ConfigInvalid("window_jitter", f"{cfg['window_jitter']} is not a fraction in [0, 1)")
     rng = np.random.default_rng(cfg["seed"])
@@ -430,6 +430,11 @@ def _selfclock_washout(cfg, summary):
     # default 3/4), so the tones differ by the difference of the aliases;
     # windows of varying start and length sample the washing statistics
     landed = [_alias(scale * f_a, f_a) for f_a in (a.desk_rate(f_c) for a in antennas)]
+    if landed[0] == landed[1]:
+        raise ConfigInvalid(
+            "clock_tone_scale",
+            f"{cfg['clock_tone_scale']!r} lands both clock tones at {float(landed[0])} Hz, so dw = 0",
+        )
     delta_f = abs(float(landed[0] - landed[1]))
     longest = max(cfg["targets_dwt"]) / (2 * math.pi * delta_f)
     # a float-derived input count on purpose: it sets the range the window
@@ -503,7 +508,7 @@ def _selfclock_washout(cfg, summary):
     },
 )
 def _scfo_off_control(cfg, summary):
-    _check_positive(cfg, "noise_tones", "clock_tone_amplitude")
+    _check_positive(cfg, "noise_tones", "clock_tone_amplitude", "T")
     if cfg["noise_rms"] < 0:
         raise ConfigInvalid("noise_rms", f"{cfg['noise_rms']!r}; an RMS cannot be negative")
     f_c, bank = _clock_and_bank(cfg)
@@ -565,7 +570,7 @@ _ZONE_CASES = (
 def _zone1_vs_zone2(cfg, summary):
     """Out-of-band contamination: Zone 2 decorrelates all of it; Zone 1 keeps
     a correlating region between the passband edge and Nyquist."""
-    _check_positive(cfg, "probe_amplitude")
+    _check_positive(cfg, "probe_amplitude", "T")
     f_c, bank = _clock_and_bank(cfg)
     rows = []
     for case, zone, source, frac, correlates, text in _ZONE_CASES:
@@ -598,7 +603,7 @@ def _relaxed_antialias(cfg, summary):
     """A relaxed analog anti-alias filter lets an out-of-band tone alias into
     the band at reduced amplitude; with SCFO on the alias decorrelates, with
     SCFO off it correlates fully (the filter is then load-bearing)."""
-    _check_positive(cfg, "probe_amplitude")
+    _check_positive(cfg, "probe_amplitude", "T")
     f_c, bank = _clock_and_bank(cfg)
     try:
         filt = FilterSpec(points=tuple((float(a), float(b)) for a, b in cfg["filter_points"]))
@@ -664,10 +669,13 @@ def _zone2_shift(cfg, summary):
         raise ConfigInvalid("segments", f"{segments}; the phase-slope fit needs at least 3")
     if n_fft < segments:
         raise ConfigInvalid("n_fft", f"{n_fft}; needs one sample per segment")
+    zone2 = ZONE_BANDS[Zone.ZONE2]
+    if not zone2[0] <= cfg["sky_hz_frac"] <= zone2[1]:
+        raise ConfigInvalid("sky_hz_frac", f"{cfg['sky_hz_frac']!r} puts the sky tone outside Zone 2, {zone2} of f_c")
     f_c, bank = _clock_and_bank(cfg)
     scale = _frac(cfg["clock_tone_scale"], "clock_tone_scale")
     antennas = _antennas(cfg, Zone.ZONE2)
-    band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
+    band2 = _band(zone2, f_c)
     n_out = _outputs_holding(antennas, f_c, bank, n_fft)
 
     sky = ToneBankSignal(tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),), band=band2)

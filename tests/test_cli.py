@@ -92,6 +92,14 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("relaxed-antialias", '{"probe_amplitude": 0.0}'),
         ("zone1-vs-zone2-alias", '{"probe_amplitude": 0.0}'),
         ("selfclock-washout", '{"clock_tone_amplitude": 0.0}'),
+        ("selfclock-washout", '{"clock_tone_scale": "0/1"}'),
+        ("selfclock-washout", '{"offsets_hz": ["0/1", "0/1"]}'),
+        ("zone2-shift", '{"sky_hz_frac": 0.3}'),
+        ("zone2-shift", '{"sky_hz_frac": 1.5}'),
+        ("selfclock-washout", '{"sky_T": 0.0}'),
+        ("scfo-off-control", '{"T": 0.0}'),
+        ("zone1-vs-zone2-alias", '{"T": -0.4}'),
+        ("relaxed-antialias", '{"T": 0.0}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
@@ -112,7 +120,9 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "relaxed-one-offset", "zone2-shift-three-offsets", "requant-64-bit-taps",
         "control-64-bit-taps", "offset-ratio-half", "offset-ratio-below-minus-half",
         "control-no-clock-tone", "relaxed-no-probe", "zone-probes-no-probe",
-        "washout-no-clock-tone",
+        "washout-no-clock-tone", "washout-clock-tone-at-dc", "washout-equal-offsets",
+        "sky-below-zone-2", "sky-above-zone-2", "washout-no-sky-time", "control-no-time",
+        "zone-probes-negative-time", "relaxed-no-time",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):

@@ -6,7 +6,6 @@ import pytest
 
 from scfosim.chain import ChainSpec, SignalModel
 from scfosim.correlator import (
-    coherence_loss,
     correlate,
     sensitivity_loss,
     washing_suppression_db,
@@ -152,23 +151,6 @@ class TestWashingFormula:
     def test_envelope_regime_guard(self):
         with pytest.raises(EnvelopeRegimeViolated):
             washing_suppression_db(0.1, 1.0)
-
-
-class TestCoherenceLoss:
-    def test_zero_limit(self):
-        assert coherence_loss(0.0) == 0.0
-
-    def test_lut_phase_step(self):
-        assert coherence_loss(np.pi / 1024) == pytest.approx(1.57e-6, rel=0.02)
-
-    def test_small_angle_series(self):
-        x = np.pi * 0.875 * 0.2e-4
-        assert coherence_loss(x) == pytest.approx(x**2 / 6.0, rel=1e-4)
-        assert coherence_loss(x) == pytest.approx(5.0e-10, rel=0.04)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            coherence_loss(-0.1)
 
 
 class TestSensitivityLoss:

@@ -75,7 +75,6 @@ class TestDemuxEquivalence:
                 rate=Fraction(1001, 1000) * 1_000_000,
                 epoch=Fraction(1, 3),
                 data=np.random.default_rng(7).standard_normal(n),
-                lineage=["sample"],
             )
             direct = resample(s, Fraction(1_000_000), bank56, start_position=start)
             demux = demux_resample(s, Fraction(1_000_000), bank56, k=8, start_position=start)
@@ -84,7 +83,6 @@ class TestDemuxEquivalence:
             assert np.array_equal(demux.data, direct.data[:end])
             assert demux.epoch == direct.epoch
             assert (demux.valid_start, demux.valid_end) == (min(direct.valid_start, end), end)
-            assert demux.lineage == direct.lineage
 
     def test_valid_region_ends_at_the_cut(self, bank56):
         # 12 direct outputs, the first 9 before sample 0: the valid region

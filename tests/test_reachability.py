@@ -18,16 +18,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "scfosim"
 
 # name -> why it stays although neither the package nor the benchmark calls it yet
 KEEP = {
-    "export_bank": "writes the coefficient table, the hw-datapath scenario's FPGA LUT contents (ROADMAP item 5)",
-    "export_response_csv": "writes the bank's response file of the hw-datapath scenario (ROADMAP item 5)",
-    "resample_error": "the in-band resampling error the hw-datapath scenario reports (ROADMAP item 5)",
-    "coherence_loss": "the phase-LUT loss bound of the hw-datapath scenario (ROADMAP item 5)",
-    "estimate": "the FPGA resource ledger of the hw-datapath scenario (ROADMAP item 5)",
-    "quantizer_efficiency": "the analytic Q4 term of the requant-loss breakdown (ROADMAP item 7)",
-    "pps_sample_indices": "1PPS ticks on the sample grid, for the pps-alignment scenario (ROADMAP item 5)",
-    "synchronize_pps": "multi-phase 1PPS capture, for the pps-alignment scenario (ROADMAP item 5)",
-    "align_fifo": "FIFO centroid alignment, for the pps-alignment scenario (ROADMAP item 5)",
-    "tick_trace_rows": "tick_trace.csv of the pps-alignment scenario (ROADMAP item 5)",
+    "quantizer_efficiency": "the analytic Q4 term of the requant-loss breakdown (ROADMAP item 9)",
 }
 
 BENCHMARK = PACKAGE.parent.parent / "perfbench"

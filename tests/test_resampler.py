@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfosim.errors import ChainWasQuantized, DesignInfeasible, RatioOutOfRange, StreamTooShort
-from scfosim.frontend import QuantKind, QuantizerSpec, SampleStream, Zone, sample
+from scfosim.errors import DesignInfeasible, RatioOutOfRange, StreamTooShort
+from scfosim.frontend import SampleStream, sample
 from scfosim.rational import phase_run
 from scfosim.resampler import (
     FIR_TILE,
@@ -15,11 +15,8 @@ from scfosim.resampler import (
     _fir_rows,
     cached_bank,
     design_bank,
-    export_bank,
-    export_response_csv,
     quantize_taps,
     resample,
-    resample_error,
     response,
 )
 from scfosim.signal import SampleGrid, Tone, ToneBankSignal, eval_tones, synth_signal
@@ -37,6 +34,18 @@ def bank_float():
 
 def stream_from(data, rate=Fraction(1000), **kw):
     return SampleStream(rate=Fraction(rate), epoch=Fraction(0), data=np.asarray(data, float), **kw)
+
+
+def resampled_error(sig, out):
+    """RMS and peak error of ``out``'s valid region against ``sig`` on its
+    exact output grid (timestamps absorb the group delay), in units of the
+    truth RMS, or absolute when the truth is silent."""
+    sl = out.valid_slice()
+    count = sl.stop - sl.start
+    truth = eval_tones(*sig.arrays(), SampleGrid(out.rate, sl.start, count, out.epoch))
+    err = out.data[sl] - truth
+    ref = np.sqrt(np.mean(truth**2)) or 1.0
+    return np.sqrt(np.mean(err**2)) / ref, np.max(np.abs(err), initial=0.0) / ref
 
 
 class TestDesign:
@@ -208,8 +217,8 @@ class TestResampling:
         sig = ToneBankSignal(tones=(Tone(1.0, 40.0, 1.0),), band=(40.0, 40.0))
         s = sample(sig, f_a, 6000)
         out = resample(s, f_c, bank_float)
-        err = resample_error(sig, out)
-        assert err["rms_err"] < 1e-4
+        rms, _ = resampled_error(sig, out)
+        assert rms < 1e-4
 
     def test_resample_error_follows_lut_granularity(self, bank_float):
         # with 1024 phases the dominant float-path error is the +/-1/(2P)
@@ -219,36 +228,26 @@ class TestResampling:
             sig = ToneBankSignal(tones=(Tone(1.0, freq, 0.3),), band=(freq, freq))
             s = sample(sig, f_a, 8000)
             out = resample(s, f_c, bank_float)
-            err = resample_error(sig, out)
+            rms, _ = resampled_error(sig, out)
             omega = 2 * np.pi * freq / float(f_a)
             predicted = omega / (2 * 1024 * np.sqrt(3))
-            assert err["rms_err"] == pytest.approx(predicted, rel=0.35)
+            assert rms == pytest.approx(predicted, rel=0.35)
 
     def test_resample_error_zero_signal(self, bank_float):
         sig = ToneBankSignal(tones=(), band=(0.0, 1.0))
         s = stream_from(np.zeros(1000))
         out = resample(s, Fraction(1000), bank_float)
-        err = resample_error(sig, out)
-        assert err["rms_err"] == 0.0 and err["max_err"] == 0.0
+        rms, peak = resampled_error(sig, out)
+        assert rms == 0.0 and peak == 0.0
 
     def test_guard_band_tone_reported_not_judged(self, bank_float):
-        # beyond the passband edge the error may be large; the op just reports
+        # beyond the passband edge the bank promises no accuracy, and the error shows it
         f_c, f_a = Fraction(1000), Fraction(1001)
         sig = ToneBankSignal(tones=(Tone(1.0, 497.0, 0.0),), band=(497.0, 497.0))
         s = sample(sig, f_a, 6000)
         out = resample(s, f_c, bank_float)
-        err = resample_error(sig, out)
-        assert err["rms_err"] > 1e-4
-
-    def test_quantized_chain_rejected(self, bank_float):
-        from scfosim.frontend import quantize
-
-        sig = synth_signal(seed=2, n_tones=8, band=(50.0, 300.0))
-        s = sample(sig, Fraction(1001), 4000)
-        q = quantize(s, QuantizerSpec(QuantKind.Q8_UNIFORM))
-        out = resample(q, Fraction(1000), bank_float)
-        with pytest.raises(ChainWasQuantized):
-            resample_error(sig, out)
+        rms, _ = resampled_error(sig, out)
+        assert rms > 1e-4
 
     def test_stream_too_short(self, bank_float):
         with pytest.raises(StreamTooShort):
@@ -439,21 +438,3 @@ class TestAlignment:
         lags = np.arange(-5, 6)
         xc = [np.dot(a[5 + l : 3995 + l], b[5:3995]) for l in lags]
         assert lags[int(np.argmax(xc))] == 0
-
-
-class TestExport:
-    def test_bank_and_response_files(self, bank19, tmp_path):
-        bp = tmp_path / "bank.txt"
-        export_bank(bank19, bp)
-        lines = bp.read_text().strip().splitlines()
-        assert len(lines) == 1 + 1024
-        assert lines[0] == (
-            "# coefficient bank N=56 P=1024 bits=19 window=kaiser beta=7.165970420377935 "
-            "cutoff=1.0 passband=0.0833,0.9167"
-        )
-        row0 = [int(v) for v in lines[1].split()]
-        assert row0 == list(bank19.table_int[0])
-        rp = tmp_path / "resp.csv"
-        export_response_csv(bank19, rp, phases=(0, 512), n_freq=64)
-        header = rp.read_text().splitlines()[0].split(",")
-        assert header == ["freq", "mag_db_phase0", "delay_err_phase0", "mag_db_phase512", "delay_err_phase512"]
