@@ -47,6 +47,13 @@ def test_welch_batches_change_only_rounding():
         assert np.allclose(got, ref, rtol=1e-12, atol=0)
 
 
+def test_spectra_of_less_than_one_window_raise():
+    welch = _WelchCross(nfft=256, cap=30_000)
+    welch.add(np.ones(255), np.ones(255))
+    with pytest.raises(ValueError, match="no Welch segment"):
+        welch.spectra()
+
+
 def welch_one_pass(a, b, nfft, cap):
     """The Welch sums of every segment of the leading ``cap`` samples, taken
     in one pass over them all, BATCH segments per transform."""

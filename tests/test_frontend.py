@@ -61,6 +61,10 @@ class TestSample:
         sig2 = tone_bank((1.0, 495.0, 0.0), band=(495.0, 900.0))
         sample(sig2, Fraction(1000), 64, Zone.ZONE2, band_slack=0.02)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample(tone_bank((1.0, 200.0, 0.0)), Fraction(1000), 0)
+
     @pytest.mark.parametrize(
         "m, n", [(1000, (1 << 20) + 1), ((1 << 20) - 3, (1 << 20) + 5), (1 << 20, (1 << 20) + 1)]
     )
@@ -213,6 +217,32 @@ class TestQuantize:
         out = quantize(s, QuantizerSpec(QuantKind.FLOAT))
         assert out.quant is QuantKind.FLOAT
 
+    def test_q4_stream_holds_at_most_16_levels(self):
+        def q4(data):
+            return SampleStream(rate=Fraction(1000), epoch=Fraction(0), data=data, quant=QuantKind.Q4_OPTIMAL)
+
+        assert len(q4(np.arange(16.0))) == 16
+        with pytest.raises(ValueError, match="more than 16 distinct values"):
+            q4(np.arange(17.0))
+
+
+class TestQuantizerSpec:
+    @pytest.mark.parametrize("kind", [QuantKind.Q4_OPTIMAL, QuantKind.Q8_UNIFORM])
+    @pytest.mark.parametrize("loading", [0.0, -0.5])
+    def test_non_positive_loading_rejected(self, kind, loading):
+        with pytest.raises(ValueError, match="loading must be > 0"):
+            QuantizerSpec(kind, loading)
+
+    def test_float_has_no_loading_and_no_levels(self):
+        spec = QuantizerSpec(QuantKind.FLOAT, loading=0.0)
+        with pytest.raises(ValueError, match="FLOAT has no levels"):
+            spec.scale(1.0)
+
+    def test_scale_is_the_design_sigma_over_the_loading(self):
+        # at loading 0.5 an input RMS of 2 means a design sigma of 4
+        assert QuantizerSpec(QuantKind.Q4_OPTIMAL, 0.5).scale(2.0) == 4.0
+        assert QuantizerSpec(QuantKind.Q8_UNIFORM, 0.5).scale(2.0) == 8.0 * 4.0 / 256.0
+
 
 class TestAntialias:
     def test_allpass_identity(self):
@@ -234,6 +264,10 @@ class TestAntialias:
         sig = tone_bank((1.0, 1.2 * edge, 0.0), band=(0.25e9, edge))
         out = antialias(sig, filt)
         assert out.tones[0].amplitude == pytest.approx(0.1)
+
+    def test_filter_without_points_rejected(self):
+        with pytest.raises(ValueError, match="filter points"):
+            FilterSpec(points=())
 
 
 class TestSincReconstruction:

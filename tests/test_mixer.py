@@ -56,6 +56,15 @@ class TestHilbertDesign:
         with pytest.raises(ValueError):
             design_hilbert(64, (0.1, 0.9))
 
+    def test_fewer_than_7_taps_rejected(self):
+        with pytest.raises(ValueError, match="n_taps"):
+            design_hilbert(5, (0.1, 0.9))
+
+    @pytest.mark.parametrize("band", [(0.0, 0.5), (0.5, 1.0), (0.6, 0.4)], ids=["from-dc", "to-nyquist", "reversed"])
+    def test_band_outside_0_1_rejected(self, band):
+        with pytest.raises(ValueError, match="band must lie inside"):
+            design_hilbert(63, band)
+
 
 class TestOscillator:
     def test_exact_rational_phase_no_drift(self):
@@ -108,6 +117,12 @@ class TestSsbShift:
         # analytic magnitude is the envelope
         mag = np.abs(out.data[sl])
         assert np.std(mag) / np.mean(mag) < 1e-3
+
+    def test_complex_input_rejected(self):
+        s, _ = tone_stream(100.0, 1000, 4000)
+        analytic = ssb_shift(s, Fraction(0))
+        with pytest.raises(ValueError, match="real input stream"):
+            ssb_shift(analytic, Fraction(0))
 
     def test_peak_moves_by_exact_shift(self):
         fs, f0, delta = 1000, 300.0, 40.0

@@ -113,3 +113,8 @@ class TestDemuxEquivalence:
         s = rand_stream(2000, Fraction(1000))
         with pytest.raises(TapCountNotDivisible):
             demux_resample(s, Fraction(1000), bank56, k=5)
+
+    def test_k_below_one_rejected(self, bank56):
+        s = rand_stream(2000, Fraction(1000))
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            demux_resample(s, Fraction(1000), bank56, k=0)

@@ -102,6 +102,37 @@ class TestDesign:
         with pytest.raises(ValueError, match="coeff_bits"):
             design_bank(56, 1024, bits)
 
+    @pytest.mark.parametrize(
+        "N, P, passband, match",
+        [
+            (1, 1024, (0.0833, 0.9167), "at least 2 taps"),
+            (56, 1000, (0.0833, 0.9167), "power of two"),
+            (56, 1, (0.0833, 0.9167), "power of two"),
+            (56, 1024, (0.5, 0.4), "passband"),
+            (56, 1024, (0.1, 1.0), "passband"),
+            (56, 1024, (-0.1, 0.9), "passband"),
+        ],
+        ids=["one-tap", "phases-not-a-power-of-two", "one-phase", "passband-reversed",
+             "passband-reaching-nyquist", "passband-below-zero"],
+    )
+    def test_parameters_out_of_range_raise_value_error(self, N, P, passband, match):
+        with pytest.raises(ValueError, match=match):
+            design_bank(N, P, 19, passband=passband)
+
+    @pytest.mark.parametrize("phase", [-1, 1024])
+    def test_response_of_a_phase_outside_the_bank_raises(self, bank19, phase):
+        with pytest.raises(ValueError, match="phase out of range"):
+            response(bank19, phase)
+
+    def test_bank_records_its_design(self, bank19):
+        # the parameters a coefficient table is published with, and the float
+        # table as the integer one at the binary point
+        assert (bank19.taps_per_phase, bank19.phases, bank19.coeff_bits) == (56, 1024, 19)
+        assert bank19.beta == pytest.approx(7.165970420377935, rel=1e-12)
+        assert bank19.passband == (0.0833, 0.9167)
+        assert bank19.table.shape == bank19.table_int.shape == (1024, 56)
+        assert np.array_equal(bank19.table, bank19.table_int / float(1 << 18))
+
 
 def quantize_taps_by_row(taps, bits):
     """The row-by-row form of ``quantize_taps``, kept as its oracle."""

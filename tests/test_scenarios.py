@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from scfosim.chain import map_forked
-from scfosim.errors import BandZoneMismatch, ConfigInvalid, InsufficientSamples
+from scfosim.errors import BandZoneMismatch, ConfigInvalid, Infeasible, InsufficientSamples
 from scfosim.frontend import SampleStream, Zone, sample
 from scfosim.resampler import aligned_start, cached_bank, design_bank, resample
 from scfosim.scenarios import (
@@ -23,6 +23,7 @@ from scfosim.scenarios import (
     _resampled_tone_streams,
     SCENARIOS,
     merge_config,
+    plan_offsets,
     run_scenario,
 )
 from scfosim.signal import Tone, ToneBankSignal, synth_signal
@@ -211,6 +212,29 @@ def test_figures_are_refused(tmp_path):
     with pytest.raises(ConfigInvalid):
         run_scenario("offset-plan", None, out_dir=tmp_path, figures=True)
     assert not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "band, offset, field",
+    [
+        ("B9", 0, "antennas[a].band"),
+        ("B1", 10_000_100, "antennas[a].offset"),
+        ("B5stream", 1500, "antennas[a].offset"),
+    ],
+    ids=["unknown-band", "offset-above-10-mhz", "offset-off-the-1-khz-grid"],
+)
+def test_antenna_spec_names_the_field_it_rejects(band, offset, field):
+    with pytest.raises(ConfigInvalid) as exc:
+        AntennaChainSpec("a", band=band, offset=Fraction(offset))
+    assert exc.value.field == field
+
+
+def test_ladder_wider_than_max_abs_is_infeasible():
+    # 2 x 150 Hz fits 2 x 100 Hz plus one grid step, but on the 100 Hz grid
+    # the 150 Hz separation becomes 200 Hz, and the ladder reaches -200 Hz
+    with pytest.raises(Infeasible, match="ladder spans"):
+        plan_offsets(2, 150.0, 100.0, 100.0)
+    assert plan_offsets(2, 100.0, 100.0, 100.0).assignments == [-100, 0]
 
 
 @pytest.mark.slow

@@ -58,6 +58,10 @@ class TestSynth:
         with pytest.raises(EmptyBand):
             synth_signal(seed=1, n_tones=4, band=(2.0, 1.0))
 
+    def test_no_tones_rejected(self):
+        with pytest.raises(ValueError, match="n_tones"):
+            synth_signal(seed=1, n_tones=0, band=(1.0, 2.0))
+
 
 def on_grid(sig, rate, start, count):
     """``sig`` at samples start .. start+count-1 of the grid t_n = n / rate."""
