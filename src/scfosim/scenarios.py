@@ -9,11 +9,14 @@ products dw*T match the regimes of interest (the physics depends only on
 dw*T).
 
 ``SCENARIOS`` maps each name to ``(body, description, defaults)``, and
-``run_scenario`` is the one runner.  It calls ``body(cfg, summary)`` with the
-defaults merged under the caller's overrides and an empty ``Summary``.  The
-body raises ``ConfigInvalid`` for a value it cannot run, adds one PASS/FAIL
-check per claim, and returns ``(tables, result)``: ``{"file.csv": (header,
-rows)}`` and the values callers read besides the summary.  Then
+``run_scenario`` is the one runner.  Each default is ``(value, rule)``:
+``merge_config`` lays the caller's overrides over the values and checks
+every field against its rule, so a value outside it raises ``ConfigInvalid``
+naming the field before the body runs.  ``run_scenario`` then calls
+``body(cfg, summary)`` with the merged config and an empty ``Summary``.  The
+body raises ``ConfigInvalid`` only for a check between fields, adds one
+PASS/FAIL check per claim, and returns ``(tables, result)``: ``{"file.csv":
+(header, rows)}`` and the values callers read besides the summary.  Then
 ``run_scenario`` writes each table and summary.txt into the output
 directory, so a rejected config leaves none.  Identical config and seed give
 byte-identical output.
@@ -115,15 +118,11 @@ class OffsetPlan:
 
 
 def plan_offsets(n: int, min_pairwise: float, max_abs: float, resolution: float = 100.0) -> OffsetPlan:
-    """Deterministic uniform ladder of n offsets on the resolution grid.
+    """Deterministic uniform ladder of n >= 1 offsets on the resolution grid (> 0).
 
     Pairwise separations stay at or above ``min_pairwise``; all offsets fit
     in [-max_abs, +max_abs].
     """
-    if n < 1:
-        raise ConfigInvalid("n", f"{n} antennas; at least 1 is needed")
-    if resolution <= 0:
-        raise ConfigInvalid("resolution", f"{resolution} Hz; the offset grid step must be positive")
     res = Fraction(resolution).limit_denominator(10**9) if not isinstance(resolution, Fraction) else resolution
     if n * min_pairwise > 2 * max_abs + float(res):
         raise Infeasible(
@@ -171,27 +170,77 @@ class Summary:
             fh.writelines(line + "\n" for line in self.verdicts() + [overall + " overall"])
 
 
-def _kind(value) -> type:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return numbers.Real  # int and float stand in for each other
-    return type(value)
+# A field's rule is (kind, test, words).  The kind fixes which JSON value the
+# field takes: "real" a number, "int" an integral one (held as an int),
+# "rational" an integer or a 'num/den' or decimal string (tested as a
+# Fraction), "text" a string, and [kind] a list of such; every number must be
+# finite as a float.  ``test`` must hold of the value read as its kind;
+# ``words`` say what the value must be.
+
+POSITIVE = ("real", lambda x: x > 0, "a positive number")
+NON_NEGATIVE = ("real", lambda x: x >= 0, "a non-negative number")
+FRACTION = ("real", lambda x: 0 <= x < 1, "a fraction in [0, 1)")
+POWER_OF_TWO = ("int", lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2")
+RATIONAL = ("rational", lambda q: True, "a rational number")
+OFFSET_PAIR = (["rational"], lambda qs: len(qs) == 2, "a list of 2 rational offsets in Hz")
+POSITIVE_LIST = (["real"], lambda xs: xs and min(xs) > 0, "a non-empty list of positive numbers")
+HZ_DB_PAIRS = ([["real"]], lambda ps: ps and all(len(p) == 2 for p in ps) and ps == sorted(ps, key=lambda p: p[0]),
+               "a non-empty list of [Hz, dB] pairs sorted by Hz")
+
+
+def _integer(least: int, most: int | None = None) -> tuple:
+    """The rule of an integer in [least, most], or >= least with no most."""
+    words = f"an integer >= {least}" if most is None else f"an integer in [{least}, {most}]"
+    return ("int", lambda n: least <= n and (most is None or n <= most), words)
+
+
+def _within(lo: float, hi: float, kind: str = "real") -> tuple:
+    """The rule of a ``kind`` value in the closed interval [lo, hi]."""
+    return (kind, lambda x: lo <= x <= hi, f"a {'number' if kind == 'real' else kind} in [{lo}, {hi}]")
+
+
+def _frac(value) -> Fraction:
+    """The exact rational of a rational field's value."""
+    return parse_rational(str(value))
+
+
+def _read(kind, value):
+    """``value`` read as ``kind`` (see the rules above), or None where it is
+    not one."""
+    if isinstance(kind, list):
+        items = [_read(kind[0], item) for item in value] if isinstance(value, list) else [None]
+        return None if None in items else items
+    if kind == "text":
+        return value if isinstance(value, str) else None
+    takes = (numbers.Integral, str) if kind == "rational" else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, takes):  # a bool is no number
+        return None
+    try:
+        read = _frac(value) if kind == "rational" else value
+        if not math.isfinite(read):
+            return None
+    except (ValueError, ZeroDivisionError, ZeroDenominator, OverflowError):  # OverflowError: beyond any float
+        return None
+    if kind == "int":
+        return int(read) if read == int(read) else None
+    return read
 
 
 def merge_config(defaults: dict, override: dict | None) -> dict:
-    """A copy of the defaults with each override laid over them; an override
-    must be of its default's kind (a number, a string or a list), and an
-    integer default takes only an integral number, stored as an int."""
-    out = dict(defaults)
-    for key, value in (override or {}).items():
+    """The default values with each override laid over them, every field
+    checked against its rule; an "int" field holds an int, any other field
+    its JSON value as given."""
+    override = override or {}
+    for key in override:
         if key not in defaults:
             raise ConfigInvalid(key, "unknown configuration field")
-        if _kind(value) is not _kind(defaults[key]):
-            raise ConfigInvalid(key, f"{value!r} is not of the kind of its default {defaults[key]!r}")
-        if type(defaults[key]) is int:
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigInvalid(key, f"{value!r} is not an integer")
-            value = int(value)
-        out[key] = value
+    out = {}
+    for key, (default, (kind, test, words)) in defaults.items():
+        value = override.get(key, default)
+        read = _read(kind, value)
+        if read is None or not test(read):
+            raise ConfigInvalid(key, f"{value!r} is not {words}")
+        out[key] = read if kind == "int" else value
     return out
 
 
@@ -205,17 +254,6 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigInvalid("config", f"{path} holds no JSON object")
     return cfg
-
-
-def _frac(value, key: str) -> Fraction:
-    """The exact rational in config field ``key``: an integer, or a
-    'num/den' or decimal string."""
-    if isinstance(value, (int, str)):
-        try:
-            return parse_rational(str(value))
-        except (ValueError, ZeroDivisionError, ZeroDenominator) as exc:
-            raise ConfigInvalid(key, f"{value!r} is not a rational number ({exc})") from exc
-    raise ConfigInvalid(key, f"{value!r} must be an integer or 'num/den' string")
 
 
 def _alias(freq: Fraction, rate: Fraction) -> Fraction:
@@ -269,48 +307,27 @@ def run_scenario(name: str, cfg: dict | None = None, out_dir=None, figures: bool
 # antenna streams
 
 
-# Config of every scenario that resamples antenna streams onto the common clock.
-_RESAMPLING = {"f_c": "1000000/1", "band": "B1", "taps": 56, "phases": 1024, "coeff_bits": 19}
-
-
-def _check_positive(cfg, *keys) -> None:
-    """Reject a value of one of ``keys`` that is not above 0."""
-    for key in keys:
-        if not cfg[key] > 0:
-            raise ConfigInvalid(key, f"{cfg[key]!r} is not positive")
-
-
-def _check_bank_fields(cfg) -> None:
-    """Reject a ``taps``, ``phases`` or ``coeff_bits`` no bank can be designed with."""
-    if cfg["taps"] < 2:
-        raise ConfigInvalid("taps", f"{cfg['taps']}; the filter needs at least 2 taps")
-    if cfg["phases"] < 2 or cfg["phases"] & (cfg["phases"] - 1):
-        raise ConfigInvalid("phases", f"{cfg['phases']} is not a power of two >= 2")
-    if not 1 <= cfg["coeff_bits"] <= 63:
-        raise ConfigInvalid(
-            "coeff_bits", f"{cfg['coeff_bits']}; a signed tap needs 1 to 63 bits of its int64 word"
-        )
+# The coefficient bank's fields (a signed tap has 1 to 63 bits of an int64),
+# and the config of every scenario that resamples onto the common clock.
+_BANK = {"taps": (56, _integer(2)), "phases": (1024, POWER_OF_TWO), "coeff_bits": (19, _integer(1, 63))}
+_RESAMPLING = {
+    "f_c": ("1000000/1", ("rational", lambda q: q > 0, "a positive rational")),
+    "band": ("B1", ("text", lambda band: band in BAND_TABLE, f"one of {', '.join(BAND_TABLE)}")),
+    **_BANK,
+}
 
 
 def _clock_and_bank(cfg) -> tuple[Fraction, object]:
     """The common clock f_c and the cached coefficient bank of ``cfg``."""
-    _check_bank_fields(cfg)
-    f_c = _frac(cfg["f_c"], "f_c")
-    if f_c <= 0:
-        raise ConfigInvalid("f_c", f"{cfg['f_c']!r} is not positive")
-    return f_c, cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
+    return _frac(cfg["f_c"]), cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
 
 
 def _antennas(cfg, zone=Zone.ZONE1, offsets=None):
     """The antenna pair at two offsets (``cfg["offsets_hz"]`` by default),
     named m001 and m002, on ``cfg["band"]``."""
     offsets = cfg["offsets_hz"] if offsets is None else offsets
-    if len(offsets) != 2:
-        raise ConfigInvalid("offsets_hz", f"{len(offsets)} offsets; the scenario compares exactly 2 antennas")
     return [
-        AntennaChainSpec(
-            antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off, f"offsets_hz[{i}]"), zone=zone
-        )
+        AntennaChainSpec(antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off), zone=zone)
         for i, off in enumerate(offsets)
     ]
 
@@ -397,32 +414,24 @@ def _correlated_pair(antennas, f_c, bank, T, **streams):
     "selfclock-washout",
     "clock-derived interference washes out as 1/(dwT); sky correlates",
     {
-        "seed": 1,
+        "seed": (1, _integer(0)),
         **_RESAMPLING,
-        "offsets_hz": ["4240000/1", "-4240000/1"],
-        "clock_tone_scale": "3/4",
-        "clock_tone_amplitude": 1.0,
-        "sky_tones": 16,
-        "targets_dwt": [100.0, 1000.0, 10000.0],
-        "windows": 16,
-        "window_jitter": 0.25,
-        "sky_T": 0.5,
-        "tolerance_db": 3.0,
-        "sky_rho_min": 0.99,
+        "offsets_hz": (["4240000/1", "-4240000/1"], OFFSET_PAIR),
+        "clock_tone_scale": ("3/4", RATIONAL),
+        "clock_tone_amplitude": (1.0, POSITIVE),
+        "sky_tones": (16, _integer(1)),
+        "targets_dwt": ([100.0, 1000.0, 10000.0], POSITIVE_LIST),
+        "windows": (16, _integer(1)),
+        "window_jitter": (0.25, FRACTION),
+        "sky_T": (0.5, POSITIVE),
+        "tolerance_db": (3.0, POSITIVE),
+        "sky_rho_min": (0.99, FRACTION),
     },
 )
 def _selfclock_washout(cfg, summary):
-    if not cfg["targets_dwt"]:
-        raise ConfigInvalid("targets_dwt", "at least one dw*T target is needed")
-    for target in cfg["targets_dwt"]:
-        if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0 < target < math.inf:
-            raise ConfigInvalid("targets_dwt", f"{target!r} is not a positive finite dw*T")
-    _check_positive(cfg, "windows", "sky_tones", "clock_tone_amplitude", "sky_T")
-    if not 0 <= cfg["window_jitter"] < 1:
-        raise ConfigInvalid("window_jitter", f"{cfg['window_jitter']} is not a fraction in [0, 1)")
     rng = np.random.default_rng(cfg["seed"])
     f_c, bank = _clock_and_bank(cfg)
-    scale = _frac(cfg["clock_tone_scale"], "clock_tone_scale")
+    scale = _frac(cfg["clock_tone_scale"])
     antennas = _antennas(cfg)
 
     # interference-only streams: each antenna samples its own clock tone
@@ -497,26 +506,28 @@ def _selfclock_washout(cfg, summary):
     "scfo-off-control",
     "all offsets zero: the common clock tone correlates at the SNR prediction",
     {
-        "seed": 2,
+        "seed": (2, _integer(0)),
         **_RESAMPLING,
-        "clock_tone_scale": "3/4",
-        "clock_tone_amplitude": 1.0,
-        "noise_tones": 64,
-        "noise_rms": 0.5,
-        "T": 0.5,
-        "tolerance": 0.01,
+        "clock_tone_scale": ("3/4", RATIONAL),
+        "clock_tone_amplitude": (1.0, POSITIVE),
+        "noise_tones": (64, _integer(1)),
+        "noise_rms": (0.5, NON_NEGATIVE),
+        "T": (0.5, POSITIVE),
+        "tolerance": (0.01, POSITIVE),
     },
 )
 def _scfo_off_control(cfg, summary):
-    _check_positive(cfg, "noise_tones", "clock_tone_amplitude", "T")
-    if cfg["noise_rms"] < 0:
-        raise ConfigInvalid("noise_rms", f"{cfg['noise_rms']!r}; an RMS cannot be negative")
     f_c, bank = _clock_and_bank(cfg)
-    tone = (float(cfg["clock_tone_amplitude"]), _frac(cfg["clock_tone_scale"], "clock_tone_scale"))
+    scale = _frac(cfg["clock_tone_scale"])
     antennas = _antennas(cfg, offsets=[0, 0])  # the clock tones land at identical frequencies
+    f_a, passband = antennas[0].desk_rate(f_c), _band(PASSBAND, f_c / 2)
+    landed = float(_alias(scale * f_a, f_a))
+    if not passband[0] <= landed <= passband[1]:
+        raise ConfigInvalid("clock_tone_scale", f"{cfg['clock_tone_scale']!r} lands the clock tone at {landed} Hz, "
+                            f"outside the passband {passband} Hz")
+    tone = (float(cfg["clock_tone_amplitude"]), scale)
     noise = [
-        synth_signal(cfg["seed"] * 977 + i, cfg["noise_tones"], _band(PASSBAND, f_c / 2),
-                     rms=float(cfg["noise_rms"]))
+        synth_signal(cfg["seed"] * 977 + i, cfg["noise_tones"], passband, rms=float(cfg["noise_rms"]))
         for i in range(len(antennas))
     ]
     rep, _ = _correlated_pair(antennas, f_c, bank, cfg["T"], sky=noise, clock_tone=tone)
@@ -558,19 +569,18 @@ _ZONE_CASES = (
     "zone1-vs-zone2-alias",
     "out-of-band probes: Zone 2 decorrelates all, Zone 1 keeps a correlating region",
     {
-        "seed": 3,
+        "seed": (3, _integer(0)),
         **_RESAMPLING,
-        "offsets_hz": ["4240000/1", "-4240000/1"],
-        "probe_amplitude": 1.0,
-        "T": 0.4,
-        "decorrelated_max": 0.05,
-        "correlated_min": 0.99,
+        "offsets_hz": (["4240000/1", "-4240000/1"], OFFSET_PAIR),
+        "probe_amplitude": (1.0, POSITIVE),
+        "T": (0.4, POSITIVE),
+        "decorrelated_max": (0.05, POSITIVE),
+        "correlated_min": (0.99, FRACTION),
     },
 )
 def _zone1_vs_zone2(cfg, summary):
     """Out-of-band contamination: Zone 2 decorrelates all of it; Zone 1 keeps
     a correlating region between the passband edge and Nyquist."""
-    _check_positive(cfg, "probe_amplitude", "T")
     f_c, bank = _clock_and_bank(cfg)
     rows = []
     for case, zone, source, frac, correlates, text in _ZONE_CASES:
@@ -589,26 +599,22 @@ def _zone1_vs_zone2(cfg, summary):
     "relaxed-antialias",
     "aliasing through a relaxed anti-alias filter decorrelates with SCFO on",
     {
-        "seed": 4,
+        "seed": (4, _integer(0)),
         **_RESAMPLING,
-        "offsets_hz": ["4240000/1", "-4240000/1"],
-        "filter_points": [[0.0, 0.0], [500000.0, 0.0], [750000.0, -20.0]],
-        "probe_hz": 1300000.0,
-        "probe_amplitude": 1.0,
-        "T": 0.4,
-        "decorrelated_max": 0.05,
+        "offsets_hz": (["4240000/1", "-4240000/1"], OFFSET_PAIR),
+        "filter_points": ([[0.0, 0.0], [500000.0, 0.0], [750000.0, -20.0]], HZ_DB_PAIRS),
+        "probe_hz": (1300000.0, POSITIVE),
+        "probe_amplitude": (1.0, POSITIVE),
+        "T": (0.4, POSITIVE),
+        "decorrelated_max": (0.05, POSITIVE),
     },
 )
 def _relaxed_antialias(cfg, summary):
     """A relaxed analog anti-alias filter lets an out-of-band tone alias into
     the band at reduced amplitude; with SCFO on the alias decorrelates, with
     SCFO off it correlates fully (the filter is then load-bearing)."""
-    _check_positive(cfg, "probe_amplitude", "T")
     f_c, bank = _clock_and_bank(cfg)
-    try:
-        filt = FilterSpec(points=tuple((float(a), float(b)) for a, b in cfg["filter_points"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid("filter_points", f"not [Hz, dB] pairs sorted by Hz ({exc})") from exc
+    filt = FilterSpec(points=tuple((float(a), float(b)) for a, b in cfg["filter_points"]))
     expected_gain = filt.gain(float(cfg["probe_hz"]))
     probe = ToneBankSignal(
         tones=(Tone(float(cfg["probe_amplitude"]), float(cfg["probe_hz"]), 0.1),),
@@ -649,14 +655,15 @@ def _relaxed_antialias(cfg, summary):
     "zone2-shift",
     "per-antenna frequency shifts align the sky tone and split the clock tones",
     {
-        "seed": 5,
+        "seed": (5, _integer(0)),
         **_RESAMPLING,
-        "offsets_hz": ["4240000/1", "-4240000/1"],
-        "sky_hz_frac": 0.7,
-        "clock_tone_scale": "3/4",
-        "n_fft": 1 << 18,
-        "segments": 16,
-        "residual_tol_hz": 0.05,
+        "offsets_hz": (["4240000/1", "-4240000/1"], OFFSET_PAIR),
+        "sky_hz_frac": (0.7, _within(*ZONE_BANDS[Zone.ZONE2])),
+        # in Zone 2, as the clock tones' expected landing f_c - scale * f_a assumes
+        "clock_tone_scale": ("3/4", _within(*ZONE_BANDS[Zone.ZONE2], "rational")),
+        "n_fft": (1 << 18, _integer(1)),
+        "segments": (16, _integer(3)),  # the phase-slope fit needs 3
+        "residual_tol_hz": (0.05, NON_NEGATIVE),
     },
 )
 def _zone2_shift(cfg, summary):
@@ -665,17 +672,12 @@ def _zone2_shift(cfg, summary):
     cross-spectrum phase slope, while the per-antenna clock tones stay split
     by the offset difference."""
     segments, n_fft = cfg["segments"], cfg["n_fft"]
-    if segments < 3:
-        raise ConfigInvalid("segments", f"{segments}; the phase-slope fit needs at least 3")
     if n_fft < segments:
         raise ConfigInvalid("n_fft", f"{n_fft}; needs one sample per segment")
-    zone2 = ZONE_BANDS[Zone.ZONE2]
-    if not zone2[0] <= cfg["sky_hz_frac"] <= zone2[1]:
-        raise ConfigInvalid("sky_hz_frac", f"{cfg['sky_hz_frac']!r} puts the sky tone outside Zone 2, {zone2} of f_c")
     f_c, bank = _clock_and_bank(cfg)
-    scale = _frac(cfg["clock_tone_scale"], "clock_tone_scale")
+    scale = _frac(cfg["clock_tone_scale"])
     antennas = _antennas(cfg, Zone.ZONE2)
-    band2 = _band(zone2, f_c)
+    band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
     n_out = _outputs_holding(antennas, f_c, bank, n_fft)
 
     sky = ToneBankSignal(tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),), band=band2)
@@ -737,43 +739,33 @@ def _zone2_shift(cfg, summary):
     "requant-loss",
     "4-bit vs 4-bit+resample+8-bit sensitivity loss difference",
     {
-        "seed": 1,
-        "samples": 100_000_000,
-        "offset_ratio": "1/10000",
-        "q4_loading": 1.0,
-        "q8_loading": 0.5,
-        "snr": 1.0,
-        "sky_tones": 16,
-        "noise_tones": 16,
-        "segments": 64,
-        "target_diff": 3.75e-4,
-        "tolerance": 2.0e-4,
-        "stderr_max": 5.0e-5,
-        "taps": 56,
-        "phases": 1024,
-        "coeff_bits": 19,
+        "seed": (1, _integer(0)),
+        "samples": (100_000_000, _integer(WELCH_NFFT)),
+        "offset_ratio": ("1/10000", (  # the red chain's ratios 1 +/- it stay inside (1/2, 3/2)
+            "rational", lambda q: abs(q) < Fraction(1, 2), "a rational in (-1/2, 1/2)")),
+        "q4_loading": (1.0, POSITIVE),
+        "q8_loading": (0.5, POSITIVE),
+        "snr": (1.0, POSITIVE),
+        "sky_tones": (16, _integer(1)),
+        "noise_tones": (16, _integer(1)),
+        "segments": (64, _integer(2)),  # a standard error needs 2
+        "target_diff": (3.75e-4, NON_NEGATIVE),
+        "tolerance": (2.0e-4, POSITIVE),
+        "stderr_max": (5.0e-5, POSITIVE),
+        **_BANK,
     },
 )
 def _requant_loss(cfg, summary):
     """Desk-scale reproduction of the 4-bit vs 4-bit+resample+8-bit
     sensitivity-loss comparison; the acceptance target is the difference."""
-    if cfg["segments"] < 2:
-        raise ConfigInvalid("segments", f"{cfg['segments']}; a standard error needs at least 2")
-    if cfg["samples"] < max(cfg["segments"], WELCH_NFFT):
-        raise ConfigInvalid("samples", f"{cfg['samples']}; needs one per segment and at least {WELCH_NFFT}")
-    _check_positive(cfg, "sky_tones", "noise_tones", "q4_loading", "q8_loading", "snr")
-    _check_bank_fields(cfg)
-    offset = _frac(cfg["offset_ratio"], "offset_ratio")
-    if not abs(offset) < Fraction(1, 2):
-        raise ConfigInvalid(
-            "offset_ratio", f"{cfg['offset_ratio']!r}; the red chain's ratios 1 +/- it leave (1/2, 3/2)"
-        )
+    if cfg["samples"] < cfg["segments"]:
+        raise ConfigInvalid("samples", f"{cfg['samples']}; needs one per segment")
     q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, float(cfg["q4_loading"]))
     blue = ChainSpec(input_quant=q4)
     red = ChainSpec(
         input_quant=q4,
         resample=True,
-        offset=offset,
+        offset=_frac(cfg["offset_ratio"]),
         out_quant=QuantizerSpec(QuantKind.Q8_UNIFORM, float(cfg["q8_loading"])),
         bank_taps=cfg["taps"],
         bank_phases=cfg["phases"],
@@ -813,10 +805,10 @@ def _requant_loss(cfg, summary):
     "offset-plan",
     "pairwise-separated offset ladder feasibility",
     {
-        "n": 2000,
-        "min_pairwise": 10_000.0,
-        "max_abs": 10_000_000.0,
-        "resolution": 1000.0,
+        "n": (2000, _integer(1)),
+        "min_pairwise": (10_000.0, POSITIVE),
+        "max_abs": (10_000_000.0, NON_NEGATIVE),
+        "resolution": (1000.0, POSITIVE),
     },
 )
 def _offset_plan(cfg, summary):

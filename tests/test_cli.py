@@ -100,6 +100,23 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("scfo-off-control", '{"T": 0.0}'),
         ("zone1-vs-zone2-alias", '{"T": -0.4}'),
         ("relaxed-antialias", '{"T": 0.0}'),
+        ("scfo-off-control", '{"T": Infinity}'),
+        ("scfo-off-control", '{"tolerance": NaN}'),
+        ("offset-plan", '{"max_abs": Infinity}'),
+        ("scfo-off-control", '{"clock_tone_scale": "0/1"}'),
+        ("scfo-off-control", '{"clock_tone_scale": "1/1"}'),
+        ("selfclock-washout", '{"seed": -1}'),
+        ("scfo-off-control", '{"seed": -1}'),
+        ("requant-loss", '{"seed": -1, "samples": 2000}'),
+        ("scfo-off-control", '{"tolerance": -0.01}'),
+        ("offset-plan", '{"min_pairwise": -5.0}'),
+        ("offset-plan", '{"max_abs": -1.0}'),
+        ("relaxed-antialias", '{"probe_hz": 0.0}'),
+        ("relaxed-antialias", '{"probe_hz": -5.0}'),
+        ("zone1-vs-zone2-alias", '{"decorrelated_max": -1}'),
+        ("requant-loss", '{"samples": 2000, "segments": 4000}'),
+        ("zone2-shift", '{"clock_tone_scale": "0/1"}'),
+        ("zone2-shift", '{"clock_tone_scale": "1/4"}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
@@ -123,6 +140,12 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "washout-no-clock-tone", "washout-clock-tone-at-dc", "washout-equal-offsets",
         "sky-below-zone-2", "sky-above-zone-2", "washout-no-sky-time", "control-no-time",
         "zone-probes-negative-time", "relaxed-no-time",
+        "control-infinite-time", "control-nan-tolerance", "infinite-max-abs",
+        "control-clock-tone-at-dc", "control-clock-tone-at-the-sample-rate",
+        "washout-negative-seed", "control-negative-seed", "requant-negative-seed",
+        "control-negative-tolerance", "negative-min-pairwise", "negative-max-abs",
+        "relaxed-probe-at-dc", "relaxed-negative-probe", "zone-probes-negative-decorrelated-max",
+        "fewer-samples-than-segments", "zone2-clock-tone-at-dc", "zone2-clock-tone-in-zone-1",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):

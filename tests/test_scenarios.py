@@ -22,6 +22,7 @@ from scfosim.scenarios import (
     _peak_hz,
     _resampled_tone_streams,
     SCENARIOS,
+    Summary,
     merge_config,
     plan_offsets,
     run_scenario,
@@ -201,11 +202,107 @@ def test_requant_loss_writes_its_verdicts_and_numbers(tmp_path):
     assert int(row["n_samples"]) == 200_000
 
 
+def default_values(name):
+    return {key: value for key, (value, _) in SCENARIOS[name][2].items()}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_default_is_a_value_with_a_rule_it_passes(name):
+    for key, entry in SCENARIOS[name][2].items():
+        value, (kind, test, words) = entry  # a field without a rule fails here
+        assert kind in ("real", "int", "rational", "text", ["rational"], ["real"], [["real"]]), key
+        assert callable(test) and words, key
+    # merge_config checks every default against its own rule
+    assert merge_config(SCENARIOS[name][2], None) == default_values(name)
+
+
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_every_default_is_settable_from_a_config_file(name):
-    # the defaults written out as a config file come back unchanged
-    defaults = SCENARIOS[name][2]
-    assert merge_config(defaults, json.loads(json.dumps(defaults))) == defaults
+    # the default values written out as a config file come back unchanged
+    values = default_values(name)
+    assert merge_config(SCENARIOS[name][2], json.loads(json.dumps(values))) == values
+
+
+@pytest.mark.parametrize(
+    "name, field, value",
+    [
+        ("scfo-off-control", "T", 0.0),
+        ("scfo-off-control", "T", float("nan")),
+        ("scfo-off-control", "T", float("inf")),
+        ("scfo-off-control", "T", True),
+        ("offset-plan", "max_abs", 10**400),
+        ("scfo-off-control", "noise_rms", -0.5),
+        ("selfclock-washout", "windows", 0),
+        ("selfclock-washout", "windows", 1.5),
+        ("requant-loss", "coeff_bits", 64),
+        ("requant-loss", "phases", 768),
+        ("selfclock-washout", "window_jitter", 1.0),
+        ("zone2-shift", "sky_hz_frac", 0.95),
+        ("zone2-shift", "f_c", "0/1"),
+        ("zone2-shift", "f_c", "1e400"),
+        ("requant-loss", "offset_ratio", "-1/2"),
+        ("zone2-shift", "clock_tone_scale", 0.75),
+        ("zone2-shift", "clock_tone_scale", "1/2"),
+        ("zone2-shift", "offsets_hz", ["1/1", "2/1", "3/1"]),
+        ("selfclock-washout", "targets_dwt", [100.0, 0.0]),
+        ("relaxed-antialias", "filter_points", [[1.0, 0.0], [0.0, 0.0]]),
+        ("zone2-shift", "band", "B9"),
+    ],
+    ids=[
+        "positive", "nan", "infinity", "bool", "integer-beyond-any-float", "non-negative",
+        "integer-at-least", "integer-not-integral", "integer-at-most", "power-of-two", "fraction",
+        "closed-interval", "positive-rational", "rational-beyond-any-float", "rational-below-one-half",
+        "rational-not-a-float", "rational-interval", "two-rationals", "positive-list",
+        "hz-db-pairs-sorted", "known-band",
+    ],
+)
+def test_a_value_outside_its_rule_raises_naming_the_field(name, field, value):
+    with pytest.raises(ConfigInvalid) as exc:
+        merge_config(SCENARIOS[name][2], {field: value})
+    assert exc.value.field == field
+
+
+def test_an_integer_field_holds_an_int_and_others_their_value_as_given():
+    cfg = merge_config(SCENARIOS["zone2-shift"][2], {"n_fft": 4096.0, "residual_tol_hz": 1, "f_c": 2000000})
+    assert type(cfg["n_fft"]) is int and cfg["n_fft"] == 4096
+    assert type(cfg["residual_tol_hz"]) is int
+    assert cfg["f_c"] == 2000000 and cfg["offsets_hz"] == ["4240000/1", "-4240000/1"]
+
+
+class ReadKeys(dict):
+    """A config that records which keys are read."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# Each scenario at the reduced size that the tests here and the benchmark's own tests run.
+REDUCED = {
+    "selfclock-washout": {"targets_dwt": [100.0], "windows": 2, "sky_T": 0.02},
+    "scfo-off-control": {"T": 0.05},
+    "zone1-vs-zone2-alias": {"T": 0.05},
+    "relaxed-antialias": {"T": 0.05},
+    "zone2-shift": {"n_fft": 1 << 15, "segments": 8},
+    "requant-loss": {"samples": 200_000},
+    "offset-plan": {"n": 100},
+}
+# No body reads these, but the benchmark (perfbench's SCENARIO_SEEDS) passes
+# each scenario a seed, so they stay until it stops.
+UNREAD = {("zone1-vs-zone2-alias", "seed"), ("relaxed-antialias", "seed"), ("zone2-shift", "seed")}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_declared_field_is_read(name):
+    body, _, defaults = SCENARIOS[name]
+    cfg = ReadKeys(merge_config(defaults, REDUCED[name]))
+    body(cfg, Summary())
+    unread = {(name, key) for key in defaults if key not in cfg.read}
+    assert unread == {entry for entry in UNREAD if entry[0] == name}
 
 
 def test_figures_are_refused(tmp_path):
