@@ -2,15 +2,17 @@
 
 A chain is sample -> (quantize) -> (resample) -> (requantize); its float
 twin runs on the identical float samples so the loss 1 - rho/rho_float
-isolates exactly the chain's quantization steps.  Everything streams in
-chunks, and memory follows the chunk, not the stream: a source, its
-quantizers and its resampler (which plans PLAN_BLOCK outputs at a time) hold
-about one chunk each, the correlators hold per-segment sums, and the Welch
-spectra hold one batch of segments (see _WelchCross), so the 1e8-sample runs
-the acceptance suite demands take the memory of a short one.  Each source
-stops at the last sample its chain reads for the outputs the correlator
-takes (rational.count_inputs), so its last chunk is short and nothing past it
-is synthesized, quantized or resampled.
+isolates exactly the chain's quantization steps.  sensitivity_loss compares
+two chains by that loss, with a standard error from per-segment losses.
+
+Everything streams in chunks, and memory follows the chunk, not the stream:
+a source, its quantizers and its resampler (which plans PLAN_BLOCK outputs at
+a time) hold about one chunk each, the correlators hold per-segment sums, and
+the Welch spectra hold one batch of segments (see _WelchCross), so the
+1e8-sample runs the acceptance suite demands take the memory of a short one.
+Each source stops at the last sample its chain reads for the outputs the
+correlator takes (rational.count_inputs), so its last chunk is short and
+nothing past it is synthesized, quantized or resampled.
 
 Noise is modeled as dense random tone banks rather than RNG samples so the
 same underlying waveform exists on every antenna's (offset) sample grid.
@@ -82,7 +84,6 @@ class SignalModel:
 
 @dataclass
 class DualChainResult:
-    rho_chain: float
     rho_float: float
     loss: float
     seg_losses: np.ndarray
@@ -304,11 +305,51 @@ def run_dual_chain(
     with np.errstate(divide="ignore", invalid="ignore"):
         loss_f = 1.0 - coh_c / coh_f
     return DualChainResult(
-        rho_chain=rho_c,
         rho_float=rho_f,
         loss=1.0 - rho_c / rho_f,
         seg_losses=1.0 - seg_c / seg_f,  # both channels fill the same segments
         freqs=np.fft.rfftfreq(WELCH_NFFT, d=1.0 / float(F_C)),
         loss_per_freq=loss_f,
         n_samples=n_out,
+    )
+
+
+@dataclass
+class SensitivityLossReport:
+    loss_a: float
+    loss_b: float
+    difference: float
+    stderr: float
+    n_samples: int
+    per_freq: list  # rows of (freq_hz, loss_a, loss_b)
+    rho_float_a: float
+    rho_float_b: float
+
+
+def sensitivity_loss(chain_a, chain_b, n: int, model, segments: int = 64) -> SensitivityLossReport:
+    """Broadband and per-frequency sensitivity loss of two processing chains.
+
+    Both chains see the same sky realization of ``model`` plus independent
+    per-antenna noise; each chain is compared against its own float twin
+    running on the identical samples, so loss_x = 1 - rho_x/rho_float_x
+    isolates the quantization/resampling effects.  The reported standard error
+    comes from per-segment loss differences.
+    """
+    res_a = run_dual_chain(chain_a, model, n, segments=segments)
+    res_b = run_dual_chain(chain_b, model, n, segments=segments)
+    diff_segs = res_b.seg_losses - res_a.seg_losses
+    stderr = float(np.std(diff_segs, ddof=1) / np.sqrt(len(diff_segs)))
+    per_freq = [
+        (fa, la, lb)
+        for fa, la, lb in zip(res_a.freqs, res_a.loss_per_freq, res_b.loss_per_freq)
+    ]
+    return SensitivityLossReport(
+        loss_a=res_a.loss,
+        loss_b=res_b.loss,
+        difference=res_b.loss - res_a.loss,
+        stderr=stderr,
+        n_samples=n,
+        per_freq=per_freq,
+        rho_float_a=res_a.rho_float,
+        rho_float_b=res_b.rho_float,
     )

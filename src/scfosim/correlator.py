@@ -1,5 +1,5 @@
-"""Complex cross-correlation with finite integration plus the metric suite:
-fringe-washing suppression and quantization sensitivity loss.
+"""Complex cross-correlation with finite integration and the
+fringe-washing suppression it is measured against.
 
 dB convention: the paper-style suppression figures are 10*log10(dw*T)
 applied to the amplitude envelope 1/(dw*T); this convention reproduces the
@@ -93,46 +93,3 @@ def washing_suppression_db(delta_f: float, T: float) -> float:
             f"delta_f*T = {delta_f * T:.4g} <= 1/pi; no envelope regime yet"
         )
     return 10.0 * math.log10(2.0 * math.pi * delta_f * T)
-
-
-@dataclass
-class SensitivityLossReport:
-    loss_a: float
-    loss_b: float
-    difference: float
-    stderr: float
-    n_samples: int
-    per_freq: list  # rows of (freq_hz, loss_a, loss_b)
-    rho_float_a: float
-    rho_float_b: float
-
-
-def sensitivity_loss(chain_a, chain_b, n: int, model, segments: int = 64) -> SensitivityLossReport:
-    """Broadband and per-frequency sensitivity loss of two processing chains.
-
-    Both chains see the same sky realization of ``model`` plus independent
-    per-antenna noise; each chain is compared against its own float twin
-    running on the identical samples, so loss_x = 1 - rho_x/rho_float_x
-    isolates the quantization/resampling effects.  The reported standard error
-    comes from per-segment loss differences.
-    """
-    from .chain import run_dual_chain
-
-    res_a = run_dual_chain(chain_a, model, n, segments=segments)
-    res_b = run_dual_chain(chain_b, model, n, segments=segments)
-    diff_segs = res_b.seg_losses - res_a.seg_losses
-    stderr = float(np.std(diff_segs, ddof=1) / np.sqrt(len(diff_segs)))
-    per_freq = [
-        (fa, la, lb)
-        for fa, la, lb in zip(res_a.freqs, res_a.loss_per_freq, res_b.loss_per_freq)
-    ]
-    return SensitivityLossReport(
-        loss_a=res_a.loss,
-        loss_b=res_b.loss,
-        difference=res_b.loss - res_a.loss,
-        stderr=stderr,
-        n_samples=n,
-        per_freq=per_freq,
-        rho_float_a=res_a.rho_float,
-        rho_float_b=res_b.rho_float,
-    )

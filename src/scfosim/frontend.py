@@ -34,7 +34,6 @@ class Zone(enum.Enum):
 
 
 class QuantKind(enum.Enum):
-    FLOAT = "float"
     Q4_OPTIMAL = "q4"
     Q8_UNIFORM = "q8"
 
@@ -47,7 +46,7 @@ class QuantizerSpec:
     loading: float = 1.0
 
     def __post_init__(self):
-        if self.kind is not QuantKind.FLOAT and not self.loading > 0:
+        if not self.loading > 0:
             raise ValueError("loading must be > 0")
 
     def scale(self, sigma: float) -> float:
@@ -57,25 +56,24 @@ class QuantizerSpec:
         design sigmas."""
         if self.kind is QuantKind.Q4_OPTIMAL:
             return sigma / self.loading
-        if self.kind is QuantKind.Q8_UNIFORM:
-            return 8.0 * (sigma / self.loading) / 256.0
-        raise ValueError("FLOAT has no levels")
+        return 8.0 * (sigma / self.loading) / 256.0
 
 
 @dataclass
 class SampleStream:
     """Timestamped samples on an exact rational clock.
 
-    ``data`` holds level values (float64) or complex samples; quantized
-    streams also carry ``quant_scale`` (the level scale: step size for
-    Q8_UNIFORM, design sigma for Q4_OPTIMAL) so integer codes can be
-    recovered.  ``valid`` marks the region unpolluted by filter edges.
+    ``data`` holds level values (float64) or complex samples; ``quant`` is
+    None for an unquantized stream.  Quantized streams also carry
+    ``quant_scale`` (the level scale: step size for Q8_UNIFORM, design sigma
+    for Q4_OPTIMAL) so integer codes can be recovered.  ``valid`` marks the
+    region unpolluted by filter edges.
     """
 
     rate: Fraction
     epoch: Fraction
     data: np.ndarray
-    quant: QuantKind = QuantKind.FLOAT
+    quant: QuantKind | None = None
     valid_start: int = 0
     valid_end: int | None = None
     quant_scale: float | None = None
@@ -210,10 +208,8 @@ def quantize_array(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarr
 
 def quantize(s: SampleStream, q: QuantizerSpec) -> SampleStream:
     """Quantize a float stream at the RMS measured over its valid region."""
-    if s.quant is not QuantKind.FLOAT:
+    if s.quant is not None:
         raise AlreadyQuantized(f"stream already {s.quant.value}-quantized")
-    if q.kind is QuantKind.FLOAT:
-        return s
     region = s.data[s.valid_slice()]
     sigma = float(np.sqrt(np.mean(np.square(region))))
     return replace(

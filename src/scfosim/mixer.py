@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DesignInfeasible
-from .frontend import QuantKind, SampleStream
+from .frontend import SampleStream
 from .rational import phase_run
 from .resampler import _kaiser_beta, _kaiser_window
 
@@ -131,7 +131,6 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
         rate=stream.rate,
         epoch=stream.epoch,
         data=analytic * osc,
-        quant=QuantKind.FLOAT,
         valid_start=max(stream.valid_start, c),
         valid_end=min(stream.valid_end, len(x) - c),
     )

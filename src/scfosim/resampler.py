@@ -47,7 +47,7 @@ from .rational import count_outputs, phase_run
 
 @dataclass(frozen=True)
 class CoefficientBank:
-    """P x N fractional-delay tap sets plus design metadata.
+    """P x N fractional-delay tap sets.
 
     ``table`` always holds the working (dequantized) float values; for
     fixed-point banks ``table_int`` carries the signed integers at scale
@@ -60,8 +60,6 @@ class CoefficientBank:
     coeff_bits: int | None
     table: np.ndarray
     table_int: np.ndarray | None
-    beta: float
-    passband: tuple[float, float]
 
     @property
     def center(self) -> float:
@@ -170,8 +168,6 @@ def design_bank(
         coeff_bits=coeff_bits,
         table=table,
         table_int=table_int,
-        beta=float(beta),
-        passband=(float(passband[0]), float(passband[1])),
     )
     worst = 0.0
     for phase in (0, P // 4, P // 2, (3 * P) // 4, P - 1):

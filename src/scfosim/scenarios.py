@@ -19,7 +19,9 @@ PASS/FAIL check per claim, and returns ``(tables, result)``: ``{"file.csv":
 (header, rows)}`` and the values callers read besides the summary.  Then
 ``run_scenario`` writes each table and summary.txt into the output
 directory, so a rejected config leaves none.  Identical config and seed give
-byte-identical output.
+byte-identical output under one BLAS thread count; BLAS splits a dot
+product's sum across its threads, so 1 and 2 threads can differ in a CSV's
+last digits.
 
 Antennas meet only at the correlator, so the whole-stream scenarios build
 their antennas in parallel processes (``_resampled_tone_streams``).
@@ -30,14 +32,14 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .chain import WELCH_NFFT, ChainSpec, SignalModel, map_forked
-from .correlator import correlate, sensitivity_loss, washing_suppression_db, window_length
+from .chain import WELCH_NFFT, ChainSpec, SignalModel, map_forked, sensitivity_loss
+from .correlator import correlate, washing_suppression_db, window_length
 from .errors import ConfigInvalid, Infeasible, InsufficientSamples, ZeroDenominator
 from .frontend import FilterSpec, QuantKind, QuantizerSpec, Zone, antialias, sample
 from .mixer import HILBERT_TAPS, ssb_shift
@@ -67,58 +69,9 @@ OFFSET_LIMIT_HZ = Fraction(10_000_000)
 ZONE_BANDS = {Zone.ZONE1: (0.05, 0.45), Zone.ZONE2: (0.56, 0.94)}
 
 
-@dataclass
-class AntennaChainSpec:
-    """Per-antenna configuration; validation enforces the band rules.
-
-    ``offset`` is the physical sample-clock offset in Hz against the band's
-    nominal rate; desk-scale runs reuse the exact ratio offset/f_nominal.
-    """
-
-    antenna_id: str
-    band: str = "B1"
-    offset: Fraction = Fraction(0)
-    zone: Zone = Zone.ZONE1
-
-    def __post_init__(self):
-        if self.band not in BAND_TABLE:
-            raise ConfigInvalid(f"antennas[{self.antenna_id}].band", f"unknown band {self.band!r}")
-        self.offset = Fraction(self.offset)
-        if abs(self.offset) > OFFSET_LIMIT_HZ:
-            raise ConfigInvalid(
-                f"antennas[{self.antenna_id}].offset",
-                f"|{self.offset}| Hz exceeds {OFFSET_LIMIT_HZ} Hz",
-            )
-        grid = OFFSET_GRID_HZ[self.band]
-        if self.offset % grid != 0:
-            raise ConfigInvalid(
-                f"antennas[{self.antenna_id}].offset",
-                f"{self.offset} Hz not a multiple of the {grid} Hz tuning grid for {self.band}",
-            )
-
-    @property
-    def offset_ratio(self) -> Fraction:
-        return self.offset / BAND_TABLE[self.band]
-
-    def desk_rate(self, f_c: Fraction) -> Fraction:
-        return Fraction(f_c) * (1 + self.offset_ratio)
-
-
-@dataclass
-class OffsetPlan:
-    n_antennas: int
-    min_pairwise_hz: float
-    assignments: list[Fraction]
-
-    def validate(self) -> bool:
-        vals = sorted(self.assignments)
-        return all(
-            float(b - a) >= self.min_pairwise_hz - 1e-9 for a, b in zip(vals, vals[1:])
-        )
-
-
-def plan_offsets(n: int, min_pairwise: float, max_abs: float, resolution: float = 100.0) -> OffsetPlan:
-    """Deterministic uniform ladder of n >= 1 offsets on the resolution grid (> 0).
+def plan_offsets(n: int, min_pairwise: float, max_abs: float, resolution: float) -> list[Fraction]:
+    """Deterministic uniform ladder of n >= 1 offsets on the resolution grid
+    (> 0), in ascending order.
 
     Pairwise separations stay at or above ``min_pairwise``; all offsets fit
     in [-max_abs, +max_abs].
@@ -131,14 +84,14 @@ def plan_offsets(n: int, min_pairwise: float, max_abs: float, resolution: float 
         )
     step_units = max(int(math.ceil(min_pairwise / float(res))), 1)
     step = step_units * res
-    assignments = [(i - n // 2) * step for i in range(n)]
-    worst = max(abs(a) for a in assignments)
+    offsets = [(i - n // 2) * step for i in range(n)]
+    worst = max(abs(a) for a in offsets)
     if float(worst) > max_abs:
         raise Infeasible(
             f"ladder spans +/-{float(worst):.6g} Hz > max_abs {max_abs:.6g} Hz "
             "(binding constraint: max_abs)"
         )
-    return OffsetPlan(n_antennas=n, min_pairwise_hz=min_pairwise, assignments=assignments)
+    return offsets
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +275,21 @@ def _clock_and_bank(cfg) -> tuple[Fraction, object]:
     return _frac(cfg["f_c"]), cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
 
 
-def _antennas(cfg, zone=Zone.ZONE1, offsets=None):
-    """The antenna pair at two offsets (``cfg["offsets_hz"]`` by default),
-    named m001 and m002, on ``cfg["band"]``."""
-    offsets = cfg["offsets_hz"] if offsets is None else offsets
-    return [
-        AntennaChainSpec(antenna_id=f"m{i + 1:03d}", band=cfg["band"], offset=_frac(off), zone=zone)
-        for i, off in enumerate(offsets)
-    ]
+def _desk_rates(cfg, offsets=None) -> list[Fraction]:
+    """Each antenna's exact desk rate f_c * (1 + offset / f_band), where
+    f_band is the nominal rate of ``cfg["band"]`` and the offsets in Hz are
+    ``cfg["offsets_hz"]`` by default.  An offset past OFFSET_LIMIT_HZ or off
+    the band's tuning grid is invalid."""
+    band, f_c = cfg["band"], _frac(cfg["f_c"])
+    grid = OFFSET_GRID_HZ[band]
+    rates = []
+    for offset in map(_frac, cfg["offsets_hz"] if offsets is None else offsets):
+        if abs(offset) > OFFSET_LIMIT_HZ:
+            raise ConfigInvalid("offsets_hz", f"|{offset}| Hz exceeds {OFFSET_LIMIT_HZ} Hz")
+        if offset % grid != 0:
+            raise ConfigInvalid("offsets_hz", f"{offset} Hz not a multiple of the {grid} Hz tuning grid for {band}")
+        rates.append(f_c * (1 + offset / BAND_TABLE[band]))
+    return rates
 
 
 def _valid_run(stream, start: int, n: int) -> np.ndarray:
@@ -348,38 +308,33 @@ def _peak_hz(stream, n_fft: int, f_c: Fraction) -> float:
     return np.fft.fftfreq(n_fft, d=1.0 / float(f_c))[int(np.argmax(spec))]
 
 
-def _outputs_holding(antennas, f_c, bank, n: int) -> int:
+def _outputs_holding(rates, zone, f_c, bank, n: int) -> int:
     """Common-clock outputs per antenna whose joint valid region holds ``n``
-    samples: ``n`` plus each stage's edge losses.  The resampler's outputs
-    before its first valid one read before sample 0 (they number the
-    positions on samples below 0), and a Zone-2 shift loses its Hilbert
-    half-length at each end."""
-    lead = trail = 0
-    for spec in antennas:
-        ratio = spec.desk_rate(f_c) / f_c
-        lead = max(lead, count_outputs(aligned_start(bank, ratio) - ratio, ratio, bank.phases, -1))
-        if spec.zone is Zone.ZONE2:
-            trail = HILBERT_TAPS // 2
-            lead = max(lead, trail)
-    return lead + n + trail
+    samples, for antennas at desk ``rates`` in ``zone``: ``n`` plus each
+    stage's edge losses.  The resampler's outputs before its first valid one
+    read before sample 0 (they number the positions on samples below 0), and
+    a Zone-2 shift loses its Hilbert half-length at each end."""
+    ratios = [f_a / f_c for f_a in rates]
+    lead = max(count_outputs(aligned_start(bank, r) - r, r, bank.phases, -1) for r in ratios)
+    trail = HILBERT_TAPS // 2 if zone is Zone.ZONE2 else 0
+    return max(lead, trail) + n + trail
 
 
-def _resampled_tone_streams(antennas, f_c, bank, n_out, sky, clock_tone=None):
-    """Per antenna: take its sky (one signal for all, or a list with one per
-    antenna) plus, given ``clock_tone`` = (amplitude, scale), its own clock
-    tone at scale * f_a, sample in the antenna's zone at its desk rate f_a,
-    resample back to the common clock, and shift a Zone-2 antenna by
+def _resampled_tone_streams(rates, zone, f_c, bank, n_out, sky, clock_tone=None):
+    """Per antenna at desk rate f_a in ``rates``: take its sky (one signal for
+    all, or a list with one per antenna) plus, given ``clock_tone`` =
+    (amplitude, scale), its own clock tone at scale * f_a, sample in ``zone``
+    at f_a, resample back to the common clock, and shift a Zone-2 antenna by
     f_c - f_a.  Each antenna samples exactly the inputs
     (``rational.count_inputs``) from which the resampler computes ``n_out``
     outputs; one more output can come along when it shares the last one's
     window.  Antennas are independent, so they run in parallel processes
     (``chain.map_forked``) with the same output bytes."""
     if not isinstance(sky, list):
-        sky = [sky] * len(antennas)
+        sky = [sky] * len(rates)
 
     def one(item):
-        spec, bank_sig = item
-        f_a = spec.desk_rate(f_c)
+        f_a, bank_sig = item
         if clock_tone is not None:
             amplitude, scale = clock_tone
             # exact until the one float(): the tone sits at the rational scale * f_a
@@ -387,22 +342,22 @@ def _resampled_tone_streams(antennas, f_c, bank, n_out, sky, clock_tone=None):
         ratio = f_a / f_c
         start = aligned_start(bank, ratio)
         n_in = count_inputs(start, ratio, bank.phases, bank.taps_per_phase, n_out)
-        stream = sample(bank_sig, f_a, n_in, zone=spec.zone, band_slack=0.02)
+        stream = sample(bank_sig, f_a, n_in, zone=zone, band_slack=0.02)
         out = resample(stream, f_c, bank, start_position=start)
-        if spec.zone is Zone.ZONE2:
+        if zone is Zone.ZONE2:
             out = ssb_shift(out, f_c - f_a)
         return out
 
-    return map_forked(one, list(zip(antennas, sky)))
+    return map_forked(one, list(zip(rates, sky)))
 
 
-def _correlated_pair(antennas, f_c, bank, T, **streams):
+def _correlated_pair(rates, zone, f_c, bank, T, **streams):
     """Build an antenna pair whose joint valid region holds correlate's
     window of ``T`` seconds, ``window_length(T, f_c)`` samples, and at most
     one more (``_resampled_tone_streams`` options in ``streams``); returns
     the correlation report over that window and the two streams."""
-    n_out = _outputs_holding(antennas, f_c, bank, window_length(T, f_c))
-    pair = _resampled_tone_streams(antennas, f_c, bank, n_out, **streams)
+    n_out = _outputs_holding(rates, zone, f_c, bank, window_length(T, f_c))
+    pair = _resampled_tone_streams(rates, zone, f_c, bank, n_out, **streams)
     return correlate(pair[0], pair[1], T=T), pair
 
 
@@ -432,13 +387,13 @@ def _selfclock_washout(cfg, summary):
     rng = np.random.default_rng(cfg["seed"])
     f_c, bank = _clock_and_bank(cfg)
     scale = _frac(cfg["clock_tone_scale"])
-    antennas = _antennas(cfg)
+    rates = _desk_rates(cfg)
 
     # interference-only streams: each antenna samples its own clock tone
     # scale * f_a, which lands at its alias on [0, f_a/2] (1/4 f_a for the
     # default 3/4), so the tones differ by the difference of the aliases;
     # windows of varying start and length sample the washing statistics
-    landed = [_alias(scale * f_a, f_a) for f_a in (a.desk_rate(f_c) for a in antennas)]
+    landed = [_alias(scale * f_a, f_a) for f_a in rates]
     if landed[0] == landed[1]:
         raise ConfigInvalid(
             "clock_tone_scale",
@@ -452,11 +407,11 @@ def _selfclock_washout(cfg, summary):
     n_in = int(1.45 * longest * float(f_c)) + 4096
     n_out = min(
         count_outputs(aligned_start(bank, r) - r, r, bank.phases, n_in - bank.taps_per_phase)
-        for r in (a.desk_rate(f_c) / f_c for a in antennas)
+        for r in (f_a / f_c for f_a in rates)
     )
     no_sky = ToneBankSignal(tones=(), band=_band(PASSBAND, f_c / 2))
     tone = (float(cfg["clock_tone_amplitude"]), scale)
-    streams = _resampled_tone_streams(antennas, f_c, bank, n_out, no_sky, clock_tone=tone)
+    streams = _resampled_tone_streams(rates, Zone.ZONE1, f_c, bank, n_out, no_sky, clock_tone=tone)
     lo = max(s.valid_start for s in streams)
     hi = min(s.valid_end for s in streams)
 
@@ -491,7 +446,7 @@ def _selfclock_washout(cfg, summary):
 
     # sky correlation rides the same chains
     sky = synth_signal(cfg["seed"], cfg["sky_tones"], _band(PASSBAND, f_c / 2))
-    sky_rep, _ = _correlated_pair(antennas, f_c, bank, cfg["sky_T"], sky=sky)
+    sky_rep, _ = _correlated_pair(rates, Zone.ZONE1, f_c, bank, cfg["sky_T"], sky=sky)
     sky_rho = abs(sky_rep.rho)
     summary.check(
         sky_rho > cfg["sky_rho_min"],
@@ -519,8 +474,8 @@ def _selfclock_washout(cfg, summary):
 def _scfo_off_control(cfg, summary):
     f_c, bank = _clock_and_bank(cfg)
     scale = _frac(cfg["clock_tone_scale"])
-    antennas = _antennas(cfg, offsets=[0, 0])  # the clock tones land at identical frequencies
-    f_a, passband = antennas[0].desk_rate(f_c), _band(PASSBAND, f_c / 2)
+    rates = _desk_rates(cfg, offsets=[0, 0])  # the clock tones land at identical frequencies
+    f_a, passband = rates[0], _band(PASSBAND, f_c / 2)
     landed = float(_alias(scale * f_a, f_a))
     if not passband[0] <= landed <= passband[1]:
         raise ConfigInvalid("clock_tone_scale", f"{cfg['clock_tone_scale']!r} lands the clock tone at {landed} Hz, "
@@ -528,9 +483,9 @@ def _scfo_off_control(cfg, summary):
     tone = (float(cfg["clock_tone_amplitude"]), scale)
     noise = [
         synth_signal(cfg["seed"] * 977 + i, cfg["noise_tones"], passband, rms=float(cfg["noise_rms"]))
-        for i in range(len(antennas))
+        for i in range(len(rates))
     ]
-    rep, _ = _correlated_pair(antennas, f_c, bank, cfg["T"], sky=noise, clock_tone=tone)
+    rep, _ = _correlated_pair(rates, Zone.ZONE1, f_c, bank, cfg["T"], sky=noise, clock_tone=tone)
     p_tone = float(cfg["clock_tone_amplitude"]) ** 2 / 2.0
     p_noise = float(cfg["noise_rms"]) ** 2
     predicted = p_tone / (p_tone + p_noise)
@@ -582,12 +537,13 @@ def _zone1_vs_zone2(cfg, summary):
     """Out-of-band contamination: Zone 2 decorrelates all of it; Zone 1 keeps
     a correlating region between the passband edge and Nyquist."""
     f_c, bank = _clock_and_bank(cfg)
+    rates = _desk_rates(cfg)
     rows = []
     for case, zone, source, frac, correlates, text in _ZONE_CASES:
         hz = frac * float(f_c)
         tone = Tone(1.0, hz, 0.7) if source == "sky" else Tone(float(cfg["probe_amplitude"]), hz, 0.0)
         sky = ToneBankSignal(tones=(tone,), band=_band(ZONE_BANDS[zone], f_c))
-        rep, _ = _correlated_pair(_antennas(cfg, zone), f_c, bank, cfg["T"], sky=sky)
+        rep, _ = _correlated_pair(rates, zone, f_c, bank, cfg["T"], sky=sky)
         rho = abs(rep.rho)
         rows.append((case, hz, rho))
         ok = rho > cfg["correlated_min"] if correlates else rho < cfg["decorrelated_max"]
@@ -624,7 +580,7 @@ def _relaxed_antialias(cfg, summary):
     rows = []
 
     def run(offsets):
-        return _correlated_pair(_antennas(cfg, offsets=offsets), f_c, bank, cfg["T"], sky=filtered)
+        return _correlated_pair(_desk_rates(cfg, offsets), Zone.ZONE1, f_c, bank, cfg["T"], sky=filtered)
 
     rep_on, on = run(cfg["offsets_hz"])
     rows.append(("scfo_on", abs(rep_on.rho), rep_on.suppression_db))
@@ -676,12 +632,12 @@ def _zone2_shift(cfg, summary):
         raise ConfigInvalid("n_fft", f"{n_fft}; needs one sample per segment")
     f_c, bank = _clock_and_bank(cfg)
     scale = _frac(cfg["clock_tone_scale"])
-    antennas = _antennas(cfg, Zone.ZONE2)
+    rates = _desk_rates(cfg)
     band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
-    n_out = _outputs_holding(antennas, f_c, bank, n_fft)
+    n_out = _outputs_holding(rates, Zone.ZONE2, f_c, bank, n_fft)
 
     sky = ToneBankSignal(tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),), band=band2)
-    sky_streams = _resampled_tone_streams(antennas, f_c, bank, n_out, sky)
+    sky_streams = _resampled_tone_streams(rates, Zone.ZONE2, f_c, bank, n_out, sky)
     # sky tone peak bins must coincide
     peaks = [_peak_hz(s, n_fft, f_c) for s in sky_streams]
     bin_hz = float(f_c) / n_fft
@@ -714,10 +670,10 @@ def _zone2_shift(cfg, summary):
 
     # clock tones land apart by the offset difference times the rule scale
     no_sky = ToneBankSignal(tones=(), band=band2)
-    clock_streams = _resampled_tone_streams(antennas, f_c, bank, n_out, no_sky, clock_tone=(1.0, scale))
+    clock_streams = _resampled_tone_streams(rates, Zone.ZONE2, f_c, bank, n_out, no_sky, clock_tone=(1.0, scale))
     cpeaks = [_peak_hz(s, n_fft, f_c) for s in clock_streams]
     # tone at scale*f_a samples to (1-scale)*f_a, then shifts by f_c - f_a
-    landing = [float(f_c - scale * a.desk_rate(f_c)) for a in antennas]
+    landing = [float(f_c - scale * f_a) for f_a in rates]
     expected_sep = abs(landing[0] - landing[1])
     measured_sep = abs(cpeaks[0] - cpeaks[1])
     summary.check(
@@ -814,16 +770,16 @@ def _requant_loss(cfg, summary):
 def _offset_plan(cfg, summary):
     """Feasibility of pairwise-separated offset ladders, including the
     2000-antenna, 10 kHz minimum, +/-10 MHz case."""
-    plan = plan_offsets(cfg["n"], cfg["min_pairwise"], cfg["max_abs"], cfg["resolution"])
+    offsets = plan_offsets(cfg["n"], cfg["min_pairwise"], cfg["max_abs"], cfg["resolution"])
     summary.check(
-        plan.validate(),
+        all(float(b - a) >= cfg["min_pairwise"] - 1e-9 for a, b in zip(offsets, offsets[1:])),
         f"{cfg['n']} offsets on the {cfg['resolution']:g} Hz grid keep pairwise "
         f"separation >= {cfg['min_pairwise']:g} Hz",
     )
-    span = max(abs(float(a)) for a in plan.assignments)
+    span = max(abs(float(a)) for a in offsets)
     summary.check(
         span <= cfg["max_abs"],
         f"ladder spans +/-{span:g} Hz within +/-{cfg['max_abs']:g} Hz",
     )
-    rows = [(i, float(a)) for i, a in enumerate(plan.assignments)]
-    return {"offset_plan.csv": (["index", "offset_hz"], rows)}, {"plan": plan}
+    rows = [(i, float(a)) for i, a in enumerate(offsets)]
+    return {"offset_plan.csv": (["index", "offset_hz"], rows)}, {"plan": offsets}

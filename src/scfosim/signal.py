@@ -39,10 +39,6 @@ class ToneBankSignal:
     tones: tuple[Tone, ...]
     band: tuple[float, float]
 
-    def rms(self) -> float:
-        """Analytic RMS: sqrt(sum a_k^2 / 2) (distinct tone frequencies)."""
-        return float(np.sqrt(sum(tone.amplitude**2 for tone in self.tones) / 2.0))
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(amplitudes, freqs, phases) as float64 arrays, for eval_tones."""
         amps = np.array([t.amplitude for t in self.tones], dtype=np.float64)

@@ -4,12 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scfosim.chain import ChainSpec, SignalModel
-from scfosim.correlator import (
-    correlate,
-    sensitivity_loss,
-    washing_suppression_db,
-)
+from scfosim.chain import ChainSpec, SignalModel, sensitivity_loss
+from scfosim.correlator import correlate, washing_suppression_db
 from scfosim.errors import (
     EnvelopeRegimeViolated,
     InsufficientOverlap,

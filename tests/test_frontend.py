@@ -212,11 +212,6 @@ class TestQuantize:
         with pytest.raises(AlreadyQuantized):
             quantize(q, QuantizerSpec(QuantKind.Q8_UNIFORM))
 
-    def test_float_spec_passthrough(self):
-        s = self.make_stream(np.arange(8.0))
-        out = quantize(s, QuantizerSpec(QuantKind.FLOAT))
-        assert out.quant is QuantKind.FLOAT
-
     def test_q4_stream_holds_at_most_16_levels(self):
         def q4(data):
             return SampleStream(rate=Fraction(1000), epoch=Fraction(0), data=data, quant=QuantKind.Q4_OPTIMAL)
@@ -232,11 +227,6 @@ class TestQuantizerSpec:
     def test_non_positive_loading_rejected(self, kind, loading):
         with pytest.raises(ValueError, match="loading must be > 0"):
             QuantizerSpec(kind, loading)
-
-    def test_float_has_no_loading_and_no_levels(self):
-        spec = QuantizerSpec(QuantKind.FLOAT, loading=0.0)
-        with pytest.raises(ValueError, match="FLOAT has no levels"):
-            spec.scale(1.0)
 
     def test_scale_is_the_design_sigma_over_the_loading(self):
         # at loading 0.5 an input RMS of 2 means a design sigma of 4

@@ -23,8 +23,6 @@ def constant_bank(n_taps, phases=2):
         coeff_bits=None,
         table=table,
         table_int=None,
-        beta=0.0,
-        passband=(0.0, 1.0),
     )
 
 

@@ -9,6 +9,11 @@ is reached when a reached definition names it; code that only tests reach
 is deleted, not kept alive by its own tests.  An ``__init__`` export is no
 root: a name in ``__all__`` needs a caller or a ``KEEP`` reason like any
 other.
+
+Members go the same way: a public method, property or dataclass or
+NamedTuple field of a package class must be read as an attribute somewhere in
+the package or in the benchmark's sources, or carry a ``KEEP_MEMBERS``
+reason.  Only the name is matched, not the class it is read from.
 """
 
 import ast
@@ -139,3 +144,51 @@ def test_keep_set_names_only_uncalled_definitions():
     called = sorted(set(KEEP) & (_referenced(modules) | PERFBENCH))
     assert called == [], f"KEEP names what the package or the benchmark already calls: {called}"
     assert all(reason.strip() for reason in KEEP.values())
+
+
+# Class.member -> why it stays although neither the package nor the benchmark reads it
+KEEP_MEMBERS = {
+    "ResponseCurve.freq": "the frequency axis the bank's group-delay tests measure against",
+    "ResponseCurve.delay_err_samples": "the group-delay error the bank's group-delay tests measure",
+}
+
+BENCHMARK_READERS = ("workloads.py", "worker.py", "record_reference.py", "tracing.py")
+
+
+def _members(modules):
+    """Class.member of every public method, property and annotated field (a
+    dataclass or NamedTuple field) of a package class."""
+    for tree in modules.values():
+        for cls in (stmt for stmt in tree.body if isinstance(stmt, ast.ClassDef)):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    name = stmt.name
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{cls.name}.{name}"
+
+
+def _attribute_reads(trees):
+    """Every attribute name that ``trees`` read (``x.name`` in a load)."""
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_member_is_read_or_kept():
+    modules = _modules()
+    benchmark = [ast.parse((BENCHMARK / f).read_text()) for f in BENCHMARK_READERS]
+    read = _attribute_reads(modules.values()) | _attribute_reads(benchmark)
+    members = set(_members(modules))
+    unread = sorted(m for m in members if m.split(".")[1] not in read and m not in KEEP_MEMBERS)
+    assert unread == [], f"read nowhere in the package or the benchmark; delete them or keep them: {unread}"
+    assert set(KEEP_MEMBERS) <= members, f"KEEP_MEMBERS names what is gone: {sorted(set(KEEP_MEMBERS) - members)}"
+    kept_but_read = sorted(m for m in KEEP_MEMBERS if m.split(".")[1] in read)
+    assert kept_but_read == [], f"KEEP_MEMBERS names what is already read: {kept_but_read}"
+    assert all(reason.strip() for reason in KEEP_MEMBERS.values())

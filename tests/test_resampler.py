@@ -128,8 +128,6 @@ class TestDesign:
         # the parameters a coefficient table is published with, and the float
         # table as the integer one at the binary point
         assert (bank19.taps_per_phase, bank19.phases, bank19.coeff_bits) == (56, 1024, 19)
-        assert bank19.beta == pytest.approx(7.165970420377935, rel=1e-12)
-        assert bank19.passband == (0.0833, 0.9167)
         assert bank19.table.shape == bank19.table_int.shape == (1024, 56)
         assert np.array_equal(bank19.table, bank19.table_int / float(1 << 18))
 

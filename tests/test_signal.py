@@ -6,6 +6,7 @@ import pytest
 
 from scfosim import scenarios
 from scfosim.errors import EmptyBand
+from scfosim.frontend import Zone
 from scfosim.resampler import cached_bank
 from scfosim.signal import (
     TONE_BLOCK,
@@ -49,10 +50,10 @@ class TestSynth:
         assert np.all(np.abs(ratio_db) < 6.0)
 
     def test_total_rms_normalized(self):
-        sig = synth_signal(seed=3, n_tones=100, band=(1.0, 10.0))
-        assert sig.rms() == pytest.approx(1.0)
-        sig2 = synth_signal(seed=3, n_tones=100, band=(1.0, 10.0), rms=0.25)
-        assert sig2.rms() == pytest.approx(0.25)
+        # the analytic RMS of distinct tones: sqrt(sum a_k^2 / 2)
+        for rms in (1.0, 0.25):
+            sig = synth_signal(seed=3, n_tones=100, band=(1.0, 10.0), rms=rms)
+            assert math.sqrt(sum(t.amplitude**2 for t in sig.tones) / 2) == pytest.approx(rms)
 
     def test_empty_band(self):
         with pytest.raises(EmptyBand):
@@ -178,9 +179,8 @@ class TestEvalTonesGrid:
 def test_clock_tone_sits_at_the_exact_scale_times_f_a(monkeypatch):
     # a 200 Hz offset on B1 puts f_a at 1,000,000.05 Hz, where the exact rule
     # and float(3/4) * float(f_a) differ in the last bit
-    antenna = scenarios.AntennaChainSpec("m001", "B1", Fraction(200))
     f_c = Fraction(1_000_000)
-    f_a = antenna.desk_rate(f_c)
+    (f_a,) = scenarios._desk_rates({"band": "B1", "f_c": "1000000/1", "offsets_hz": ["200/1"]})
     assert f_a.denominator != 1
     assert float(Fraction(3, 4) * f_a) != 0.75 * float(f_a)
     seen = []
@@ -194,7 +194,7 @@ def test_clock_tone_sits_at_the_exact_scale_times_f_a(monkeypatch):
     sky = synth_signal(seed=1, n_tones=4, band=(1e5, 4e5))
     bank = cached_bank(56, 1024, 19)
     # one antenna runs in this process, so the spy sees its bank
-    scenarios._resampled_tone_streams([antenna], f_c, bank, 2_000, sky, clock_tone=(0.5, Fraction(3, 4)))
+    scenarios._resampled_tone_streams([f_a], Zone.ZONE1, f_c, bank, 2_000, sky, clock_tone=(0.5, Fraction(3, 4)))
     (sig,) = seen
     assert sig.tones[:-1] == sky.tones
     assert sig.tones[-1] == Tone(0.5, float(Fraction(3, 4) * f_a), 0.0)
