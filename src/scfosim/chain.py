@@ -190,31 +190,43 @@ class _WelchCross:
         return self._sab / self._nseg, self._saa / self._nseg, self._sbb / self._nseg
 
 
+_forking = False  # whether a map_forked call is running in this process or its parent
+
+
 def map_forked(fn, items):
     """``[fn(x) for x in items]`` with the last item run in a forked child
     process while this one runs the rest.
 
-    The child sends its one result over a one-way pipe.  A child's exception
-    is re-raised here with its own class; a child that dies reads as EOFError.
-    On every exit path the child is terminated and joined.  Where the platform
-    cannot fork, every item runs here.
+    Fork over independent cases whose results are a few numbers: the child
+    pickles its result through a one-way pipe, so a result as large as a
+    whole sample stream costs more to send than the fork saves.
+
+    A map_forked call reached while another is running, in its parent or in
+    its child, runs its items in place, so at most two processes ever run.
+    A child's exception is re-raised here with its own class; a child that
+    dies reads as EOFError.  On every exit path the child is terminated and
+    joined.  Where the platform cannot fork, every item runs here.
     """
     import multiprocessing
 
-    if len(items) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    global _forking
+    if _forking or len(items) < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_send_result, args=(send, fn, items[-1]))
-    child.start()
-    send.close()  # the child holds the only send end, so its death reads as EOFError
+    _forking = True  # before the fork, so the child inherits it
     try:
+        child.start()
+        send.close()  # the child holds the only send end, so its death reads as EOFError
         head = [fn(x) for x in items[:-1]]
         ok, last = recv.recv()  # before join: a result can outgrow the pipe buffer
     finally:
-        child.terminate()
+        _forking = False
+        if child.pid is not None:  # it started
+            child.terminate()
+            child.join()
         recv.close()
-        child.join()
     if not ok:
         raise last
     return head + [last]

@@ -392,7 +392,7 @@ def resample(
     pieces = []
     for lo in range(0, len(stream), chunk):
         pieces.append(rs.process(stream.data[lo : lo + chunk]))
-    data = np.concatenate(pieces)
+    data = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)  # one piece: no copy
     if len(data) == 0:
         raise StreamTooShort("stream too short to produce any resampled output")
     return SampleStream(

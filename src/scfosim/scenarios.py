@@ -23,8 +23,14 @@ byte-identical output under one BLAS thread count; BLAS splits a dot
 product's sum across its threads, so 1 and 2 threads can differ in a CSV's
 last digits.
 
-Antennas meet only at the correlator, so the whole-stream scenarios build
-their antennas in parallel processes (``_resampled_tone_streams``).
+A scenario's cases are independent, so each whole-stream body with more
+than one case forks over its cases (``_map_cases``): each process builds and
+correlates its own antenna pairs and sends back only the numbers the body
+reads, never a stream, whose pickling through the pipe would cost more than
+the fork saves.  scfo-off-control has one pair, so it forks over its two
+antennas instead (``_resampled_tone_streams``).  A ``chain.map_forked`` call
+reached inside another runs in place, so at most two processes run, and
+every output byte is that of a run in one process.
 """
 
 from __future__ import annotations
@@ -328,8 +334,13 @@ def _resampled_tone_streams(rates, zone, f_c, bank, n_out, sky, clock_tone=None)
     f_c - f_a.  Each antenna samples exactly the inputs
     (``rational.count_inputs``) from which the resampler computes ``n_out``
     outputs; one more output can come along when it shares the last one's
-    window.  Antennas are independent, so they run in parallel processes
-    (``chain.map_forked``) with the same output bytes."""
+    window.
+
+    Antennas are independent, so reached outside a fork they run in two
+    processes (``chain.map_forked``) with the same output bytes; inside a
+    body's case-level fork they run in place, by map_forked's nesting rule.
+    The forked antenna sends its whole stream back, so a body with more than
+    one pair forks over its cases (``_map_cases``), not here."""
     if not isinstance(sky, list):
         sky = [sky] * len(rates)
 
@@ -349,6 +360,18 @@ def _resampled_tone_streams(rates, zone, f_c, bank, n_out, sky, clock_tone=None)
         return out
 
     return map_forked(one, list(zip(rates, sky)))
+
+
+def _map_cases(fn, cases: list) -> list:
+    """``[fn(case) for case in cases]``, the even-indexed cases run here and
+    the odd-indexed ones in a forked child (``chain.map_forked``).  Each
+    ``fn(case)`` should be a few numbers: it is pickled back from the child."""
+    # one case makes one half, which map_forked runs here without a fork
+    halves = map_forked(lambda half: [fn(case) for case in half], [cases[0::2], cases[1::2]][: len(cases)])
+    out = [None] * len(cases)
+    for first, half in enumerate(halves):
+        out[first::2] = half
+    return out
 
 
 def _correlated_pair(rates, zone, f_c, bank, T, **streams):
@@ -415,11 +438,11 @@ def _selfclock_washout(cfg, summary):
     lo = max(s.valid_start for s in streams)
     hi = min(s.valid_end for s in streams)
 
-    rows = []
-    results = {}
+    # every window's (T_w, start) first, in the order the windows are drawn,
+    # then the windows correlated in two processes
+    windows = []
     for target in cfg["targets_dwt"]:
         T0 = target / (2 * math.pi * delta_f)
-        products = []
         for w in range(cfg["windows"]):
             T_w = T0 * (1 + cfg["window_jitter"] * (2 * rng.uniform() - 1))
             n_w = window_length(T_w, f_c)
@@ -427,12 +450,22 @@ def _selfclock_washout(cfg, summary):
                 raise ConfigInvalid(
                     "window_jitter", f"a {n_w}-sample window does not fit the {hi - lo} valid samples"
                 )
-            start = int(rng.integers(lo, hi - n_w))
-            rep = correlate(streams[0], streams[1], T=T_w, start=start)
-            dwt = 2 * math.pi * delta_f * rep.n_samples / float(f_c)
-            products.append(abs(rep.rho) * dwt)
-            rows.append((target, w, start, rep.n_samples, abs(rep.rho), dwt, abs(rep.rho) * dwt))
-        measured = float(np.mean(products))
+            windows.append((target, w, T_w, int(rng.integers(lo, hi - n_w))))
+
+    def measure(window):
+        _, _, T_w, start = window
+        rep = correlate(streams[0], streams[1], T=T_w, start=start)
+        return rep.n_samples, abs(rep.rho)
+
+    rows = []
+    for (target, w, _, start), (n_samples, rho_mag) in zip(windows, _map_cases(measure, windows)):
+        dwt = 2 * math.pi * delta_f * n_samples / float(f_c)
+        rows.append((target, w, start, n_samples, rho_mag, dwt, rho_mag * dwt))
+    results = {}
+    per_target = cfg["windows"]
+    for i, target in enumerate(cfg["targets_dwt"]):
+        T0 = target / (2 * math.pi * delta_f)
+        measured = float(np.mean([row[-1] for row in rows[i * per_target : (i + 1) * per_target]]))
         err_db = 10 * math.log10(max(measured, 1e-300))
         ok = abs(err_db) <= cfg["tolerance_db"]
         prediction = washing_suppression_db(delta_f, T0)
@@ -537,15 +570,20 @@ def _zone1_vs_zone2(cfg, summary):
     """Out-of-band contamination: Zone 2 decorrelates all of it; Zone 1 keeps
     a correlating region between the passband edge and Nyquist."""
     f_c, bank = _clock_and_bank(cfg)
-    rates = _desk_rates(cfg)
-    rows = []
-    for case, zone, source, frac, correlates, text in _ZONE_CASES:
+    rates, T, amplitude = _desk_rates(cfg), cfg["T"], float(cfg["probe_amplitude"])
+
+    def measure(case):
+        """|rho| of one case's antenna pair."""
+        _, zone, source, frac, _, _ = case
         hz = frac * float(f_c)
-        tone = Tone(1.0, hz, 0.7) if source == "sky" else Tone(float(cfg["probe_amplitude"]), hz, 0.0)
+        tone = Tone(1.0, hz, 0.7) if source == "sky" else Tone(amplitude, hz, 0.0)
         sky = ToneBankSignal(tones=(tone,), band=_band(ZONE_BANDS[zone], f_c))
-        rep, _ = _correlated_pair(rates, zone, f_c, bank, cfg["T"], sky=sky)
-        rho = abs(rep.rho)
-        rows.append((case, hz, rho))
+        return abs(_correlated_pair(rates, zone, f_c, bank, T, sky=sky)[0].rho)
+
+    # cases 0 and 2 run here, 1 and 3 in a forked child: a Zone-1 and a Zone-2 case in each
+    rows = []
+    for (case, _, _, frac, correlates, text), rho in zip(_ZONE_CASES, _map_cases(measure, list(_ZONE_CASES))):
+        rows.append((case, frac * float(f_c), rho))
         ok = rho > cfg["correlated_min"] if correlates else rho < cfg["decorrelated_max"]
         summary.check(ok, f"{text}: |rho| = {rho:.5f}")
     return {"zone_probes.csv": (["case", "probe_hz", "rho_mag"], rows)}, {"rows": rows}
@@ -577,28 +615,29 @@ def _relaxed_antialias(cfg, summary):
         band=_band(ZONE_BANDS[Zone.ZONE1], f_c),
     )
     filtered = antialias(probe, filt)
-    rows = []
+    T = cfg["T"]
 
-    def run(offsets):
-        return _correlated_pair(_desk_rates(cfg, offsets), Zone.ZONE1, f_c, bank, cfg["T"], sky=filtered)
+    def measure(rates):
+        """The pair's correlation report and the RMS of antenna 0's window."""
+        rep, pair = _correlated_pair(rates, Zone.ZONE1, f_c, bank, T, sky=filtered)
+        window = pair[0].data[rep.start : rep.start + rep.n_samples]
+        return rep, float(np.sqrt(np.mean(window**2)))
 
-    rep_on, on = run(cfg["offsets_hz"])
-    rows.append(("scfo_on", abs(rep_on.rho), rep_on.suppression_db))
+    # SCFO on here, SCFO off in a forked child
+    (rep_on, rms_on), (rep_off, _) = _map_cases(measure, [_desk_rates(cfg), _desk_rates(cfg, ["0/1", "0/1"])])
+    rows = [("scfo_on", abs(rep_on.rho), rep_on.suppression_db)]
     summary.check(
         abs(rep_on.rho) < cfg["decorrelated_max"],
         f"SCFO on: aliased probe decorrelates, |rho| = {abs(rep_on.rho):.5f} "
         f"(suppression {rep_on.suppression_db:.1f} dB)",
     )
 
-    rep_off, _ = run(["0/1", "0/1"])
     rows.append(("scfo_off", abs(rep_off.rho), rep_off.suppression_db))
     summary.check(
         abs(rep_off.rho) > 0.99,
         f"SCFO off: aliased probe correlates fully, |rho| = {abs(rep_off.rho):.5f}",
     )
-    window = on[0].data[rep_on.start : rep_on.start + rep_on.n_samples]
-    amp = float(np.sqrt(np.mean(window**2))) * np.sqrt(2)
-    gain = amp / float(cfg["probe_amplitude"])
+    gain = rms_on * np.sqrt(2) / float(cfg["probe_amplitude"])
     rows.append(("filter_gain", expected_gain, gain))
     summary.check(
         abs(gain - expected_gain) < 0.1 * expected_gain + 1e-6,
@@ -635,11 +674,26 @@ def _zone2_shift(cfg, summary):
     rates = _desk_rates(cfg)
     band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
     n_out = _outputs_holding(rates, Zone.ZONE2, f_c, bank, n_fft)
+    seg_len = n_fft // segments
 
+    def measure(case):
+        """The pair's two peak frequencies and, for the sky pair, the
+        unwrapped cross phase of each of its segments."""
+        source, clock_tone = case
+        streams = _resampled_tone_streams(rates, Zone.ZONE2, f_c, bank, n_out, source, clock_tone=clock_tone)
+        peaks = [_peak_hz(s, n_fft, f_c) for s in streams]
+        if clock_tone is not None:
+            return peaks, None
+        lo = max(s.valid_start for s in streams)
+        a, b = (_valid_run(s, lo, segments * seg_len).reshape(segments, seg_len) for s in streams)
+        return peaks, np.unwrap([np.angle(np.vdot(y, x)) for x, y in zip(a, b)])
+
+    # the sky pair here, the clock-tone pair in a forked child
     sky = ToneBankSignal(tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),), band=band2)
-    sky_streams = _resampled_tone_streams(rates, Zone.ZONE2, f_c, bank, n_out, sky)
+    no_sky = ToneBankSignal(tones=(), band=band2)
+    (peaks, phases), (cpeaks, _) = _map_cases(measure, [(sky, None), (no_sky, (1.0, scale))])
+
     # sky tone peak bins must coincide
-    peaks = [_peak_hz(s, n_fft, f_c) for s in sky_streams]
     bin_hz = float(f_c) / n_fft
     expected = float(f_c) * (1.0 - cfg["sky_hz_frac"])
     summary.check(
@@ -652,10 +706,6 @@ def _zone2_shift(cfg, summary):
     )
 
     # flat cross-spectrum phase slope in time: no residual frequency offset
-    seg_len = n_fft // segments
-    lo = max(s.valid_start for s in sky_streams)
-    a, b = (_valid_run(s, lo, segments * seg_len).reshape(segments, seg_len) for s in sky_streams)
-    phases = np.unwrap([np.angle(np.vdot(y, x)) for x, y in zip(a, b)])
     times = (np.arange(segments) + 0.5) * seg_len / float(f_c)
     slope, intercept = np.polyfit(times, phases, 1)
     resid = phases - (slope * times + intercept)
@@ -669,9 +719,6 @@ def _zone2_shift(cfg, summary):
     )
 
     # clock tones land apart by the offset difference times the rule scale
-    no_sky = ToneBankSignal(tones=(), band=band2)
-    clock_streams = _resampled_tone_streams(rates, Zone.ZONE2, f_c, bank, n_out, no_sky, clock_tone=(1.0, scale))
-    cpeaks = [_peak_hz(s, n_fft, f_c) for s in clock_streams]
     # tone at scale*f_a samples to (1-scale)*f_a, then shifts by f_c - f_a
     landing = [float(f_c - scale * f_a) for f_a in rates]
     expected_sep = abs(landing[0] - landing[1])
@@ -764,7 +811,8 @@ def _requant_loss(cfg, summary):
         "n": (2000, _integer(1)),
         "min_pairwise": (10_000.0, POSITIVE),
         "max_abs": (10_000_000.0, NON_NEGATIVE),
-        "resolution": (1000.0, POSITIVE),
+        # plan_offsets reads a resolution to a denominator of at most 10**9
+        "resolution": (1000.0, ("real", lambda x: x >= 1e-9, "a number >= 1e-9")),
     },
 )
 def _offset_plan(cfg, summary):

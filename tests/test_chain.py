@@ -1,8 +1,6 @@
-import contextlib
 import multiprocessing
 import os
 import pickle
-import signal
 import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -108,29 +106,13 @@ def test_chain_memory_does_not_grow_with_the_stream(monkeypatch):
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
-@contextlib.contextmanager
-def deadline(seconds=60):
-    """Turn a hang (a child never joined, a pipe never read) into a failure."""
-
-    def expire(*_):  # not TimeoutError: multiprocessing swallows OSErrors while joining
-        raise AssertionError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def small_run(name):
     # 20,000 outputs in 4,096-sample chunks: the stream spans several chunks
     return run_dual_chain(CHAINS[name], SignalModel(sky_seed=3), 20_000, segments=8, chunk=4096)
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
-def test_forked_antenna_matches_the_serial_chain_bit_for_bit(name, monkeypatch):
+def test_forked_antenna_matches_the_serial_chain_bit_for_bit(name, monkeypatch, deadline):
     with deadline():
         forked = small_run(name)
     assert not multiprocessing.active_children()
@@ -160,14 +142,14 @@ def raise_config_invalid():
     raise ConfigInvalid("chunk", "rejected")
 
 
-def test_forked_antenna_error_reaches_the_caller_with_its_class(monkeypatch):
+def test_forked_antenna_error_reaches_the_caller_with_its_class(monkeypatch, deadline):
     fail_on(monkeypatch, in_child=True, action=raise_config_invalid)
     with deadline(), pytest.raises(ConfigInvalid, match="chunk: rejected"):
         small_run("q4-resample-q8")
     assert not multiprocessing.active_children()
 
 
-def test_error_before_the_first_read_still_ends_the_child(monkeypatch):
+def test_error_before_the_first_read_still_ends_the_child(monkeypatch, deadline):
     # this process fails on its first chunk, before it reads the child's result
     fail_on(monkeypatch, in_child=False, action=raise_config_invalid)
     with deadline(), pytest.raises(ConfigInvalid):
@@ -175,7 +157,7 @@ def test_error_before_the_first_read_still_ends_the_child(monkeypatch):
     assert not multiprocessing.active_children()
 
 
-def test_forked_antenna_death_raises_eof(monkeypatch):
+def test_forked_antenna_death_raises_eof(monkeypatch, deadline):
     fail_on(monkeypatch, in_child=True, action=lambda: os._exit(3))
     with deadline(), pytest.raises(EOFError):
         small_run("q4-resample-q8")
@@ -190,7 +172,7 @@ def test_config_invalid_survives_pickling():
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
-def test_a_run_inside_one_chunk_does_not_depend_on_the_chunk(name):
+def test_a_run_inside_one_chunk_does_not_depend_on_the_chunk(name, deadline):
     # 3,000 outputs: each source stops inside the first chunk of either size
     with deadline():
         runs = [
@@ -201,7 +183,7 @@ def test_a_run_inside_one_chunk_does_not_depend_on_the_chunk(name):
         assert np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name), equal_nan=True), f.name
 
 
-def test_antennas_whose_sources_stop_in_different_chunks():
+def test_antennas_whose_sources_stop_in_different_chunks(deadline):
     # at ratios 1.01 and 0.99 the sources stop at 20,328 and 19,926 samples,
     # on either side of the 20,000-sample chunk edge; the spent one is not read
     chain = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
@@ -237,7 +219,7 @@ def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
         assert mine == want * 2  # the chain's channel, then its float twin's
 
 
-def test_a_spent_source_raises_stream_too_short(monkeypatch):
+def test_a_spent_source_raises_stream_too_short(monkeypatch, deadline):
     # a source that stops 100 samples in cannot feed 3,000 outputs
     monkeypatch.setattr(chain_module, "count_inputs", lambda *args: 100)
     with deadline(), pytest.raises(StreamTooShort):

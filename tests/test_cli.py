@@ -51,6 +51,7 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("requant-loss", '{"offset_ratio": "1//10000"}'),
         ("offset-plan", '{"resolution": 0}'),
         ("offset-plan", '{"resolution": -1000.0}'),
+        ("offset-plan", '{"resolution": 1e-12}'),
         ("requant-loss", '{"segments": 0}'),
         ("requant-loss", '{"segments": 1}'),
         ("requant-loss", '{"samples": 0}'),
@@ -124,7 +125,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "zero-f_c", "negative-f_c", "control-zero-f_c", "control-negative-f_c",
         "offset-not-rational", "offset-above-10-mhz", "offset-off-the-100-hz-grid",
         "clock-scale-zero-denominator", "offset-ratio-not-rational",
-        "zero-resolution", "negative-resolution", "no-segments", "one-segment", "no-samples",
+        "zero-resolution", "negative-resolution", "resolution-below-a-nanohertz",
+        "no-segments", "one-segment", "no-samples",
         "fewer-samples-than-a-spectrum-window", "no-windows", "no-targets",
         "target-not-a-number", "negative-target", "jitter-above-one", "negative-jitter",
         "jittered-window-longer-than-the-streams",

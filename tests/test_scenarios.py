@@ -1,14 +1,13 @@
-import contextlib
 import csv
 import json
 import multiprocessing
 import os
-import signal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from scfosim import scenarios as scenarios_module
 from scfosim.chain import map_forked
 from scfosim.errors import BandZoneMismatch, ConfigInvalid, Infeasible, InsufficientSamples
 from scfosim.frontend import SampleStream, Zone, sample
@@ -61,23 +60,7 @@ def test_peak_reads_only_valid_samples():
         _peak_hz(stream, 1024, F_C)  # 24 samples past the valid end
 
 
-@contextlib.contextmanager
-def deadline(seconds=60):
-    """Turn a hang (a child never joined, a pipe never read) into a failure."""
-
-    def expire(*_):  # not TimeoutError: multiprocessing swallows OSErrors while joining
-        raise AssertionError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def test_map_forked_matches_serial_bit_for_bit():
+def test_map_forked_matches_serial_bit_for_bit(deadline):
     sky = synth_signal(3, 8, (0.05 * float(F_C), 0.45 * float(F_C)))
     bank = cached_bank(56, 1024, 19)
 
@@ -129,7 +112,7 @@ def test_a_shorter_stream_is_a_prefix_of_a_longer_one(zone):
 
 
 @pytest.mark.parametrize("wrong", [1, 0], ids=["forked-antenna", "own-antenna"])
-def test_antenna_errors_reach_the_caller_with_their_class(wrong):
+def test_antenna_errors_reach_the_caller_with_their_class(wrong, deadline):
     # a Zone-2 antenna whose sky band lies in Zone 1 raises BandZoneMismatch,
     # whether it is the antenna run in the child or the one run here
     zone2 = ToneBankSignal((Tone(1.0, 0.7 * float(F_C), 0.5),), band=(0.56e6, 0.94e6))
@@ -141,7 +124,7 @@ def test_antenna_errors_reach_the_caller_with_their_class(wrong):
     assert not multiprocessing.active_children()
 
 
-def test_map_forked_raises_when_the_child_dies():
+def test_map_forked_raises_when_the_child_dies(deadline):
     def die_in_child(x):
         if x == 1:
             os._exit(3)
@@ -150,6 +133,104 @@ def test_map_forked_raises_when_the_child_dies():
     with deadline(), pytest.raises(EOFError):
         map_forked(die_in_child, [0, 1])
     assert not multiprocessing.active_children()
+
+
+def square_where(x):
+    return os.getpid(), x * x
+
+
+def squares_where(x):
+    """This item's process, and its inner map_forked's results."""
+    return os.getpid(), map_forked(square_where, [x, x + 1, x + 2])
+
+
+def test_an_inner_map_forked_runs_in_the_process_that_reaches_it(deadline):
+    with deadline():
+        (here, inner_here), (child, inner_child) = map_forked(squares_where, [1, 10])
+    assert not multiprocessing.active_children()
+    assert here == os.getpid() != child
+    # no second child here, no grandchild there, and the serial results
+    assert inner_here == [(here, x * x) for x in (1, 2, 3)]
+    assert inner_child == [(child, x * x) for x in (10, 11, 12)]
+    # once the outer call is over, the next call forks again
+    with deadline():
+        assert map_forked(square_where, [0, 1])[1][0] != os.getpid()
+
+
+def raise_in_child(monkeypatch):
+    """Make every antenna pair built in a forked child raise InsufficientSamples."""
+    here = os.getpid()
+    original = scenarios_module._resampled_tone_streams
+
+    def streams(*args, **kwargs):
+        if os.getpid() != here:
+            raise InsufficientSamples("raised in the child")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios_module, "_resampled_tone_streams", streams)
+
+
+# Each scenario that forks over its cases, at a reduced size.
+CASE_FORKED = {
+    "zone1-vs-zone2-alias": {"T": 0.05},
+    "relaxed-antialias": {"T": 0.05},
+    "zone2-shift": {"n_fft": 1 << 15, "segments": 8},
+    "selfclock-washout": {"targets_dwt": [100.0], "windows": 4, "sky_T": 0.02},
+}
+
+
+@pytest.mark.parametrize("name", ["zone1-vs-zone2-alias", "relaxed-antialias", "zone2-shift"])
+def test_a_case_error_in_the_child_reaches_the_caller_with_its_class(name, monkeypatch, tmp_path, deadline):
+    raise_in_child(monkeypatch)
+    with deadline(), pytest.raises(InsufficientSamples, match="raised in the child"):
+        run_scenario(name, CASE_FORKED[name], out_dir=tmp_path / "out")
+    assert not multiprocessing.active_children()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", list(CASE_FORKED))
+def test_a_case_forked_scenario_writes_what_one_process_writes(name, monkeypatch, tmp_path, deadline):
+    with deadline():
+        run_scenario(name, CASE_FORKED[name], out_dir=tmp_path / "forked")
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    run_scenario(name, CASE_FORKED[name], out_dir=tmp_path / "serial")
+    files = sorted(f.name for f in (tmp_path / "serial").iterdir())
+    assert sorted(f.name for f in (tmp_path / "forked").iterdir()) == files
+    for file_name in files:
+        assert (tmp_path / "forked" / file_name).read_bytes() == (tmp_path / "serial" / file_name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, cfg, forks",
+    [
+        # over its cases, which build their antennas in place
+        ("zone1-vs-zone2-alias", CASE_FORKED["zone1-vs-zone2-alias"], 1),
+        ("relaxed-antialias", CASE_FORKED["relaxed-antialias"], 1),
+        ("zone2-shift", CASE_FORKED["zone2-shift"], 1),
+        # its antennas, then its windows, then its sky pair's antennas
+        ("selfclock-washout", CASE_FORKED["selfclock-washout"], 3),
+        # one window alone is correlated with no fork
+        ("selfclock-washout", {"targets_dwt": [100.0], "windows": 1, "sky_T": 0.02}, 2),
+        ("scfo-off-control", {"T": 0.05}, 1),  # its one pair's antennas
+    ],
+    ids=["zone1-vs-zone2-alias", "relaxed-antialias", "zone2-shift", "selfclock-washout",
+         "selfclock-washout-one-window", "scfo-off-control"],
+)
+def test_no_more_than_two_scenario_processes_run(name, cfg, forks, monkeypatch, tmp_path, deadline):
+    # every fork, in whichever process, logs who forked and how many children it had
+    log = tmp_path / "forks.log"
+    fork = os.fork
+
+    def logged_fork():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {len(multiprocessing.active_children())}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    with deadline():
+        run_scenario(name, cfg, out_dir=tmp_path / "out")
+    # only this process forked, each time with no child alive
+    assert log.read_text().splitlines() == [f"{os.getpid()} 0"] * forks
 
 
 LABEL_COLUMNS = {"case", "quantity"}
@@ -237,13 +318,14 @@ def test_every_default_is_settable_from_a_config_file(name):
         ("selfclock-washout", "targets_dwt", [100.0, 0.0]),
         ("relaxed-antialias", "filter_points", [[1.0, 0.0], [0.0, 0.0]]),
         ("zone2-shift", "band", "B9"),
+        ("offset-plan", "resolution", 1e-12),
     ],
     ids=[
         "positive", "nan", "infinity", "bool", "integer-beyond-any-float", "non-negative",
         "integer-at-least", "integer-not-integral", "integer-at-most", "power-of-two", "fraction",
         "closed-interval", "positive-rational", "rational-beyond-any-float", "rational-below-one-half",
         "rational-not-a-float", "rational-interval", "two-rationals", "positive-list",
-        "hz-db-pairs-sorted", "known-band",
+        "hz-db-pairs-sorted", "known-band", "resolution-at-least-a-nanohertz",
     ],
 )
 def test_a_value_outside_its_rule_raises_naming_the_field(name, field, value):
