@@ -5,24 +5,26 @@ twin runs on the identical float samples so the loss 1 - rho/rho_float
 isolates exactly the chain's quantization steps.  sensitivity_loss compares
 two chains by that loss, with a standard error from per-segment losses.
 
-Everything streams in chunks, and memory follows the chunk, not the stream:
-a source, its quantizers and its resampler (which plans PLAN_BLOCK outputs at
-a time) hold about one chunk each, the correlators hold per-segment sums, and
-the Welch spectra hold one batch of segments (see _WelchCross), so the
-1e8-sample runs the acceptance suite demands take the memory of a short one.
-Each source stops at the last sample its chain reads for the outputs the
-correlator takes (rational.count_inputs), so its last chunk is short and
-nothing past it is synthesized, quantized or resampled.
+Everything streams in blocks that count outputs: both antennas step through
+the same blocks of ``chunk`` common-clock outputs, so each block pairs
+equal arrays and memory follows the block, not the stream.  A block
+synthesizes and quantizes exactly the source samples its outputs read, from
+the read pointer of its first output to that of its last plus the tap
+count (rational.sample_index), and folds them with
+resampler.fold_outputs; no state passes from one block to the next.  The
+correlators hold per-segment sums and the Welch spectra hold one batch of
+segments (see _WelchCross), so the 1e8-sample runs the acceptance suite
+demands take the memory of a short one.
 
 Noise is modeled as dense random tone banks rather than RNG samples so the
 same underlying waveform exists on every antenna's (offset) sample grid.
 
-Chunking never changes a sample value: sources evaluate the exact-grid form of
-eval_tones, whose blocks are anchored at absolute sample indices, and the
-resamplers fold every output in the same strict tap order whatever the tile
-or chunk it falls in (see resampler._fir_rows).  Every sample value is
-therefore independent of ``chunk``; only the grouping of the correlators'
-partial sums follows it.
+Blocking never changes a sample value: sources evaluate the exact-grid form of
+eval_tones, whose blocks are anchored at absolute sample indices, and each
+output is folded in the same strict tap order whatever the tile or block it
+falls in (see resampler._fir_rows).  Every sample value is therefore
+independent of ``chunk``; only the grouping of the correlators' partial sums
+follows it.
 
 A chain and its float twin meet only in the final loss, so each runs in its
 own process over both antennas: this process computes the chain and
@@ -30,11 +32,10 @@ correlates its pair, and a forked child (``map_forked``) does the same for the
 float twin.  Both evaluate the source waveforms, so no sample crosses the
 fork; the child sends one message at the end (its total and per-segment rho
 and its Welch coherence), and each process computes half of the Welch
-spectra.  A chain and its twin give equal output lengths on each antenna, so
-each correlator adds the same arrays in the same order as a one-process run,
-and every result is the same.  Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1): a BLAS thread pool in each process oversubscribes
-the cores and takes the gain back.
+spectra.  A chain and its twin give equal blocks, so each correlator adds
+the same arrays in the same order as a one-process run, and every result is
+the same.  Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1): a BLAS thread
+pool in each process oversubscribes the cores and takes the gain back.
 """
 
 from __future__ import annotations
@@ -45,10 +46,9 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import StreamTooShort
 from .frontend import QuantizerSpec, quantize_array
-from .rational import count_inputs
-from .resampler import PASSBAND, Resampler, aligned_start, cached_bank
+from .rational import sample_index
+from .resampler import PASSBAND, aligned_start, cached_bank, fold_outputs
 from .signal import SampleGrid, combine, eval_tones, synth_signal
 
 F_C = Fraction(1_000_000)  # the chains' common clock
@@ -194,11 +194,12 @@ _forking = False  # whether a map_forked call is running in this process or its 
 
 
 def map_forked(fn, items):
-    """``[fn(x) for x in items]`` with the last item run in a forked child
-    process while this one runs the rest.
+    """``[fn(x) for x in items]`` with ``items[1::2]`` run in a forked child
+    process while this one runs ``items[0::2]``; results come back in item
+    order.
 
     Fork over independent cases whose results are a few numbers: the child
-    pickles its result through a one-way pipe, so a result as large as a
+    pickles its results through a one-way pipe, so a result as large as a
     whole sample stream costs more to send than the fork saves.
 
     A map_forked call reached while another is running, in its parent or in
@@ -214,13 +215,13 @@ def map_forked(fn, items):
         return [fn(x) for x in items]
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_result, args=(send, fn, items[-1]))
+    child = ctx.Process(target=_send_results, args=(send, fn, items[1::2]))
     _forking = True  # before the fork, so the child inherits it
     try:
         child.start()
         send.close()  # the child holds the only send end, so its death reads as EOFError
-        head = [fn(x) for x in items[:-1]]
-        ok, last = recv.recv()  # before join: a result can outgrow the pipe buffer
+        even = [fn(x) for x in items[0::2]]
+        ok, odd = recv.recv()  # before join: a result can outgrow the pipe buffer
     finally:
         _forking = False
         if child.pid is not None:  # it started
@@ -228,14 +229,16 @@ def map_forked(fn, items):
             child.join()
         recv.close()
     if not ok:
-        raise last
-    return head + [last]
+        raise odd
+    out = list(items)
+    out[0::2], out[1::2] = even, odd
+    return out
 
 
-def _send_result(send, fn, item):
+def _send_results(send, fn, items):
     try:
-        send.send((True, fn(item)))
-    except Exception as exc:  # fn's, or the pickling of its result
+        send.send((True, [fn(x) for x in items]))
+    except Exception as exc:  # fn's, or the pickling of its results
         send.send((False, exc))
 
 
@@ -255,27 +258,30 @@ def run_dual_chain(
     sigma_in = float(np.sqrt(1.0 + noise_rms**2))
 
     skip = chain.bank_taps + 16  # discard filter-edge outputs uniformly
+    blocks = [(k, min(chunk, skip + n_out - k)) for k in range(skip, skip + n_out, chunk)]
 
     def antenna(i, twin):
         """Yield antenna i's chain output (its float twin's if ``twin``), one
-        source chunk at a time, from exactly the source samples that give
-        n_out + skip outputs."""
+        block of outputs at a time, each from exactly the source samples it
+        reads."""
         noise = synth_signal(model.noise_seed(i), model.n_noise_tones, band, rms=noise_rms)
         sign = 1 if i == 0 else -1
         ratio = 1 + sign * Fraction(chain.offset) if chain.resample else Fraction(1)
-        stop = n_out + skip
-        if chain.resample:
-            bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
-            p0 = aligned_start(bank, ratio)
-            resampler = Resampler(bank, ratio, p0)
-            stop = count_inputs(p0, ratio, bank.phases, bank.taps_per_phase, n_out + skip)
+        bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits) if chain.resample else None
         tones = combine(sky, noise).arrays()
-        for lo in range(0, stop, chunk):
-            out = eval_tones(*tones, SampleGrid(F_C * ratio, lo, min(chunk, stop - lo)))
+        for k, m in blocks:
+            if chain.resample:
+                position = aligned_start(bank, ratio) + k * ratio
+                lo = sample_index(position, bank.phases)
+                end = sample_index(position + (m - 1) * ratio, bank.phases) + bank.taps_per_phase
+                grid = SampleGrid(F_C * ratio, lo, end - lo)
+            else:
+                grid = SampleGrid(F_C, k, m)
+            out = eval_tones(*tones, grid)
             if chain.input_quant is not None and not twin:
                 out = quantize_array(out, chain.input_quant, sigma_in)
             if chain.resample:
-                out = resampler.process(out)
+                out = fold_outputs(out, lo, position, ratio, bank, m)
             if chain.out_quant is not None and not twin:
                 out = quantize_array(out, chain.out_quant, sigma_in)
             yield out
@@ -286,29 +292,10 @@ def run_dual_chain(
         """Correlate the two antennas' chain (or float-twin) outputs: the
         total and per-segment rho and the Welch coherence per frequency."""
         corr, welch = _SegmentedCorrelator(seg_len), _WelchCross()
-        streams = [antenna(0, twin), antenna(1, twin)]
-        pend = [np.zeros(0), np.zeros(0)]
-        skipped = [0, 0]
-        done = 0
-        while done < n_out:
-            for i, stream in enumerate(streams):
-                if len(pend[i]) >= n_out - done:
-                    continue  # its source may be spent; what it holds suffices
-                arr = next(stream, None)
-                if arr is None:
-                    raise StreamTooShort(f"antenna {i}'s source is spent before {n_out} outputs")
-                if skipped[i] < skip:
-                    drop = min(skip - skipped[i], len(arr))
-                    arr = arr[drop:]
-                    skipped[i] += drop
-                pend[i] = np.concatenate([pend[i], arr]) if len(pend[i]) else arr
-            m = min(len(pend[0]), len(pend[1]), n_out - done)
-            if m == 0:
-                continue
-            corr.add(pend[0][:m], pend[1][:m])
-            welch.add(pend[0][:m], pend[1][:m])
-            pend = [p[m:] for p in pend]
-            done += m
+        for a, b in zip(antenna(0, twin), antenna(1, twin)):
+            corr.add(a, b)
+            welch.add(a, b)
+            del a, b  # so each antenna's next block replaces its last, not joins it
         sab, saa, sbb = welch.spectra()
         return corr.rho_total(), corr.rho_segments(), np.abs(sab) / np.sqrt(saa * sbb)
 

@@ -7,9 +7,10 @@ carry them as "num/den" or decimal strings, and parse_rational converts both
 exactly (no float parsing anywhere).
 
 phase_run is the one ramp: it splits each position on the 1/P grid into the
-integer sample n (the read pointer) and the LUT index.  count_outputs and
-count_inputs are its exact inverses: how many steps stay within a given last
-input sample, and how many input samples a given number of steps needs.
+integer sample n (the read pointer) and the LUT index; sample_index gives
+the n of one position.  count_outputs and count_inputs are its exact
+inverses: how many steps stay within a given last input sample, and how many
+input samples a given number of steps needs.
 
 A ratio num/den moves a position by exactly num whole samples every den
 steps, so its phase plan is periodic: after den steps the grid index
@@ -85,9 +86,15 @@ def count_inputs(start: Fraction, ratio: Fraction, frac_width: int, taps: int, o
     """
     if outputs < 1:
         raise ValueError("outputs must be >= 1")
-    last = Fraction(start) + (outputs - 1) * Fraction(ratio)
-    g = round_half_even(last.numerator * frac_width, last.denominator)
-    return max((g + frac_width // 2) // frac_width, 0) + taps
+    return max(sample_index(Fraction(start) + (outputs - 1) * Fraction(ratio), frac_width), 0) + taps
+
+
+def sample_index(position: Fraction, frac_width: int) -> int:
+    """The integer sample n of ``position`` on the 1/frac_width grid: the read
+    pointer phase_run gives that position."""
+    position = Fraction(position)
+    g = round_half_even(position.numerator * frac_width, position.denominator)
+    return (g + frac_width // 2) // frac_width
 
 
 def phase_run(

@@ -2,33 +2,32 @@
 
 A CoefficientBank holds P tap sets covering interpolation phases between
 -0.5 and +0.5 samples (windowed-sinc prototype, optionally quantized to a
-signed fixed-point width).  The streaming Resampler consumes samples at
-f_a and produces samples at f_c: each output is an N-tap dot product of
-the FIFO window selected by the exact rational ramp rational.phase_run,
-with the occasional repeat (advance 0) or skip (advance 2) of the read
-pointer when the accumulated fraction crosses +/-0.5.
+signed fixed-point width).  Resampling takes samples at f_a to samples at
+f_c in the output-indexed polyphase form (Crochiere & Rabiner, Multirate
+Digital Signal Processing, 1983): each output is an N-tap dot product of the
+input window selected by the exact rational ramp rational.phase_run, with
+the occasional repeat (advance 0) or skip (advance 2) of the read pointer
+when the accumulated fraction crosses +/-0.5.
 
 Index bookkeeping: output k has exact position p_k = p0 + k*ratio on the
-input grid (ratio = f_a/f_c).  The FIFO read pointer n_k and LUT index i_k
-come from one grid decomposition (see rational.phase_run); the output is
+input grid (ratio = f_a/f_c).  Its read pointer n_k and LUT index i_k come
+from one grid decomposition (see rational.phase_run); the output is
 sum_m h_i[m] * x[n_k + m], which evaluates the input at p_k + c where
 c = (N-1)/2 is the prototype center.  Output timestamps absorb that group
 delay, so a sample's time always names the analog instant it represents.
 
-Fold order: Resampler computes that sum with one kernel, _fir_rows, as the
-strict left fold ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, tiled FIR_TILE
-outputs at a time: a tile's products h_m x_m are copied into a taps x outputs
-array, and one np.add.reduce over its tap axis adds row m after row m - 1.
-Tiling changes only which outputs are computed together, never the order of
-any one output's sum, so float outputs are bit-identical however the input is
-chunked.  Every path is a Resampler: whole-stream resample() feeds one, and
-polyphase.demux_resample is resample() cut to whole blocks of k outputs.
-
-Memory: a Resampler holds its input chunk, the few samples the next window
-needs, and its output.  It plans and folds a call's outputs PLAN_BLOCK at a
-time, so the plan arrays n and lut and the window offsets rel never span a
-whole chunk; a block changes only which outputs are planned together, so the
-plan and every sum are those of one call.
+So an output is a pure function of its position and the inputs under its
+window, and fold_outputs computes any range of outputs from exactly the
+inputs that range reads, with no state carried between calls.  Its one
+kernel, _fir_rows, computes each sum as the strict left fold
+((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, FIR_TILE outputs at a time:
+a tile's products h_m x_m are copied into a taps x outputs array, and one
+np.add.reduce over its tap axis adds row m after row m - 1.  Tiling changes
+only which outputs are computed together, never the order of any one
+output's sum, so a fold over outputs [0, K) equals the folds over any split
+of that range, bit for bit.  resample() is one fold over a whole stream, the
+dual chain folds equal blocks of outputs, and polyphase.demux_resample is
+resample() cut to whole blocks of k outputs.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DesignInfeasible, RatioOutOfRange, StreamTooShort
 from .frontend import QuantKind, SampleStream
-from .rational import count_outputs, phase_run
+from .rational import count_outputs, phase_run, sample_index
 
 
 @dataclass(frozen=True)
@@ -230,9 +229,9 @@ def response(
 # Outputs per tile of _fir_rows: 512 timed faster than 256, 768, 1024 and 2048;
 # a tile's 56 x 512 products (224 KiB) and their copy stay in cache.
 FIR_TILE = 512
-# Outputs per plan block of Resampler: a block's n, lut and rel (512 KiB each)
-# are planned and folded into the call's output before the next block's, so
-# none spans a whole chunk.
+# Outputs per plan block of fold_outputs: a block's n, lut and rel (512 KiB
+# each) are planned and folded into the output before the next block's, so
+# none spans a whole stream.
 PLAN_BLOCK = 1 << 16
 
 
@@ -240,7 +239,7 @@ def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarr
     """Output j = sum_m table[lut[j], m] * buf[rel[j] + m], as a strict left fold,
     written into ``out`` when given.
 
-    The FIR kernel of Resampler, float and fixed point.  Outputs go in tiles
+    The FIR kernel of fold_outputs, float and fixed point.  Outputs go in tiles
     of FIR_TILE: the tile's windows are gathered into an outputs x taps
     product and multiplied by their tap rows; the product is copied once into
     a C-ordered taps x outputs array, and one np.add.reduce over its first
@@ -249,8 +248,8 @@ def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarr
     lone column pairwise, so it is folded by np.add.accumulate, a left fold by
     definition.  The order thus never depends on the tile or on how many
     outputs a call yields, so float outputs are bit-identical however the
-    input is chunked; test_fir_rows_is_a_left_fold (every tile width numpy
-    treats apart) and the streaming tests pin it.
+    outputs are split; test_fir_rows_is_a_left_fold (every tile width numpy
+    treats apart) and the block tests pin it.
     Integer inputs fold exactly in int64.
     """
     wins = sliding_window_view(buf, table.shape[1])
@@ -273,87 +272,45 @@ def aligned_start(bank: CoefficientBank, ratio: Fraction) -> Fraction:
     return Fraction(bank.taps_per_phase - 1, 2) * (ratio - 1)
 
 
-class Resampler:
-    """Streaming f_a -> f_c resampler around one CoefficientBank.
+def fold_outputs(
+    x: np.ndarray,
+    first: int,
+    position: Fraction,
+    ratio: Fraction,
+    bank: CoefficientBank,
+    count: int,
+    in_step: float | None = None,
+) -> np.ndarray:
+    """Outputs 0 .. count-1 at exact input-grid positions position + k*ratio,
+    folded from ``x``, whose x[0] is input sample ``first``.
 
-    Feed input chunks with process(); each call returns the newly computable
-    output samples.  One instance per stream; instances share their
-    (immutable) bank freely.  With ``in_step`` None the fold is float;
-    given, inputs are rounded to integer multiples of in_step and folded
-    exactly in int64 against the bank's integer taps (the fixed-point path).
+    ``x`` must hold every window the outputs read: from the read pointer of
+    output 0 (rational.sample_index) to that of output count-1 plus the tap
+    count.  With ``in_step`` None the fold is float; given, inputs are
+    rounded to integer multiples of in_step and folded exactly in int64
+    against the bank's integer taps (the fixed-point path).  The outputs are
+    planned PLAN_BLOCK at a time, and only a block's inputs are rounded at
+    once.
     """
-
-    def __init__(
-        self,
-        bank: CoefficientBank,
-        ratio: Fraction,
-        start_position: Fraction = Fraction(0),
-        in_step: float | None = None,
-    ):
-        self.bank = bank
-        self.ratio = Fraction(ratio)
-        if not Fraction(1, 2) < self.ratio < Fraction(3, 2):
-            raise RatioOutOfRange(
-                f"ratio {self.ratio} outside (0.5, 1.5); the scheme assumes small offsets"
-            )
-        self._pos = Fraction(start_position) - self.ratio  # position before output 0
-        self.in_step = in_step
-        if in_step is not None and bank.table_int is None:
-            raise ValueError("fixed-point path needs a quantized bank")
-        self._buf = np.zeros(0, dtype=np.float64 if in_step is None else np.int64)
-        self._buf_base = 0  # absolute input index of _buf[0]
-        self._received = 0
-        self._emitted = 0
-        self.first_valid_output: int | None = None
-
-    def process(self, chunk: np.ndarray) -> np.ndarray:
-        """Consume input samples, return all newly computable outputs."""
-        data = np.asarray(chunk, dtype=np.float64)
-        if self.in_step is not None:
-            data = np.rint(data / self.in_step).astype(np.int64)
-        self._buf = np.concatenate([self._buf, data])
-        self._received += len(data)
-        return self._produce()
-
-    def _produce(self) -> np.ndarray:
-        N = self.bank.taps_per_phase
-        P = self.bank.phases
-        # outputs need window [n, n+N-1]; n <= H must hold
-        H = self._received - N
-        count = count_outputs(self._pos, self.ratio, P, H) if H >= 0 else 0
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        out = np.empty(count, dtype=np.float64)
-        for lo in range(0, count, PLAN_BLOCK):
-            n, lut, self._pos = phase_run(self._pos, self.ratio, P, min(PLAN_BLOCK, count - lo))
-            self._dot_windows(n, lut, out[lo : lo + len(n)])
-            if self.first_valid_output is None and n[-1] >= 0:
-                # n never decreases, so the first valid output is in this block
-                self.first_valid_output = self._emitted + lo + int(np.searchsorted(n, 0))
-        self._emitted += count
-        self._trim(int(n[-1]))
-        return out
-
-    def _dot_windows(self, n_abs: np.ndarray, lut: np.ndarray, out: np.ndarray) -> None:
-        """Fold the windows that start at inputs n_abs with tap rows lut into out."""
-        rel = n_abs - self._buf_base
-        if rel[0] < 0:
-            # zero-pad the pre-stream region (those outputs are flagged invalid)
-            pad = int(-rel[0])
-            self._buf = np.concatenate([np.zeros(pad, dtype=self._buf.dtype), self._buf])
-            self._buf_base -= pad
-            rel = n_abs - self._buf_base
-        if self.in_step is not None:
-            scale = self.in_step / float(1 << (self.bank.coeff_bits - 1))
-            np.multiply(_fir_rows(self._buf, rel, self.bank.table_int, lut), scale, out=out)
+    ratio = Fraction(ratio)
+    if not Fraction(1, 2) < ratio < Fraction(3, 2):
+        raise RatioOutOfRange(f"ratio {ratio} outside (0.5, 1.5); the scheme assumes small offsets")
+    if in_step is not None and bank.table_int is None:
+        raise ValueError("fixed-point path needs a quantized bank")
+    N = bank.taps_per_phase
+    out = np.empty(count, dtype=np.float64)
+    pos = Fraction(position) - ratio  # position before output 0
+    for lo in range(0, count, PLAN_BLOCK):
+        n, lut, pos = phase_run(pos, ratio, bank.phases, min(PLAN_BLOCK, count - lo))
+        buf = x[n[0] - first : n[-1] - first + N]
+        rel = n - n[0]
+        if in_step is None:
+            _fir_rows(buf, rel, bank.table, lut, out[lo : lo + len(n)])
         else:
-            _fir_rows(self._buf, rel, self.bank.table, lut, out)
-
-    def _trim(self, last_n: int) -> None:
-        keep_from = last_n - self._buf_base  # oldest index any future window needs
-        if keep_from > 0:
-            self._buf = self._buf[keep_from:].copy()  # not a view that holds the chunk
-            self._buf_base += keep_from
+            buf = np.rint(buf / in_step).astype(np.int64)
+            scale = in_step / float(1 << (bank.coeff_bits - 1))
+            np.multiply(_fir_rows(buf, rel, bank.table_int, lut), scale, out=out[lo : lo + len(n)])
+    return out
 
 
 def fixed_in_step(stream: SampleStream) -> float:
@@ -373,33 +330,33 @@ def resample(
     start_position: Fraction = Fraction(0),
     fixed_point: bool = False,
 ) -> SampleStream:
-    """Whole-stream resampling of ``stream`` to rate f_c.
+    """Whole-stream resampling of ``stream`` to rate f_c: one fold_outputs
+    over every output whose window ends inside the stream.
 
-    The stream is fed to one Resampler 1 << 20 inputs at a time, so its
-    input buffer never copies the whole stream.  ``fixed_point`` runs the
-    integer path on the register grid fixed_in_step(stream).  The output
-    epoch is group-delay true.
+    Output 0 sits at ``start_position`` on the input grid.  Windows that start
+    before sample 0 read zeros, and those outputs lie before ``valid_start``.
+    ``fixed_point`` runs the integer path on the register grid
+    fixed_in_step(stream).  The output epoch is group-delay true.
     """
     f_c = Fraction(f_c)
-    start_position = Fraction(start_position)
-    N = bank.taps_per_phase
+    start = Fraction(start_position)
+    N, P = bank.taps_per_phase, bank.phases
     if len(stream) < N + 2:
         raise StreamTooShort(f"{len(stream)} samples cannot flush {N} taps")
     ratio = Fraction(stream.rate) / f_c
-    in_step = fixed_in_step(stream) if fixed_point else None
-    rs = Resampler(bank, ratio, start_position, in_step=in_step)
-    chunk = 1 << 20
-    pieces = []
-    for lo in range(0, len(stream), chunk):
-        pieces.append(rs.process(stream.data[lo : lo + chunk]))
-    data = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)  # one piece: no copy
-    if len(data) == 0:
+    count = count_outputs(start - ratio, ratio, P, len(stream) - N)
+    if count == 0:
         raise StreamTooShort("stream too short to produce any resampled output")
+    x = np.asarray(stream.data, dtype=np.float64)
+    first = min(sample_index(start, P), 0)
+    if first < 0:
+        x = np.concatenate([np.zeros(-first), x])
+    in_step = fixed_in_step(stream) if fixed_point else None
+    data = fold_outputs(x, first, start, ratio, bank, count, in_step)
     return SampleStream(
         rate=f_c,
-        epoch=stream.epoch + (start_position + Fraction(N - 1, 2)) / stream.rate,
+        epoch=stream.epoch + (start + Fraction(N - 1, 2)) / stream.rate,
         data=data,
-        valid_start=len(data) if rs.first_valid_output is None else rs.first_valid_output,
-        valid_end=len(data),
+        valid_start=count_outputs(start - ratio, ratio, P, -1),
+        valid_end=count,
     )
-

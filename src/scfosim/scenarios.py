@@ -24,11 +24,11 @@ product's sum across its threads, so 1 and 2 threads can differ in a CSV's
 last digits.
 
 A scenario's cases are independent, so each whole-stream body with more
-than one case forks over its cases (``_map_cases``): each process builds and
-correlates its own antenna pairs and sends back only the numbers the body
-reads, never a stream, whose pickling through the pipe would cost more than
-the fork saves.  scfo-off-control has one pair, so it forks over its two
-antennas instead (``_resampled_tone_streams``).  A ``chain.map_forked`` call
+than one case forks over its cases (``chain.map_forked``): each process
+builds and correlates its own antenna pairs and sends back only the numbers
+the body reads, never a stream, whose pickling through the pipe would cost
+more than the fork saves.  scfo-off-control has one pair, so it forks over
+its two antennas instead (``_resampled_tone_streams``).  A map_forked call
 reached inside another runs in place, so at most two processes run, and
 every output byte is that of a run in one process.
 """
@@ -80,19 +80,19 @@ def plan_offsets(n: int, min_pairwise: float, max_abs: float, resolution: float)
     (> 0), in ascending order.
 
     Pairwise separations stay at or above ``min_pairwise``; all offsets fit
-    in [-max_abs, +max_abs].
+    in [-max_abs, +max_abs].  The plan is exact: every bound is compared as a
+    Fraction, so no float overflows or rounds.
     """
     res = Fraction(resolution).limit_denominator(10**9) if not isinstance(resolution, Fraction) else resolution
-    if n * min_pairwise > 2 * max_abs + float(res):
+    if n * Fraction(min_pairwise) > 2 * Fraction(max_abs) + res:
         raise Infeasible(
             f"n*min_pairwise = {n * min_pairwise:.6g} Hz exceeds the available span "
             f"2*max_abs = {2 * max_abs:.6g} Hz (binding constraint: max_abs)"
         )
-    step_units = max(int(math.ceil(min_pairwise / float(res))), 1)
-    step = step_units * res
+    step = max(math.ceil(Fraction(min_pairwise) / res), 1) * res
     offsets = [(i - n // 2) * step for i in range(n)]
     worst = max(abs(a) for a in offsets)
-    if float(worst) > max_abs:
+    if worst > max_abs:
         raise Infeasible(
             f"ladder spans +/-{float(worst):.6g} Hz > max_abs {max_abs:.6g} Hz "
             "(binding constraint: max_abs)"
@@ -340,7 +340,7 @@ def _resampled_tone_streams(rates, zone, f_c, bank, n_out, sky, clock_tone=None)
     processes (``chain.map_forked``) with the same output bytes; inside a
     body's case-level fork they run in place, by map_forked's nesting rule.
     The forked antenna sends its whole stream back, so a body with more than
-    one pair forks over its cases (``_map_cases``), not here."""
+    one pair forks over its cases, not here."""
     if not isinstance(sky, list):
         sky = [sky] * len(rates)
 
@@ -360,18 +360,6 @@ def _resampled_tone_streams(rates, zone, f_c, bank, n_out, sky, clock_tone=None)
         return out
 
     return map_forked(one, list(zip(rates, sky)))
-
-
-def _map_cases(fn, cases: list) -> list:
-    """``[fn(case) for case in cases]``, the even-indexed cases run here and
-    the odd-indexed ones in a forked child (``chain.map_forked``).  Each
-    ``fn(case)`` should be a few numbers: it is pickled back from the child."""
-    # one case makes one half, which map_forked runs here without a fork
-    halves = map_forked(lambda half: [fn(case) for case in half], [cases[0::2], cases[1::2]][: len(cases)])
-    out = [None] * len(cases)
-    for first, half in enumerate(halves):
-        out[first::2] = half
-    return out
 
 
 def _correlated_pair(rates, zone, f_c, bank, T, **streams):
@@ -458,7 +446,7 @@ def _selfclock_washout(cfg, summary):
         return rep.n_samples, abs(rep.rho)
 
     rows = []
-    for (target, w, _, start), (n_samples, rho_mag) in zip(windows, _map_cases(measure, windows)):
+    for (target, w, _, start), (n_samples, rho_mag) in zip(windows, map_forked(measure, windows)):
         dwt = 2 * math.pi * delta_f * n_samples / float(f_c)
         rows.append((target, w, start, n_samples, rho_mag, dwt, rho_mag * dwt))
     results = {}
@@ -582,7 +570,7 @@ def _zone1_vs_zone2(cfg, summary):
 
     # cases 0 and 2 run here, 1 and 3 in a forked child: a Zone-1 and a Zone-2 case in each
     rows = []
-    for (case, _, _, frac, correlates, text), rho in zip(_ZONE_CASES, _map_cases(measure, list(_ZONE_CASES))):
+    for (case, _, _, frac, correlates, text), rho in zip(_ZONE_CASES, map_forked(measure, _ZONE_CASES)):
         rows.append((case, frac * float(f_c), rho))
         ok = rho > cfg["correlated_min"] if correlates else rho < cfg["decorrelated_max"]
         summary.check(ok, f"{text}: |rho| = {rho:.5f}")
@@ -624,7 +612,7 @@ def _relaxed_antialias(cfg, summary):
         return rep, float(np.sqrt(np.mean(window**2)))
 
     # SCFO on here, SCFO off in a forked child
-    (rep_on, rms_on), (rep_off, _) = _map_cases(measure, [_desk_rates(cfg), _desk_rates(cfg, ["0/1", "0/1"])])
+    (rep_on, rms_on), (rep_off, _) = map_forked(measure, [_desk_rates(cfg), _desk_rates(cfg, ["0/1", "0/1"])])
     rows = [("scfo_on", abs(rep_on.rho), rep_on.suppression_db)]
     summary.check(
         abs(rep_on.rho) < cfg["decorrelated_max"],
@@ -691,7 +679,7 @@ def _zone2_shift(cfg, summary):
     # the sky pair here, the clock-tone pair in a forked child
     sky = ToneBankSignal(tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),), band=band2)
     no_sky = ToneBankSignal(tones=(), band=band2)
-    (peaks, phases), (cpeaks, _) = _map_cases(measure, [(sky, None), (no_sky, (1.0, scale))])
+    (peaks, phases), (cpeaks, _) = map_forked(measure, [(sky, None), (no_sky, (1.0, scale))])
 
     # sky tone peak bins must coincide
     bin_hz = float(f_c) / n_fft

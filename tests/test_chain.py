@@ -11,9 +11,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from scfosim import chain as chain_module
 from scfosim.chain import ChainSpec, SignalModel, _WelchCross, run_dual_chain
-from scfosim.errors import ConfigInvalid, StreamTooShort
+from scfosim.errors import ConfigInvalid
 from scfosim.frontend import QuantKind, QuantizerSpec
-from scfosim.rational import count_inputs
+from scfosim.rational import sample_index
 from scfosim.resampler import aligned_start, cached_bank
 
 Q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
@@ -184,11 +184,12 @@ def test_a_run_inside_one_chunk_does_not_depend_on_the_chunk(name, deadline):
 
 
 def test_antennas_whose_sources_stop_in_different_chunks(deadline):
-    # at ratios 1.01 and 0.99 the sources stop at 20,328 and 19,926 samples,
-    # on either side of the 20,000-sample chunk edge; the spent one is not read
+    # at ratios 1.01 and 0.99 a block of 6,000 outputs reads about 6,060 and
+    # 5,940 source samples, so the two antennas' source grids part block by
+    # block; the samples do not depend on the blocks
     chain = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
     with deadline():
-        split = run_dual_chain(chain, SignalModel(sky_seed=3), 20_000, segments=8, chunk=20_000)
+        split = run_dual_chain(chain, SignalModel(sky_seed=3), 20_000, segments=8, chunk=6_000)
         whole = run_dual_chain(chain, SignalModel(sky_seed=3), 20_000, segments=8, chunk=1 << 19)
     assert split.n_samples == 20_000
     # the same samples; only the grouping of the correlators' sums differs
@@ -196,32 +197,54 @@ def test_antennas_whose_sources_stop_in_different_chunks(deadline):
     assert abs(split.loss - whole.loss) <= 1e-12
 
 
-def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
-    # both channels run here, so every source chunk's grid is recorded
+def record_calls(monkeypatch, name):
+    """Run both channels here and record the arguments of each call of the
+    chain module's ``name``."""
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    grids = []
-    original = chain_module.eval_tones
+    calls = []
+    original = getattr(chain_module, name)
 
-    def eval_tones(amps, freqs, phases, grid):
-        grids.append(grid)
-        return original(amps, freqs, phases, grid)
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(chain_module, "eval_tones", eval_tones)
+    monkeypatch.setattr(chain_module, name, recorded)
+    return calls
+
+
+def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
+    # each block of outputs evaluates its source from the read pointer of
+    # its first output to that of its last plus the taps
+    calls = record_calls(monkeypatch, "eval_tones")
     chain = CHAINS["q4-resample-q8"]
     n_out, chunk = 3_000, 1_000
     run_dual_chain(chain, SignalModel(sky_seed=3), n_out, segments=4, chunk=chunk)
     bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits)
     skip = chain.bank_taps + 16  # the edge outputs the chain discards
+    blocks = [(k, min(chunk, skip + n_out - k)) for k in range(skip, skip + n_out, chunk)]
+    assert [m for _, m in blocks] == [1_000, 1_000, 1_000]
     for ratio in (1 + chain.offset, 1 - chain.offset):
-        stop = count_inputs(aligned_start(bank, ratio), ratio, bank.phases, bank.taps_per_phase, n_out + skip)
-        mine = [(g.start, g.count) for g in grids if g.rate == chain_module.F_C * ratio]
-        want = [(lo, min(chunk, stop - lo)) for lo in range(0, stop, chunk)]
+        start = aligned_start(bank, ratio)
+        want = []
+        for k, m in blocks:
+            lo = sample_index(start + k * ratio, bank.phases)
+            end = sample_index(start + (k + m - 1) * ratio, bank.phases) + bank.taps_per_phase
+            want.append((lo, end - lo))
+        mine = [(g.start, g.count) for *_, g in calls if g.rate == chain_module.F_C * ratio]
         assert mine == want * 2  # the chain's channel, then its float twin's
+    # without a resampler, a block's outputs are its source samples
+    calls.clear()
+    run_dual_chain(CHAINS["q4-direct"], SignalModel(sky_seed=3), n_out, segments=4, chunk=chunk)
+    pairs = [(chain_module.F_C, k, m) for k, m in blocks for _ in range(2)]  # antenna 0, then 1
+    assert [(g.rate, g.start, g.count) for *_, g in calls] == pairs * 2
 
 
-def test_a_spent_source_raises_stream_too_short(monkeypatch, deadline):
-    # a source that stops 100 samples in cannot feed 3,000 outputs
-    monkeypatch.setattr(chain_module, "count_inputs", lambda *args: 100)
-    with deadline(), pytest.raises(StreamTooShort):
-        run_dual_chain(CHAINS["q4-resample-q8"], SignalModel(sky_seed=3), 3_000, segments=4, chunk=1_000)
-    assert not multiprocessing.active_children()
+def test_both_antennas_yield_equal_blocks(monkeypatch):
+    # the chain's Q8 requantizer sees each block of antenna 0, then the same
+    # block of antenna 1: 2,500 outputs in blocks of 1,000, 1,000 and 500,
+    # although at ratios 1.01 and 0.99 the blocks read unequal source spans
+    calls = record_calls(monkeypatch, "quantize_array")
+    chain = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
+    run_dual_chain(chain, SignalModel(sky_seed=3), 2_500, segments=4, chunk=1_000)
+    q8 = [len(x) for x, spec, _ in calls if spec is chain.out_quant]
+    assert q8 == [1_000, 1_000, 1_000, 1_000, 500, 500]

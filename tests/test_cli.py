@@ -169,6 +169,24 @@ def test_an_integral_float_fills_an_integer_field(tmp_path):
     assert (tmp_path / "out" / "summary.txt").read_text().startswith("PASS 20 offsets")
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"n": 1, "min_pairwise": 1e308, "max_abs": 1e308, "resolution": 1e-9},
+        {"n": 3, "min_pairwise": 1e300, "max_abs": 1e308, "resolution": 1e-9},
+    ],
+    ids=["one-offset-at-the-float-limit", "three-offsets-past-the-float-step-count"],
+)
+def test_feasible_plans_near_the_float_limit_exit_0(tmp_path, config):
+    # min_pairwise / resolution overflows a float; the exact plan does not
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "offset-plan", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    n, step = config["n"], config["min_pairwise"]  # a whole number of resolutions
+    rows = (tmp_path / "out" / "offset_plan.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [(i - n // 2) * step for i in range(n)]
+
+
 def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["run"])

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scfosim.errors import ZeroDenominator
-from scfosim.resampler import Resampler, cached_bank
-from scfosim.rational import count_inputs, count_outputs, parse_rational, phase_run, round_half_even
+from scfosim.errors import StreamTooShort
+from scfosim.frontend import SampleStream
+from scfosim.resampler import cached_bank, resample
+from scfosim.rational import count_inputs, count_outputs, parse_rational, phase_run, round_half_even, sample_index
 
 
 def brute_force_steps(ratio, n_steps, frac_width=1024, position=Fraction(0)):
@@ -313,7 +315,7 @@ class TestCountInputs:
     )
     @settings(max_examples=300, deadline=None)
     def test_is_the_fewest_inputs_count_outputs_takes(self, ratio, start, width, taps, outputs):
-        def made(n_in):  # the count Resampler._produce takes from n_in inputs
+        def made(n_in):  # the count resample() takes from n_in inputs
             return count_outputs(start - ratio, ratio, width, n_in - taps) if n_in >= taps else 0
 
         n_in = count_inputs(start, ratio, width, taps, outputs)
@@ -328,11 +330,23 @@ class TestCountInputs:
         bank = cached_bank(56, 1024, 19)
 
         def made(n_in):
-            return len(Resampler(bank, ratio, start).process(np.zeros(n_in)))
+            stream = SampleStream(rate=1000 * ratio, epoch=Fraction(0), data=np.zeros(n_in))
+            try:
+                return len(resample(stream, Fraction(1000), bank, start_position=start).data)
+            except StreamTooShort:
+                return 0
 
         n_in = count_inputs(start, ratio, bank.phases, bank.taps_per_phase, outputs)
+        assume(n_in >= bank.taps_per_phase + 2)  # resample() refuses shorter streams
         assert made(n_in) >= outputs > made(n_in - 1)
 
     def test_needs_one_output(self):
         with pytest.raises(ValueError):
             count_inputs(Fraction(0), Fraction(1), 1024, 56, 0)
+
+
+@given(position=STARTS, width=st.sampled_from([2, 8, 256, 1024]))
+@settings(max_examples=200, deadline=None)
+def test_sample_index_is_the_read_pointer_phase_run_gives(position, width):
+    n, _, _ = phase_run(position - 1, Fraction(1), width, 1)
+    assert sample_index(position, width) == n[0]

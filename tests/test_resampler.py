@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +8,15 @@ from hypothesis import strategies as st
 
 from scfosim.errors import DesignInfeasible, RatioOutOfRange, StreamTooShort
 from scfosim.frontend import SampleStream, sample
-from scfosim.rational import phase_run
+from scfosim.rational import phase_run, sample_index
 from scfosim.resampler import (
     FIR_TILE,
     PLAN_BLOCK,
-    Resampler,
     _fir_rows,
     cached_bank,
     design_bank,
+    fixed_in_step,
+    fold_outputs,
     quantize_taps,
     resample,
     response,
@@ -34,6 +36,20 @@ def bank_float():
 
 def stream_from(data, rate=Fraction(1000), **kw):
     return SampleStream(rate=Fraction(rate), epoch=Fraction(0), data=np.asarray(data, float), **kw)
+
+
+def fold_range(data, start, ratio, bank, lo, hi, in_step=None):
+    """Outputs lo .. hi-1 of the fold whose output 0 sits at ``start`` on the
+    grid of ``data`` (zeros before its sample 0), folded from exactly the
+    inputs they read: their first read pointer to their last plus the taps."""
+    P, N = bank.phases, bank.taps_per_phase
+    position = start + lo * ratio
+    first = sample_index(position, P)
+    end = sample_index(start + (hi - 1) * ratio, P) + N
+    pad = max(-first, 0)
+    x = np.concatenate([np.zeros(pad), data])[first + pad : end + pad]
+    assert len(x) == end - first  # data holds every window
+    return fold_outputs(x, first, position, ratio, bank, hi - lo, in_step)
 
 
 def resampled_error(sig, out):
@@ -286,47 +302,46 @@ class TestResampling:
         # the scheme assumes offsets well inside +/-50%
         for ratio in (Fraction(1, 2), Fraction(3, 2)):
             with pytest.raises(RatioOutOfRange):
-                Resampler(bank19, ratio)
+                fold_outputs(np.zeros(200), 0, Fraction(0), ratio, bank19, 1)
+            with pytest.raises(RatioOutOfRange):
+                resample(stream_from(np.zeros(1000), rate=1000 * ratio), Fraction(1000), bank19)
 
     @pytest.mark.parametrize("ratio", [Fraction(501, 1000), Fraction(1499, 1000)])
     def test_ratio_just_inside_the_bounds(self, bank19, ratio):
-        out = Resampler(bank19, ratio).process(np.ones(1000))
+        out = resample(stream_from(np.ones(1000), rate=1000 * ratio), Fraction(1000), bank19).data
         # outputs up to the last full 56-tap window, each at the bank's DC gain
         assert abs(len(out) - (1000 - 55) / ratio) <= 1
         assert np.allclose(out, 1.0, atol=1e-3)
 
     def test_streaming_chunks_match_oneshot(self, bank19):
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal(7000)
+        # folds over blocks of 613 outputs are resample()'s one fold
+        data = np.random.default_rng(5).standard_normal(7000)
         ratio = Fraction(1001, 1000)
-        one = Resampler(bank19, ratio)
-        out_one = one.process(data)
-        many = Resampler(bank19, ratio)
-        outs = [many.process(data[i : i + 613]) for i in range(0, 7000, 613)]
-        out_many = np.concatenate(outs)
-        m = min(len(out_one), len(out_many))
-        assert np.array_equal(out_one[:m], out_many[:m])
+        whole = resample(stream_from(data, rate=1001), Fraction(1000), bank19).data
+        K = len(whole)
+        blocks = [fold_range(data, Fraction(0), ratio, bank19, lo, min(lo + 613, K)) for lo in range(0, K, 613)]
+        assert np.array_equal(np.concatenate(blocks), whole)
 
     @settings(max_examples=40, deadline=None)
     @given(
         fixed=st.booleans(),
         sizes=st.lists(
-            # past the first 55 inputs, a chunk yields about one output per input
-            st.one_of(st.integers(0, 3), st.integers(FIR_TILE - 2, FIR_TILE + 3)),
+            st.one_of(st.integers(1, 3), st.integers(FIR_TILE - 2, FIR_TILE + 3)),
             min_size=1,
             max_size=12,
         ),
     )
     def test_random_chunks_match_oneshot(self, bank19, fixed, sizes):
-        sizes = sizes + [60]  # enough inputs that the stream yields outputs at all
-        data = np.random.default_rng(9).standard_normal(sum(sizes))
-        kw = {"in_step": 1 / 32} if fixed else {}
-        ratio = Fraction(1001, 1000)
-        out_one = Resampler(bank19, ratio, **kw).process(data)
-        many = Resampler(bank19, ratio, **kw)
+        # one fold over outputs [0, K) is the folds over any split of it,
+        # the outputs that read before sample 0 included
+        in_step = 1 / 32 if fixed else None
+        start, ratio = Fraction(-40, 3), Fraction(1001, 1000)
+        K = sum(sizes)
+        data = np.random.default_rng(9).standard_normal(K + 200)
+        whole = fold_range(data, start, ratio, bank19, 0, K, in_step)
         bounds = np.cumsum([0] + sizes)
-        outs = [many.process(data[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        assert np.array_equal(np.concatenate(outs), out_one)
+        pieces = [fold_range(data, start, ratio, bank19, lo, hi, in_step) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(np.concatenate(pieces), whole)
 
     @pytest.mark.parametrize(
         "outputs",
@@ -364,29 +379,26 @@ class TestResampling:
         assert np.all(got == left)
 
     def test_streaming_one_output_per_call(self, bank19):
-        rng = np.random.default_rng(8)
-        data = rng.standard_normal(3000)
+        data = np.random.default_rng(8).standard_normal(3000)
         ratio = Fraction(999, 1000)
-        out_one = Resampler(bank19, ratio).process(data)
-        many = Resampler(bank19, ratio)
-        out_many = np.concatenate([many.process(data[i : i + 1]) for i in range(3000)])
-        m = min(len(out_one), len(out_many))
-        assert m > 2900 and np.array_equal(out_one[:m], out_many[:m])
+        whole = resample(stream_from(data, rate=999), Fraction(1000), bank19).data
+        ones = [fold_range(data, Fraction(0), ratio, bank19, k, k + 1) for k in range(len(whole))]
+        assert len(whole) > 2900 and np.array_equal(np.concatenate(ones), whole)
 
     @pytest.mark.parametrize("step", [1, 7, None])
     def test_first_valid_output_does_not_depend_on_the_chunks(self, bank19, step):
-        # from -40/3 the first 13 outputs read before sample 0
+        # from -40/3 the first 13 outputs read before sample 0, and folds of
+        # ``step`` outputs give resample()'s outputs, those 13 included
         data = np.random.default_rng(4).standard_normal(3000)
         ratio, start = Fraction(1001, 1000), Fraction(-40, 3)
         positions = (start + k * ratio for k in range(100))
         first = next(k for k, p in enumerate(positions) if round(p * 1024) + 512 >= 0)
         assert first == 13
-        rs = Resampler(bank19, ratio, start)
-        step = step or len(data)
-        for lo in range(0, len(data), step):
-            rs.process(data[lo : lo + step])
         whole = resample(stream_from(data, rate=1001), Fraction(1000), bank19, start_position=start)
-        assert rs.first_valid_output == whole.valid_start == first
+        assert whole.valid_start == first
+        step = step or 200
+        pieces = [fold_range(data, start, ratio, bank19, lo, lo + step) for lo in range(0, 200, step)]
+        assert np.array_equal(np.concatenate(pieces)[:200], whole.data[:200])
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("ratio", [1 + Fraction(53, 50_000), 1 - Fraction(47, 50_000)])
@@ -394,15 +406,26 @@ class TestResampling:
     @pytest.mark.parametrize("start", [Fraction(-40, 3), -PLAN_BLOCK - Fraction(301, 3)])
     def test_one_call_over_plan_blocks_matches_small_calls(self, bank19, fixed, ratio, start):
         data = np.random.default_rng(6).standard_normal(3 * PLAN_BLOCK + 1_000)
-        kw = {"in_step": 1 / 32} if fixed else {}
-        one = Resampler(bank19, ratio, start, **kw)
-        out_one = one.process(data)
-        assert len(out_one) > 3 * PLAN_BLOCK  # the one call plans four blocks
-        many = Resampler(bank19, ratio, start, **kw)
-        out_many = np.concatenate([many.process(data[lo : lo + 5_000]) for lo in range(0, len(data), 5_000)])
-        assert np.array_equal(out_one, out_many)
-        n, _, _ = phase_run(start - ratio, ratio, bank19.phases, len(out_one))
-        assert one.first_valid_output == many.first_valid_output == int(np.searchsorted(n, 0))
+        stream = stream_from(data, rate=1000 * ratio)
+        whole = resample(stream, Fraction(1000), bank19, start_position=start, fixed_point=fixed)
+        K = len(whole.data)
+        assert K > 3 * PLAN_BLOCK  # the one fold plans four blocks
+        in_step = fixed_in_step(stream) if fixed else None
+        pieces = [fold_range(data, start, ratio, bank19, lo, min(lo + 5_000, K), in_step) for lo in range(0, K, 5_000)]
+        assert np.array_equal(np.concatenate(pieces), whole.data)
+        n, _, _ = phase_run(start - ratio, ratio, bank19.phases, K)
+        assert whole.valid_start == int(np.searchsorted(n, 0))
+
+    def test_resample_peaks_near_its_output_bytes(self, bank19):
+        # the fold reads the stream in place; only plan blocks sit beside the output
+        stream = stream_from(np.random.default_rng(1).standard_normal(1 << 20), rate=1001)
+        tracemalloc.start()
+        try:
+            out = resample(stream, Fraction(1000), bank19)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.data.nbytes
 
     def test_fixed_point_close_to_float(self, bank19):
         sig = synth_signal(seed=3, n_tones=12, band=(50.0, 400.0))
@@ -415,7 +438,7 @@ class TestResampling:
 
     def test_fixed_point_with_a_float_bank_raises(self, bank_float):
         with pytest.raises(ValueError, match="fixed-point path needs a quantized bank"):
-            Resampler(bank_float, Fraction(1001, 1000), in_step=1 / 32)
+            fold_outputs(np.zeros(200), 0, Fraction(0), Fraction(1001, 1000), bank_float, 1, in_step=1 / 32)
         s = stream_from(np.random.default_rng(2).standard_normal(200), rate=1001)
         with pytest.raises(ValueError, match="fixed-point path needs a quantized bank"):
             resample(s, Fraction(1000), bank_float, fixed_point=True)

@@ -124,6 +124,15 @@ def test_antenna_errors_reach_the_caller_with_their_class(wrong, deadline):
     assert not multiprocessing.active_children()
 
 
+def test_map_forked_runs_the_odd_items_in_one_child(deadline):
+    with deadline():
+        got = map_forked(square_where, list(range(5)))
+    assert not multiprocessing.active_children()
+    assert [x for _, x in got] == [0, 1, 4, 9, 16]  # in item order
+    here, child = os.getpid(), got[1][0]
+    assert [pid for pid, _ in got] == [here, child, here, child, here] and child != here
+
+
 def test_map_forked_raises_when_the_child_dies(deadline):
     def die_in_child(x):
         if x == 1:
