@@ -7,14 +7,12 @@ two chains by that loss, with a standard error from per-segment losses.
 
 Everything streams in blocks that count outputs: both antennas step through
 the same blocks of ``chunk`` common-clock outputs, so each block pairs
-equal arrays and memory follows the block, not the stream.  A block
-synthesizes and quantizes exactly the source samples its outputs read, from
-the read pointer of its first output to that of its last plus the tap
-count (rational.sample_index), and folds them with
-resampler.fold_outputs; no state passes from one block to the next.  The
-correlators hold per-segment sums and the Welch spectra hold one batch of
-segments (see _WelchCross), so the 1e8-sample runs the acceptance suite
-demands take the memory of a short one.
+equal arrays and memory follows the block, not the stream.  A resampling
+block is one resampler.resample_range call, which synthesizes and quantizes
+exactly the source samples its outputs read; no state passes from one block
+to the next.  The correlators hold per-segment sums and the Welch spectra
+hold one batch of segments (see _WelchCross), so the 1e8-sample runs the
+acceptance suite demands take the memory of a short one.
 
 Noise is modeled as dense random tone banks rather than RNG samples so the
 same underlying waveform exists on every antenna's (offset) sample grid.
@@ -47,8 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .frontend import QuantizerSpec, quantize_array
-from .rational import sample_index
-from .resampler import PASSBAND, aligned_start, cached_bank, fold_outputs
+from .resampler import PASSBAND, cached_bank, resample_range
 from .signal import SampleGrid, combine, eval_tones, synth_signal
 
 F_C = Fraction(1_000_000)  # the chains' common clock
@@ -269,19 +266,17 @@ def run_dual_chain(
         ratio = 1 + sign * Fraction(chain.offset) if chain.resample else Fraction(1)
         bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits) if chain.resample else None
         tones = combine(sky, noise).arrays()
-        for k, m in blocks:
-            if chain.resample:
-                position = aligned_start(bank, ratio) + k * ratio
-                lo = sample_index(position, bank.phases)
-                end = sample_index(position + (m - 1) * ratio, bank.phases) + bank.taps_per_phase
-                grid = SampleGrid(F_C * ratio, lo, end - lo)
-            else:
-                grid = SampleGrid(F_C, k, m)
-            out = eval_tones(*tones, grid)
+
+        def source(lo, n):
+            """Source samples lo .. lo+n-1 at the antenna's rate, Q4-quantized
+            unless ``twin``."""
+            out = eval_tones(*tones, SampleGrid(F_C * ratio, lo, n))
             if chain.input_quant is not None and not twin:
                 out = quantize_array(out, chain.input_quant, sigma_in)
-            if chain.resample:
-                out = fold_outputs(out, lo, position, ratio, bank, m)
+            return out
+
+        for k, m in blocks:
+            out = resample_range(source, ratio, bank, k, m) if chain.resample else source(k, m)
             if chain.out_quant is not None and not twin:
                 out = quantize_array(out, chain.out_quant, sigma_in)
             yield out

@@ -30,7 +30,7 @@ class CorrelationReport:
     T: float
     n_samples: int
     suppression_db: float
-    start: int  # absolute index of the window's first sample
+    start: int  # index of the window's first sample
 
 
 def window_length(T: float, rate: Fraction) -> int:
@@ -45,28 +45,24 @@ def window_length(T: float, rate: Fraction) -> int:
     return n
 
 
-def correlate(a: SampleStream, b: SampleStream, T: float, start: int | None = None) -> CorrelationReport:
+def correlate(a: SampleStream, b: SampleStream, T: float, start: int = 0) -> CorrelationReport:
     """Normalized correlation over exactly window_length(T, rate) samples.
 
-    ``start`` picks the window start (absolute index); by default the first
-    jointly valid sample.  Complex windows (Zone 2) are summed as they are.
-    Real windows are correlated as their analytic signals, summed by Parseval
-    over the rfft bins X, Y: sum x_a*conj(y_a) = (1/n) sum_k w_k X_k conj(Y_k)
-    with w = 1 at DC and at an even n's Nyquist bin and 4 elsewhere, the
-    one-sided weighting of the analytic spectrum (Marple 1999, "Computing the
-    discrete-time analytic signal via FFT", IEEE Trans. SP 47(9)).
+    ``start`` picks the window's first sample, the streams' first by
+    default; the window must lie inside both streams.  Complex windows
+    (Zone 2) are summed as they are.  Real windows are correlated as their
+    analytic signals, summed by Parseval over the rfft bins X, Y:
+    sum x_a*conj(y_a) = (1/n) sum_k w_k X_k conj(Y_k) with w = 1 at DC and
+    at an even n's Nyquist bin and 4 elsewhere, the one-sided weighting of
+    the analytic spectrum (Marple 1999, "Computing the discrete-time analytic
+    signal via FFT", IEEE Trans. SP 47(9)).
     """
     if Fraction(a.rate) != Fraction(b.rate):
         raise RateMismatch(f"{a.rate} != {b.rate}")
     n = window_length(T, a.rate)
-    lo = max(a.valid_start, b.valid_start)
-    hi = min(a.valid_end, b.valid_end)
-    if start is None:
-        start = lo
-    if start < lo or start + n > hi:
-        raise InsufficientOverlap(
-            f"window [{start}, {start + n}) outside joint valid region [{lo}, {hi})"
-        )
+    hi = min(len(a), len(b))
+    if start < 0 or start + n > hi:
+        raise InsufficientOverlap(f"window [{start}, {start + n}) outside the joint samples [0, {hi})")
     xa = a.data[start : start + n]
     xb = b.data[start : start + n]
     if a.is_complex != b.is_complex:

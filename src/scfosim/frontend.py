@@ -66,23 +66,20 @@ class SampleStream:
     ``data`` holds level values (float64) or complex samples; ``quant`` is
     None for an unquantized stream.  Quantized streams also carry
     ``quant_scale`` (the level scale: step size for Q8_UNIFORM, design sigma
-    for Q4_OPTIMAL) so integer codes can be recovered.  ``valid`` marks the
-    region unpolluted by filter edges.
+    for Q4_OPTIMAL) so integer codes can be recovered.  Every sample is valid:
+    each stage that filters a stream returns only the samples its whole
+    window covers.
     """
 
     rate: Fraction
     epoch: Fraction
     data: np.ndarray
     quant: QuantKind | None = None
-    valid_start: int = 0
-    valid_end: int | None = None
     quant_scale: float | None = None
 
     def __post_init__(self):
         self.rate = Fraction(self.rate)
         self.epoch = Fraction(self.epoch)
-        if self.valid_end is None:
-            self.valid_end = len(self.data)
         if self.quant is QuantKind.Q4_OPTIMAL:
             if len(np.unique(self.data)) > 16:
                 raise ValueError("Q4 stream carries more than 16 distinct values")
@@ -94,19 +91,17 @@ class SampleStream:
     def is_complex(self) -> bool:
         return np.iscomplexobj(self.data)
 
-    def valid_slice(self) -> slice:
-        return slice(self.valid_start, self.valid_end)
-
 
 def sample(
     sig: ToneBankSignal,
     f_a: Fraction,
     n: int,
     zone: Zone = Zone.ZONE1,
-    epoch: Fraction = Fraction(0),
+    first: int = 0,
     band_slack: float = 0.0,
 ) -> SampleStream:
-    """Digitize the analytic signal at rate f_a.
+    """Digitize the analytic signal at rate f_a: samples first .. first+n-1
+    of the grid k/f_a, so the stream's epoch is first/f_a.
 
     For ZONE2 the declared signal band must lie within (f_a/2, f_a), with a
     fractional ``band_slack`` allowance; sampling it down-converts
@@ -117,7 +112,6 @@ def sample(
     if n < 1:
         raise ValueError("n must be >= 1")
     f_a = Fraction(f_a)
-    epoch = Fraction(epoch)
     if zone is Zone.ZONE2:
         lo_lim = float(f_a) / 2.0 * (1.0 - band_slack)
         hi_lim = float(f_a) * (1.0 + band_slack)
@@ -128,11 +122,11 @@ def sample(
             )
     data = np.empty(n, dtype=np.float64)
     tones = sig.arrays()
-    chunk = 1 << 20  # whole TONE_BLOCKs, so no block is synthesized twice
+    chunk = 1 << 20  # whole TONE_BLOCKs: from a block-aligned first, no block is synthesized twice
     for start in range(0, n, chunk):
         count = min(chunk, n - start)
-        data[start : start + count] = eval_tones(*tones, SampleGrid(f_a, start, count, epoch))
-    return SampleStream(rate=f_a, epoch=epoch, data=data)
+        data[start : start + count] = eval_tones(*tones, SampleGrid(f_a, first + start, count))
+    return SampleStream(rate=f_a, epoch=first / f_a, data=data)
 
 
 LLOYD_TOL = 1e-12
@@ -207,11 +201,10 @@ def quantize_array(x: np.ndarray, spec: QuantizerSpec, sigma: float) -> np.ndarr
 
 
 def quantize(s: SampleStream, q: QuantizerSpec) -> SampleStream:
-    """Quantize a float stream at the RMS measured over its valid region."""
+    """Quantize a float stream at the RMS measured over its samples."""
     if s.quant is not None:
         raise AlreadyQuantized(f"stream already {s.quant.value}-quantized")
-    region = s.data[s.valid_slice()]
-    sigma = float(np.sqrt(np.mean(np.square(region))))
+    sigma = float(np.sqrt(np.mean(np.square(s.data))))
     return replace(
         s,
         data=quantize_array(s.data, q, sigma),

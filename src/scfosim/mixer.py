@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DesignInfeasible
+from .errors import DesignInfeasible, StreamTooShort
 from .frontend import SampleStream
 from .rational import phase_run
 from .resampler import _kaiser_beta, _kaiser_window
@@ -107,31 +107,26 @@ def oscillator_indices(start: Fraction, inc: Fraction, bits_index: int, count: i
 def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     """Analytic-signal frequency shift of a real stream at the common rate.
 
-    Output sample i corresponds to input sample i (the S/H group delay is
-    re-centered away), so epochs pass through; the valid region shrinks by
-    half the Hilbert length at each edge.
+    Only the samples that the whole Hilbert window covers come out, so the
+    stream loses half the Hilbert length at each end.  Output sample i is
+    input sample i + HILBERT_TAPS//2 (the S/H group delay is re-centered
+    away), and the epoch moves on by that many samples.
     """
     if stream.is_complex:
         raise ValueError("ssb_shift expects a real input stream")
+    if len(stream) < HILBERT_TAPS:
+        raise StreamTooShort(f"{len(stream)} samples fill no {HILBERT_TAPS}-tap Hilbert window")
     h = design_hilbert(HILBERT_TAPS, HILBERT_BAND)["h"]
     c = HILBERT_TAPS // 2
-    x = stream.data
-    conv = np.convolve(x, h)
-    imag = conv[c : c + len(x)]
-    analytic = x + 1j * imag
+    analytic = 1j * np.convolve(stream.data, h, mode="valid")
+    analytic += stream.data[c : len(stream) - c]
 
     table = quadrature_lut(PHASE_LUT_BITS, LUT_WORD_BITS)
     L = 1 << PHASE_LUT_BITS
-    inc = Fraction(shift_hz) / Fraction(stream.rate)
-    start = Fraction(shift_hz) * Fraction(stream.epoch)
-    idx = oscillator_indices(start, inc, PHASE_LUT_BITS, len(x))
-    osc = table[idx] + 1j * table[(idx - L // 4) % L]  # cos + j sin
-
-    return SampleStream(
-        rate=stream.rate,
-        epoch=stream.epoch,
-        data=analytic * osc,
-        valid_start=max(stream.valid_start, c),
-        valid_end=min(stream.valid_end, len(x) - c),
-    )
-
+    epoch = stream.epoch + c / stream.rate
+    inc = Fraction(shift_hz) / stream.rate
+    idx = oscillator_indices(Fraction(shift_hz) * epoch, inc, PHASE_LUT_BITS, len(analytic))
+    osc = 1j * table[(idx - L // 4) % L]  # j sin
+    osc += table[idx]  # + cos; in place, as is the mix, to hold fewer full-length arrays
+    analytic *= osc
+    return SampleStream(rate=stream.rate, epoch=epoch, data=analytic)

@@ -25,22 +25,21 @@ def demux_resample(
     f_c: Fraction,
     bank: CoefficientBank,
     k: int,
-    start_position: Fraction = Fraction(0),
     fixed_point: bool = False,
 ) -> SampleStream:
     """k-way demultiplexed resampling: resample() cut to whole blocks of k.
 
     The tap count N must be a multiple of k (TapCountNotDivisible).  The
-    data and valid region end at the last whole block; a stream with no
-    whole block raises StreamTooShort.
+    data end at the last whole block; a stream with no whole block raises
+    StreamTooShort.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     N = bank.taps_per_phase
     if N % k != 0:
         raise TapCountNotDivisible(f"{N} taps not divisible by k={k}")
-    out = resample(stream, f_c, bank, start_position, fixed_point)
+    out = resample(stream, f_c, bank, fixed_point)
     end = len(out) // k * k
     if end == 0:
         raise StreamTooShort(f"{len(out)} outputs fill no block of k={k}")
-    return replace(out, data=out.data[:end], valid_start=min(out.valid_start, end), valid_end=end)
+    return replace(out, data=out.data[:end])

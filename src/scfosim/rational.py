@@ -8,9 +8,8 @@ exactly (no float parsing anywhere).
 
 phase_run is the one ramp: it splits each position on the 1/P grid into the
 integer sample n (the read pointer) and the LUT index; sample_index gives
-the n of one position.  count_outputs and count_inputs are its exact
-inverses: how many steps stay within a given last input sample, and how many
-input samples a given number of steps needs.
+the n of one position, and count_outputs is its exact inverse: how many
+steps stay within a given last input sample.
 
 A ratio num/den moves a position by exactly num whole samples every den
 steps, so its phase plan is periodic: after den steps the grid index
@@ -72,21 +71,6 @@ def count_outputs(position: Fraction, ratio: Fraction, frac_width: int, last_n: 
     if count == steps and G % 2:
         count -= 1  # the last position sits on G + 1/2, which rounds up to G + 1
     return max(count, 0)
-
-
-def count_inputs(start: Fraction, ratio: Fraction, frac_width: int, taps: int, outputs: int) -> int:
-    """The fewest input samples from which a resampler whose output k sits at
-    ``start + k*ratio`` computes ``outputs`` outputs; the inverse of
-    count_outputs.
-
-    Output k reads the ``taps`` samples from n_k, the integer sample of its
-    position on the 1/frac_width grid.  n_k never decreases, so the last
-    output's window ends the input; windows that begin before sample 0 read
-    zeros, and still need ``taps`` samples to have arrived.
-    """
-    if outputs < 1:
-        raise ValueError("outputs must be >= 1")
-    return max(sample_index(Fraction(start) + (outputs - 1) * Fraction(ratio), frac_width), 0) + taps
 
 
 def sample_index(position: Fraction, frac_width: int) -> int:

@@ -25,8 +25,14 @@ a tile's products h_m x_m are copied into a taps x outputs array, and one
 np.add.reduce over its tap axis adds row m after row m - 1.  Tiling changes
 only which outputs are computed together, never the order of any one
 output's sum, so a fold over outputs [0, K) equals the folds over any split
-of that range, bit for bit.  resample() is one fold over a whole stream, the
-dual chain folds equal blocks of outputs, and polyphase.demux_resample is
+of that range, bit for bit.
+
+resample_range holds the one rule for which inputs a range of outputs reads.
+It computes outputs first .. first+count-1 of an antenna whose output 0 sits
+at aligned_start, and asks the antenna's source for exactly the inputs those
+outputs read.  The dual chain's blocks and the scenarios' antennas are calls
+of it, so every output they hold reads real samples.  resample() folds a
+given stream from output 0 at its sample 0, and polyphase.demux_resample is
 resample() cut to whole blocks of k outputs.
 """
 
@@ -319,44 +325,43 @@ def fixed_in_step(stream: SampleStream) -> float:
         if stream.quant is QuantKind.Q8_UNIFORM:
             return stream.quant_scale / 2.0
         return stream.quant_scale / 32.0
-    region = stream.data[stream.valid_slice()]
-    return float(np.sqrt(np.mean(np.square(region)))) / 32.0
+    return float(np.sqrt(np.mean(np.square(stream.data)))) / 32.0
+
+
+def resample_range(source, ratio: Fraction, bank: CoefficientBank, first: int, count: int) -> np.ndarray:
+    """Outputs first .. first+count-1 of an antenna at ``ratio`` whose output 0
+    sits at aligned_start(bank, ratio), folded from ``source(lo, n)``, the
+    antenna's input samples lo .. lo+n-1.
+
+    The source is asked once, for exactly the inputs the outputs read: from
+    the read pointer (rational.sample_index) of output ``first`` to that of
+    the last output plus the tap count.  No state passes between calls, so a
+    range gives the same outputs however it is split.
+    """
+    position = aligned_start(bank, ratio) + first * ratio
+    lo = sample_index(position, bank.phases)
+    end = sample_index(position + (count - 1) * ratio, bank.phases) + bank.taps_per_phase
+    return fold_outputs(source(lo, end - lo), lo, position, ratio, bank, count)
 
 
 def resample(
     stream: SampleStream,
     f_c: Fraction,
     bank: CoefficientBank,
-    start_position: Fraction = Fraction(0),
     fixed_point: bool = False,
 ) -> SampleStream:
     """Whole-stream resampling of ``stream`` to rate f_c: one fold_outputs
-    over every output whose window ends inside the stream.
+    over every output whose window ends inside the stream, output 0 at its
+    sample 0.
 
-    Output 0 sits at ``start_position`` on the input grid.  Windows that start
-    before sample 0 read zeros, and those outputs lie before ``valid_start``.
     ``fixed_point`` runs the integer path on the register grid
     fixed_in_step(stream).  The output epoch is group-delay true.
     """
-    f_c = Fraction(f_c)
-    start = Fraction(start_position)
-    N, P = bank.taps_per_phase, bank.phases
+    N = bank.taps_per_phase
     if len(stream) < N + 2:
         raise StreamTooShort(f"{len(stream)} samples cannot flush {N} taps")
-    ratio = Fraction(stream.rate) / f_c
-    count = count_outputs(start - ratio, ratio, P, len(stream) - N)
-    if count == 0:
-        raise StreamTooShort("stream too short to produce any resampled output")
-    x = np.asarray(stream.data, dtype=np.float64)
-    first = min(sample_index(start, P), 0)
-    if first < 0:
-        x = np.concatenate([np.zeros(-first), x])
+    ratio = Fraction(stream.rate) / Fraction(f_c)
+    count = count_outputs(-ratio, ratio, bank.phases, len(stream) - N)
     in_step = fixed_in_step(stream) if fixed_point else None
-    data = fold_outputs(x, first, start, ratio, bank, count, in_step)
-    return SampleStream(
-        rate=f_c,
-        epoch=stream.epoch + (start + Fraction(N - 1, 2)) / stream.rate,
-        data=data,
-        valid_start=count_outputs(start - ratio, ratio, P, -1),
-        valid_end=count,
-    )
+    data = fold_outputs(np.asarray(stream.data, dtype=np.float64), 0, Fraction(0), ratio, bank, count, in_step)
+    return SampleStream(rate=f_c, epoch=stream.epoch + Fraction(N - 1, 2) / stream.rate, data=data)

@@ -46,11 +46,11 @@ import numpy as np
 
 from .chain import WELCH_NFFT, ChainSpec, SignalModel, map_forked, sensitivity_loss
 from .correlator import correlate, washing_suppression_db, window_length
-from .errors import ConfigInvalid, Infeasible, InsufficientSamples, ZeroDenominator
-from .frontend import FilterSpec, QuantKind, QuantizerSpec, Zone, antialias, sample
+from .errors import ConfigInvalid, Infeasible, ZeroDenominator
+from .frontend import FilterSpec, QuantKind, QuantizerSpec, SampleStream, Zone, antialias, sample
 from .mixer import HILBERT_TAPS, ssb_shift
-from .rational import count_inputs, count_outputs, parse_rational
-from .resampler import PASSBAND, aligned_start, cached_bank, resample
+from .rational import count_outputs, parse_rational
+from .resampler import PASSBAND, aligned_start, cached_bank, resample_range
 from .signal import Tone, ToneBankSignal, synth_signal
 
 BAND_TABLE = {
@@ -142,7 +142,6 @@ FRACTION = ("real", lambda x: 0 <= x < 1, "a fraction in [0, 1)")
 POWER_OF_TWO = ("int", lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2")
 RATIONAL = ("rational", lambda q: True, "a rational number")
 OFFSET_PAIR = (["rational"], lambda qs: len(qs) == 2, "a list of 2 rational offsets in Hz")
-POSITIVE_LIST = (["real"], lambda xs: xs and min(xs) > 0, "a non-empty list of positive numbers")
 HZ_DB_PAIRS = ([["real"]], lambda ps: ps and all(len(p) == 2 for p in ps) and ps == sorted(ps, key=lambda p: p[0]),
                "a non-empty list of [Hz, dB] pairs sorted by Hz")
 
@@ -298,43 +297,23 @@ def _desk_rates(cfg, offsets=None) -> list[Fraction]:
     return rates
 
 
-def _valid_run(stream, start: int, n: int) -> np.ndarray:
-    """Samples ``start .. start+n-1`` of ``stream``, which must end inside its
-    valid region."""
-    if start + n > stream.valid_end:
-        raise InsufficientSamples(f"{n} samples from {start} pass the valid end {stream.valid_end}")
-    return stream.data[start : start + n]
-
-
 def _peak_hz(stream, n_fft: int, f_c: Fraction) -> float:
     """Frequency of the strongest bin of the Hann-windowed FFT of the first
-    ``n_fft`` valid samples."""
-    seg = _valid_run(stream, stream.valid_start, n_fft)
+    ``n_fft`` samples."""
+    seg = stream.data[:n_fft]
     spec = np.abs(np.fft.fft(seg * np.hanning(n_fft)))
     return np.fft.fftfreq(n_fft, d=1.0 / float(f_c))[int(np.argmax(spec))]
 
 
-def _outputs_holding(rates, zone, f_c, bank, n: int) -> int:
-    """Common-clock outputs per antenna whose joint valid region holds ``n``
-    samples, for antennas at desk ``rates`` in ``zone``: ``n`` plus each
-    stage's edge losses.  The resampler's outputs before its first valid one
-    read before sample 0 (they number the positions on samples below 0), and
-    a Zone-2 shift loses its Hilbert half-length at each end."""
-    ratios = [f_a / f_c for f_a in rates]
-    lead = max(count_outputs(aligned_start(bank, r) - r, r, bank.phases, -1) for r in ratios)
-    trail = HILBERT_TAPS // 2 if zone is Zone.ZONE2 else 0
-    return max(lead, trail) + n + trail
-
-
-def _resampled_tone_streams(rates, zone, f_c, bank, n_out, sky, clock_tone=None):
+def _resampled_tone_streams(rates, zone, f_c, bank, n, sky, clock_tone=None):
     """Per antenna at desk rate f_a in ``rates``: take its sky (one signal for
     all, or a list with one per antenna) plus, given ``clock_tone`` =
     (amplitude, scale), its own clock tone at scale * f_a, sample in ``zone``
     at f_a, resample back to the common clock, and shift a Zone-2 antenna by
-    f_c - f_a.  Each antenna samples exactly the inputs
-    (``rational.count_inputs``) from which the resampler computes ``n_out``
-    outputs; one more output can come along when it shares the last one's
-    window.
+    f_c - f_a.  Each antenna holds exactly ``n`` samples: its outputs are one
+    resampler.resample_range, which samples exactly the inputs they read, and
+    a Zone-2 antenna resamples the Hilbert half-length more at each end,
+    which its shift drops.
 
     Antennas are independent, so reached outside a fork they run in two
     processes (``chain.map_forked``) with the same output bytes; inside a
@@ -350,25 +329,24 @@ def _resampled_tone_streams(rates, zone, f_c, bank, n_out, sky, clock_tone=None)
             amplitude, scale = clock_tone
             # exact until the one float(): the tone sits at the rational scale * f_a
             bank_sig = replace(bank_sig, tones=bank_sig.tones + (Tone(amplitude, float(scale * f_a), 0.0),))
-        ratio = f_a / f_c
-        start = aligned_start(bank, ratio)
-        n_in = count_inputs(start, ratio, bank.phases, bank.taps_per_phase, n_out)
-        stream = sample(bank_sig, f_a, n_in, zone=zone, band_slack=0.02)
-        out = resample(stream, f_c, bank, start_position=start)
-        if zone is Zone.ZONE2:
-            out = ssb_shift(out, f_c - f_a)
-        return out
+
+        def source(lo, count):
+            return sample(bank_sig, f_a, count, zone=zone, first=lo, band_slack=0.02).data
+
+        edge = HILBERT_TAPS // 2 if zone is Zone.ZONE2 else 0
+        data = resample_range(source, f_a / f_c, bank, 0, n + 2 * edge)
+        out = SampleStream(rate=f_c, epoch=Fraction(bank.taps_per_phase - 1, 2) / f_c, data=data)
+        return ssb_shift(out, f_c - f_a) if zone is Zone.ZONE2 else out
 
     return map_forked(one, list(zip(rates, sky)))
 
 
 def _correlated_pair(rates, zone, f_c, bank, T, **streams):
-    """Build an antenna pair whose joint valid region holds correlate's
-    window of ``T`` seconds, ``window_length(T, f_c)`` samples, and at most
-    one more (``_resampled_tone_streams`` options in ``streams``); returns
-    the correlation report over that window and the two streams."""
-    n_out = _outputs_holding(rates, zone, f_c, bank, window_length(T, f_c))
-    pair = _resampled_tone_streams(rates, zone, f_c, bank, n_out, **streams)
+    """Build an antenna pair that holds exactly correlate's window of ``T``
+    seconds, ``window_length(T, f_c)`` samples (``_resampled_tone_streams``
+    options in ``streams``); returns the correlation report over that window
+    and the two streams."""
+    pair = _resampled_tone_streams(rates, zone, f_c, bank, window_length(T, f_c), **streams)
     return correlate(pair[0], pair[1], T=T), pair
 
 
@@ -386,7 +364,8 @@ def _correlated_pair(rates, zone, f_c, bank, T, **streams):
         "clock_tone_scale": ("3/4", RATIONAL),
         "clock_tone_amplitude": (1.0, POSITIVE),
         "sky_tones": (16, _integer(1)),
-        "targets_dwt": ([100.0, 1000.0, 10000.0], POSITIVE_LIST),
+        "targets_dwt": ([100.0, 1000.0, 10000.0], (  # washing_suppression_db's regime: dwT > 2 is delta_f*T > 1/pi
+            ["real"], lambda xs: xs and min(xs) > 2, "a non-empty list of numbers > 2")),
         "windows": (16, _integer(1)),
         "window_jitter": (0.25, FRACTION),
         "sky_T": (0.5, POSITIVE),
@@ -413,8 +392,8 @@ def _selfclock_washout(cfg, summary):
     delta_f = abs(float(landed[0] - landed[1]))
     longest = max(cfg["targets_dwt"]) / (2 * math.pi * delta_f)
     # a float-derived input count on purpose: it sets the range the window
-    # starts are drawn from, and each antenna yields its own output count from
-    # it; the pair needs only the shorter, the joint valid end
+    # starts are drawn from, as the fewer outputs of the two antennas that n_in
+    # inputs hold
     n_in = int(1.45 * longest * float(f_c)) + 4096
     n_out = min(
         count_outputs(aligned_start(bank, r) - r, r, bank.phases, n_in - bank.taps_per_phase)
@@ -423,8 +402,6 @@ def _selfclock_washout(cfg, summary):
     no_sky = ToneBankSignal(tones=(), band=_band(PASSBAND, f_c / 2))
     tone = (float(cfg["clock_tone_amplitude"]), scale)
     streams = _resampled_tone_streams(rates, Zone.ZONE1, f_c, bank, n_out, no_sky, clock_tone=tone)
-    lo = max(s.valid_start for s in streams)
-    hi = min(s.valid_end for s in streams)
 
     # every window's (T_w, start) first, in the order the windows are drawn,
     # then the windows correlated in two processes
@@ -434,11 +411,9 @@ def _selfclock_washout(cfg, summary):
         for w in range(cfg["windows"]):
             T_w = T0 * (1 + cfg["window_jitter"] * (2 * rng.uniform() - 1))
             n_w = window_length(T_w, f_c)
-            if hi - n_w <= lo:
-                raise ConfigInvalid(
-                    "window_jitter", f"a {n_w}-sample window does not fit the {hi - lo} valid samples"
-                )
-            windows.append((target, w, T_w, int(rng.integers(lo, hi - n_w))))
+            if n_w >= n_out:
+                raise ConfigInvalid("window_jitter", f"a {n_w}-sample window does not fit the {n_out} samples")
+            windows.append((target, w, T_w, int(rng.integers(0, n_out - n_w))))
 
     def measure(window):
         _, _, T_w, start = window
@@ -661,19 +636,17 @@ def _zone2_shift(cfg, summary):
     scale = _frac(cfg["clock_tone_scale"])
     rates = _desk_rates(cfg)
     band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
-    n_out = _outputs_holding(rates, Zone.ZONE2, f_c, bank, n_fft)
     seg_len = n_fft // segments
 
     def measure(case):
         """The pair's two peak frequencies and, for the sky pair, the
         unwrapped cross phase of each of its segments."""
         source, clock_tone = case
-        streams = _resampled_tone_streams(rates, Zone.ZONE2, f_c, bank, n_out, source, clock_tone=clock_tone)
+        streams = _resampled_tone_streams(rates, Zone.ZONE2, f_c, bank, n_fft, source, clock_tone=clock_tone)
         peaks = [_peak_hz(s, n_fft, f_c) for s in streams]
         if clock_tone is not None:
             return peaks, None
-        lo = max(s.valid_start for s in streams)
-        a, b = (_valid_run(s, lo, segments * seg_len).reshape(segments, seg_len) for s in streams)
+        a, b = (s.data[: segments * seg_len].reshape(segments, seg_len) for s in streams)
         return peaks, np.unwrap([np.angle(np.vdot(y, x)) for x, y in zip(a, b)])
 
     # the sky pair here, the clock-tone pair in a forked child

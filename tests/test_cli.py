@@ -118,6 +118,9 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("requant-loss", '{"samples": 2000, "segments": 4000}'),
         ("zone2-shift", '{"clock_tone_scale": "0/1"}'),
         ("zone2-shift", '{"clock_tone_scale": "1/4"}'),
+        ("selfclock-washout", '{"targets_dwt": [1.0]}'),
+        ("selfclock-washout", '{"targets_dwt": [2.0]}'),
+        ("selfclock-washout", '{"targets_dwt": [1.0, 100.0]}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
@@ -148,6 +151,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "control-negative-tolerance", "negative-min-pairwise", "negative-max-abs",
         "relaxed-probe-at-dc", "relaxed-negative-probe", "zone-probes-negative-decorrelated-max",
         "fewer-samples-than-segments", "zone2-clock-tone-at-dc", "zone2-clock-tone-in-zone-1",
+        "target-before-the-envelope-regime", "target-at-the-envelope-regime-edge",
+        "one-target-before-the-envelope-regime",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):

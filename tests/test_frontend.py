@@ -72,10 +72,11 @@ class TestSample:
         # sample() synthesizes in 2^20-sample chunks; a sample's value must not
         # depend on which chunk it fell in or on the stream length
         sig = synth_signal(seed=4, n_tones=6, band=(1e3, 4e5))
-        f_a, epoch = Fraction(1_000_100), Fraction(7, 3)
-        long = sample(sig, f_a, n, epoch=epoch).data
-        assert np.array_equal(long[:m], sample(sig, f_a, m, epoch=epoch).data)
-        assert np.array_equal(long, eval_tones(*sig.arrays(), SampleGrid(f_a, 0, n, epoch)))
+        f_a, first = Fraction(1_000_100), -2_333  # off the tone-block grid
+        long = sample(sig, f_a, n, first=first)
+        assert long.epoch == first / f_a
+        assert np.array_equal(long.data[:m], sample(sig, f_a, m, first=first).data)
+        assert np.array_equal(long.data, eval_tones(*sig.arrays(), SampleGrid(f_a, first, n)))
 
 
 class TestLloydMax:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scfosim.errors import DesignInfeasible
+from scfosim.errors import DesignInfeasible, StreamTooShort
 from scfosim.frontend import SampleStream, Zone, sample
 from scfosim.mixer import (
     design_hilbert,
@@ -111,12 +111,30 @@ class TestSsbShift:
     def test_zero_shift_gives_analytic_signal(self):
         s, _ = tone_stream(100.0, 1000, 4000)
         out = ssb_shift(s, Fraction(0))
-        sl = out.valid_slice()
-        assert np.array_equal(out.data[sl].real, s.data[sl])
+        # only the samples the whole 127-tap window covers: 63 fewer at each end
+        assert len(out) == len(s) - 126
+        assert out.epoch == s.epoch + Fraction(63, 1000)
+        assert np.array_equal(out.data.real, s.data[63:-63])
         # imaginary part is the Hilbert transform: for sin-based tones the
         # analytic magnitude is the envelope
-        mag = np.abs(out.data[sl])
+        mag = np.abs(out.data)
         assert np.std(mag) / np.mean(mag) < 1e-3
+
+    def test_a_later_cut_shifts_to_the_same_samples(self):
+        # a stream sampled from sample 500 on shifts to the samples of the
+        # whole stream from 500 on, bit for bit: the oscillator follows the epoch
+        sig = ToneBankSignal(tones=(Tone(1.0, 300.0, 0.3),), band=(300.0, 300.0))
+        whole = ssb_shift(sample(sig, Fraction(1000), 4000), Fraction(-37, 3))
+        late = ssb_shift(sample(sig, Fraction(1000), 3000, first=500), Fraction(-37, 3))
+        assert late.epoch == whole.epoch + Fraction(500, 1000)
+        assert np.array_equal(late.data, whole.data[500 : 500 + len(late)])
+
+    def test_stream_shorter_than_the_hilbert_window_raises(self):
+        s, _ = tone_stream(100.0, 1000, 126)
+        with pytest.raises(StreamTooShort):
+            ssb_shift(s, Fraction(0))
+        s, _ = tone_stream(100.0, 1000, 127)
+        assert len(ssb_shift(s, Fraction(0))) == 1
 
     def test_complex_input_rejected(self):
         s, _ = tone_stream(100.0, 1000, 4000)
@@ -128,8 +146,7 @@ class TestSsbShift:
         fs, f0, delta = 1000, 300.0, 40.0
         s, _ = tone_stream(f0, fs, 5000)
         out = ssb_shift(s, Fraction(-int(delta)))
-        sl = out.valid_slice()
-        seg = out.data[sl][:4000]
+        seg = out.data[:4000]
         spec = np.abs(np.fft.fft(seg * np.hanning(len(seg))))
         freqs = np.fft.fftfreq(len(seg), d=1.0 / fs)
         peak = freqs[int(np.argmax(spec))]
@@ -138,9 +155,8 @@ class TestSsbShift:
     def test_magnitude_preserved_within_ripple(self):
         s, _ = tone_stream(250.0, 1000, 6000, amp=0.7)
         out = ssb_shift(s, Fraction(15))
-        sl = out.valid_slice()
         # analytic tone amplitude equals the real tone amplitude
-        mag = np.abs(out.data[sl])
+        mag = np.abs(out.data)
         assert np.mean(mag) == pytest.approx(0.7, rel=2e-3)
 
     def test_lut_spur_floor(self):
@@ -149,8 +165,7 @@ class TestSsbShift:
         fs = 1_000_000
         s, _ = tone_stream(200_000.0, fs, 1 << 16)
         out = ssb_shift(s, Fraction(12_347))
-        sl = out.valid_slice()
-        seg = out.data[sl][: 1 << 15]
+        seg = out.data[: 1 << 15]
         win = np.blackman(len(seg))
         spec = np.abs(np.fft.fft(seg * win))
         peak = int(np.argmax(spec))
@@ -178,8 +193,7 @@ class TestSsbShift:
             s = sample(sig, f_a, 12_000, Zone.ZONE2)
             r = resample(s, f_c, bank)
             out = ssb_shift(r, f_c - f_a)
-            sl = out.valid_slice()
-            seg = out.data[sl][:8000]
+            seg = out.data[:8000]
             spec = np.abs(np.fft.fft(seg * np.hanning(len(seg))))
             freqs = np.fft.fftfreq(len(seg), d=1.0 / float(f_c))
             peaks.append(freqs[int(np.argmax(spec))])

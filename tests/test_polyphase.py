@@ -65,31 +65,22 @@ class TestDemuxEquivalence:
 
     @pytest.mark.parametrize("start", [Fraction(0), Fraction(-1, 2), Fraction(1, 3)])
     def test_keeps_every_whole_block_of_direct(self, bank56, start):
-        # at 2001 samples direct gives 1944 outputs (1945 from start -1/2),
-        # where a float estimate of the output count once fell short of the
-        # last whole block (1936); at 2006 the cut drops 5 or 6 outputs
-        for n in (2001, 2006):
+        # at 2001 samples direct gives 1944 outputs, where a float estimate of
+        # the output count once fell short of the last whole block (1936); at
+        # 2006 the cut drops 5 outputs.  ``start`` is the stream's epoch, which
+        # moves the output epoch and no sample
+        for n, outputs in ((2001, 1944), (2006, 1949)):
             s = SampleStream(
                 rate=Fraction(1001, 1000) * 1_000_000,
-                epoch=Fraction(1, 3),
+                epoch=start,
                 data=np.random.default_rng(7).standard_normal(n),
             )
-            direct = resample(s, Fraction(1_000_000), bank56, start_position=start)
-            demux = demux_resample(s, Fraction(1_000_000), bank56, k=8, start_position=start)
-            end = (len(direct) // 8) * 8
-            assert len(demux) == end
+            direct = resample(s, Fraction(1_000_000), bank56)
+            demux = demux_resample(s, Fraction(1_000_000), bank56, k=8)
+            end = (outputs // 8) * 8
+            assert (len(direct), len(demux)) == (outputs, end)
             assert np.array_equal(demux.data, direct.data[:end])
-            assert demux.epoch == direct.epoch
-            assert (demux.valid_start, demux.valid_end) == (min(direct.valid_start, end), end)
-
-    def test_valid_region_ends_at_the_cut(self, bank56):
-        # 12 direct outputs, the first 9 before sample 0: the valid region
-        # starts past the one whole block, so the cut leaves it empty
-        s = rand_stream(58, Fraction(1000))
-        direct = resample(s, Fraction(1000), bank56, start_position=Fraction(-9))
-        demux = demux_resample(s, Fraction(1000), bank56, k=8, start_position=Fraction(-9))
-        assert (len(direct), direct.valid_start) == (12, 9)
-        assert (len(demux), demux.valid_start, demux.valid_end) == (8, 8, 8)
+            assert demux.epoch == direct.epoch == start + Fraction(55, 2) / s.rate
 
     def test_fewer_outputs_than_a_block(self, bank56):
         s = rand_stream(60, Fraction(1000))

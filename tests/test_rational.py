@@ -2,14 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfosim.errors import ZeroDenominator
-from scfosim.errors import StreamTooShort
-from scfosim.frontend import SampleStream
-from scfosim.resampler import cached_bank, resample
-from scfosim.rational import count_inputs, count_outputs, parse_rational, phase_run, round_half_even, sample_index
+from scfosim.rational import count_outputs, parse_rational, phase_run, round_half_even, sample_index
 
 
 def brute_force_steps(ratio, n_steps, frac_width=1024, position=Fraction(0)):
@@ -296,53 +293,10 @@ class TestCountOutputs:
         assert brute_force_count(x - ratio, ratio, width, last_n) == counted
 
 
-RATIOS = st.fractions(Fraction(1, 2), Fraction(3, 2), max_denominator=10_000).filter(
-    lambda r: Fraction(1, 2) < r < Fraction(3, 2)
-)
 STARTS = st.one_of(
     st.fractions(Fraction(-20), Fraction(20), max_denominator=5000),
     st.integers(-20, 20).map(lambda k: k + Fraction(1, 2)),  # a rounding tie
 )
-
-
-class TestCountInputs:
-    @given(
-        ratio=RATIOS,
-        start=STARTS,
-        width=st.sampled_from([2, 8, 256, 1024]),
-        taps=st.integers(1, 64),
-        outputs=st.integers(1, 400),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_is_the_fewest_inputs_count_outputs_takes(self, ratio, start, width, taps, outputs):
-        def made(n_in):  # the count resample() takes from n_in inputs
-            return count_outputs(start - ratio, ratio, width, n_in - taps) if n_in >= taps else 0
-
-        n_in = count_inputs(start, ratio, width, taps, outputs)
-        assert made(n_in) >= outputs > made(n_in - 1)
-        if n_in > taps:  # the last output's window starts inside the stream;
-            # ratio > 1/2, so at most one more output shares that window
-            assert made(n_in) <= outputs + 1
-
-    @given(ratio=RATIOS, start=STARTS, outputs=st.integers(1, 2000))
-    @settings(max_examples=60, deadline=None)
-    def test_a_resampler_fed_that_many_inputs_computes_the_outputs(self, ratio, start, outputs):
-        bank = cached_bank(56, 1024, 19)
-
-        def made(n_in):
-            stream = SampleStream(rate=1000 * ratio, epoch=Fraction(0), data=np.zeros(n_in))
-            try:
-                return len(resample(stream, Fraction(1000), bank, start_position=start).data)
-            except StreamTooShort:
-                return 0
-
-        n_in = count_inputs(start, ratio, bank.phases, bank.taps_per_phase, outputs)
-        assume(n_in >= bank.taps_per_phase + 2)  # resample() refuses shorter streams
-        assert made(n_in) >= outputs > made(n_in - 1)
-
-    def test_needs_one_output(self):
-        with pytest.raises(ValueError):
-            count_inputs(Fraction(0), Fraction(1), 1024, 56, 0)
 
 
 @given(position=STARTS, width=st.sampled_from([2, 8, 256, 1024]))

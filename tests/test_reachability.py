@@ -14,6 +14,11 @@ Members go the same way: a public method, property or dataclass or
 NamedTuple field of a package class must be read as an attribute somewhere in
 the package or in the benchmark's sources, or carry a ``KEEP_MEMBERS``
 reason.  Only the name is matched, not the class it is read from.
+
+Parameters too: a defaulted parameter of a module-level function must be
+passed, by keyword or position, by some call of that function's name in the
+package or the benchmark's sources, or carry a ``KEEP_PARAMETERS`` reason.  A
+starred argument passes every position from its own on.
 """
 
 import ast
@@ -192,3 +197,66 @@ def test_every_public_member_is_read_or_kept():
     kept_but_read = sorted(m for m in KEEP_MEMBERS if m.split(".")[1] in read)
     assert kept_but_read == [], f"KEEP_MEMBERS names what is already read: {kept_but_read}"
     assert all(reason.strip() for reason in KEEP_MEMBERS.values())
+
+
+# function.parameter -> why it keeps its default although no package or
+# benchmark caller passes it
+KEEP_PARAMETERS = {
+    "design_bank.passband": "tests design banks off the scenario spec",
+    "design_bank.max_ripple_db": "tests design banks off the scenario spec",
+    "run_dual_chain.chunk": "the block-invariance tests set the block length",
+    "main.argv": "tests call main with an argument list",
+}
+
+
+def _defaulted_parameters(modules):
+    """(function, parameter, position) of every defaulted parameter of a
+    module-level function; position is None for a keyword-only one."""
+    for tree in modules.values():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef):
+                args = stmt.args
+                positional = args.posonlyargs + args.args
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    yield stmt.name, positional[i].arg, i
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield stmt.name, arg.arg, None
+
+
+def _passed(trees):
+    """function name -> the parameter names and positions its calls in
+    ``trees`` pass; a starred argument passes every position from it on, and
+    a ``**`` argument every keyword."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            got = passed.setdefault(name, set())
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):  # no package function takes 64 parameters
+                    got.update(range(i, 64))
+                    break
+                got.add(i)
+            got.update(kw.arg if kw.arg is not None else "**" for kw in node.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_or_kept():
+    modules = _modules()
+    benchmark = [ast.parse((BENCHMARK / f).read_text()) for f in BENCHMARK_READERS]
+    passed = _passed(list(modules.values()) + benchmark)
+    defaulted = {f"{fn}.{arg}": (fn, arg, i) for fn, arg, i in _defaulted_parameters(modules)}
+
+    def reached(fn, arg, i):
+        got = passed.get(fn, set())
+        return arg in got or "**" in got or i in got
+
+    unpassed = sorted(key for key, spec in defaulted.items() if not reached(*spec) and key not in KEEP_PARAMETERS)
+    assert unpassed == [], f"no package or benchmark call passes them; drop the parameter or keep it: {unpassed}"
+    assert set(KEEP_PARAMETERS) <= set(defaulted), f"KEEP_PARAMETERS names what is gone: {sorted(set(KEEP_PARAMETERS) - set(defaulted))}"
+    kept_but_passed = sorted(key for key in KEEP_PARAMETERS if reached(*defaulted[key]))
+    assert kept_but_passed == [], f"KEEP_PARAMETERS names what a caller already passes: {kept_but_passed}"
+    assert all(reason.strip() for reason in KEEP_PARAMETERS.values())

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -13,12 +14,14 @@ from scfosim.resampler import (
     FIR_TILE,
     PLAN_BLOCK,
     _fir_rows,
+    aligned_start,
     cached_bank,
     design_bank,
     fixed_in_step,
     fold_outputs,
     quantize_taps,
     resample,
+    resample_range,
     response,
 )
 from scfosim.signal import SampleGrid, Tone, ToneBankSignal, eval_tones, synth_signal
@@ -38,28 +41,24 @@ def stream_from(data, rate=Fraction(1000), **kw):
     return SampleStream(rate=Fraction(rate), epoch=Fraction(0), data=np.asarray(data, float), **kw)
 
 
-def fold_range(data, start, ratio, bank, lo, hi, in_step=None):
-    """Outputs lo .. hi-1 of the fold whose output 0 sits at ``start`` on the
-    grid of ``data`` (zeros before its sample 0), folded from exactly the
+def fold_range(data, start, ratio, bank, lo, hi, in_step=None, origin=0):
+    """Outputs lo .. hi-1 of the fold whose output 0 sits at ``start`` on an
+    input grid whose sample ``origin`` is data[0], folded from exactly the
     inputs they read: their first read pointer to their last plus the taps."""
     P, N = bank.phases, bank.taps_per_phase
     position = start + lo * ratio
     first = sample_index(position, P)
     end = sample_index(start + (hi - 1) * ratio, P) + N
-    pad = max(-first, 0)
-    x = np.concatenate([np.zeros(pad), data])[first + pad : end + pad]
-    assert len(x) == end - first  # data holds every window
-    return fold_outputs(x, first, position, ratio, bank, hi - lo, in_step)
+    assert origin <= first and end - origin <= len(data)  # data holds every window
+    return fold_outputs(data[first - origin : end - origin], first, position, ratio, bank, hi - lo, in_step)
 
 
 def resampled_error(sig, out):
-    """RMS and peak error of ``out``'s valid region against ``sig`` on its
-    exact output grid (timestamps absorb the group delay), in units of the
-    truth RMS, or absolute when the truth is silent."""
-    sl = out.valid_slice()
-    count = sl.stop - sl.start
-    truth = eval_tones(*sig.arrays(), SampleGrid(out.rate, sl.start, count, out.epoch))
-    err = out.data[sl] - truth
+    """RMS and peak error of ``out`` against ``sig`` on its exact output grid
+    (timestamps absorb the group delay), in units of the truth RMS, or
+    absolute when the truth is silent."""
+    truth = eval_tones(*sig.arrays(), SampleGrid(out.rate, 0, len(out), out.epoch))
+    err = out.data - truth
     ref = np.sqrt(np.mean(truth**2)) or 1.0
     return np.sqrt(np.mean(err**2)) / ref, np.max(np.abs(err), initial=0.0) / ref
 
@@ -226,18 +225,16 @@ class TestIdentityResampling:
         s = stream_from(rng.standard_normal(256))
         out = resample(s, Fraction(1000), bank)
         c = 4
-        sl = out.valid_slice()
-        expect = s.data[sl.start + c : sl.stop + c]
-        assert np.array_equal(out.data[sl], expect)
+        assert len(out) == 256 - 8
+        assert np.array_equal(out.data, s.data[c : len(out) + c])
 
     def test_even_bank_exact_identity_at_half_phase(self, bank_float):
         rng = np.random.default_rng(1)
-        s = stream_from(rng.standard_normal(512))
-        out = resample(s, Fraction(1000), bank_float, start_position=Fraction(-1, 2))
-        sl = out.valid_slice()
-        # phase -1/2 selects the pure-delta tap set: exact delay of 27 samples
-        expect = s.data[sl.start + 27 : sl.stop + 27]
-        assert np.array_equal(out.data[sl], expect)
+        x = rng.standard_normal(512)
+        # from position -1/2 every output selects the pure-delta tap set: an
+        # exact delay of 27 samples, over every window inside the 512 samples
+        out = fold_outputs(x, 0, Fraction(-1, 2), Fraction(1), bank_float, 512 - 55)
+        assert np.array_equal(out, x[27 : 27 + len(out)])
 
 
 class TestResampling:
@@ -246,8 +243,7 @@ class TestResampling:
         sig = ToneBankSignal(tones=(Tone(1.0, 300.0, 0.4),), band=(300.0, 300.0))
         s = sample(sig, f_a, 9000)
         out = resample(s, f_c, bank_float)
-        sl = out.valid_slice()
-        seg = out.data[sl][:8000]
+        seg = out.data[:8000]
         spec = np.abs(np.fft.rfft(seg * np.hanning(len(seg))))
         peak = np.argmax(spec) * float(f_c) / len(seg)
         assert abs(peak - 300.0) < 0.5  # absolute Hz, not 300*f_a/f_c
@@ -337,10 +333,12 @@ class TestResampling:
         in_step = 1 / 32 if fixed else None
         start, ratio = Fraction(-40, 3), Fraction(1001, 1000)
         K = sum(sizes)
-        data = np.random.default_rng(9).standard_normal(K + 200)
-        whole = fold_range(data, start, ratio, bank19, 0, K, in_step)
+        data = np.random.default_rng(9).standard_normal(K + 200)  # input samples -14 ..
+        whole = fold_range(data, start, ratio, bank19, 0, K, in_step, origin=-14)
         bounds = np.cumsum([0] + sizes)
-        pieces = [fold_range(data, start, ratio, bank19, lo, hi, in_step) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        pieces = [
+            fold_range(data, start, ratio, bank19, lo, hi, in_step, origin=-14) for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
         assert np.array_equal(np.concatenate(pieces), whole)
 
     @pytest.mark.parametrize(
@@ -387,34 +385,36 @@ class TestResampling:
 
     @pytest.mark.parametrize("step", [1, 7, None])
     def test_first_valid_output_does_not_depend_on_the_chunks(self, bank19, step):
-        # from -40/3 the first 13 outputs read before sample 0, and folds of
-        # ``step`` outputs give resample()'s outputs, those 13 included
-        data = np.random.default_rng(4).standard_normal(3000)
+        # from -40/3 the first 13 outputs read before sample 0, and output 13
+        # is the first whose window starts at sample 0 or later; folds of
+        # ``step`` outputs give the one fold's outputs, those 13 included
+        data = np.random.default_rng(4).standard_normal(3000)  # input samples -14 ..
         ratio, start = Fraction(1001, 1000), Fraction(-40, 3)
         positions = (start + k * ratio for k in range(100))
         first = next(k for k, p in enumerate(positions) if round(p * 1024) + 512 >= 0)
         assert first == 13
-        whole = resample(stream_from(data, rate=1001), Fraction(1000), bank19, start_position=start)
-        assert whole.valid_start == first
+        whole = fold_outputs(data, -14, start, ratio, bank19, 200)
+        n, _, _ = phase_run(start - ratio, ratio, bank19.phases, 200)
+        assert n[first - 1] < 0 <= n[first]
         step = step or 200
-        pieces = [fold_range(data, start, ratio, bank19, lo, lo + step) for lo in range(0, 200, step)]
-        assert np.array_equal(np.concatenate(pieces)[:200], whole.data[:200])
+        pieces = [fold_range(data, start, ratio, bank19, lo, lo + step, origin=-14) for lo in range(0, 200, step)]
+        assert np.array_equal(np.concatenate(pieces)[:200], whole)
 
     @pytest.mark.parametrize("fixed", [False, True])
     @pytest.mark.parametrize("ratio", [1 + Fraction(53, 50_000), 1 - Fraction(47, 50_000)])
-    # the first valid output in the first plan block, and past the second's start
+    # the first output to read sample 0 or later: in the first plan block, past the second's start
     @pytest.mark.parametrize("start", [Fraction(-40, 3), -PLAN_BLOCK - Fraction(301, 3)])
     def test_one_call_over_plan_blocks_matches_small_calls(self, bank19, fixed, ratio, start):
-        data = np.random.default_rng(6).standard_normal(3 * PLAN_BLOCK + 1_000)
-        stream = stream_from(data, rate=1000 * ratio)
-        whole = resample(stream, Fraction(1000), bank19, start_position=start, fixed_point=fixed)
-        K = len(whole.data)
-        assert K > 3 * PLAN_BLOCK  # the one fold plans four blocks
-        in_step = fixed_in_step(stream) if fixed else None
-        pieces = [fold_range(data, start, ratio, bank19, lo, min(lo + 5_000, K), in_step) for lo in range(0, K, 5_000)]
-        assert np.array_equal(np.concatenate(pieces), whole.data)
+        K = 3 * PLAN_BLOCK + 1_000  # the one fold plans four blocks
         n, _, _ = phase_run(start - ratio, ratio, bank19.phases, K)
-        assert whole.valid_start == int(np.searchsorted(n, 0))
+        assert n[0] < 0  # the first outputs read before sample 0
+        data = np.random.default_rng(6).standard_normal(n[-1] + 56 - n[0])  # input samples n[0] ..
+        in_step = fixed_in_step(stream_from(data)) if fixed else None
+        whole = fold_outputs(data, n[0], start, ratio, bank19, K, in_step)
+        pieces = [
+            fold_range(data, start, ratio, bank19, lo, min(lo + 5_000, K), in_step, origin=n[0]) for lo in range(0, K, 5_000)
+        ]
+        assert np.array_equal(np.concatenate(pieces), whole)
 
     def test_resample_peaks_near_its_output_bytes(self, bank19):
         # the fold reads the stream in place; only plan blocks sit beside the output
@@ -432,8 +432,7 @@ class TestResampling:
         s = sample(sig, Fraction(1001), 5000)
         out_f = resample(s, Fraction(1000), bank19)
         out_i = resample(s, Fraction(1000), bank19, fixed_point=True)
-        sl = out_f.valid_slice()
-        err = out_f.data[sl] - out_i.data[sl]
+        err = out_f.data - out_i.data
         assert np.sqrt(np.mean(err**2)) < 1e-2  # 8-bit word register grid
 
     def test_fixed_point_with_a_float_bank_raises(self, bank_float):
@@ -442,6 +441,67 @@ class TestResampling:
         s = stream_from(np.random.default_rng(2).standard_normal(200), rate=1001)
         with pytest.raises(ValueError, match="fixed-point path needs a quantized bank"):
             resample(s, Fraction(1000), bank_float, fixed_point=True)
+
+
+class TestResampleRange:
+    @pytest.mark.parametrize("ratio", [1 + Fraction(1, 10_000), 1 - Fraction(1, 10_000), Fraction(3, 5)])
+    def test_its_source_is_asked_for_exactly_the_inputs_its_outputs_read(self, bank19, ratio):
+        # blocks as the dual chain steps them: from output 72, 1,000 at a time;
+        # each asks once, from the read pointer of its first output to that
+        # of its last plus the taps
+        blocks = [(72, 1_000), (1_072, 1_000), (2_072, 1_000)]
+        calls = []
+
+        def source(lo, n):
+            calls.append((lo, n))
+            return np.zeros(n)
+
+        for first, count in blocks:
+            assert len(resample_range(source, ratio, bank19, first, count)) == count
+        want = []
+        for first, count in blocks:
+            n, _, _ = phase_run(aligned_start(bank19, ratio) + (first - 1) * ratio, ratio, bank19.phases, count)
+            want.append((n[0], n[-1] + 56 - n[0]))
+        assert calls == want
+
+    def test_outputs_that_read_negative_indices_are_exact_sums(self, bank19):
+        # at ratio 3/5 output 0 sits at 27.5 * (3/5 - 1) = -11 on the input
+        # grid; every output is the left fold of its taps over the source
+        # samples under its window, bit for bit
+        ratio, K = Fraction(3, 5), 300
+        rate = 1000 * ratio
+        tones = synth_signal(seed=6, n_tones=8, band=(50.0, 250.0)).arrays()
+        out = resample_range(lambda lo, n: eval_tones(*tones, SampleGrid(rate, lo, n)), ratio, bank19, 0, K)
+        n, lut, _ = phase_run(aligned_start(bank19, ratio) - ratio, ratio, bank19.phases, K)
+        assert n[0] == -11
+        x = eval_tones(*tones, SampleGrid(rate, n[0], n[-1] + 56 - n[0])).tolist()
+        for k in range(K):
+            taps, at = bank19.table[lut[k]].tolist(), n[k] - n[0]
+            acc = taps[0] * x[at]
+            for m in range(1, 56):
+                acc = acc + taps[m] * x[at + m]
+            assert out[k] == acc
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        ratio=st.sampled_from([Fraction(3, 5), Fraction(1001, 1000), Fraction(7, 5)]),
+        sizes=st.lists(
+            st.one_of(st.integers(1, 3), st.integers(FIR_TILE - 2, FIR_TILE + 3)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_folds_over_any_split_equal_one_fold(self, bank19, ratio, sizes):
+        data = np.random.default_rng(11).standard_normal(7_000)  # input samples -40 ..
+
+        def source(lo, n):
+            assert -40 <= lo and lo + n + 40 <= len(data)
+            return data[lo + 40 : lo + n + 40]
+
+        bounds = list(itertools.accumulate([0] + sizes))
+        whole = resample_range(source, ratio, bank19, 0, bounds[-1])
+        pieces = [resample_range(source, ratio, bank19, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(pieces), whole)
 
 
 class TestTransients:
@@ -453,11 +513,10 @@ class TestTransients:
         sig = synth_signal(seed=8, n_tones=10, band=(5_000.0, 44_000.0))
         s = sample(sig, f_a, 60_000)
         out = resample(s, f_c, bank_float)
-        sl = out.valid_slice()
-        truth = eval_tones(*sig.arrays(), SampleGrid(out.rate, sl.start, sl.stop - sl.start, out.epoch))
-        err = np.abs(out.data[sl] - truth)
-        n, _, _ = phase_run(Fraction(0), f_a / f_c, 1024, sl.stop)
-        events = np.flatnonzero(np.diff(n, prepend=0)[sl.start : sl.stop] != 1)
+        truth = eval_tones(*sig.arrays(), SampleGrid(out.rate, 0, len(out), out.epoch))
+        err = np.abs(out.data - truth)
+        n, _, _ = phase_run(Fraction(0), f_a / f_c, 1024, len(out))
+        events = np.flatnonzero(np.diff(n, prepend=0) != 1)
         mask = np.ones(len(err), bool)
         N = 56
         for e in events:
@@ -483,10 +542,9 @@ class TestAlignment:
         sig = synth_signal(seed=10, n_tones=12, band=(50.0, 400.0))
         s = sample(sig, f_a, 8000)
         out = resample(s, f_c, bank_float)
-        sl = out.valid_slice()
-        direct = sample(sig, f_c, len(out), epoch=out.epoch)
-        a = out.data[sl.start : sl.start + 4000]
-        b = direct.data[sl.start : sl.start + 4000]
+        direct = eval_tones(*sig.arrays(), SampleGrid(f_c, 0, len(out), out.epoch))
+        a = out.data[:4000]
+        b = direct[:4000]
         lags = np.arange(-5, 6)
         xc = [np.dot(a[5 + l : 3995 + l], b[5:3995]) for l in lags]
         assert lags[int(np.argmax(xc))] == 0

@@ -11,12 +11,11 @@ from scfosim import scenarios as scenarios_module
 from scfosim.chain import map_forked
 from scfosim.errors import BandZoneMismatch, ConfigInvalid, Infeasible, InsufficientSamples
 from scfosim.frontend import SampleStream, Zone, sample
-from scfosim.resampler import aligned_start, cached_bank, design_bank, resample
+from scfosim.resampler import cached_bank, design_bank, resample
 from scfosim.scenarios import (
     ZONE_BANDS,
     _correlated_pair,
     _desk_rates,
-    _outputs_holding,
     _peak_hz,
     _resampled_tone_streams,
     SCENARIOS,
@@ -39,13 +38,11 @@ def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
     f_c = Fraction(1_000_000)
     n_fft = 1 << 16
     bank = design_bank(56, 1024, 19)
-    n_out = _outputs_holding(RATES, Zone.ZONE1, f_c, bank, n_fft)
     no_sky = ToneBankSignal((), band=(0.05e6, 0.45e6))
-    streams = _resampled_tone_streams(RATES, Zone.ZONE1, f_c, bank, n_out, no_sky, clock_tone=(1.0, Fraction(3, 4)))
+    streams = _resampled_tone_streams(RATES, Zone.ZONE1, f_c, bank, n_fft, no_sky, clock_tone=(1.0, Fraction(3, 4)))
     peaks = []
     for s in streams:
-        seg = s.data[s.valid_start : s.valid_start + n_fft]
-        spec = np.abs(np.fft.rfft(seg * np.hanning(n_fft)))
+        spec = np.abs(np.fft.rfft(s.data * np.hanning(n_fft)))
         peaks.append(np.argmax(spec) * float(f_c) / n_fft)
     # the 3/4 f_a tones alias to 1/4 f_a: 1/4 of the 2120 Hz clock split
     assert result["delta_f"] == 530.0
@@ -53,11 +50,12 @@ def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
 
 
 def test_peak_reads_only_valid_samples():
-    tone = np.cos(2 * np.pi * 0.1 * np.arange(4096))
-    stream = SampleStream(rate=F_C, epoch=Fraction(0), data=tone, valid_start=100, valid_end=1100)
+    # the peak of the first n_fft samples: a 0.1 f_c tone, then a stronger 0.3 f_c one
+    k = np.arange(4096)
+    data = np.where(k < 1000, np.cos(2 * np.pi * 0.1 * k), 3 * np.cos(2 * np.pi * 0.3 * k))
+    stream = SampleStream(rate=F_C, epoch=Fraction(0), data=data)
     assert _peak_hz(stream, 1000, F_C) == pytest.approx(0.1 * float(F_C))
-    with pytest.raises(InsufficientSamples):
-        _peak_hz(stream, 1024, F_C)  # 24 samples past the valid end
+    assert _peak_hz(stream, 4096, F_C) == pytest.approx(0.3 * float(F_C), abs=float(F_C) / 4096)
 
 
 def test_map_forked_matches_serial_bit_for_bit(deadline):
@@ -65,8 +63,7 @@ def test_map_forked_matches_serial_bit_for_bit(deadline):
     bank = cached_bank(56, 1024, 19)
 
     def one(f_a):
-        start = aligned_start(bank, f_a / F_C)
-        return resample(sample(sky, f_a, 50_000), F_C, bank, start_position=start)
+        return resample(sample(sky, f_a, 50_000), F_C, bank)
 
     with deadline():
         forked = map_forked(one, RATES)
@@ -76,9 +73,7 @@ def test_map_forked_matches_serial_bit_for_bit(deadline):
     for got, want in zip(forked, serial):
         assert got.data.dtype == want.data.dtype
         assert np.array_equal(got.data, want.data)
-        assert (got.rate, got.epoch, got.valid_start, got.valid_end) == (
-            want.rate, want.epoch, want.valid_start, want.valid_end
-        )
+        assert (got.rate, got.epoch) == (want.rate, want.epoch)
 
 
 def zone_sky(zone):
@@ -90,25 +85,24 @@ def zone_sky(zone):
 
 @pytest.mark.parametrize("zone", [Zone.ZONE1, Zone.ZONE2], ids=["zone1", "zone2"])
 def test_correlated_pair_holds_its_window_and_little_more(zone):
+    # exactly the window: every sample of both streams is correlated
     bank = cached_bank(56, 1024, 19)
     rep, pair = _correlated_pair(RATES, zone, F_C, bank, 0.02, sky=zone_sky(zone))
-    lo = max(s.valid_start for s in pair)
-    hi = min(s.valid_end for s in pair)
-    assert rep.n_samples == 20_000
-    assert rep.start == lo
-    assert hi - (lo + rep.n_samples) in (0, 1)  # one more output may share the last window
+    assert (rep.start, rep.n_samples) == (0, 20_000)
+    assert [len(s) for s in pair] == [20_000, 20_000]
     assert abs(rep.rho) > 0.99
 
 
 @pytest.mark.parametrize("zone", [Zone.ZONE1, Zone.ZONE2], ids=["zone1", "zone2"])
 def test_a_shorter_stream_is_a_prefix_of_a_longer_one(zone):
-    # stopping the input early changes no valid sample, through the Zone-2 shift too
+    # stopping the input early changes no sample, through the Zone-2 shift too
     bank = cached_bank(56, 1024, 19)
     short = _resampled_tone_streams(RATES, zone, F_C, bank, 5_000, sky=zone_sky(zone))
     long = _resampled_tone_streams(RATES, zone, F_C, bank, 9_000, sky=zone_sky(zone))
     for s, l in zip(short, long):
-        assert s.valid_start == l.valid_start
-        assert np.array_equal(s.data[s.valid_slice()], l.data[s.valid_slice()])
+        assert (len(s), len(l)) == (5_000, 9_000)
+        assert s.epoch == l.epoch
+        assert np.array_equal(s.data, l.data[:5_000])
 
 
 @pytest.mark.parametrize("wrong", [1, 0], ids=["forked-antenna", "own-antenna"])
