@@ -24,16 +24,19 @@ falls in (see resampler._fir_rows).  Every sample value is therefore
 independent of ``chunk``; only the grouping of the correlators' partial sums
 follows it.
 
-A chain and its float twin meet only in the final loss, so each runs in its
-own process over both antennas: this process computes the chain and
-correlates its pair, and a forked child (``map_forked``) does the same for the
-float twin.  Both evaluate the source waveforms, so no sample crosses the
-fork; the child sends one message at the end (its total and per-segment rho
-and its Welch coherence), and each process computes half of the Welch
-spectra.  A chain and its twin give equal blocks, so each correlator adds
-the same arrays in the same order as a one-process run, and every result is
-the same.  Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1): a BLAS thread
-pool in each process oversubscribes the cores and takes the gain back.
+One sensitivity_loss experiment has four channels: each of its two chains
+and each chain's float twin, every channel over both antennas.  A channel
+meets the others only in the final losses, so run_channel computes one
+channel alone, and sensitivity_loss makes one fork over the four
+(``map_forked``): this process runs the first chain and the second chain's
+twin, and a forked child the first chain's twin and the second chain, so
+each process quantizes one chain.  Every channel evaluates its own source
+waveforms, so no sample crosses the fork; the child sends one message at the
+end (each channel's total and per-segment rho and its Welch coherence).
+Each channel adds the same arrays in the same order wherever it runs, so
+every result is that of a one-process run.  Pin BLAS to one thread
+(OPENBLAS_NUM_THREADS=1): a BLAS thread pool in each process oversubscribes
+the cores and takes the gain back.
 """
 
 from __future__ import annotations
@@ -45,12 +48,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .frontend import QuantizerSpec, quantize_array
-from .resampler import PASSBAND, cached_bank, resample_range
+from .resampler import PASSBAND, CoefficientBank, resample_range
 from .signal import SampleGrid, combine, eval_tones, synth_signal
 
 F_C = Fraction(1_000_000)  # the chains' common clock
 WELCH_NFFT = 1024  # samples per window of the per-frequency loss spectra
 WELCH_CAP = 1 << 20  # leading samples the loss spectra average over
+# The first output correlated, the same for every chain.  Every output reads
+# real samples (see resampler.resample_range), so none needs dropping; 72 is
+# kept so the outputs of the default runs hold.
+SKIP = 72
 
 
 @dataclass(frozen=True)
@@ -58,12 +65,9 @@ class ChainSpec:
     """One processing-chain recipe applied symmetrically to both antennas."""
 
     input_quant: QuantizerSpec | None = None
-    resample: bool = False
     offset: Fraction = Fraction(0)  # f_a = F_C*(1 +/- offset) when resampling
     out_quant: QuantizerSpec | None = None
-    bank_taps: int = 56
-    bank_phases: int = 1024
-    bank_bits: int | None = 19
+    bank: CoefficientBank | None = None  # None: sample at F_C, no resampling
 
 
 @dataclass(frozen=True)
@@ -77,16 +81,6 @@ class SignalModel:
 
     def noise_seed(self, antenna: int) -> int:
         return self.sky_seed * 1009 + 101 + antenna
-
-
-@dataclass
-class DualChainResult:
-    rho_float: float
-    loss: float
-    seg_losses: np.ndarray
-    freqs: np.ndarray
-    loss_per_freq: np.ndarray
-    n_samples: int
 
 
 class _SegmentedCorrelator:
@@ -239,32 +233,31 @@ def _send_results(send, fn, items):
         send.send((False, exc))
 
 
-def run_dual_chain(
+def run_channel(
     chain: ChainSpec,
     model: SignalModel,
     n_out: int,
+    twin: bool,
     segments: int = 64,
     chunk: int = 1 << 19,
-) -> DualChainResult:
-    """Run one chain and its float twin over two antennas at the common
-    clock F_C, with the sky and noise in the bank's PASSBAND; see ChainSpec."""
+):
+    """Correlate one chain's outputs over two antennas at the common clock
+    F_C, or its float twin's if ``twin``, with the sky and noise in the bank's
+    PASSBAND: the total and per-segment rho and the Welch coherence per
+    frequency."""
     nyq = float(F_C) / 2.0
     band = (PASSBAND[0] * nyq, PASSBAND[1] * nyq)
     sky = synth_signal(model.sky_seed, model.n_sky_tones, band, rms=1.0)
     noise_rms = float(np.sqrt(1.0 / model.snr))
     sigma_in = float(np.sqrt(1.0 + noise_rms**2))
+    blocks = [(k, min(chunk, SKIP + n_out - k)) for k in range(SKIP, SKIP + n_out, chunk)]
 
-    skip = chain.bank_taps + 16  # discard filter-edge outputs uniformly
-    blocks = [(k, min(chunk, skip + n_out - k)) for k in range(skip, skip + n_out, chunk)]
-
-    def antenna(i, twin):
-        """Yield antenna i's chain output (its float twin's if ``twin``), one
-        block of outputs at a time, each from exactly the source samples it
-        reads."""
+    def antenna(i):
+        """Yield antenna i's outputs, one block at a time, each from exactly
+        the source samples it reads."""
         noise = synth_signal(model.noise_seed(i), model.n_noise_tones, band, rms=noise_rms)
         sign = 1 if i == 0 else -1
-        ratio = 1 + sign * Fraction(chain.offset) if chain.resample else Fraction(1)
-        bank = cached_bank(chain.bank_taps, chain.bank_phases, chain.bank_bits) if chain.resample else None
+        ratio = 1 + sign * Fraction(chain.offset) if chain.bank is not None else Fraction(1)
         tones = combine(sky, noise).arrays()
 
         def source(lo, n):
@@ -276,36 +269,18 @@ def run_dual_chain(
             return out
 
         for k, m in blocks:
-            out = resample_range(source, ratio, bank, k, m) if chain.resample else source(k, m)
+            out = resample_range(source, ratio, chain.bank, k, m) if chain.bank is not None else source(k, m)
             if chain.out_quant is not None and not twin:
                 out = quantize_array(out, chain.out_quant, sigma_in)
             yield out
 
-    seg_len = max(n_out // segments, 1)
-
-    def channel(twin):
-        """Correlate the two antennas' chain (or float-twin) outputs: the
-        total and per-segment rho and the Welch coherence per frequency."""
-        corr, welch = _SegmentedCorrelator(seg_len), _WelchCross()
-        for a, b in zip(antenna(0, twin), antenna(1, twin)):
-            corr.add(a, b)
-            welch.add(a, b)
-            del a, b  # so each antenna's next block replaces its last, not joins it
-        sab, saa, sbb = welch.spectra()
-        return corr.rho_total(), corr.rho_segments(), np.abs(sab) / np.sqrt(saa * sbb)
-
-    # the chain here, its float twin in a forked child: no sample crosses over
-    (rho_c, seg_c, coh_c), (rho_f, seg_f, coh_f) = map_forked(channel, [False, True])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        loss_f = 1.0 - coh_c / coh_f
-    return DualChainResult(
-        rho_float=rho_f,
-        loss=1.0 - rho_c / rho_f,
-        seg_losses=1.0 - seg_c / seg_f,  # both channels fill the same segments
-        freqs=np.fft.rfftfreq(WELCH_NFFT, d=1.0 / float(F_C)),
-        loss_per_freq=loss_f,
-        n_samples=n_out,
-    )
+    corr, welch = _SegmentedCorrelator(max(n_out // segments, 1)), _WelchCross()
+    for a, b in zip(antenna(0), antenna(1)):
+        corr.add(a, b)
+        welch.add(a, b)
+        del a, b  # so each antenna's next block replaces its last, not joins it
+    sab, saa, sbb = welch.spectra()
+    return corr.rho_total(), corr.rho_segments(), np.abs(sab) / np.sqrt(saa * sbb)
 
 
 @dataclass
@@ -329,21 +304,33 @@ def sensitivity_loss(chain_a, chain_b, n: int, model, segments: int = 64) -> Sen
     isolates the quantization/resampling effects.  The reported standard error
     comes from per-segment loss differences.
     """
-    res_a = run_dual_chain(chain_a, model, n, segments=segments)
-    res_b = run_dual_chain(chain_b, model, n, segments=segments)
-    diff_segs = res_b.seg_losses - res_a.seg_losses
+    def channel(item):
+        chain, twin = item
+        return run_channel(chain, model, n, twin, segments)
+
+    # a's chain and b's twin here, a's twin and b's chain in a forked child,
+    # so each process quantizes one chain; no sample crosses over
+    channels = [(chain_a, False), (chain_a, True), (chain_b, True), (chain_b, False)]
+    a, a_twin, b_twin, b = map_forked(channel, channels)
+
+    def losses(chain, twin):
+        """1 - chain/twin of the total rho, each segment's rho and each
+        frequency's coherence."""
+        return [1.0 - c / f for c, f in zip(chain, twin)]
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # a frequency the twin has no power at
+        loss_a, seg_a, freq_a = losses(a, a_twin)
+        loss_b, seg_b, freq_b = losses(b, b_twin)
+    diff_segs = seg_b - seg_a  # both chains fill the same segments
     stderr = float(np.std(diff_segs, ddof=1) / np.sqrt(len(diff_segs)))
-    per_freq = [
-        (fa, la, lb)
-        for fa, la, lb in zip(res_a.freqs, res_a.loss_per_freq, res_b.loss_per_freq)
-    ]
+    freqs = np.fft.rfftfreq(WELCH_NFFT, d=1.0 / float(F_C))
     return SensitivityLossReport(
-        loss_a=res_a.loss,
-        loss_b=res_b.loss,
-        difference=res_b.loss - res_a.loss,
+        loss_a=loss_a,
+        loss_b=loss_b,
+        difference=loss_b - loss_a,
         stderr=stderr,
         n_samples=n,
-        per_freq=per_freq,
-        rho_float_a=res_a.rho_float,
-        rho_float_b=res_b.rho_float,
+        per_freq=list(zip(freqs, freq_a, freq_b)),
+        rho_float_a=a_twin[0],
+        rho_float_b=b_twin[0],
     )

@@ -205,6 +205,8 @@ def quantize(s: SampleStream, q: QuantizerSpec) -> SampleStream:
     if s.quant is not None:
         raise AlreadyQuantized(f"stream already {s.quant.value}-quantized")
     sigma = float(np.sqrt(np.mean(np.square(s.data))))
+    if sigma == 0.0:
+        raise ValueError("stream has zero RMS: no quantizer scale")
     return replace(
         s,
         data=quantize_array(s.data, q, sigma),

@@ -325,7 +325,10 @@ def fixed_in_step(stream: SampleStream) -> float:
         if stream.quant is QuantKind.Q8_UNIFORM:
             return stream.quant_scale / 2.0
         return stream.quant_scale / 32.0
-    return float(np.sqrt(np.mean(np.square(stream.data)))) / 32.0
+    rms = float(np.sqrt(np.mean(np.square(stream.data))))
+    if rms == 0.0:
+        raise ValueError("stream has zero RMS: no register grid")
+    return rms / 32.0
 
 
 def resample_range(source, ratio: Fraction, bank: CoefficientBank, first: int, count: int) -> np.ndarray:

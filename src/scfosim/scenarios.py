@@ -28,7 +28,9 @@ than one case forks over its cases (``chain.map_forked``): each process
 builds and correlates its own antenna pairs and sends back only the numbers
 the body reads, never a stream, whose pickling through the pipe would cost
 more than the fork saves.  scfo-off-control has one pair, so it forks over
-its two antennas instead (``_resampled_tone_streams``).  A map_forked call
+its two antennas instead (``_resampled_tone_streams``), and requant-loss
+forks once over its four chain channels (``chain.sensitivity_loss``), each a
+streamed pair that sends back only its correlations.  A map_forked call
 reached inside another runs in place, so at most two processes run, and
 every output byte is that of a run in one process.
 """
@@ -728,12 +730,9 @@ def _requant_loss(cfg, summary):
     blue = ChainSpec(input_quant=q4)
     red = ChainSpec(
         input_quant=q4,
-        resample=True,
         offset=_frac(cfg["offset_ratio"]),
         out_quant=QuantizerSpec(QuantKind.Q8_UNIFORM, float(cfg["q8_loading"])),
-        bank_taps=cfg["taps"],
-        bank_phases=cfg["phases"],
-        bank_bits=cfg["coeff_bits"],
+        bank=cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"]),  # designed before the fork
     )
     model = SignalModel(
         sky_seed=cfg["seed"],

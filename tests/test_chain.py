@@ -10,18 +10,20 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scfosim import chain as chain_module
-from scfosim.chain import ChainSpec, SignalModel, _WelchCross, run_dual_chain
+from scfosim.chain import SKIP, ChainSpec, SignalModel, _WelchCross, run_channel, sensitivity_loss
 from scfosim.errors import ConfigInvalid
 from scfosim.frontend import QuantKind, QuantizerSpec
+from scfosim.resampler import cached_bank
+from scfosim.scenarios import run_scenario
 
 Q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
 CHAINS = {
     "q4-direct": ChainSpec(input_quant=Q4),
     "q4-resample-q8": ChainSpec(
         input_quant=Q4,
-        resample=True,
         offset=Fraction(1, 10_000),
         out_quant=QuantizerSpec(QuantKind.Q8_UNIFORM, 0.5),
+        bank=cached_bank(56, 1024, 19),
     ),
 }
 
@@ -88,43 +90,62 @@ def test_welch_spectra_do_not_depend_on_the_adds(total, cap, size):
         assert np.array_equal(got, want)
 
 
-def test_chain_memory_does_not_grow_with_the_stream(monkeypatch):
-    # both channels run here, so tracemalloc sees every array of both
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+def test_chain_memory_does_not_grow_with_the_stream():
+    # a channel runs in this process, so tracemalloc sees every array of it
     chain = CHAINS["q4-resample-q8"]
-    run_dual_chain(chain, SignalModel(sky_seed=3), 4_096)  # the bank and caches, before either peak
+    run_channel(chain, SignalModel(sky_seed=3), 4_096, False)  # the caches, before either peak
     peaks = []
     for n_out in (1 << 17, 1 << 19):
         tracemalloc.start()
         try:
-            run_dual_chain(chain, SignalModel(sky_seed=3), n_out, chunk=1 << 14)
+            run_channel(chain, SignalModel(sky_seed=3), n_out, False, chunk=1 << 14)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
-def small_run(name):
-    # 20,000 outputs in 4,096-sample chunks: the stream spans several chunks
-    return run_dual_chain(CHAINS[name], SignalModel(sky_seed=3), 20_000, segments=8, chunk=4096)
+def small_loss():
+    # blue and red over 20,000 outputs in 8 segments
+    return sensitivity_loss(CHAINS["q4-direct"], CHAINS["q4-resample-q8"], 20_000, SignalModel(sky_seed=3), segments=8)
 
 
-@pytest.mark.parametrize("name", sorted(CHAINS))
-def test_forked_antenna_matches_the_serial_chain_bit_for_bit(name, monkeypatch, deadline):
+def test_forked_loss_matches_the_serial_loss_bit_for_bit(monkeypatch, deadline):
     with deadline():
-        forked = small_run(name)
+        forked = small_loss()
     assert not multiprocessing.active_children()
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    serial = small_run(name)
+    serial = small_loss()
     assert forked.n_samples == serial.n_samples == 20_000
     for f in fields(serial):
         got, want = getattr(forked, f.name), getattr(serial, f.name)
         assert np.array_equal(got, want, equal_nan=True), f.name
 
 
+def test_each_process_quantizes_one_chain(monkeypatch, tmp_path, deadline):
+    # this process runs blue's chain and red's twin, the child blue's twin and red's chain
+    log = tmp_path / "channels.log"
+    original = chain_module.run_channel
+
+    def logged(chain, model, n_out, twin, segments):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {'red' if chain.bank else 'blue'} {'twin' if twin else 'chain'}\n")
+        return original(chain, model, n_out, twin, segments)
+
+    monkeypatch.setattr(chain_module, "run_channel", logged)
+    with deadline():
+        small_loss()
+    runs = [line.split() for line in log.read_text().splitlines()]
+    here = str(os.getpid())
+    assert sorted((pid == here, color, what) for pid, color, what in runs) == [
+        (False, "blue", "twin"), (False, "red", "chain"), (True, "blue", "chain"), (True, "red", "twin"),
+    ]
+
+
 def fail_on(monkeypatch, in_child, action):
     """Run ``action`` before each source chunk's eval_tones in the forked child
-    (the float twin's channel) or in this process (the chain's channel)."""
+    (blue's twin and red's chain) or in this process (blue's chain and red's
+    twin)."""
     here = os.getpid()
     original = chain_module.eval_tones
 
@@ -140,10 +161,10 @@ def raise_config_invalid():
     raise ConfigInvalid("chunk", "rejected")
 
 
-def test_forked_antenna_error_reaches_the_caller_with_its_class(monkeypatch, deadline):
+def test_a_channel_error_in_the_child_reaches_the_caller_with_its_class(monkeypatch, deadline):
     fail_on(monkeypatch, in_child=True, action=raise_config_invalid)
     with deadline(), pytest.raises(ConfigInvalid, match="chunk: rejected"):
-        small_run("q4-resample-q8")
+        small_loss()
     assert not multiprocessing.active_children()
 
 
@@ -151,14 +172,14 @@ def test_error_before_the_first_read_still_ends_the_child(monkeypatch, deadline)
     # this process fails on its first chunk, before it reads the child's result
     fail_on(monkeypatch, in_child=False, action=raise_config_invalid)
     with deadline(), pytest.raises(ConfigInvalid):
-        small_run("q4-resample-q8")
+        small_loss()
     assert not multiprocessing.active_children()
 
 
-def test_forked_antenna_death_raises_eof(monkeypatch, deadline):
+def test_a_child_death_raises_eof(monkeypatch, deadline):
     fail_on(monkeypatch, in_child=True, action=lambda: os._exit(3))
     with deadline(), pytest.raises(EOFError):
-        small_run("q4-resample-q8")
+        small_loss()
     assert not multiprocessing.active_children()
 
 
@@ -169,36 +190,35 @@ def test_config_invalid_survives_pickling():
     assert str(exc) == "a: b"
 
 
+@pytest.mark.parametrize("twin", [False, True], ids=["chain", "twin"])
 @pytest.mark.parametrize("name", sorted(CHAINS))
-def test_a_run_inside_one_chunk_does_not_depend_on_the_chunk(name, deadline):
+def test_a_channel_inside_one_chunk_does_not_depend_on_the_chunk(name, twin):
     # 3,000 outputs: each source stops inside the first chunk of either size
-    with deadline():
-        runs = [
-            run_dual_chain(CHAINS[name], SignalModel(sky_seed=5), 3_000, segments=4, chunk=chunk)
-            for chunk in (4096, 1 << 19)
-        ]
-    for f in fields(runs[0]):
-        assert np.array_equal(getattr(runs[0], f.name), getattr(runs[1], f.name), equal_nan=True), f.name
+    runs = [
+        run_channel(CHAINS[name], SignalModel(sky_seed=5), 3_000, twin, segments=4, chunk=chunk)
+        for chunk in (4096, 1 << 19)
+    ]
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
-def test_antennas_whose_sources_stop_in_different_chunks(deadline):
+@pytest.mark.parametrize("twin", [False, True], ids=["chain", "twin"])
+def test_antennas_whose_sources_stop_in_different_chunks(twin):
     # at ratios 1.01 and 0.99 a block of 6,000 outputs reads about 6,060 and
     # 5,940 source samples, so the two antennas' source grids part block by
     # block; the samples do not depend on the blocks
     chain = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
-    with deadline():
-        split = run_dual_chain(chain, SignalModel(sky_seed=3), 20_000, segments=8, chunk=6_000)
-        whole = run_dual_chain(chain, SignalModel(sky_seed=3), 20_000, segments=8, chunk=1 << 19)
-    assert split.n_samples == 20_000
+    split = run_channel(chain, SignalModel(sky_seed=3), 20_000, twin, segments=8, chunk=6_000)
+    whole = run_channel(chain, SignalModel(sky_seed=3), 20_000, twin, segments=8, chunk=1 << 19)
     # the same samples; only the grouping of the correlators' sums differs
-    assert np.allclose(split.seg_losses, whole.seg_losses, rtol=0, atol=1e-12)
-    assert abs(split.loss - whole.loss) <= 1e-12
+    assert abs(split[0] - whole[0]) <= 1e-12
+    assert len(split[1]) == 8
+    assert np.allclose(split[1], whole[1], rtol=0, atol=1e-12)
+    assert np.allclose(split[2], whole[2], rtol=0, atol=1e-12)
 
 
 def record_calls(monkeypatch, name):
-    """Run both channels here and record the arguments of each call of the
-    chain module's ``name``."""
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    """Record the arguments of each call of the chain module's ``name``."""
     calls = []
     original = getattr(chain_module, name)
 
@@ -217,19 +237,18 @@ def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
     calls = record_calls(monkeypatch, "eval_tones")
     chain = CHAINS["q4-resample-q8"]
     n_out, chunk = 3_000, 1_000
-    run_dual_chain(chain, SignalModel(sky_seed=3), n_out, segments=4, chunk=chunk)
-    skip = chain.bank_taps + 16  # the edge outputs the chain discards
-    blocks = [(k, min(chunk, skip + n_out - k)) for k in range(skip, skip + n_out, chunk)]
+    run_channel(chain, SignalModel(sky_seed=3), n_out, False, segments=4, chunk=chunk)
+    blocks = [(k, min(chunk, SKIP + n_out - k)) for k in range(SKIP, SKIP + n_out, chunk)]
     assert [m for _, m in blocks] == [1_000, 1_000, 1_000]
     for ratio in (1 + chain.offset, 1 - chain.offset):
         mine = [g for *_, g in calls if g.rate == chain_module.F_C * ratio]
-        assert len(mine) == len(blocks) * 2  # the chain's channel, then its float twin's
-        assert all(abs(g.count - (999 * ratio + chain.bank_taps)) <= 1 for g in mine)
+        assert len(mine) == len(blocks)
+        assert all(abs(g.count - (999 * ratio + chain.bank.taps_per_phase)) <= 1 for g in mine)
     # without a resampler, a block's outputs are its source samples
     calls.clear()
-    run_dual_chain(CHAINS["q4-direct"], SignalModel(sky_seed=3), n_out, segments=4, chunk=chunk)
+    run_channel(CHAINS["q4-direct"], SignalModel(sky_seed=3), n_out, False, segments=4, chunk=chunk)
     pairs = [(chain_module.F_C, k, m) for k, m in blocks for _ in range(2)]  # antenna 0, then 1
-    assert [(g.rate, g.start, g.count) for *_, g in calls] == pairs * 2
+    assert [(g.rate, g.start, g.count) for *_, g in calls] == pairs
 
 
 def test_both_antennas_yield_equal_blocks(monkeypatch):
@@ -238,6 +257,19 @@ def test_both_antennas_yield_equal_blocks(monkeypatch):
     # although at ratios 1.01 and 0.99 the blocks read unequal source spans
     calls = record_calls(monkeypatch, "quantize_array")
     chain = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
-    run_dual_chain(chain, SignalModel(sky_seed=3), 2_500, segments=4, chunk=1_000)
+    run_channel(chain, SignalModel(sky_seed=3), 2_500, False, segments=4, chunk=1_000)
     q8 = [len(x) for x, spec, _ in calls if spec is chain.out_quant]
     assert q8 == [1_000, 1_000, 1_000, 1_000, 500, 500]
+
+
+def test_both_chains_start_at_output_72_whatever_the_taps(monkeypatch, tmp_path):
+    # the paired segment differences behind requant-loss's stderr pair the
+    # same outputs of blue and red only if both chains start at one output
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    sources = record_calls(monkeypatch, "eval_tones")
+    ranges = record_calls(monkeypatch, "resample_range")
+    run_scenario("requant-loss", {"samples": 4_096, "taps": 64}, out_dir=tmp_path)
+    blue = [g.start for *_, g in sources if g.rate == chain_module.F_C]
+    red = [first for _, _, _, first, _ in ranges]
+    assert blue == [72] * 4  # antennas 0 and 1, the chain and its twin
+    assert red == [72] * 4

@@ -213,6 +213,12 @@ class TestQuantize:
         with pytest.raises(AlreadyQuantized):
             quantize(q, QuantizerSpec(QuantKind.Q8_UNIFORM))
 
+    @pytest.mark.parametrize("kind", [QuantKind.Q4_OPTIMAL, QuantKind.Q8_UNIFORM])
+    def test_a_zero_rms_stream_is_rejected(self, kind):
+        # a silent stream has no level scale; quantizing it would write NaN samples
+        with pytest.raises(ValueError, match="zero RMS"):
+            quantize(self.make_stream(np.zeros(1000)), QuantizerSpec(kind))
+
     def test_q4_stream_holds_at_most_16_levels(self):
         def q4(data):
             return SampleStream(rate=Fraction(1000), epoch=Fraction(0), data=data, quant=QuantKind.Q4_OPTIMAL)

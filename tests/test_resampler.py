@@ -281,6 +281,11 @@ class TestResampling:
         rms, peak = resampled_error(sig, out)
         assert rms == 0.0 and peak == 0.0
 
+    def test_fixed_point_of_a_zero_rms_stream_is_rejected(self, bank19):
+        # a silent unquantized stream has no register grid to measure
+        with pytest.raises(ValueError, match="zero RMS"):
+            resample(stream_from(np.zeros(1000)), Fraction(1000), bank19, fixed_point=True)
+
     def test_guard_band_tone_reported_not_judged(self, bank_float):
         # beyond the passband edge the bank promises no accuracy, and the error shows it
         f_c, f_a = Fraction(1000), Fraction(1001)

@@ -179,6 +179,7 @@ CASE_FORKED = {
     "relaxed-antialias": {"T": 0.05},
     "zone2-shift": {"n_fft": 1 << 15, "segments": 8},
     "selfclock-washout": {"targets_dwt": [100.0], "windows": 4, "sky_T": 0.02},
+    "requant-loss": {"samples": 20_000},  # over its four chain channels
 }
 
 
@@ -215,9 +216,10 @@ def test_a_case_forked_scenario_writes_what_one_process_writes(name, monkeypatch
         # one window alone is correlated with no fork
         ("selfclock-washout", {"targets_dwt": [100.0], "windows": 1, "sky_T": 0.02}, 2),
         ("scfo-off-control", {"T": 0.05}, 1),  # its one pair's antennas
+        ("requant-loss", CASE_FORKED["requant-loss"], 1),  # its four chain channels
     ],
     ids=["zone1-vs-zone2-alias", "relaxed-antialias", "zone2-shift", "selfclock-washout",
-         "selfclock-washout-one-window", "scfo-off-control"],
+         "selfclock-washout-one-window", "scfo-off-control", "requant-loss"],
 )
 def test_no_more_than_two_scenario_processes_run(name, cfg, forks, monkeypatch, tmp_path, deadline):
     # every fork, in whichever process, logs who forked and how many children it had
