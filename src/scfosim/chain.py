@@ -1,42 +1,36 @@
-"""Streaming two-antenna processing chains for Monte-Carlo loss experiments.
+"""Two-antenna processing chains for Monte-Carlo loss experiments.
 
 A chain is sample -> (quantize) -> (resample) -> (requantize); its float
 twin runs on the identical float samples so the loss 1 - rho/rho_float
 isolates exactly the chain's quantization steps.  sensitivity_loss compares
 two chains by that loss, with a standard error from per-segment losses.
 
-Everything streams in blocks that count outputs: both antennas step through
-the same blocks of ``chunk`` common-clock outputs, so each block pairs
-equal arrays and memory follows the block, not the stream.  A resampling
-block is one resampler.resample_range call, which synthesizes and quantizes
-exactly the source samples its outputs read; no state passes from one block
-to the next.  The correlators hold per-segment sums and the Welch spectra
-hold one batch of segments (see _WelchCross), so the 1e8-sample runs the
-acceptance suite demands take the memory of a short one.
-
 Noise is modeled as dense random tone banks rather than RNG samples so the
 same underlying waveform exists on every antenna's (offset) sample grid.
 
-Blocking never changes a sample value: sources evaluate the exact-grid form of
-eval_tones, whose blocks are anchored at absolute sample indices, and each
-output is folded in the same strict tap order whatever the tile or block it
-falls in (see resampler._fir_rows).  Every sample value is therefore
-independent of ``chunk``; only the grouping of the correlators' partial sums
-follows it.
+Every output is a pure function of its index: sources evaluate the
+exact-grid form of eval_tones, whose blocks are anchored at absolute sample
+indices, and each resampled output is folded in the same strict tap order
+from exactly the inputs it reads (resampler.input_span, _fir_rows).  So the
+correlated outputs, from SKIP on, are cut into blocks of BLOCK outputs, and
+each block is an independent case of one map_forked call: this process runs
+the even blocks and a forked child the odd ones.  Per chain and antenna a
+block evaluates the source once and folds it twice, as float for the twin
+and quantized for the chain (_antenna_outputs).  It returns only sums
+(_block_sums): for each of the four channels, each chain and each chain's
+twin over both antennas, the (ab, aa, bb) sums of each piece of a
+correlation segment that it holds, and the Welch sums of each batch of
+WELCH_BATCH windows that starts inside it.  _correlation then adds each
+segment's pieces from zeros in output order and the batches in batch order.
+No sample crosses the fork, and memory follows the block, not the stream, so
+the 1e8-sample runs take the memory of a short one.
 
-One sensitivity_loss experiment has four channels: each of its two chains
-and each chain's float twin, every channel over both antennas.  A channel
-meets the others only in the final losses, so run_channel computes one
-channel alone, and sensitivity_loss makes one fork over the four
-(``map_forked``): this process runs the first chain and the second chain's
-twin, and a forked child the first chain's twin and the second chain, so
-each process quantizes one chain.  Every channel evaluates its own source
-waveforms, so no sample crosses the fork; the child sends one message at the
-end (each channel's total and per-segment rho and its Welch coherence).
-Each channel adds the same arrays in the same order wherever it runs, so
-every result is that of a one-process run.  Pin BLAS to one thread
-(OPENBLAS_NUM_THREADS=1): a BLAS thread pool in each process oversubscribes
-the cores and takes the gain back.
+BLOCK is a multiple of WELCH_STRIDE, so a block inside the Welch cap
+computes only the WELCH_NFFT - WELCH_NFFT/4 outputs past its end that its
+last batch's windows read.  The samples, and so the Welch spectra, do not
+depend on BLOCK; only the cut of a segment's sums into pieces does.  Pin
+BLAS to one thread (OPENBLAS_NUM_THREADS=1): a BLAS thread pool in each
+process oversubscribes the cores and takes the fork's gain back.
 """
 
 from __future__ import annotations
@@ -48,15 +42,20 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .frontend import QuantizerSpec, quantize_array
-from .resampler import PASSBAND, CoefficientBank, resample_range
+from .resampler import PASSBAND, CoefficientBank, fold_outputs, input_span
 from .signal import SampleGrid, combine, eval_tones, synth_signal
 
 F_C = Fraction(1_000_000)  # the chains' common clock
 WELCH_NFFT = 1024  # samples per window of the per-frequency loss spectra
 WELCH_CAP = 1 << 20  # leading samples the loss spectra average over
+WELCH_BATCH = 256  # windows per Welch transform; windows step by WELCH_NFFT/4
+WELCH_STRIDE = WELCH_BATCH * WELCH_NFFT // 4  # from one batch's first output to the next's
+# Outputs per block, a multiple of WELCH_STRIDE.  2^19 raised this process's
+# peak memory at 1e6 samples by a sixth, from 59 to 69 MB.
+BLOCK = 1 << 18
 # The first output correlated, the same for every chain.  Every output reads
-# real samples (see resampler.resample_range), so none needs dropping; 72 is
-# kept so the outputs of the default runs hold.
+# real samples (see resampler.input_span), so none needs dropping; 72 is kept
+# so the outputs of the default runs hold.
 SKIP = 72
 
 
@@ -81,104 +80,6 @@ class SignalModel:
 
     def noise_seed(self, antenna: int) -> int:
         return self.sky_seed * 1009 + 101 + antenna
-
-
-class _SegmentedCorrelator:
-    """Per-segment (sum ab, sum a^2, sum b^2) for stderr estimation."""
-
-    def __init__(self, seg_len: int):
-        self.seg_len = seg_len
-        self.segs = []
-        self._cur = np.zeros(3)
-        self._fill = 0
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        pos = 0
-        while pos < len(a):
-            take = min(self.seg_len - self._fill, len(a) - pos)
-            sa = a[pos : pos + take]
-            sb = b[pos : pos + take]
-            self._cur += (float(sa @ sb), float(sa @ sa), float(sb @ sb))
-            self._fill += take
-            pos += take
-            if self._fill == self.seg_len:
-                self.segs.append(self._cur)
-                self._cur = np.zeros(3)
-                self._fill = 0
-
-    def rho_total(self) -> float:
-        rows = np.array(self.segs if self._fill == 0 else self.segs + [self._cur])
-        sab, saa, sbb = rows.sum(axis=0)
-        return float(sab / np.sqrt(saa * sbb))
-
-    def rho_segments(self) -> np.ndarray:
-        rows = np.array(self.segs)
-        return rows[:, 0] / np.sqrt(rows[:, 1] * rows[:, 2])
-
-
-class _WelchCross:
-    """Averaged cross/auto spectra (hann, 75% overlap) over a leading cap.
-
-    The segments are transformed in batches of BATCH as their samples arrive,
-    through one buffer that holds a batch's samples of both antennas: add()
-    fills it, and each time it is full folds its BATCH segments into the
-    running sums and keeps only the 3/4-window overlap with the next batch;
-    spectra() folds the last, partial batch.  So memory is one batch, however
-    long the cap, and the batches are those of one pass over all the samples.
-    """
-
-    BATCH = 256
-
-    def __init__(self, nfft: int = WELCH_NFFT, cap: int = WELCH_CAP):
-        self.nfft = nfft
-        self.cap = cap
-        self._win = np.hanning(nfft)
-        self._seen = 0  # samples taken, at most cap
-        self._buf = np.empty((2, (self.BATCH - 1) * (nfft // 4) + nfft))
-        self._fill = 0
-        self._nseg = 0
-        self._sab = np.zeros(nfft // 2 + 1, dtype=np.complex128)
-        self._saa = np.zeros(nfft // 2 + 1)
-        self._sbb = np.zeros(nfft // 2 + 1)
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        take = max(min(self.cap - self._seen, len(a)), 0)
-        self._seen += take
-        span = self._buf.shape[1]
-        overlap = self.nfft - self.nfft // 4  # the next batch's first segment starts here
-        pos = 0
-        while pos < take:
-            k = min(span - self._fill, take - pos)
-            self._buf[0, self._fill : self._fill + k] = a[pos : pos + k]
-            self._buf[1, self._fill : self._fill + k] = b[pos : pos + k]
-            self._fill += k
-            pos += k
-            if self._fill == span:
-                self._fold()
-                self._buf[:, :overlap] = self._buf[:, span - overlap :]
-                self._fill = overlap
-
-    def _fold(self) -> None:
-        """Add every segment of the buffer's ``_fill`` samples to the sums."""
-        n, step = self.nfft, self.nfft // 4
-        if self._fill < n:
-            return
-        segs = sliding_window_view(self._buf[:, : self._fill], n, axis=1)[:, ::step]
-        fa = np.fft.rfft(segs[0] * self._win, axis=1)
-        fb = np.fft.rfft(segs[1] * self._win, axis=1)
-        self._saa += np.sum(np.abs(fa) ** 2, axis=0)
-        self._sbb += np.sum(np.abs(fb) ** 2, axis=0)
-        self._sab += np.sum(fa * np.conj(fb), axis=0)
-        self._nseg += len(fa)
-
-    def spectra(self):
-        """The averaged (S_ab, S_aa, S_bb) over every segment of the samples
-        taken; call after the last add()."""
-        self._fold()
-        self._fill = 0  # folded; a second call returns the same spectra
-        if self._nseg == 0:
-            raise ValueError(f"fewer than {self.nfft} samples: no Welch segment")
-        return self._sab / self._nseg, self._saa / self._nseg, self._sbb / self._nseg
 
 
 _forking = False  # whether a map_forked call is running in this process or its parent
@@ -233,54 +134,79 @@ def _send_results(send, fn, items):
         send.send((False, exc))
 
 
-def run_channel(
-    chain: ChainSpec,
-    model: SignalModel,
-    n_out: int,
-    twin: bool,
-    segments: int = 64,
-    chunk: int = 1 << 19,
-):
-    """Correlate one chain's outputs over two antennas at the common clock
-    F_C, or its float twin's if ``twin``, with the sky and noise in the bank's
-    PASSBAND: the total and per-segment rho and the Welch coherence per
-    frequency."""
-    nyq = float(F_C) / 2.0
-    band = (PASSBAND[0] * nyq, PASSBAND[1] * nyq)
-    sky = synth_signal(model.sky_seed, model.n_sky_tones, band, rms=1.0)
-    noise_rms = float(np.sqrt(1.0 / model.snr))
-    sigma_in = float(np.sqrt(1.0 + noise_rms**2))
-    blocks = [(k, min(chunk, SKIP + n_out - k)) for k in range(SKIP, SKIP + n_out, chunk)]
+def _batches(first: int, stop: int, welch_end: int) -> list[tuple[int, int]]:
+    """(start, end) of each Welch batch that starts among outputs first ..
+    stop-1 and holds a whole window of the leading welch_end outputs: its
+    windows are those of outputs start .. end-1."""
+    span = WELCH_STRIDE + WELCH_NFFT - WELCH_NFFT // 4
+    starts = range(-(-first // WELCH_STRIDE) * WELCH_STRIDE, min(stop, welch_end - WELCH_NFFT + 1), WELCH_STRIDE)
+    return [(start, min(start + span, welch_end)) for start in starts]
 
-    def antenna(i):
-        """Yield antenna i's outputs, one block at a time, each from exactly
-        the source samples it reads."""
-        noise = synth_signal(model.noise_seed(i), model.n_noise_tones, band, rms=noise_rms)
-        sign = 1 if i == 0 else -1
-        ratio = 1 + sign * Fraction(chain.offset) if chain.bank is not None else Fraction(1)
-        tones = combine(sky, noise).arrays()
 
-        def source(lo, n):
-            """Source samples lo .. lo+n-1 at the antenna's rate, Q4-quantized
-            unless ``twin``."""
-            out = eval_tones(*tones, SampleGrid(F_C * ratio, lo, n))
-            if chain.input_quant is not None and not twin:
-                out = quantize_array(out, chain.input_quant, sigma_in)
-            return out
+def _block_sums(a: np.ndarray, b: np.ndarray, first: int, m: int, seg_len: int, welch_end: int):
+    """One channel's sums over its outputs first .. first+m-1: ``a`` and
+    ``b`` hold both antennas' outputs from ``first`` to at least the end of
+    the block's last Welch batch (_batches).
 
-        for k, m in blocks:
-            out = resample_range(source, ratio, chain.bank, k, m) if chain.bank is not None else source(k, m)
-            if chain.out_quant is not None and not twin:
-                out = quantize_array(out, chain.out_quant, sigma_in)
-            yield out
+    Returns (pieces, batches): (segment, (ab, aa, bb)) for each run of the
+    outputs inside one correlation segment of seg_len outputs, and
+    (S_ab, S_aa, S_bb, windows) summed over the Hann windows of each batch.
+    """
+    cuts = [first, *range((first // seg_len + 1) * seg_len, first + m, seg_len), first + m]
+    pieces = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        sa, sb = a[lo - first : hi - first], b[lo - first : hi - first]
+        pieces.append((lo // seg_len, (float(sa @ sb), float(sa @ sa), float(sb @ sb))))
+    win = np.hanning(WELCH_NFFT)
+    batches = []
+    for start, end in _batches(first, first + m, welch_end):
+        fa, fb = (
+            np.fft.rfft(sliding_window_view(x[start - first : end - first], WELCH_NFFT)[:: WELCH_NFFT // 4] * win)
+            for x in (a, b)
+        )
+        sums = np.sum(fa * np.conj(fb), axis=0), np.sum(np.abs(fa) ** 2, axis=0), np.sum(np.abs(fb) ** 2, axis=0)
+        batches.append((*sums, len(fa)))
+    return pieces, batches
 
-    corr, welch = _SegmentedCorrelator(max(n_out // segments, 1)), _WelchCross()
-    for a, b in zip(antenna(0), antenna(1)):
-        corr.add(a, b)
-        welch.add(a, b)
-        del a, b  # so each antenna's next block replaces its last, not joins it
-    sab, saa, sbb = welch.spectra()
-    return corr.rho_total(), corr.rho_segments(), np.abs(sab) / np.sqrt(saa * sbb)
+
+def _correlation(sums, n_out: int, seg_len: int):
+    """The total rho, the rho of each whole segment and the Welch coherence
+    per frequency of one channel over n_out outputs, from its _block_sums in
+    block order: each segment's pieces are added from zeros in output order,
+    and the batches in batch order."""
+    rows = np.zeros((-(-n_out // seg_len), 3))
+    bins = WELCH_NFFT // 2 + 1
+    spectra = [np.zeros(bins, dtype=np.complex128), np.zeros(bins), np.zeros(bins)]
+    windows = 0
+    for pieces, batches in sums:
+        for seg, piece in pieces:
+            rows[seg] += piece
+        for *batch, count in batches:
+            for total, part in zip(spectra, batch):
+                total += part
+            windows += count
+    if windows == 0:
+        raise ValueError(f"fewer than {WELCH_NFFT} samples: no Welch segment")
+    sab, saa, sbb = (total / windows for total in spectra)
+    ab, aa, bb = rows.sum(axis=0)
+    whole = rows[: n_out // seg_len]
+    return ab / np.sqrt(aa * bb), whole[:, 0] / np.sqrt(whole[:, 1] * whole[:, 2]), np.abs(sab) / np.sqrt(saa * sbb)
+
+
+def _antenna_outputs(chain: ChainSpec, tones, ratio: Fraction, first: int, count: int, sigma: float):
+    """Outputs first .. first+count-1 of one antenna at ``ratio`` through
+    ``chain`` and through its float twin, from one evaluation of the
+    antenna's source tones over exactly the inputs those outputs read."""
+    if chain.bank is None:  # the outputs are the source samples
+        lo, n, fold = first, count, lambda x: x
+    else:
+        position, lo, n = input_span(ratio, chain.bank, first, count)
+        fold = lambda x: fold_outputs(x, lo, position, ratio, chain.bank, count)
+    source = eval_tones(*tones, SampleGrid(F_C * ratio, lo, n))
+    out = fold(source if chain.input_quant is None else quantize_array(source, chain.input_quant, sigma))
+    if chain.out_quant is not None:
+        out = quantize_array(out, chain.out_quant, sigma)
+    return out, fold(source)
 
 
 @dataclass
@@ -302,27 +228,48 @@ def sensitivity_loss(chain_a, chain_b, n: int, model, segments: int = 64) -> Sen
     per-antenna noise; each chain is compared against its own float twin
     running on the identical samples, so loss_x = 1 - rho_x/rho_float_x
     isolates the quantization/resampling effects.  The reported standard error
-    comes from per-segment loss differences.
+    comes from per-segment loss differences.  The n correlated outputs run in
+    blocks, forked as the module docstring says.
     """
-    def channel(item):
-        chain, twin = item
-        return run_channel(chain, model, n, twin, segments)
+    nyq = float(F_C) / 2.0
+    band = (PASSBAND[0] * nyq, PASSBAND[1] * nyq)
+    sky = synth_signal(model.sky_seed, model.n_sky_tones, band, rms=1.0)
+    noise_rms = float(np.sqrt(1.0 / model.snr))
+    sigma_in = float(np.sqrt(1.0 + noise_rms**2))
+    noise = [synth_signal(model.noise_seed(i), model.n_noise_tones, band, rms=noise_rms) for i in (0, 1)]
+    tones = [combine(sky, antenna_noise).arrays() for antenna_noise in noise]
+    seg_len = max(n // segments, 1)
+    welch_end = min(WELCH_CAP, n)
 
-    # a's chain and b's twin here, a's twin and b's chain in a forked child,
-    # so each process quantizes one chain; no sample crosses over
-    channels = [(chain_a, False), (chain_a, True), (chain_b, True), (chain_b, False)]
-    a, a_twin, b_twin, b = map_forked(channel, channels)
+    def chain_sums(chain, first, m, count):
+        """The _block_sums of ``chain`` and of its twin over one block."""
+        ratios = [1 + sign * Fraction(chain.offset) if chain.bank is not None else Fraction(1) for sign in (1, -1)]
+        (a, a_twin), (b, b_twin) = (
+            _antenna_outputs(chain, t, ratio, SKIP + first, count, sigma_in) for t, ratio in zip(tones, ratios)
+        )
+        return [_block_sums(x, y, first, m, seg_len, welch_end) for x, y in ((a, b), (a_twin, b_twin))]
+
+    def block(first):
+        """The four channels' sums over correlated outputs first ..
+        first+m-1: chain a, its twin, chain b, its twin."""
+        m = min(BLOCK, n - first)
+        count = max([m] + [end - first for _, end in _batches(first, first + m, welch_end)])
+        return chain_sums(chain_a, first, m, count) + chain_sums(chain_b, first, m, count)
+
+    blocks = map_forked(block, list(range(0, n, BLOCK)))
 
     def losses(chain, twin):
         """1 - chain/twin of the total rho, each segment's rho and each
         frequency's coherence."""
         return [1.0 - c / f for c, f in zip(chain, twin)]
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # a frequency the twin has no power at
+    # a twin with no power, in total or at a frequency, gives a NaN or infinite loss
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, a_twin, b, b_twin = (_correlation([sums[i] for sums in blocks], n, seg_len) for i in range(4))
         loss_a, seg_a, freq_a = losses(a, a_twin)
         loss_b, seg_b, freq_b = losses(b, b_twin)
-    diff_segs = seg_b - seg_a  # both chains fill the same segments
-    stderr = float(np.std(diff_segs, ddof=1) / np.sqrt(len(diff_segs)))
+        diff_segs = seg_b - seg_a  # both chains fill the same segments
+        stderr = float(np.std(diff_segs, ddof=1) / np.sqrt(len(diff_segs)))
     freqs = np.fft.rfftfreq(WELCH_NFFT, d=1.0 / float(F_C))
     return SensitivityLossReport(
         loss_a=loss_a,

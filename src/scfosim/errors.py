@@ -18,7 +18,8 @@ class ZeroDenominator(ScfoError):
 
 
 class RatioOutOfRange(ScfoError):
-    """Resampling ratio outside the +/-50% band the scheme assumes."""
+    """Resampling ratio outside the +/-50% band the scheme assumes, or with a
+    denominator too large for the int64 phase plan (rational.phase_run)."""
 
 
 # signal synthesis

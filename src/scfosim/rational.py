@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ZeroDenominator
+from .errors import RatioOutOfRange, ZeroDenominator
 
 
 def parse_rational(text: str) -> Fraction:
@@ -95,7 +95,8 @@ def phase_run(
     ratio.numerator * frac_width is even and 2 when it is odd, position
     j + lap*den has n larger by lap*num and the same lut.  So only the first
     min(count, lap*den) positions are computed; the rest repeat them.  Any
-    ratio works, negative and zero included.
+    ratio works, negative and zero included, whose plan fits int64 (see
+    _phase_plan).
     """
     lap = 1 if ratio.numerator * frac_width % 2 == 0 else 2
     period = lap * ratio.denominator
@@ -114,8 +115,10 @@ def _phase_plan(
 ) -> tuple[np.ndarray, np.ndarray, Fraction]:
     """phase_run computed position by position, without using the period.
 
-    Work is chunked so the int64 intermediates cannot overflow even for
-    extreme rational denominators.
+    Work is chunked so the int64 intermediates (numerators times P over the
+    common denominator of position and ratio) cannot overflow.  Where a chunk
+    of one position could overflow, because the common denominator plus the
+    ratio's step on it exceeds (2**63 - 1) / P, it raises RatioOutOfRange.
     """
     P = frac_width
     half = P // 2
@@ -131,10 +134,15 @@ def _phase_plan(
         fnum0 = base.numerator * (fden // base.denominator)
         whole, fnum0 = divmod(fnum0, fden)
         rnum = step_num * (fden // den)
-        # chunk so (fnum0 + (j+1)*rnum)*P stays well inside int64
-        limit = (1 << 62) // P
+        # chunk so every (fnum0 + j*rnum)*P, j <= chunk, stays inside int64
+        limit = ((1 << 63) - 1) // P
         max_j = (limit - fden) // max(abs(rnum), 1)
-        chunk = int(min(count - done, max(max_j, 1)))
+        if max_j < 1:
+            raise RatioOutOfRange(
+                f"position {base} and ratio {ratio} share the denominator {fden}: "
+                f"their phase plan on a 1/{P} grid overflows int64"
+            )
+        chunk = int(min(count - done, max_j))
         # numerators (fnum0 + j*rnum)*P over fden, rounded half-even in the
         # output slices: g and twice the remainder first, then n and lut
         a = np.arange(1, chunk + 1, dtype=np.int64)

@@ -29,10 +29,11 @@ builds and correlates its own antenna pairs and sends back only the numbers
 the body reads, never a stream, whose pickling through the pipe would cost
 more than the fork saves.  scfo-off-control has one pair, so it forks over
 its two antennas instead (``_resampled_tone_streams``), and requant-loss
-forks once over its four chain channels (``chain.sensitivity_loss``), each a
-streamed pair that sends back only its correlations.  A map_forked call
-reached inside another runs in place, so at most two processes run, and
-every output byte is that of a run in one process.
+forks over blocks of its correlated outputs (``chain.sensitivity_loss``):
+each block is a pure function of its output range and sends back only its
+correlation and Welch sums.  A map_forked call reached inside another runs
+in place, so at most two processes run, and every output byte is that of a
+run in one process.
 """
 
 from __future__ import annotations
@@ -637,6 +638,13 @@ def _zone2_shift(cfg, summary):
     f_c, bank = _clock_and_bank(cfg)
     scale = _frac(cfg["clock_tone_scale"])
     rates = _desk_rates(cfg)
+    # tone at scale*f_a samples to (1-scale)*f_a, then shifts by f_c - f_a
+    landing = [float(f_c - scale * f_a) for f_a in rates]
+    expected_sep = abs(landing[0] - landing[1])
+    bin_hz = float(f_c) / n_fft
+    if 0 < expected_sep <= 2 * bin_hz:  # the split check's tolerance would pass any measurement
+        raise ConfigInvalid("n_fft", f"{n_fft}; its {bin_hz:.1f} Hz bins cannot resolve the "
+                                     f"{expected_sep:.1f} Hz clock-tone split")
     band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
     seg_len = n_fft // segments
 
@@ -657,7 +665,6 @@ def _zone2_shift(cfg, summary):
     (peaks, phases), (cpeaks, _) = map_forked(measure, [(sky, None), (no_sky, (1.0, scale))])
 
     # sky tone peak bins must coincide
-    bin_hz = float(f_c) / n_fft
     expected = float(f_c) * (1.0 - cfg["sky_hz_frac"])
     summary.check(
         abs(peaks[0] - peaks[1]) <= bin_hz,
@@ -682,9 +689,6 @@ def _zone2_shift(cfg, summary):
     )
 
     # clock tones land apart by the offset difference times the rule scale
-    # tone at scale*f_a samples to (1-scale)*f_a, then shifts by f_c - f_a
-    landing = [float(f_c - scale * f_a) for f_a in rates]
-    expected_sep = abs(landing[0] - landing[1])
     measured_sep = abs(cpeaks[0] - cpeaks[1])
     summary.check(
         abs(measured_sep - expected_sep) <= 2 * bin_hz,
@@ -707,8 +711,10 @@ def _zone2_shift(cfg, summary):
     {
         "seed": (1, _integer(0)),
         "samples": (100_000_000, _integer(WELCH_NFFT)),
-        "offset_ratio": ("1/10000", (  # the red chain's ratios 1 +/- it stay inside (1/2, 3/2)
-            "rational", lambda q: abs(q) < Fraction(1, 2), "a rational in (-1/2, 1/2)")),
+        # the red chain's ratios 1 +/- it stay inside (1/2, 3/2), and its
+        # int64 phase plan (rational.phase_run) holds the denominator up to 2**26 phases
+        "offset_ratio": ("1/10000", ("rational", lambda q: abs(q) < Fraction(1, 2) and q.denominator <= 1 << 32,
+                                     "a rational in (-1/2, 1/2) with a denominator of at most 2**32")),
         "q4_loading": (1.0, POSITIVE),
         "q8_loading": (0.5, POSITIVE),
         "snr": (1.0, POSITIVE),

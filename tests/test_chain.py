@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import pickle
 import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -10,7 +11,21 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scfosim import chain as chain_module
-from scfosim.chain import SKIP, ChainSpec, SignalModel, _WelchCross, run_channel, sensitivity_loss
+from scfosim.chain import (
+    BLOCK,
+    F_C,
+    SKIP,
+    WELCH_BATCH,
+    WELCH_CAP,
+    WELCH_NFFT,
+    WELCH_STRIDE,
+    ChainSpec,
+    SignalModel,
+    _batches,
+    _block_sums,
+    _correlation,
+    sensitivity_loss,
+)
 from scfosim.errors import ConfigInvalid
 from scfosim.frontend import QuantKind, QuantizerSpec
 from scfosim.resampler import cached_bank
@@ -28,193 +43,163 @@ CHAINS = {
 }
 
 
+def correlate_in_blocks(a, b, block, cap, seg_len):
+    """_correlation of one channel whose outputs ``a`` and ``b`` are cut into
+    blocks of ``block`` outputs, each block's arrays reaching as far as its
+    Welch batches over the leading ``cap`` outputs read, the cut
+    sensitivity_loss makes."""
+    welch_end = min(cap, len(a))
+    sums = []
+    for first in range(0, len(a), block):
+        m = min(block, len(a) - first)
+        end = max([first + m] + [e for _, e in _batches(first, first + m, welch_end)])
+        sums.append(_block_sums(a[first:end], b[first:end], first, m, seg_len, welch_end))
+    return _correlation(sums, len(a), seg_len)
+
+
+def noisy_pair(total, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(total)
+    return a, 0.5 * a + rng.standard_normal(total)
+
+
+def coherence(sab, saa, sbb):
+    return np.abs(sab) / np.sqrt(saa * sbb)
+
+
+def test_a_block_is_whole_welch_batches():
+    # so a block inside the cap computes only the last window's 3/4 past its end
+    assert BLOCK % WELCH_STRIDE == 0
+    assert WELCH_CAP % BLOCK == 0
+    assert _batches(0, BLOCK, WELCH_CAP)[-1][1] == BLOCK + WELCH_NFFT - WELCH_NFFT // 4
+
+
 def test_welch_batches_change_only_rounding():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal(40_000)
-    b = 0.5 * a + rng.standard_normal(40_000)
-    # one-shot Welch average of the leading 30,000 samples
-    win = np.hanning(256)
-    fa = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(a[:30_000], 256)[::64] * win)
-    fb = np.fft.rfft(np.lib.stride_tricks.sliding_window_view(b[:30_000], 256)[::64] * win)
-    want = (np.mean(fa * np.conj(fb), axis=0), np.mean(abs(fa) ** 2, axis=0), np.mean(abs(fb) ** 2, axis=0))
-    assert len(fa) > _WelchCross.BATCH  # more than one batch
-    welch = _WelchCross(nfft=256, cap=30_000)
-    for lo in range(0, 40_000, 3_000):
-        welch.add(a[lo : lo + 3_000], b[lo : lo + 3_000])
-    for got, ref in zip(welch.spectra(), want):
-        assert np.allclose(got, ref, rtol=1e-12, atol=0)
+    a, b = noisy_pair(200_000, 3)
+    # one-shot Welch average of the leading 150,000 samples
+    win = np.hanning(WELCH_NFFT)
+    fa = np.fft.rfft(sliding_window_view(a[:150_000], WELCH_NFFT)[:: WELCH_NFFT // 4] * win)
+    fb = np.fft.rfft(sliding_window_view(b[:150_000], WELCH_NFFT)[:: WELCH_NFFT // 4] * win)
+    want = coherence(np.mean(fa * np.conj(fb), axis=0), np.mean(abs(fa) ** 2, axis=0), np.mean(abs(fb) ** 2, axis=0))
+    assert len(fa) > WELCH_BATCH  # more than one batch
+    _, _, got = correlate_in_blocks(a, b, 30_000, 150_000, 1_000)
+    assert np.allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_spectra_of_less_than_one_window_raise():
-    welch = _WelchCross(nfft=256, cap=30_000)
-    welch.add(np.ones(255), np.ones(255))
     with pytest.raises(ValueError, match="no Welch segment"):
-        welch.spectra()
+        correlate_in_blocks(np.ones(WELCH_NFFT - 1), np.ones(WELCH_NFFT - 1), BLOCK, WELCH_CAP, 100)
 
 
-def welch_one_pass(a, b, nfft, cap):
-    """The Welch sums of every segment of the leading ``cap`` samples, taken
-    in one pass over them all, BATCH segments per transform."""
-    n, step, win = nfft, nfft // 4, np.hanning(nfft)
+def welch_one_pass(a, b, cap):
+    """The Welch coherence of every window of the leading ``cap`` samples,
+    taken in one pass over them all, WELCH_BATCH windows per transform."""
+    n, step, win = WELCH_NFFT, WELCH_NFFT // 4, np.hanning(WELCH_NFFT)
     seg_a = sliding_window_view(a[:cap], n)[::step]
     seg_b = sliding_window_view(b[:cap], n)[::step]
     sab = np.zeros(n // 2 + 1, dtype=np.complex128)
     saa, sbb = np.zeros(n // 2 + 1), np.zeros(n // 2 + 1)
-    for lo in range(0, len(seg_a), _WelchCross.BATCH):
-        fa = np.fft.rfft(seg_a[lo : lo + _WelchCross.BATCH] * win, axis=1)
-        fb = np.fft.rfft(seg_b[lo : lo + _WelchCross.BATCH] * win, axis=1)
+    for lo in range(0, len(seg_a), WELCH_BATCH):
+        fa = np.fft.rfft(seg_a[lo : lo + WELCH_BATCH] * win, axis=1)
+        fb = np.fft.rfft(seg_b[lo : lo + WELCH_BATCH] * win, axis=1)
         sab += np.sum(fa * np.conj(fb), axis=0)
         saa += np.sum(np.abs(fa) ** 2, axis=0)
         sbb += np.sum(np.abs(fb) ** 2, axis=0)
-    return sab / len(seg_a), saa / len(seg_a), sbb / len(seg_a)
+    return coherence(sab / len(seg_a), saa / len(seg_a), sbb / len(seg_a))
 
 
 @pytest.mark.parametrize(
-    "total, cap, size",
+    "total, cap, block",
     [
-        (50_000, 40_000, 50_000),  # one add of everything, past the cap
-        (50_000, 40_000, 1),
-        (50_000, 40_000, 777),  # the cap falls inside an add
-        (50_000, 40_000, 3_000),
-        (5_000, 40_000, 777),  # fewer samples than one batch of segments
+        (200_000, 150_000, 200_000),  # one block of everything, past the cap
+        (200_000, 150_000, 777),
+        (200_000, 150_000, WELCH_STRIDE),  # each batch starts a block
+        (200_000, 150_000, 100_000),  # the cap falls inside a block
+        (200_000, 150_000, 3_000),
+        (5_000, 4_000, 1),
+        (5_000, 150_000, 777),  # fewer samples than one batch of windows
     ],
 )
-def test_welch_spectra_do_not_depend_on_the_adds(total, cap, size):
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal(total)
-    b = 0.5 * a + rng.standard_normal(total)
-    welch = _WelchCross(nfft=256, cap=cap)
-    for lo in range(0, total, size):
-        welch.add(a[lo : lo + size], b[lo : lo + size])
-    for got, want in zip(welch.spectra(), welch_one_pass(a, b, 256, cap)):
-        assert np.array_equal(got, want)
+def test_welch_spectra_do_not_depend_on_the_blocks(total, cap, block):
+    a, b = noisy_pair(total, 4)
+    _, _, got = correlate_in_blocks(a, b, block, cap, 1_000)
+    assert np.array_equal(got, welch_one_pass(a, b, cap))
 
 
-def test_chain_memory_does_not_grow_with_the_stream():
-    # a channel runs in this process, so tracemalloc sees every array of it
-    chain = CHAINS["q4-resample-q8"]
-    run_channel(chain, SignalModel(sky_seed=3), 4_096, False)  # the caches, before either peak
+@pytest.mark.parametrize("block", [3 * 1_250, 777, 200_000])
+def test_segment_sums_change_only_by_their_cut(block):
+    # 200,000 outputs in segments of 1,250 (the last 1,000 a partial one);
+    # a segment cut across blocks sums in pieces, one inside a block at once
+    a, b = noisy_pair(200_000, 5)
+    seg_len = 1_250
+    total, segs, _ = correlate_in_blocks(a, b, block, WELCH_CAP, seg_len)
+    pa, pb = a[: len(a) // seg_len * seg_len].reshape(-1, seg_len), b[: len(b) // seg_len * seg_len].reshape(-1, seg_len)
+    want = np.array([x @ y for x, y in zip(pa, pb)]) / np.sqrt(np.array([x @ x for x in pa]) * np.array([y @ y for y in pb]))
+    assert len(segs) == 160
+    assert np.allclose(segs, want, rtol=1e-12, atol=0)
+    if block % seg_len == 0:
+        assert np.array_equal(segs, want)
+    assert abs(total - (a @ b) / np.sqrt((a @ a) * (b @ b))) <= 1e-12
+
+
+def test_chain_memory_does_not_grow_with_the_stream(monkeypatch):
+    # every block runs in this process, so tracemalloc sees every array; the
+    # Welch batch sums grow up to the cap, here the shorter stream's length
+    serial(monkeypatch)
+    monkeypatch.setattr(chain_module, "BLOCK", WELCH_STRIDE)
+    monkeypatch.setattr(chain_module, "WELCH_CAP", 1 << 17)
+    chains = CHAINS["q4-direct"], CHAINS["q4-resample-q8"]
+    sensitivity_loss(*chains, 4_096, SignalModel(sky_seed=3))  # the caches, before either peak
     peaks = []
     for n_out in (1 << 17, 1 << 19):
         tracemalloc.start()
         try:
-            run_channel(chain, SignalModel(sky_seed=3), n_out, False, chunk=1 << 14)
+            sensitivity_loss(*chains, n_out, SignalModel(sky_seed=3))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
 
-def small_loss():
-    # blue and red over 20,000 outputs in 8 segments
-    return sensitivity_loss(CHAINS["q4-direct"], CHAINS["q4-resample-q8"], 20_000, SignalModel(sky_seed=3), segments=8)
+def small_loss(monkeypatch, n=20_000, block=1 << 13):
+    # blue and red over n outputs in 8 segments, in blocks of ``block``:
+    # three at the defaults, so the child runs the second
+    monkeypatch.setattr(chain_module, "BLOCK", block)
+    return sensitivity_loss(CHAINS["q4-direct"], CHAINS["q4-resample-q8"], n, SignalModel(sky_seed=3), segments=8)
+
+
+def serial(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
 
 
 def test_forked_loss_matches_the_serial_loss_bit_for_bit(monkeypatch, deadline):
     with deadline():
-        forked = small_loss()
+        forked = small_loss(monkeypatch)
     assert not multiprocessing.active_children()
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    serial = small_loss()
-    assert forked.n_samples == serial.n_samples == 20_000
-    for f in fields(serial):
-        got, want = getattr(forked, f.name), getattr(serial, f.name)
+    serial(monkeypatch)
+    one_process = small_loss(monkeypatch)
+    assert forked.n_samples == one_process.n_samples == 20_000
+    for f in fields(one_process):
+        got, want = getattr(forked, f.name), getattr(one_process, f.name)
         assert np.array_equal(got, want, equal_nan=True), f.name
 
 
-def test_each_process_quantizes_one_chain(monkeypatch, tmp_path, deadline):
-    # this process runs blue's chain and red's twin, the child blue's twin and red's chain
-    log = tmp_path / "channels.log"
-    original = chain_module.run_channel
-
-    def logged(chain, model, n_out, twin, segments):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()} {'red' if chain.bank else 'blue'} {'twin' if twin else 'chain'}\n")
-        return original(chain, model, n_out, twin, segments)
-
-    monkeypatch.setattr(chain_module, "run_channel", logged)
-    with deadline():
-        small_loss()
-    runs = [line.split() for line in log.read_text().splitlines()]
-    here = str(os.getpid())
-    assert sorted((pid == here, color, what) for pid, color, what in runs) == [
-        (False, "blue", "twin"), (False, "red", "chain"), (True, "blue", "chain"), (True, "red", "twin"),
-    ]
-
-
-def fail_on(monkeypatch, in_child, action):
-    """Run ``action`` before each source chunk's eval_tones in the forked child
-    (blue's twin and red's chain) or in this process (blue's chain and red's
-    twin)."""
-    here = os.getpid()
+def test_even_blocks_run_here_and_odd_blocks_in_the_child(monkeypatch, tmp_path, deadline):
+    # a direct source's first sample is its block's first output
+    log = tmp_path / "blocks.log"
     original = chain_module.eval_tones
 
-    def eval_tones(*args):
-        if (os.getpid() != here) == in_child:
-            action()
-        return original(*args)
+    def logged(amps, freqs, phases, grid):
+        if grid.rate == F_C:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {grid.start}\n")
+        return original(amps, freqs, phases, grid)
 
-    monkeypatch.setattr(chain_module, "eval_tones", eval_tones)
-
-
-def raise_config_invalid():
-    raise ConfigInvalid("chunk", "rejected")
-
-
-def test_a_channel_error_in_the_child_reaches_the_caller_with_its_class(monkeypatch, deadline):
-    fail_on(monkeypatch, in_child=True, action=raise_config_invalid)
-    with deadline(), pytest.raises(ConfigInvalid, match="chunk: rejected"):
-        small_loss()
-    assert not multiprocessing.active_children()
-
-
-def test_error_before_the_first_read_still_ends_the_child(monkeypatch, deadline):
-    # this process fails on its first chunk, before it reads the child's result
-    fail_on(monkeypatch, in_child=False, action=raise_config_invalid)
-    with deadline(), pytest.raises(ConfigInvalid):
-        small_loss()
-    assert not multiprocessing.active_children()
-
-
-def test_a_child_death_raises_eof(monkeypatch, deadline):
-    fail_on(monkeypatch, in_child=True, action=lambda: os._exit(3))
-    with deadline(), pytest.raises(EOFError):
-        small_loss()
-    assert not multiprocessing.active_children()
-
-
-def test_config_invalid_survives_pickling():
-    exc = pickle.loads(pickle.dumps(ConfigInvalid("a", "b")))
-    assert type(exc) is ConfigInvalid
-    assert exc.field == "a"
-    assert str(exc) == "a: b"
-
-
-@pytest.mark.parametrize("twin", [False, True], ids=["chain", "twin"])
-@pytest.mark.parametrize("name", sorted(CHAINS))
-def test_a_channel_inside_one_chunk_does_not_depend_on_the_chunk(name, twin):
-    # 3,000 outputs: each source stops inside the first chunk of either size
-    runs = [
-        run_channel(CHAINS[name], SignalModel(sky_seed=5), 3_000, twin, segments=4, chunk=chunk)
-        for chunk in (4096, 1 << 19)
-    ]
-    for got, want in zip(*runs):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("twin", [False, True], ids=["chain", "twin"])
-def test_antennas_whose_sources_stop_in_different_chunks(twin):
-    # at ratios 1.01 and 0.99 a block of 6,000 outputs reads about 6,060 and
-    # 5,940 source samples, so the two antennas' source grids part block by
-    # block; the samples do not depend on the blocks
-    chain = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
-    split = run_channel(chain, SignalModel(sky_seed=3), 20_000, twin, segments=8, chunk=6_000)
-    whole = run_channel(chain, SignalModel(sky_seed=3), 20_000, twin, segments=8, chunk=1 << 19)
-    # the same samples; only the grouping of the correlators' sums differs
-    assert abs(split[0] - whole[0]) <= 1e-12
-    assert len(split[1]) == 8
-    assert np.allclose(split[1], whole[1], rtol=0, atol=1e-12)
-    assert np.allclose(split[2], whole[2], rtol=0, atol=1e-12)
+    monkeypatch.setattr(chain_module, "eval_tones", logged)
+    with deadline():
+        small_loss(monkeypatch)
+    runs = Counter((pid == str(os.getpid()), int(start) - SKIP) for pid, start in map(str.split, log.read_text().splitlines()))
+    assert runs == {(True, 0): 2, (False, 1 << 13): 2, (True, 2 << 13): 2}  # both antennas of each block
 
 
 def record_calls(monkeypatch, name):
@@ -230,46 +215,122 @@ def record_calls(monkeypatch, name):
     return calls
 
 
-def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
-    # each block of outputs evaluates its source once, over the span
-    # resample_range asks for (test_resampler.py pins that span): about
-    # (m - 1) * ratio inputs plus the taps
+def test_one_source_evaluation_feeds_each_chain_and_its_twin(monkeypatch):
+    # per block and chain, one eval_tones call per antenna: blue's two at F_C,
+    # red's one at each antenna's rate
+    serial(monkeypatch)
     calls = record_calls(monkeypatch, "eval_tones")
-    chain = CHAINS["q4-resample-q8"]
-    n_out, chunk = 3_000, 1_000
-    run_channel(chain, SignalModel(sky_seed=3), n_out, False, segments=4, chunk=chunk)
-    blocks = [(k, min(chunk, SKIP + n_out - k)) for k in range(SKIP, SKIP + n_out, chunk)]
-    assert [m for _, m in blocks] == [1_000, 1_000, 1_000]
-    for ratio in (1 + chain.offset, 1 - chain.offset):
-        mine = [g for *_, g in calls if g.rate == chain_module.F_C * ratio]
+    red = CHAINS["q4-resample-q8"]
+    small_loss(monkeypatch, n=150_000, block=WELCH_STRIDE)
+    rates = {F_C: "blue", F_C * (1 + red.offset): "red 0", F_C * (1 - red.offset): "red 1"}
+    blocks = Counter(rates[g.rate] for *_, g in calls)
+    assert blocks == {"blue": 2 * 3, "red 0": 3, "red 1": 3}
+
+
+def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
+    # each block computes its own outputs, and inside the Welch cap the 768
+    # past its end that its last batch reads; a resampled source spans about
+    # (count - 1) * ratio inputs plus the taps (test_resampler.py pins it)
+    serial(monkeypatch)
+    calls = record_calls(monkeypatch, "eval_tones")
+    red = CHAINS["q4-resample-q8"]
+    small_loss(monkeypatch, n=150_000, block=WELCH_STRIDE)
+    blocks = [(0, WELCH_STRIDE + 768), (WELCH_STRIDE, WELCH_STRIDE + 768), (2 * WELCH_STRIDE, 150_000 - 2 * WELCH_STRIDE)]
+    assert [(g.start - SKIP, g.count) for *_, g in calls if g.rate == F_C] == [b for b in blocks for _ in range(2)]
+    for ratio in (1 + red.offset, 1 - red.offset):
+        mine = [g for *_, g in calls if g.rate == F_C * ratio]
         assert len(mine) == len(blocks)
-        assert all(abs(g.count - (999 * ratio + chain.bank.taps_per_phase)) <= 1 for g in mine)
-    # without a resampler, a block's outputs are its source samples
-    calls.clear()
-    run_channel(CHAINS["q4-direct"], SignalModel(sky_seed=3), n_out, False, segments=4, chunk=chunk)
-    pairs = [(chain_module.F_C, k, m) for k, m in blocks for _ in range(2)]  # antenna 0, then 1
-    assert [(g.rate, g.start, g.count) for *_, g in calls] == pairs
+        assert all(abs(g.count - ((count - 1) * ratio + red.bank.taps_per_phase)) <= 1 for g, (_, count) in zip(mine, blocks))
 
 
 def test_both_antennas_yield_equal_blocks(monkeypatch):
     # the chain's Q8 requantizer sees each block of antenna 0, then the same
-    # block of antenna 1: 2,500 outputs in blocks of 1,000, 1,000 and 500,
-    # although at ratios 1.01 and 0.99 the blocks read unequal source spans
+    # block of antenna 1: 2,500 outputs in blocks of 1,000, the first
+    # reaching to the end for its Welch batch, although at ratios 1.01 and
+    # 0.99 the blocks read unequal source spans
+    serial(monkeypatch)
     calls = record_calls(monkeypatch, "quantize_array")
-    chain = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
-    run_channel(chain, SignalModel(sky_seed=3), 2_500, False, segments=4, chunk=1_000)
-    q8 = [len(x) for x, spec, _ in calls if spec is chain.out_quant]
-    assert q8 == [1_000, 1_000, 1_000, 1_000, 500, 500]
+    monkeypatch.setattr(chain_module, "BLOCK", 1_000)
+    red = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
+    sensitivity_loss(CHAINS["q4-direct"], red, 2_500, SignalModel(sky_seed=3), segments=4)
+    q8 = [len(x) for x, spec, _ in calls if spec is red.out_quant]
+    assert q8 == [2_500, 2_500, 1_000, 1_000, 500, 500]
+
+
+@pytest.mark.parametrize("offset", [Fraction(1, 10_000), Fraction(1, 100)])
+def test_the_samples_do_not_depend_on_the_blocks(monkeypatch, offset):
+    # at ratios 1.01 and 0.99 a block of 6,000 outputs reads about 6,060 and
+    # 5,940 source samples, so the antennas' source grids part block by
+    # block; the Welch sums take whole batches of the same samples, and only
+    # the cut of the segments' sums follows the blocks
+    serial(monkeypatch)
+    red = replace(CHAINS["q4-resample-q8"], offset=offset)
+    runs = []
+    for block in (6_000, BLOCK):
+        monkeypatch.setattr(chain_module, "BLOCK", block)
+        runs.append(sensitivity_loss(CHAINS["q4-direct"], red, 20_000, SignalModel(sky_seed=3), segments=8))
+    split, whole = runs
+    assert np.array_equal(split.per_freq, whole.per_freq)
+    for name in ("loss_a", "loss_b", "stderr", "rho_float_a", "rho_float_b"):
+        assert abs(getattr(split, name) - getattr(whole, name)) <= 1e-12, name
+
+
+def fail_on(monkeypatch, in_child, action):
+    """Run ``action`` before each source evaluation in the forked child (the
+    odd blocks) or in this process (the even ones)."""
+    here = os.getpid()
+    original = chain_module.eval_tones
+
+    def eval_tones(*args):
+        if (os.getpid() != here) == in_child:
+            action()
+        return original(*args)
+
+    monkeypatch.setattr(chain_module, "eval_tones", eval_tones)
+
+
+def raise_config_invalid():
+    raise ConfigInvalid("block", "rejected")
+
+
+def test_a_block_error_in_the_child_reaches_the_caller_with_its_class(monkeypatch, deadline):
+    fail_on(monkeypatch, in_child=True, action=raise_config_invalid)
+    with deadline(), pytest.raises(ConfigInvalid, match="block: rejected"):
+        small_loss(monkeypatch)
+    assert not multiprocessing.active_children()
+
+
+def test_error_before_the_first_read_still_ends_the_child(monkeypatch, deadline):
+    # this process fails on its first block, before it reads the child's result
+    fail_on(monkeypatch, in_child=False, action=raise_config_invalid)
+    with deadline(), pytest.raises(ConfigInvalid):
+        small_loss(monkeypatch)
+    assert not multiprocessing.active_children()
+
+
+def test_a_child_death_raises_eof(monkeypatch, deadline):
+    fail_on(monkeypatch, in_child=True, action=lambda: os._exit(3))
+    with deadline(), pytest.raises(EOFError):
+        small_loss(monkeypatch)
+    assert not multiprocessing.active_children()
+
+
+def test_config_invalid_survives_pickling():
+    exc = pickle.loads(pickle.dumps(ConfigInvalid("a", "b")))
+    assert type(exc) is ConfigInvalid
+    assert exc.field == "a"
+    assert str(exc) == "a: b"
 
 
 def test_both_chains_start_at_output_72_whatever_the_taps(monkeypatch, tmp_path):
     # the paired segment differences behind requant-loss's stderr pair the
     # same outputs of blue and red only if both chains start at one output
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    serial(monkeypatch)
     sources = record_calls(monkeypatch, "eval_tones")
-    ranges = record_calls(monkeypatch, "resample_range")
+    spans = record_calls(monkeypatch, "input_span")
     run_scenario("requant-loss", {"samples": 4_096, "taps": 64}, out_dir=tmp_path)
-    blue = [g.start for *_, g in sources if g.rate == chain_module.F_C]
-    red = [first for _, _, _, first, _ in ranges]
-    assert blue == [72] * 4  # antennas 0 and 1, the chain and its twin
-    assert red == [72] * 4
+    blue = [g.start for *_, g in sources if g.rate == F_C]
+    red = [first for _, _, first, _ in spans]
+    assert blue == [72] * 2  # antennas 0 and 1, each chain with its twin
+    assert red == [72] * 2
+

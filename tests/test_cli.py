@@ -89,6 +89,7 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("scfo-off-control", '{"coeff_bits": 64}'),
         ("requant-loss", '{"offset_ratio": "1/2"}'),
         ("requant-loss", '{"offset_ratio": "-3/5"}'),
+        ("requant-loss", '{"samples": 20000, "segments": 4, "offset_ratio": "1/9007199254740991"}'),
         ("scfo-off-control", '{"clock_tone_amplitude": 0.0, "noise_rms": 0.0}'),
         ("relaxed-antialias", '{"probe_amplitude": 0.0}'),
         ("zone1-vs-zone2-alias", '{"probe_amplitude": 0.0}'),
@@ -121,6 +122,7 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("selfclock-washout", '{"targets_dwt": [1.0]}'),
         ("selfclock-washout", '{"targets_dwt": [2.0]}'),
         ("selfclock-washout", '{"targets_dwt": [1.0, 100.0]}'),
+        ("zone2-shift", '{"n_fft": 3, "segments": 3}'),
     ],
     ids=[
         "unknown-scenario", "unknown-field", "not-json", "not-an-object", "missing-file",
@@ -141,6 +143,7 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "washout-one-offset", "washout-three-offsets", "zone-probes-one-offset",
         "relaxed-one-offset", "zone2-shift-three-offsets", "requant-64-bit-taps",
         "control-64-bit-taps", "offset-ratio-half", "offset-ratio-below-minus-half",
+        "offset-ratio-past-the-int64-phase-plan",
         "control-no-clock-tone", "relaxed-no-probe", "zone-probes-no-probe",
         "washout-no-clock-tone", "washout-clock-tone-at-dc", "washout-equal-offsets",
         "sky-below-zone-2", "sky-above-zone-2", "washout-no-sky-time", "control-no-time",
@@ -152,7 +155,7 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "relaxed-probe-at-dc", "relaxed-negative-probe", "zone-probes-negative-decorrelated-max",
         "fewer-samples-than-segments", "zone2-clock-tone-at-dc", "zone2-clock-tone-in-zone-1",
         "target-before-the-envelope-regime", "target-at-the-envelope-regime-edge",
-        "one-target-before-the-envelope-regime",
+        "one-target-before-the-envelope-regime", "fft-bins-wider-than-the-clock-tone-split",
     ],
 )
 def test_usage_errors_exit_2(tmp_path, capsys, name, config):
@@ -190,6 +193,21 @@ def test_feasible_plans_near_the_float_limit_exit_0(tmp_path, config):
     n, step = config["n"], config["min_pairwise"]  # a whole number of resolutions
     rows = (tmp_path / "out" / "offset_plan.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[1]) for row in rows] == [(i - n // 2) * step for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [{"samples": 5000, "snr": 1e-300}, {"samples": 5000, "q8_loading": 1e-300}],
+    ids=["no-sky-power", "q8-step-near-zero"],
+)
+def test_powers_past_the_float_range_fail_their_checks_and_exit_0(tmp_path, config):
+    # a twin whose powers overflow has rho 0 or NaN: the losses read NaN
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "requant-loss", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "summary.txt").read_text().splitlines()[-1] == "FAIL overall"
+    header, row = (tmp_path / "out" / "requant_loss.csv").read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["difference"] == "nan"
 
 
 def test_bad_arguments_exit_2():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfosim.errors import ZeroDenominator
+from scfosim.errors import RatioOutOfRange, ZeroDenominator
 from scfosim.rational import count_outputs, parse_rational, phase_run, round_half_even, sample_index
 
 
@@ -186,6 +186,19 @@ class TestAccumulator:
         assert np.all(np.diff(n) >= 0)
         oracle, _ = brute_force_steps(ratio, 10, 1024)
         assert [l for _, l in oracle] == list(lut[:10])
+
+    @pytest.mark.parametrize("den", [2**51 - 1, 2**51 + 1, 2**52 - 1, 2**52 + 1, 2**53 - 1, 2**53 + 1])
+    def test_a_plan_past_int64_raises_instead_of_wrapping(self, den):
+        # from position -ratio the common denominator is den, and a plan on a
+        # 1/1024 grid fits int64 while den plus the step den + 1 is at most
+        # (2**63 - 1) / 1024; 1 + 1/(2**52 + 1) used to read n = [-4, 1, 2, 3, 4]
+        ratio = 1 + Fraction(1, den)
+        if den < 2**52:
+            n, lut, _ = phase_run(-ratio, ratio, 1024, 5)
+            assert (list(n), list(lut)) == grid_positions(-ratio, ratio, 5, 1024)
+        else:
+            with pytest.raises(RatioOutOfRange, match="overflows int64"):
+                phase_run(-ratio, ratio, 1024, 5)
 
 
 def grid_positions(start, ratio, count, frac_width):

@@ -204,7 +204,6 @@ def test_every_public_member_is_read_or_kept():
 KEEP_PARAMETERS = {
     "design_bank.passband": "tests design banks off the scenario spec",
     "design_bank.max_ripple_db": "tests design banks off the scenario spec",
-    "run_channel.chunk": "the block-invariance tests set the block length",
     "main.argv": "tests call main with an argument list",
 }
 

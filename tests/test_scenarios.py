@@ -179,7 +179,7 @@ CASE_FORKED = {
     "relaxed-antialias": {"T": 0.05},
     "zone2-shift": {"n_fft": 1 << 15, "segments": 8},
     "selfclock-washout": {"targets_dwt": [100.0], "windows": 4, "sky_T": 0.02},
-    "requant-loss": {"samples": 20_000},  # over its four chain channels
+    "requant-loss": {"samples": 300_000},  # over its two blocks of outputs
 }
 
 
@@ -216,7 +216,7 @@ def test_a_case_forked_scenario_writes_what_one_process_writes(name, monkeypatch
         # one window alone is correlated with no fork
         ("selfclock-washout", {"targets_dwt": [100.0], "windows": 1, "sky_T": 0.02}, 2),
         ("scfo-off-control", {"T": 0.05}, 1),  # its one pair's antennas
-        ("requant-loss", CASE_FORKED["requant-loss"], 1),  # its four chain channels
+        ("requant-loss", CASE_FORKED["requant-loss"], 1),  # its blocks of outputs
     ],
     ids=["zone1-vs-zone2-alias", "relaxed-antialias", "zone2-shift", "selfclock-washout",
          "selfclock-washout-one-window", "scfo-off-control", "requant-loss"],
