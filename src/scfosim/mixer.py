@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DesignInfeasible, StreamTooShort
 from .frontend import SampleStream
-from .rational import phase_run
+from .rational import phase_run, plan_period
 from .resampler import _kaiser_beta, _kaiser_window
 
 
@@ -29,6 +29,10 @@ HILBERT_TAPS = 127
 HILBERT_BAND = (0.05, 0.95)
 PHASE_LUT_BITS = 10
 LUT_WORD_BITS = 20
+# Samples per block of ssb_shift, at most: a block's analytic signal,
+# oscillator indices and oscillator stay near 1 MB each, whatever the
+# stream's length.
+MIX_BLOCK = 1 << 16
 
 
 def design_hilbert(n_taps: int, band: tuple[float, float]) -> dict:
@@ -110,7 +114,13 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     Only the samples that the whole Hilbert window covers come out, so the
     stream loses half the Hilbert length at each end.  Output sample i is
     input sample i + HILBERT_TAPS//2 (the S/H group delay is re-centered
-    away), and the epoch moves on by that many samples.
+    away), and the epoch moves on by that many samples.  The analytic signal,
+    the oscillator and the mix are computed a block of at most MIX_BLOCK
+    samples at a time, so only the output spans the stream.  The oscillator's
+    LUT indices repeat every rational.plan_period samples; when that period
+    fits in MIX_BLOCK, a block is a whole number of periods and every block
+    mixes with the first block's oscillator, and otherwise each block plans
+    its own from its exact phase.
     """
     if stream.is_complex:
         raise ValueError("ssb_shift expects a real input stream")
@@ -118,15 +128,22 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
         raise StreamTooShort(f"{len(stream)} samples fill no {HILBERT_TAPS}-tap Hilbert window")
     h = design_hilbert(HILBERT_TAPS, HILBERT_BAND)["h"]
     c = HILBERT_TAPS // 2
-    analytic = 1j * np.convolve(stream.data, h, mode="valid")
-    analytic += stream.data[c : len(stream) - c]
-
     table = quadrature_lut(PHASE_LUT_BITS, LUT_WORD_BITS)
     L = 1 << PHASE_LUT_BITS
     epoch = stream.epoch + c / stream.rate
     inc = Fraction(shift_hz) / stream.rate
-    idx = oscillator_indices(Fraction(shift_hz) * epoch, inc, PHASE_LUT_BITS, len(analytic))
-    osc = 1j * table[(idx - L // 4) % L]  # j sin
-    osc += table[idx]  # + cos; in place, as is the mix, to hold fewer full-length arrays
-    analytic *= osc
-    return SampleStream(rate=stream.rate, epoch=epoch, data=analytic)
+    period = plan_period(inc, L)
+    block = MIX_BLOCK // period * period or MIX_BLOCK
+    out = np.empty(len(stream) - 2 * c, dtype=np.complex128)
+    for lo in range(0, len(out), block):
+        hi = min(lo + block, len(out))
+        analytic = 1j * np.convolve(stream.data[lo : hi + 2 * c], h, mode="valid")
+        analytic += stream.data[lo + c : hi + c]
+        if lo == 0 or block % period:
+            idx = oscillator_indices(Fraction(shift_hz) * epoch + lo * inc, inc, PHASE_LUT_BITS, hi - lo)
+            osc = 1j * table[(idx - L // 4) % L]  # j sin
+            osc += table[idx]  # + cos
+        # not in place: numpy rounds a one-element complex product in place
+        # apart from the same product inside a longer array
+        np.multiply(analytic, osc[: hi - lo], out=out[lo:hi])
+    return SampleStream(rate=stream.rate, epoch=epoch, data=out)

@@ -18,8 +18,10 @@ delay, so a sample's time always names the analog instant it represents.
 
 So an output is a pure function of its position and the inputs under its
 window, and fold_outputs computes any range of outputs from exactly the
-inputs that range reads, with no state carried between calls.  Its one
-kernel, _fir_rows, computes each sum as the strict left fold
+inputs that range reads, with no state carried between calls.  It folds
+several inputs on one grid (the dual chain's quantized stream and its float
+twin) on one phase plan and one gather of tap rows.  Its one kernel,
+_fir_rows, computes each sum as the strict left fold
 ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, FIR_TILE outputs at a time:
 a tile's products h_m x_m are copied into a taps x outputs array, and one
 np.add.reduce over its tap axis adds row m after row m - 1.  Tiling changes
@@ -242,35 +244,40 @@ FIR_TILE = 512
 PLAN_BLOCK = 1 << 16
 
 
-def _fir_rows(buf: np.ndarray, rel: np.ndarray, table: np.ndarray, lut: np.ndarray, out=None) -> np.ndarray:
-    """Output j = sum_m table[lut[j], m] * buf[rel[j] + m], as a strict left fold,
-    written into ``out`` when given.
+def _fir_rows(bufs, rel: np.ndarray, table: np.ndarray, lut: np.ndarray, outs=None) -> list:
+    """Output j of each buffer in ``bufs``: sum_m table[lut[j], m] * buf[rel[j] + m],
+    as a strict left fold, written into the matching array of ``outs`` when
+    given.
 
-    The FIR kernel of fold_outputs, float and fixed point.  Outputs go in tiles
-    of FIR_TILE: the tile's windows are gathered into an outputs x taps
-    product and multiplied by their tap rows; the product is copied once into
-    a C-ordered taps x outputs array, and one np.add.reduce over its first
-    axis adds its contiguous rows in order, ((p_0 + p_1) + p_2) + ...  A
-    one-output tile has no outputs axis to run along, and numpy would sum its
-    lone column pairwise, so it is folded by np.add.accumulate, a left fold by
-    definition.  The order thus never depends on the tile or on how many
-    outputs a call yields, so float outputs are bit-identical however the
-    outputs are split; test_fir_rows_is_a_left_fold (every tile width numpy
-    treats apart) and the block tests pin it.
+    The FIR kernel of fold_outputs, float and fixed point.  The buffers share
+    the plan (rel, lut), and outputs go in tiles of FIR_TILE whose tap rows
+    are gathered once for all of them.  Per buffer, the tile's windows are
+    gathered into an outputs x taps product and multiplied by those rows; the
+    product is copied once into a C-ordered taps x outputs array, and one
+    np.add.reduce over its first axis adds its contiguous rows in order,
+    ((p_0 + p_1) + p_2) + ...  A one-output tile has no outputs axis to run
+    along, and numpy would sum its lone column pairwise, so it is folded by
+    np.add.accumulate, a left fold by definition.  The order thus never
+    depends on the tile, on how many outputs a call yields or on the other
+    buffers, so float outputs are bit-identical however the outputs are split
+    and whatever is folded beside them; test_fir_rows_is_a_left_fold (every
+    tile width numpy treats apart) and the block tests pin it.
     Integer inputs fold exactly in int64.
     """
-    wins = sliding_window_view(buf, table.shape[1])
-    if out is None:
-        out = np.empty(len(rel), dtype=np.result_type(buf, table))
+    wins = [sliding_window_view(buf, table.shape[1]) for buf in bufs]
+    if outs is None:
+        outs = [np.empty(len(rel), dtype=np.result_type(buf, table)) for buf in bufs]
     for lo in range(0, len(rel), FIR_TILE):
         hi = min(lo + FIR_TILE, len(rel))
-        prod = wins[rel[lo:hi]]
-        prod *= table[lut[lo:hi]]
-        if hi - lo == 1:
-            out[lo] = np.add.accumulate(prod[0])[-1]
-        else:
-            np.add.reduce(prod.T.copy(), axis=0, out=out[lo:hi])
-    return out
+        rows, at = table[lut[lo:hi]], rel[lo:hi]
+        for win, out in zip(wins, outs):
+            prod = win[at]
+            prod *= rows
+            if hi - lo == 1:
+                out[lo] = np.add.accumulate(prod[0])[-1]
+            else:
+                np.add.reduce(prod.T.copy(), axis=0, out=out[lo:hi])
+    return outs
 
 
 def aligned_start(bank: CoefficientBank, ratio: Fraction) -> Fraction:
@@ -280,24 +287,27 @@ def aligned_start(bank: CoefficientBank, ratio: Fraction) -> Fraction:
 
 
 def fold_outputs(
-    x: np.ndarray,
+    xs,
     first: int,
     position: Fraction,
     ratio: Fraction,
     bank: CoefficientBank,
     count: int,
     in_step: float | None = None,
-) -> np.ndarray:
+) -> list:
     """Outputs 0 .. count-1 at exact input-grid positions position + k*ratio,
-    folded from ``x``, whose x[0] is input sample ``first``.
+    folded from each input in ``xs``, a sequence of equal-length arrays whose
+    x[0] is input sample ``first``; one output array per input.
 
-    ``x`` must hold every window the outputs read: from the read pointer of
-    output 0 (rational.sample_index) to that of output count-1 plus the tap
-    count.  With ``in_step`` None the fold is float; given, inputs are
+    Each input must hold every window the outputs read: from the read pointer
+    of output 0 (rational.sample_index) to that of output count-1 plus the
+    tap count.  With ``in_step`` None the fold is float; given, inputs are
     rounded to integer multiples of in_step and folded exactly in int64
     against the bank's integer taps (the fixed-point path).  The outputs are
-    planned PLAN_BLOCK at a time, and only a block's inputs are rounded at
-    once.
+    planned PLAN_BLOCK at a time, one phase_run per block for all inputs, and
+    only a block's inputs are rounded at once.  The inputs share the plan and
+    the tap rows (_fir_rows), and each output is still its own strict left
+    fold, so an input's outputs are those of a fold of it alone, bit for bit.
     """
     ratio = Fraction(ratio)
     if not Fraction(1, 2) < ratio < Fraction(3, 2):
@@ -305,19 +315,21 @@ def fold_outputs(
     if in_step is not None and bank.table_int is None:
         raise ValueError("fixed-point path needs a quantized bank")
     N = bank.taps_per_phase
-    out = np.empty(count, dtype=np.float64)
+    outs = [np.empty(count, dtype=np.float64) for _ in xs]
     pos = Fraction(position) - ratio  # position before output 0
     for lo in range(0, count, PLAN_BLOCK):
         n, lut, pos = phase_run(pos, ratio, bank.phases, min(PLAN_BLOCK, count - lo))
-        buf = x[n[0] - first : n[-1] - first + N]
+        bufs = [x[n[0] - first : n[-1] - first + N] for x in xs]
         rel = n - n[0]
+        blocks = [out[lo : lo + len(n)] for out in outs]
         if in_step is None:
-            _fir_rows(buf, rel, bank.table, lut, out[lo : lo + len(n)])
+            _fir_rows(bufs, rel, bank.table, lut, blocks)
         else:
-            buf = np.rint(buf / in_step).astype(np.int64)
+            bufs = [np.rint(buf / in_step).astype(np.int64) for buf in bufs]
             scale = in_step / float(1 << (bank.coeff_bits - 1))
-            np.multiply(_fir_rows(buf, rel, bank.table_int, lut), scale, out=out[lo : lo + len(n)])
-    return out
+            for sums, block in zip(_fir_rows(bufs, rel, bank.table_int, lut), blocks):
+                np.multiply(sums, scale, out=block)
+    return outs
 
 
 def fixed_in_step(stream: SampleStream) -> float:
@@ -355,7 +367,8 @@ def resample_range(source, ratio: Fraction, bank: CoefficientBank, first: int, c
     outputs however it is split.
     """
     position, lo, n = input_span(ratio, bank, first, count)
-    return fold_outputs(source(lo, n), lo, position, ratio, bank, count)
+    (out,) = fold_outputs([source(lo, n)], lo, position, ratio, bank, count)
+    return out
 
 
 def resample(
@@ -377,5 +390,5 @@ def resample(
     ratio = Fraction(stream.rate) / Fraction(f_c)
     count = count_outputs(-ratio, ratio, bank.phases, len(stream) - N)
     in_step = fixed_in_step(stream) if fixed_point else None
-    data = fold_outputs(np.asarray(stream.data, dtype=np.float64), 0, Fraction(0), ratio, bank, count, in_step)
+    (data,) = fold_outputs([np.asarray(stream.data, dtype=np.float64)], 0, Fraction(0), ratio, bank, count, in_step)
     return SampleStream(rate=f_c, epoch=stream.epoch + Fraction(N - 1, 2) / stream.rate, data=data)

@@ -11,6 +11,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scfosim import chain as chain_module
+from scfosim import resampler as resampler_module
 from scfosim.chain import (
     BLOCK,
     F_C,
@@ -202,16 +203,16 @@ def test_even_blocks_run_here_and_odd_blocks_in_the_child(monkeypatch, tmp_path,
     assert runs == {(True, 0): 2, (False, 1 << 13): 2, (True, 2 << 13): 2}  # both antennas of each block
 
 
-def record_calls(monkeypatch, name):
-    """Record the arguments of each call of the chain module's ``name``."""
+def record_calls(monkeypatch, name, module=chain_module):
+    """Record the arguments of each call of ``module``'s ``name``."""
     calls = []
-    original = getattr(chain_module, name)
+    original = getattr(module, name)
 
     def recorded(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(chain_module, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return calls
 
 
@@ -224,7 +225,8 @@ def test_one_source_evaluation_feeds_each_chain_and_its_twin(monkeypatch):
     small_loss(monkeypatch, n=150_000, block=WELCH_STRIDE)
     rates = {F_C: "blue", F_C * (1 + red.offset): "red 0", F_C * (1 - red.offset): "red 1"}
     blocks = Counter(rates[g.rate] for *_, g in calls)
-    assert blocks == {"blue": 2 * 3, "red 0": 3, "red 1": 3}
+    count = -(-150_000 // WELCH_STRIDE)
+    assert blocks == {"blue": 2 * count, "red 0": count, "red 1": count}
 
 
 def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
@@ -235,12 +237,26 @@ def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
     calls = record_calls(monkeypatch, "eval_tones")
     red = CHAINS["q4-resample-q8"]
     small_loss(monkeypatch, n=150_000, block=WELCH_STRIDE)
-    blocks = [(0, WELCH_STRIDE + 768), (WELCH_STRIDE, WELCH_STRIDE + 768), (2 * WELCH_STRIDE, 150_000 - 2 * WELCH_STRIDE)]
+    last = 150_000 // WELCH_STRIDE * WELCH_STRIDE  # the last block's first output
+    assert 150_000 - last > 768  # its own batch ends at the last output
+    blocks = [(first, WELCH_STRIDE + 768) for first in range(0, last, WELCH_STRIDE)] + [(last, 150_000 - last)]
     assert [(g.start - SKIP, g.count) for *_, g in calls if g.rate == F_C] == [b for b in blocks for _ in range(2)]
     for ratio in (1 + red.offset, 1 - red.offset):
         mine = [g for *_, g in calls if g.rate == F_C * ratio]
         assert len(mine) == len(blocks)
         assert all(abs(g.count - ((count - 1) * ratio + red.bank.taps_per_phase)) <= 1 for g, (_, count) in zip(mine, blocks))
+
+
+def test_each_red_antenna_block_plans_once_per_plan_block(monkeypatch):
+    # the chain and its twin fold on one plan: per red antenna block one
+    # fold_outputs call, and one phase_run per PLAN_BLOCK of its outputs
+    serial(monkeypatch)
+    monkeypatch.setattr(resampler_module, "PLAN_BLOCK", 4_096)  # a block spans several
+    plans = record_calls(monkeypatch, "phase_run", resampler_module)
+    folds = record_calls(monkeypatch, "fold_outputs")
+    small_loss(monkeypatch, n=50_000, block=WELCH_STRIDE)
+    assert len(folds) == 2 * -(-50_000 // WELCH_STRIDE)
+    assert len(plans) == sum(-(-count // 4_096) for *_, count in folds) > len(folds)
 
 
 def test_both_antennas_yield_equal_blocks(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,11 @@ import pytest
 from scfosim.errors import DesignInfeasible, StreamTooShort
 from scfosim.frontend import SampleStream, Zone, sample
 from scfosim.mixer import (
+    HILBERT_BAND,
+    HILBERT_TAPS,
+    LUT_WORD_BITS,
+    MIX_BLOCK,
+    PHASE_LUT_BITS,
     design_hilbert,
     hilbert_response,
     image_rejection_db,
@@ -128,6 +134,41 @@ class TestSsbShift:
         late = ssb_shift(sample(sig, Fraction(1000), 3000, first=500), Fraction(-37, 3))
         assert late.epoch == whole.epoch + Fraction(500, 1000)
         assert np.array_equal(late.data, whole.data[500 : 500 + len(late)])
+
+    # oscillator periods of 3,000 and 1,000 samples, which blocks share, and
+    # of 101,000, longer than a block, so each block plans its own
+    @pytest.mark.parametrize("shift", [Fraction(-37, 3), Fraction(12_347), Fraction(12_347, 101)])
+    def test_each_output_is_the_same_whatever_the_cut(self, shift):
+        # a cut of the stream from sample s on, its epoch moved with it,
+        # shifts to the whole stream's outputs from s on, bit for bit:
+        # one-output cuts, and cuts that end one output into a block
+        rate = Fraction(1000)
+        data = np.random.default_rng(2).standard_normal(2 * MIX_BLOCK + 500)
+        whole = ssb_shift(SampleStream(rate=rate, epoch=Fraction(0), data=data), shift).data
+        # the blocks give the one-pass mix over the whole stream
+        c, L = HILBERT_TAPS // 2, 1 << PHASE_LUT_BITS
+        h, table = design_hilbert(HILBERT_TAPS, HILBERT_BAND)["h"], quadrature_lut(PHASE_LUT_BITS, LUT_WORD_BITS)
+        idx = oscillator_indices(shift * Fraction(c) / rate, shift / rate, PHASE_LUT_BITS, len(whole))
+        one_pass = (1j * np.convolve(data, h, mode="valid") + data[c:-c]) * (1j * table[(idx - L // 4) % L] + table[idx])
+        assert np.array_equal(whole, one_pass)
+        cuts = [(s, 1) for s in range(300)]
+        cuts += [(s, k) for s in (0, 7) for k in (MIX_BLOCK - 1, MIX_BLOCK + 1, 2 * MIX_BLOCK + 1)]
+        for s, k in cuts:
+            cut = SampleStream(rate=rate, epoch=s / rate, data=data[s : s + HILBERT_TAPS - 1 + k])
+            assert np.array_equal(ssb_shift(cut, shift).data, whole[s : s + k]), (s, k)
+
+    def test_ssb_shift_peaks_near_its_output_bytes(self):
+        # the analytic signal, the oscillator and the mix go a block at a
+        # time, so only the output spans the stream: the rest of the peak is
+        # a few MB whatever the stream's length
+        s = SampleStream(rate=Fraction(1000), epoch=Fraction(0), data=np.random.default_rng(1).standard_normal(1 << 20))
+        tracemalloc.start()
+        try:
+            out = ssb_shift(s, Fraction(-37, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.data.nbytes + (8 << 20)
 
     def test_stream_shorter_than_the_hilbert_window_raises(self):
         s, _ = tone_stream(100.0, 1000, 126)

@@ -50,7 +50,8 @@ def fold_range(data, start, ratio, bank, lo, hi, in_step=None, origin=0):
     first = sample_index(position, P)
     end = sample_index(start + (hi - 1) * ratio, P) + N
     assert origin <= first and end - origin <= len(data)  # data holds every window
-    return fold_outputs(data[first - origin : end - origin], first, position, ratio, bank, hi - lo, in_step)
+    (out,) = fold_outputs([data[first - origin : end - origin]], first, position, ratio, bank, hi - lo, in_step)
+    return out
 
 
 def resampled_error(sig, out):
@@ -233,7 +234,7 @@ class TestIdentityResampling:
         x = rng.standard_normal(512)
         # from position -1/2 every output selects the pure-delta tap set: an
         # exact delay of 27 samples, over every window inside the 512 samples
-        out = fold_outputs(x, 0, Fraction(-1, 2), Fraction(1), bank_float, 512 - 55)
+        out = fold_outputs([x], 0, Fraction(-1, 2), Fraction(1), bank_float, 512 - 55)[0]
         assert np.array_equal(out, x[27 : 27 + len(out)])
 
 
@@ -303,7 +304,7 @@ class TestResampling:
         # the scheme assumes offsets well inside +/-50%
         for ratio in (Fraction(1, 2), Fraction(3, 2)):
             with pytest.raises(RatioOutOfRange):
-                fold_outputs(np.zeros(200), 0, Fraction(0), ratio, bank19, 1)
+                fold_outputs([np.zeros(200)], 0, Fraction(0), ratio, bank19, 1)
             with pytest.raises(RatioOutOfRange):
                 resample(stream_from(np.zeros(1000), rate=1000 * ratio), Fraction(1000), bank19)
 
@@ -352,34 +353,57 @@ class TestResampling:
     )
     @pytest.mark.parametrize("fixed", [False, True])
     def test_fir_rows_is_a_left_fold(self, bank19, outputs, fixed):
+        # two buffers on one plan: each output of each is its own left fold
         rng = np.random.default_rng(outputs)
-        buf = rng.standard_normal(outputs + 200)
+        bufs = rng.standard_normal((2, outputs + 200))
         table = bank19.table
         if fixed:
-            buf = np.rint(buf * 32).astype(np.int64)
+            bufs = np.rint(bufs * 32).astype(np.int64)
             table = bank19.table_int
-        rel = np.sort(rng.integers(0, len(buf) - 56, outputs))
+        rel = np.sort(rng.integers(0, bufs.shape[1] - 56, outputs))
         lut = rng.integers(0, 1024, outputs)
-        got = _fir_rows(buf, rel, table, lut)
-        for j in range(outputs):
-            acc = buf[rel[j]] * table[lut[j], 0]
-            for m in range(1, 56):
-                acc = acc + buf[rel[j] + m] * table[lut[j], m]
-            assert got[j] == acc
+        got = _fir_rows(list(bufs), rel, table, lut)
+        assert len(got) == 2
+        for buf, out in zip(bufs, got):
+            for j in range(outputs):
+                acc = buf[rel[j]] * table[lut[j], 0]
+                for m in range(1, 56):
+                    acc = acc + buf[rel[j] + m] * table[lut[j], m]
+                assert out[j] == acc
 
     @pytest.mark.parametrize("outputs", [1, 2, FIR_TILE + 1])
     def test_fir_rows_order_decides_a_sum(self, outputs):
-        # a left fold loses every +1 to the 1e16 before -1e16 cancels it; a
-        # pairwise sum keeps some of them
+        # a left fold loses every +1 to the 1e16 before -1e16 cancels it, in
+        # either order of the two; a pairwise sum keeps some of them
         buf = np.ones(56)
         buf[0], buf[-1] = 1e16, -1e16
-        left = 0.0
-        for v in buf.tolist():
-            left = left + v
-        assert left == 0.0 and np.sum(buf) != left
+        bufs = [buf, buf[::-1].copy()]
+        lefts = []
+        for b in bufs:
+            left = 0.0
+            for v in b.tolist():
+                left = left + v
+            assert left == 0.0 and np.sum(b) != left
+            lefts.append(left)
         zeros = np.zeros(outputs, dtype=np.int64)
-        got = _fir_rows(buf, zeros, np.ones((1, 56)), zeros)
-        assert np.all(got == left)
+        got = _fir_rows(bufs, zeros, np.ones((1, 56)), zeros)
+        for out, left in zip(got, lefts):
+            assert np.all(out == left)
+
+    @pytest.mark.parametrize("fixed", [False, True])
+    @pytest.mark.parametrize("ratio", [1 + Fraction(53, 50_000), 1 - Fraction(47, 50_000)])  # skips, repeats
+    @pytest.mark.parametrize("count", [1, FIR_TILE - 1, FIR_TILE + 1, PLAN_BLOCK + 1])
+    def test_one_plan_folds_each_input_as_a_single_fold(self, bank19, fixed, ratio, count):
+        start = Fraction(-40, 3)
+        n, _, _ = phase_run(start - ratio, ratio, bank19.phases, count)
+        rng = np.random.default_rng(count)
+        a, b = rng.standard_normal((2, n[-1] + 56 - n[0]))  # input samples n[0] ..
+        in_step = fixed_in_step(stream_from(a)) if fixed else None
+        pair = fold_outputs([a, b], n[0], start, ratio, bank19, count, in_step)
+        singles = [fold_outputs([x], n[0], start, ratio, bank19, count, in_step)[0] for x in (a, b)]
+        assert len(pair) == 2
+        for got, want in zip(pair, singles):
+            assert len(got) == count and np.array_equal(got, want)
 
     def test_streaming_one_output_per_call(self, bank19):
         data = np.random.default_rng(8).standard_normal(3000)
@@ -398,7 +422,7 @@ class TestResampling:
         positions = (start + k * ratio for k in range(100))
         first = next(k for k, p in enumerate(positions) if round(p * 1024) + 512 >= 0)
         assert first == 13
-        whole = fold_outputs(data, -14, start, ratio, bank19, 200)
+        (whole,) = fold_outputs([data], -14, start, ratio, bank19, 200)
         n, _, _ = phase_run(start - ratio, ratio, bank19.phases, 200)
         assert n[first - 1] < 0 <= n[first]
         step = step or 200
@@ -415,7 +439,7 @@ class TestResampling:
         assert n[0] < 0  # the first outputs read before sample 0
         data = np.random.default_rng(6).standard_normal(n[-1] + 56 - n[0])  # input samples n[0] ..
         in_step = fixed_in_step(stream_from(data)) if fixed else None
-        whole = fold_outputs(data, n[0], start, ratio, bank19, K, in_step)
+        (whole,) = fold_outputs([data], n[0], start, ratio, bank19, K, in_step)
         pieces = [
             fold_range(data, start, ratio, bank19, lo, min(lo + 5_000, K), in_step, origin=n[0]) for lo in range(0, K, 5_000)
         ]
@@ -442,7 +466,7 @@ class TestResampling:
 
     def test_fixed_point_with_a_float_bank_raises(self, bank_float):
         with pytest.raises(ValueError, match="fixed-point path needs a quantized bank"):
-            fold_outputs(np.zeros(200), 0, Fraction(0), Fraction(1001, 1000), bank_float, 1, in_step=1 / 32)
+            fold_outputs([np.zeros(200)], 0, Fraction(0), Fraction(1001, 1000), bank_float, 1, in_step=1 / 32)
         s = stream_from(np.random.default_rng(2).standard_normal(200), rate=1001)
         with pytest.raises(ValueError, match="fixed-point path needs a quantized bank"):
             resample(s, Fraction(1000), bank_float, fixed_point=True)

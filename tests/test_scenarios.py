@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -256,6 +257,15 @@ def test_stream_scenario_passes_at_defaults_and_writes_numbers(name, tmp_path):
                 for column, cell in row.items():
                     if column not in LABEL_COLUMNS:
                         float(cell)  # raises on a cell such as np.float64(...)
+
+
+def test_requant_loss_past_the_float_range_warns_in_no_block(tmp_path, deadline):
+    # 300,000 outputs are two blocks, so one block runs in a forked child;
+    # their overflowing powers read as NaN losses, with no RuntimeWarning
+    with deadline(), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_scenario("requant-loss", {"samples": 300_000, "q8_loading": 1e-300}, out_dir=tmp_path)
+    assert (tmp_path / "summary.txt").read_text().splitlines()[-1] == "FAIL overall"
 
 
 def test_requant_loss_writes_its_verdicts_and_numbers(tmp_path):
