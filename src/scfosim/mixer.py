@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DesignInfeasible, StreamTooShort
 from .frontend import SampleStream
-from .rational import phase_run, plan_period
+from .rational import phase_run
 from .resampler import _kaiser_beta, _kaiser_window
 
 
@@ -116,11 +116,8 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     input sample i + HILBERT_TAPS//2 (the S/H group delay is re-centered
     away), and the epoch moves on by that many samples.  The analytic signal,
     the oscillator and the mix are computed a block of at most MIX_BLOCK
-    samples at a time, so only the output spans the stream.  The oscillator's
-    LUT indices repeat every rational.plan_period samples; when that period
-    fits in MIX_BLOCK, a block is a whole number of periods and every block
-    mixes with the first block's oscillator, and otherwise each block plans
-    its own from its exact phase.
+    samples at a time, so only the output spans the stream; each block plans
+    its own oscillator from its exact phase.
     """
     if stream.is_complex:
         raise ValueError("ssb_shift expects a real input stream")
@@ -132,18 +129,15 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     L = 1 << PHASE_LUT_BITS
     epoch = stream.epoch + c / stream.rate
     inc = Fraction(shift_hz) / stream.rate
-    period = plan_period(inc, L)
-    block = MIX_BLOCK // period * period or MIX_BLOCK
     out = np.empty(len(stream) - 2 * c, dtype=np.complex128)
-    for lo in range(0, len(out), block):
-        hi = min(lo + block, len(out))
+    for lo in range(0, len(out), MIX_BLOCK):
+        hi = min(lo + MIX_BLOCK, len(out))
         analytic = 1j * np.convolve(stream.data[lo : hi + 2 * c], h, mode="valid")
         analytic += stream.data[lo + c : hi + c]
-        if lo == 0 or block % period:
-            idx = oscillator_indices(Fraction(shift_hz) * epoch + lo * inc, inc, PHASE_LUT_BITS, hi - lo)
-            osc = 1j * table[(idx - L // 4) % L]  # j sin
-            osc += table[idx]  # + cos
+        idx = oscillator_indices(Fraction(shift_hz) * epoch + lo * inc, inc, PHASE_LUT_BITS, hi - lo)
+        osc = 1j * table[(idx - L // 4) % L]  # j sin
+        osc += table[idx]  # + cos
         # not in place: numpy rounds a one-element complex product in place
         # apart from the same product inside a longer array
-        np.multiply(analytic, osc[: hi - lo], out=out[lo:hi])
+        np.multiply(analytic, osc, out=out[lo:hi])
     return SampleStream(rate=stream.rate, epoch=epoch, data=out)

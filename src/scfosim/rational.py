@@ -81,14 +81,6 @@ def sample_index(position: Fraction, frac_width: int) -> int:
     return (g + frac_width // 2) // frac_width
 
 
-def plan_period(ratio: Fraction, frac_width: int) -> int:
-    """Steps after which the phase plan of ``ratio`` on the 1/frac_width grid
-    repeats its LUT indices: lap * den, with lap = 1 when ratio.numerator *
-    frac_width is even and 2 when it is odd (see the module docstring)."""
-    lap = 1 if ratio.numerator * frac_width % 2 == 0 else 2
-    return lap * ratio.denominator
-
-
 def phase_run(
     position: Fraction, ratio: Fraction, frac_width: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, Fraction]:
@@ -99,18 +91,20 @@ def phase_run(
     LUT index i stands for the fraction (i - P/2)/P of a sample past n, so a
     fraction of -1/2 addresses index 0, one just below +1/2 index P-1, and
     one within 1/(2P) of +1/2 folds onto index 0 of sample n + 1.
-    The plan is periodic (plan_period): position j + period has n larger by
-    period * ratio, a whole number, and the same lut.  So only the first
-    min(count, period) positions are computed; the rest repeat them.  Any
+    The plan is periodic (see the module docstring): with lap = 1 when
+    ratio.numerator * frac_width is even and 2 when it is odd, position
+    j + lap*den has n larger by lap*num and the same lut.  So only the first
+    min(count, lap*den) positions are computed; the rest repeat them.  Any
     ratio works, negative and zero included, whose plan fits int64 (see
     _phase_plan).
     """
-    period = plan_period(ratio, frac_width)
+    lap = 1 if ratio.numerator * frac_width % 2 == 0 else 2
+    period = lap * ratio.denominator
     if count <= period:
         return _phase_plan(position, ratio, frac_width, count)
     n_head, lut_head, _ = _phase_plan(position, ratio, frac_width, period)
     reps = -(-count // period)
-    shift = int(period * ratio) * np.arange(reps, dtype=np.int64)
+    shift = lap * ratio.numerator * np.arange(reps, dtype=np.int64)
     n = (n_head + shift[:, None]).ravel()[:count]
     lut = np.tile(lut_head, reps)[:count]
     return n, lut, Fraction(position) + count * ratio

@@ -135,8 +135,8 @@ class TestSsbShift:
         assert late.epoch == whole.epoch + Fraction(500, 1000)
         assert np.array_equal(late.data, whole.data[500 : 500 + len(late)])
 
-    # oscillator periods of 3,000 and 1,000 samples, which blocks share, and
-    # of 101,000, longer than a block, so each block plans its own
+    # oscillator periods of 3,000 and 1,000 samples, shorter than a block,
+    # and of 101,000, longer than one
     @pytest.mark.parametrize("shift", [Fraction(-37, 3), Fraction(12_347), Fraction(12_347, 101)])
     def test_each_output_is_the_same_whatever_the_cut(self, shift):
         # a cut of the stream from sample s on, its epoch moved with it,
