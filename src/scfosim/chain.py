@@ -5,18 +5,19 @@ twin runs on the identical float samples so the loss 1 - rho/rho_float
 isolates exactly the chain's quantization steps.  sensitivity_loss compares
 two chains by that loss, with a standard error from per-segment losses.
 
-Noise is modeled as dense random tone banks rather than RNG samples so the
-same underlying waveform exists on every antenna's (offset) sample grid.
+An antenna is its tone bank (signal.ToneBankSignal): noise is modeled as
+dense random tone banks rather than RNG samples so the same underlying
+waveform exists on every antenna's (offset) sample grid.
 
 Every output is a pure function of its index: sources evaluate the
 exact-grid form of eval_tones, whose blocks are anchored at absolute sample
 indices, and each resampled output is folded in the same strict tap order
-from exactly the inputs it reads (resampler.input_span, _fir_rows).  So the
-correlated outputs, from SKIP on, are cut into blocks of BLOCK outputs, and
-each block is an independent case of one map_forked call: this process runs
-the even blocks and a forked child the odd ones.  Per chain and antenna a
-block evaluates the source once and folds the quantized stream and its
-float twin in one fold_outputs call, on one phase plan (_antenna_outputs).
+from exactly the inputs it reads (resampler.resample_range, _fir_rows).  So
+the correlated outputs, from SKIP on, are cut into blocks of BLOCK outputs,
+and each block is an independent case of one map_forked call: this process
+runs the even blocks and a forked child the odd ones.  Per chain and antenna
+a block evaluates the source once and folds the quantized stream and its
+float twin in one resample_range call, on one phase plan (_antenna_outputs).
 It returns only sums (_block_sums): for each of the four channels, each
 chain and each chain's twin over both antennas, the (ab, aa, bb) sums of
 each piece of a correlation segment that it holds, and the Welch sums of
@@ -43,8 +44,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .frontend import QuantizerSpec, quantize_array
-from .resampler import PASSBAND, CoefficientBank, fold_outputs, input_span
-from .signal import SampleGrid, combine, eval_tones, synth_signal
+from .resampler import CoefficientBank, resample_range
+from .signal import SampleGrid, eval_tones
 
 F_C = Fraction(1_000_000)  # the chains' common clock
 WELCH_NFFT = 1024  # samples per window of the per-frequency loss spectra
@@ -58,8 +59,8 @@ WELCH_STRIDE = WELCH_BATCH * WELCH_NFFT // 4  # from one batch's first output to
 # peak memory at 1e6 samples by a sixth, from 59 to 69 MB.
 BLOCK = 1 << 18
 # The first output correlated, the same for every chain.  Every output reads
-# real samples (see resampler.input_span), so none needs dropping; 72 is kept
-# so the outputs of the default runs hold.
+# real samples (see resampler.resample_range), so none needs dropping; 72 is
+# kept so the outputs of the default runs hold.
 SKIP = 72
 
 
@@ -71,19 +72,6 @@ class ChainSpec:
     offset: Fraction = Fraction(0)  # f_a = F_C*(1 +/- offset) when resampling
     out_quant: QuantizerSpec | None = None
     bank: CoefficientBank | None = None  # None: sample at F_C, no resampling
-
-
-@dataclass(frozen=True)
-class SignalModel:
-    """Shared sky plus independent per-antenna noise, all analytic tones."""
-
-    sky_seed: int = 1
-    n_sky_tones: int = 16
-    n_noise_tones: int = 16
-    snr: float = 1.0  # sky power over noise power per antenna
-
-    def noise_seed(self, antenna: int) -> int:
-        return self.sky_seed * 1009 + 101 + antenna
 
 
 _forking = False  # whether a map_forked call is running in this process or its parent
@@ -202,16 +190,16 @@ def _antenna_outputs(chain: ChainSpec, tones, ratio: Fraction, first: int, count
     ``chain`` and through its float twin, from one evaluation of the
     antenna's source tones over exactly the inputs those outputs read; a
     resampling chain folds both on one plan."""
+
+    def source(lo, n):
+        """The source samples lo .. lo+n-1 into the chain, and into its twin."""
+        x = eval_tones(*tones, SampleGrid(F_C * ratio, lo, n))
+        return [x if chain.input_quant is None else quantize_array(x, chain.input_quant, sigma), x]
+
     if chain.bank is None:  # the outputs are the source samples
-        lo, n = first, count
+        out, twin = source(first, count)
     else:
-        position, lo, n = input_span(ratio, chain.bank, first, count)
-    source = eval_tones(*tones, SampleGrid(F_C * ratio, lo, n))
-    pair = [source if chain.input_quant is None else quantize_array(source, chain.input_quant, sigma), source]
-    del source  # the pair holds it until the fold's outputs replace it
-    if chain.bank is not None:
-        pair = fold_outputs(pair, lo, position, ratio, chain.bank, count)
-    out, twin = pair
+        out, twin = resample_range(source, ratio, chain.bank, first, count)
     if chain.out_quant is not None:
         out = quantize_array(out, chain.out_quant, sigma)
     return out, twin
@@ -229,23 +217,18 @@ class SensitivityLossReport:
     rho_float_b: float
 
 
-def sensitivity_loss(chain_a, chain_b, n: int, model, segments: int = 64) -> SensitivityLossReport:
+def sensitivity_loss(chain_a, chain_b, n: int, antennas, sigma: float, segments: int = 64) -> SensitivityLossReport:
     """Broadband and per-frequency sensitivity loss of two processing chains.
 
-    Both chains see the same sky realization of ``model`` plus independent
-    per-antenna noise; each chain is compared against its own float twin
-    running on the identical samples, so loss_x = 1 - rho_x/rho_float_x
-    isolates the quantization/resampling effects.  The reported standard error
-    comes from per-segment loss differences.  The n correlated outputs run in
-    blocks, forked as the module docstring says.
+    Both chains see the same two ``antennas``, tone banks that share a sky
+    and differ in their own noise, and quantize at the input RMS ``sigma``.
+    Each chain is compared against its own float twin running on the
+    identical samples, so loss_x = 1 - rho_x/rho_float_x isolates the
+    quantization/resampling effects.  The reported standard error comes from
+    per-segment loss differences.  The n correlated outputs run in blocks,
+    forked as the module docstring says.
     """
-    nyq = float(F_C) / 2.0
-    band = (PASSBAND[0] * nyq, PASSBAND[1] * nyq)
-    sky = synth_signal(model.sky_seed, model.n_sky_tones, band, rms=1.0)
-    noise_rms = float(np.sqrt(1.0 / model.snr))
-    sigma_in = float(np.sqrt(1.0 + noise_rms**2))
-    noise = [synth_signal(model.noise_seed(i), model.n_noise_tones, band, rms=noise_rms) for i in (0, 1)]
-    tones = [combine(sky, antenna_noise).arrays() for antenna_noise in noise]
+    tones = [antenna.arrays() for antenna in antennas]
     seg_len = max(n // segments, 1)
     welch_end = min(WELCH_CAP, n)
 
@@ -253,7 +236,7 @@ def sensitivity_loss(chain_a, chain_b, n: int, model, segments: int = 64) -> Sen
         """The _block_sums of ``chain`` and of its twin over one block."""
         ratios = [1 + sign * Fraction(chain.offset) if chain.bank is not None else Fraction(1) for sign in (1, -1)]
         (a, a_twin), (b, b_twin) = (
-            _antenna_outputs(chain, t, ratio, SKIP + first, count, sigma_in) for t, ratio in zip(tones, ratios)
+            _antenna_outputs(chain, t, ratio, SKIP + first, count, sigma) for t, ratio in zip(tones, ratios)
         )
         return [_block_sums(x, y, first, m, seg_len, welch_end) for x, y in ((a, b), (a_twin, b_twin))]
 

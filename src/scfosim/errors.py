@@ -28,10 +28,6 @@ class EmptyBand(ScfoError):
 
 
 # frontend
-class BandZoneMismatch(ScfoError):
-    pass
-
-
 class AlreadyQuantized(ScfoError):
     pass
 

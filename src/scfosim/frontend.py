@@ -1,16 +1,19 @@
 """Antenna digitizer model: band limiting, sampling, amplitude quantization.
 
 The digitizer is ideal (no jitter, no interleaving spurs); artefacts enter
-only as tones in the analytic bank.  Sample k sits at the exact rational instant
-epoch + k/f_a and is synthesized by the grid form of signal.eval_tones, the
-same kernel the streaming chains use: each tone's phase is reduced in exact
-rationals and no sample time is ever formed in floats, so there is no drift
-however long the stream, and sample values do not depend on how the stream
-is chunked.  Quantizers: Lloyd-Max optimal 16-level for a loaded Gaussian
-(computed at startup by Lloyd iteration, not a transcribed table) and a
-mid-rise uniform 256-level quantizer clipping at +/-4 sigma.  The Gaussian
-CDF is 0.5 * math.erfc(-x / sqrt(2)) and the starting quantiles come from
-statistics.NormalDist, so the package imports no scipy.
+only as tones in the analytic bank.  A signal declares no band and no Nyquist
+zone: sampling at f_a lands each tone at its alias on [0, f_a/2], a Zone-2
+tone at f in (f_a/2, f_a) at f_a - f.  Sample k sits at the exact rational
+instant epoch + k/f_a and is synthesized by the grid form of
+signal.eval_tones, the same kernel the streaming chains use: each tone's
+phase is reduced in exact rationals and no sample time is ever formed in
+floats, so there is no drift however long the stream, and sample values do
+not depend on how the stream is chunked.  Quantizers: Lloyd-Max optimal
+16-level for a loaded Gaussian (computed at startup by Lloyd iteration, not
+a transcribed table) and a mid-rise uniform 256-level quantizer clipping at
++/-4 sigma.  The Gaussian CDF is 0.5 * math.erfc(-x / sqrt(2)) and the
+starting quantiles come from statistics.NormalDist, so the package imports
+no scipy.
 """
 
 from __future__ import annotations
@@ -24,13 +27,8 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import AlreadyQuantized, BandZoneMismatch
+from .errors import AlreadyQuantized
 from .signal import SampleGrid, ToneBankSignal, eval_tones
-
-
-class Zone(enum.Enum):
-    ZONE1 = 1
-    ZONE2 = 2
 
 
 class QuantKind(enum.Enum):
@@ -92,34 +90,17 @@ class SampleStream:
         return np.iscomplexobj(self.data)
 
 
-def sample(
-    sig: ToneBankSignal,
-    f_a: Fraction,
-    n: int,
-    zone: Zone = Zone.ZONE1,
-    first: int = 0,
-    band_slack: float = 0.0,
-) -> SampleStream:
+def sample(sig: ToneBankSignal, f_a: Fraction, n: int, first: int = 0) -> SampleStream:
     """Digitize the analytic signal at rate f_a: samples first .. first+n-1
     of the grid k/f_a, so the stream's epoch is first/f_a.
 
-    For ZONE2 the declared signal band must lie within (f_a/2, f_a), with a
-    fractional ``band_slack`` allowance; sampling it down-converts
-    (f -> f_a - f, spectrally reversed).  Only the declared band is checked,
-    not each tone: out-of-band clock tones and alias probes are part of the
-    experiments.
+    Every tone is sampled as it is, so a tone above f_a/2 lands at its alias:
+    one in (f_a/2, f_a) at f_a - f, spectrally reversed, which is the Zone-2
+    down-conversion.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     f_a = Fraction(f_a)
-    if zone is Zone.ZONE2:
-        lo_lim = float(f_a) / 2.0 * (1.0 - band_slack)
-        hi_lim = float(f_a) * (1.0 + band_slack)
-        f_lo, f_hi = sig.band
-        if f_lo < lo_lim or f_hi > hi_lim:
-            raise BandZoneMismatch(
-                f"band {sig.band} outside Nyquist zone 2 ({lo_lim}, {hi_lim}) of f_a={float(f_a)}"
-            )
     data = np.empty(n, dtype=np.float64)
     tones = sig.arrays()
     chunk = 1 << 20  # whole TONE_BLOCKs: from a block-aligned first, no block is synthesized twice

@@ -35,12 +35,12 @@ LUT_WORD_BITS = 20
 MIX_BLOCK = 1 << 16
 
 
-def design_hilbert(n_taps: int, band: tuple[float, float]) -> dict:
-    """Kaiser-windowed Hilbert transformer plus its delay-matched twin.
+def design_hilbert(n_taps: int, band: tuple[float, float]) -> np.ndarray:
+    """Kaiser-windowed Hilbert transformer taps h.
 
     h approximates -90 degrees at unity gain over ``band`` (normalized to
-    Nyquist); s is the center-tap impulse of identical length, so the pair
-    shares one group delay.  The design is verified: worst in-band image
+    Nyquist); its delay-matched twin is the center tap, the input delayed by
+    n_taps // 2 samples.  The design is verified: worst in-band image
     rejection below 60 dB raises DesignInfeasible.
     """
     if n_taps % 2 == 0 or n_taps < 7:
@@ -56,15 +56,13 @@ def design_hilbert(n_taps: int, band: tuple[float, float]) -> dict:
     transition = min(lo, 1.0 - hi)
     _, beta = _kaiser_beta(n_taps, 2.0 * transition)
     h *= _kaiser_window(r.astype(float), n_taps, beta)
-    s = np.zeros(n_taps)
-    s[c] = 1.0
     rejection = image_rejection_db(h, np.linspace(lo, hi, 101))
     if rejection.min() < 60.0:
         raise DesignInfeasible(
             f"worst in-band image rejection {rejection.min():.1f} dB < 60 dB "
             f"({n_taps} taps, band {band})"
         )
-    return {"h": h, "s": s}
+    return h
 
 
 def hilbert_response(h: np.ndarray, freqs: np.ndarray) -> np.ndarray:
@@ -77,7 +75,8 @@ def hilbert_response(h: np.ndarray, freqs: np.ndarray) -> np.ndarray:
 
 
 def image_rejection_db(h: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """Negative-frequency image rejection of the analytic pair (s, h).
+    """Negative-frequency image rejection of the analytic pair, the
+    centre-tap delay and h.
 
     With D(w) = H(w)/(-j), a unit tone maps to |1+D|/2 at +w and |1-D|/2 at
     -w; the rejection is the ratio in dB.
@@ -123,7 +122,7 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
         raise ValueError("ssb_shift expects a real input stream")
     if len(stream) < HILBERT_TAPS:
         raise StreamTooShort(f"{len(stream)} samples fill no {HILBERT_TAPS}-tap Hilbert window")
-    h = design_hilbert(HILBERT_TAPS, HILBERT_BAND)["h"]
+    h = design_hilbert(HILBERT_TAPS, HILBERT_BAND)
     c = HILBERT_TAPS // 2
     table = quadrature_lut(PHASE_LUT_BITS, LUT_WORD_BITS)
     L = 1 << PHASE_LUT_BITS

@@ -29,14 +29,13 @@ only which outputs are computed together, never the order of any one
 output's sum, so a fold over outputs [0, K) equals the folds over any split
 of that range, bit for bit.
 
-input_span holds the one rule for which inputs a range of outputs reads:
-outputs first .. first+count-1 of an antenna whose output 0 sits at
-aligned_start.  resample_range folds such a range from exactly those inputs
-of the antenna's source.  The scenarios' antennas are calls of it and the
-dual chain's blocks fold input_span's inputs, so every output they hold
-reads real samples.  resample() folds a given stream from output 0 at its
-sample 0, and polyphase.demux_resample is resample() cut to whole blocks of
-k outputs.
+resample_range holds the one rule for which inputs a range of outputs
+reads: outputs first .. first+count-1 of an antenna whose output 0 sits at
+aligned_start.  It folds such a range from exactly those inputs of the
+antenna's source.  The scenarios' antennas and the dual chain's blocks are
+calls of it, so every output they hold reads real samples.  resample() folds
+a given stream from output 0 at its sample 0, and polyphase.demux_resample
+is resample() cut to whole blocks of k outputs.
 """
 
 from __future__ import annotations
@@ -344,31 +343,22 @@ def fixed_in_step(stream: SampleStream) -> float:
     return rms / 32.0
 
 
-def input_span(ratio: Fraction, bank: CoefficientBank, first: int, count: int) -> tuple[Fraction, int, int]:
-    """(position, lo, n) for outputs first .. first+count-1 of an antenna at
-    ``ratio`` whose output 0 sits at aligned_start(bank, ratio): the exact
-    input-grid position of output ``first``, and the input samples
-    lo .. lo+n-1 the outputs read, from the read pointer
-    (rational.sample_index) of output ``first`` to that of the last output
-    plus the tap count."""
+def resample_range(source, ratio: Fraction, bank: CoefficientBank, first: int, count: int) -> list:
+    """Outputs first .. first+count-1 of an antenna at ``ratio`` whose output 0
+    sits at aligned_start(bank, ratio), folded from each input in
+    ``source(lo, n)``: a list of equal-length arrays, each holding the
+    antenna's input samples lo .. lo+n-1 through one stage (the dual chain's
+    quantized stream and its float twin); one output array per input.
+
+    The source is asked once, for exactly the inputs the outputs read: from
+    the read pointer (rational.sample_index) of output ``first`` to that of
+    the last output plus the tap count.  No state passes between calls, so a
+    range gives the same outputs however it is split.
+    """
     position = aligned_start(bank, ratio) + first * ratio
     lo = sample_index(position, bank.phases)
     end = sample_index(position + (count - 1) * ratio, bank.phases) + bank.taps_per_phase
-    return position, lo, end - lo
-
-
-def resample_range(source, ratio: Fraction, bank: CoefficientBank, first: int, count: int) -> np.ndarray:
-    """Outputs first .. first+count-1 of an antenna at ``ratio`` whose output 0
-    sits at aligned_start(bank, ratio), folded from ``source(lo, n)``, the
-    antenna's input samples lo .. lo+n-1.
-
-    The source is asked once, for exactly the inputs the outputs read
-    (input_span).  No state passes between calls, so a range gives the same
-    outputs however it is split.
-    """
-    position, lo, n = input_span(ratio, bank, first, count)
-    (out,) = fold_outputs([source(lo, n)], lo, position, ratio, bank, count)
-    return out
+    return fold_outputs(source(lo, end - lo), lo, position, ratio, bank, count)
 
 
 def resample(

@@ -16,8 +16,9 @@ naming the field before the body runs.  ``run_scenario`` then calls
 ``body(cfg, summary)`` with the merged config and an empty ``Summary``.  The
 body raises ``ConfigInvalid`` only for a check between fields, adds one
 PASS/FAIL check per claim, and returns ``(tables, result)``: ``{"file.csv":
-(header, rows)}`` and the values callers read besides the summary.  Then
-``run_scenario`` writes each table and summary.txt into the output
+(header, rows)}`` and the values a caller reads besides the summary, which
+only requant-loss has (its ``report``); every other body returns ``{}``.
+Then ``run_scenario`` writes each table and summary.txt into the output
 directory, so a rejected config leaves none.  Identical config and seed give
 byte-identical output under one BLAS thread count; BLAS splits a dot
 product's sum across its threads, so 1 and 2 threads can differ in a CSV's
@@ -38,19 +39,19 @@ run in one process.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 import numbers
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .chain import WELCH_NFFT, ChainSpec, SignalModel, map_forked, sensitivity_loss
+from .chain import F_C, WELCH_NFFT, ChainSpec, map_forked, sensitivity_loss
 from .correlator import correlate, washing_suppression_db, window_length
 from .errors import ConfigInvalid, Infeasible, ZeroDenominator
-from .frontend import FilterSpec, QuantKind, QuantizerSpec, SampleStream, Zone, antialias, sample
+from .frontend import FilterSpec, QuantKind, QuantizerSpec, SampleStream, antialias, sample
 from .mixer import HILBERT_TAPS, ssb_shift
 from .rational import count_outputs, parse_rational
 from .resampler import PASSBAND, aligned_start, cached_bank, resample_range
@@ -74,8 +75,15 @@ OFFSET_GRID_HZ = {
 
 OFFSET_LIMIT_HZ = Fraction(10_000_000)
 
-# Band of each Nyquist zone's sky content, as fractions of the common clock.
-ZONE_BANDS = {Zone.ZONE1: (0.05, 0.45), Zone.ZONE2: (0.56, 0.94)}
+# Band of Zone-2 sky content, as fractions of the common clock.
+ZONE2_BAND = (0.56, 0.94)
+
+
+class Zone(enum.Enum):
+    """An antenna's Nyquist zone: a Zone-2 antenna is shifted by f_c - f_a."""
+
+    ZONE1 = 1
+    ZONE2 = 2
 
 
 def plan_offsets(n: int, min_pairwise: float, max_abs: float, resolution: float) -> list[Fraction]:
@@ -311,8 +319,8 @@ def _peak_hz(stream, n_fft: int, f_c: Fraction) -> float:
 def _resampled_tone_streams(rates, zone, f_c, bank, n, sky, clock_tone=None):
     """Per antenna at desk rate f_a in ``rates``: take its sky (one signal for
     all, or a list with one per antenna) plus, given ``clock_tone`` =
-    (amplitude, scale), its own clock tone at scale * f_a, sample in ``zone``
-    at f_a, resample back to the common clock, and shift a Zone-2 antenna by
+    (amplitude, scale), its own clock tone at scale * f_a, sample it at f_a,
+    resample back to the common clock, and shift a ``zone`` 2 antenna by
     f_c - f_a.  Each antenna holds exactly ``n`` samples: its outputs are one
     resampler.resample_range, which samples exactly the inputs they read, and
     a Zone-2 antenna resamples the Hilbert half-length more at each end,
@@ -331,13 +339,13 @@ def _resampled_tone_streams(rates, zone, f_c, bank, n, sky, clock_tone=None):
         if clock_tone is not None:
             amplitude, scale = clock_tone
             # exact until the one float(): the tone sits at the rational scale * f_a
-            bank_sig = replace(bank_sig, tones=bank_sig.tones + (Tone(amplitude, float(scale * f_a), 0.0),))
+            bank_sig = ToneBankSignal(bank_sig.tones + (Tone(amplitude, float(scale * f_a), 0.0),))
 
         def source(lo, count):
-            return sample(bank_sig, f_a, count, zone=zone, first=lo, band_slack=0.02).data
+            return [sample(bank_sig, f_a, count, first=lo).data]
 
         edge = HILBERT_TAPS // 2 if zone is Zone.ZONE2 else 0
-        data = resample_range(source, f_a / f_c, bank, 0, n + 2 * edge)
+        (data,) = resample_range(source, f_a / f_c, bank, 0, n + 2 * edge)
         out = SampleStream(rate=f_c, epoch=Fraction(bank.taps_per_phase - 1, 2) / f_c, data=data)
         return ssb_shift(out, f_c - f_a) if zone is Zone.ZONE2 else out
 
@@ -402,9 +410,8 @@ def _selfclock_washout(cfg, summary):
         count_outputs(aligned_start(bank, r) - r, r, bank.phases, n_in - bank.taps_per_phase)
         for r in (f_a / f_c for f_a in rates)
     )
-    no_sky = ToneBankSignal(tones=(), band=_band(PASSBAND, f_c / 2))
     tone = (float(cfg["clock_tone_amplitude"]), scale)
-    streams = _resampled_tone_streams(rates, Zone.ZONE1, f_c, bank, n_out, no_sky, clock_tone=tone)
+    streams = _resampled_tone_streams(rates, Zone.ZONE1, f_c, bank, n_out, ToneBankSignal(()), clock_tone=tone)
 
     # every window's (T_w, start) first, in the order the windows are drawn,
     # then the windows correlated in two processes
@@ -427,7 +434,6 @@ def _selfclock_washout(cfg, summary):
     for (target, w, _, start), (n_samples, rho_mag) in zip(windows, map_forked(measure, windows)):
         dwt = 2 * math.pi * delta_f * n_samples / float(f_c)
         rows.append((target, w, start, n_samples, rho_mag, dwt, rho_mag * dwt))
-    results = {}
     per_target = cfg["windows"]
     for i, target in enumerate(cfg["targets_dwt"]):
         T0 = target / (2 * math.pi * delta_f)
@@ -441,7 +447,6 @@ def _selfclock_washout(cfg, summary):
             f"{cfg['tolerance_db']} dB of the 1/(dwT) envelope "
             f"(predicted suppression {prediction:.2f} dB)",
         )
-        results[target] = measured
 
     # sky correlation rides the same chains
     sky = synth_signal(cfg["seed"], cfg["sky_tones"], _band(PASSBAND, f_c / 2))
@@ -453,7 +458,7 @@ def _selfclock_washout(cfg, summary):
     )
     header = ["target_dwt", "window", "start", "n_samples", "rho_mag", "dwt", "product"]
     tables = {"washout_windows.csv": (header, rows)}
-    return tables, {"results": results, "sky_rho": sky_rho, "delta_f": delta_f}
+    return tables, {}
 
 
 @_scenario(
@@ -496,9 +501,7 @@ def _scfo_off_control(cfg, summary):
         f"{100 * cfg['tolerance']:.0f}% of SNR prediction {predicted:.5f}",
     )
     rows = [(measured, predicted, rep.T, rep.n_samples)]
-    return {"control.csv": (["rho_mag", "predicted", "T", "n_samples"], rows)}, {
-        "rho": measured, "predicted": predicted,
-    }
+    return {"control.csv": (["rho_mag", "predicted", "T", "n_samples"], rows)}, {}
 
 
 # (case, zone, source, frequency / f_c, whether it correlates, check text):
@@ -543,8 +546,7 @@ def _zone1_vs_zone2(cfg, summary):
         _, zone, source, frac, _, _ = case
         hz = frac * float(f_c)
         tone = Tone(1.0, hz, 0.7) if source == "sky" else Tone(amplitude, hz, 0.0)
-        sky = ToneBankSignal(tones=(tone,), band=_band(ZONE_BANDS[zone], f_c))
-        return abs(_correlated_pair(rates, zone, f_c, bank, T, sky=sky)[0].rho)
+        return abs(_correlated_pair(rates, zone, f_c, bank, T, sky=ToneBankSignal((tone,)))[0].rho)
 
     # cases 0 and 2 run here, 1 and 3 in a forked child: a Zone-1 and a Zone-2 case in each
     rows = []
@@ -552,7 +554,7 @@ def _zone1_vs_zone2(cfg, summary):
         rows.append((case, frac * float(f_c), rho))
         ok = rho > cfg["correlated_min"] if correlates else rho < cfg["decorrelated_max"]
         summary.check(ok, f"{text}: |rho| = {rho:.5f}")
-    return {"zone_probes.csv": (["case", "probe_hz", "rho_mag"], rows)}, {"rows": rows}
+    return {"zone_probes.csv": (["case", "probe_hz", "rho_mag"], rows)}, {}
 
 
 @_scenario(
@@ -576,10 +578,7 @@ def _relaxed_antialias(cfg, summary):
     f_c, bank = _clock_and_bank(cfg)
     filt = FilterSpec(points=tuple((float(a), float(b)) for a, b in cfg["filter_points"]))
     expected_gain = filt.gain(float(cfg["probe_hz"]))
-    probe = ToneBankSignal(
-        tones=(Tone(float(cfg["probe_amplitude"]), float(cfg["probe_hz"]), 0.1),),
-        band=_band(ZONE_BANDS[Zone.ZONE1], f_c),
-    )
+    probe = ToneBankSignal((Tone(float(cfg["probe_amplitude"]), float(cfg["probe_hz"]), 0.1),))
     filtered = antialias(probe, filt)
     T = cfg["T"]
 
@@ -609,7 +608,7 @@ def _relaxed_antialias(cfg, summary):
         abs(gain - expected_gain) < 0.1 * expected_gain + 1e-6,
         f"relaxed filter scales the probe by {expected_gain:.3f} (measured {gain:.3f})",
     )
-    return {"relaxed_antialias.csv": (["case", "value_a", "value_b"], rows)}, {"rows": rows}
+    return {"relaxed_antialias.csv": (["case", "value_a", "value_b"], rows)}, {}
 
 
 @_scenario(
@@ -619,9 +618,9 @@ def _relaxed_antialias(cfg, summary):
         "seed": (5, _integer(0)),
         **_RESAMPLING,
         "offsets_hz": (["4240000/1", "-4240000/1"], OFFSET_PAIR),
-        "sky_hz_frac": (0.7, _within(*ZONE_BANDS[Zone.ZONE2])),
+        "sky_hz_frac": (0.7, _within(*ZONE2_BAND)),
         # in Zone 2, as the clock tones' expected landing f_c - scale * f_a assumes
-        "clock_tone_scale": ("3/4", _within(*ZONE_BANDS[Zone.ZONE2], "rational")),
+        "clock_tone_scale": ("3/4", _within(*ZONE2_BAND, "rational")),
         "n_fft": (1 << 18, _integer(1)),
         "segments": (16, _integer(3)),  # the phase-slope fit needs 3
         "residual_tol_hz": (0.05, NON_NEGATIVE),
@@ -645,7 +644,6 @@ def _zone2_shift(cfg, summary):
     if 0 < expected_sep <= 2 * bin_hz:  # the split check's tolerance would pass any measurement
         raise ConfigInvalid("n_fft", f"{n_fft}; its {bin_hz:.1f} Hz bins cannot resolve the "
                                      f"{expected_sep:.1f} Hz clock-tone split")
-    band2 = _band(ZONE_BANDS[Zone.ZONE2], f_c)
     seg_len = n_fft // segments
 
     def measure(case):
@@ -660,9 +658,8 @@ def _zone2_shift(cfg, summary):
         return peaks, np.unwrap([np.angle(np.vdot(y, x)) for x, y in zip(a, b)])
 
     # the sky pair here, the clock-tone pair in a forked child
-    sky = ToneBankSignal(tones=(Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),), band=band2)
-    no_sky = ToneBankSignal(tones=(), band=band2)
-    (peaks, phases), (cpeaks, _) = map_forked(measure, [(sky, None), (no_sky, (1.0, scale))])
+    sky = ToneBankSignal((Tone(1.0, cfg["sky_hz_frac"] * float(f_c), 0.5),))
+    (peaks, phases), (cpeaks, _) = map_forked(measure, [(sky, None), (ToneBankSignal(()), (1.0, scale))])
 
     # sky tone peak bins must coincide
     expected = float(f_c) * (1.0 - cfg["sky_hz_frac"])
@@ -700,9 +697,7 @@ def _zone2_shift(cfg, summary):
         ("clock_peak_hz", cpeaks[0], cpeaks[1]),
         ("phase_slope_hz", residual_hz, se / (2 * np.pi)),
     ]
-    return {"zone2_shift.csv": (["quantity", "antenna1", "antenna2"], rows)}, {
-        "sky_peaks": peaks, "clock_peaks": cpeaks, "residual_hz": residual_hz,
-    }
+    return {"zone2_shift.csv": (["quantity", "antenna1", "antenna2"], rows)}, {}
 
 
 @_scenario(
@@ -740,13 +735,14 @@ def _requant_loss(cfg, summary):
         out_quant=QuantizerSpec(QuantKind.Q8_UNIFORM, float(cfg["q8_loading"])),
         bank=cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"]),  # designed before the fork
     )
-    model = SignalModel(
-        sky_seed=cfg["seed"],
-        n_sky_tones=cfg["sky_tones"],
-        n_noise_tones=cfg["noise_tones"],
-        snr=float(cfg["snr"]),
-    )
-    rep = sensitivity_loss(blue, red, n=cfg["samples"], model=model, segments=cfg["segments"])
+    # a shared sky plus each antenna's own noise, sky power over noise power snr
+    band = _band(PASSBAND, F_C / 2)
+    sky = synth_signal(cfg["seed"], cfg["sky_tones"], band)
+    noise_rms = float(np.sqrt(1.0 / float(cfg["snr"])))
+    noise = [synth_signal(cfg["seed"] * 1009 + 101 + i, cfg["noise_tones"], band, noise_rms) for i in (0, 1)]
+    antennas = [ToneBankSignal(sky.tones + own.tones) for own in noise]
+    sigma = float(np.sqrt(1.0 + noise_rms**2))  # the input RMS, sky and noise
+    rep = sensitivity_loss(blue, red, cfg["samples"], antennas, sigma, cfg["segments"])
     lo = cfg["target_diff"] - cfg["tolerance"]
     hi = cfg["target_diff"] + cfg["tolerance"]
     summary.check(
@@ -796,4 +792,4 @@ def _offset_plan(cfg, summary):
         f"ladder spans +/-{span:g} Hz within +/-{cfg['max_abs']:g} Hz",
     )
     rows = [(i, float(a)) for i, a in enumerate(offsets)]
-    return {"offset_plan.csv": (["index", "offset_hz"], rows)}, {"plan": offsets}
+    return {"offset_plan.csv": (["index", "offset_hz"], rows)}, {}

@@ -3,8 +3,10 @@
 A ToneBankSignal is the "analog" ground truth of every experiment: a sum of
 sinusoids with randomized amplitudes, frequencies and phases, evaluated on
 each antenna's exact rational sample grid (eval_tones with a SampleGrid).
-An interference line is one more Tone in the bank: a scenario appends each
-antenna's own clock tone at scale * f_a, and an RF probe is a one-tone bank.
+An antenna is nothing but its tones: a shared sky bank plus the antenna's
+own lines, each one more Tone.  A scenario appends each antenna's own clock
+tone at scale * f_a, requant-loss each antenna's own noise bank, and an RF
+probe is a one-tone bank.
 
 Dense random banks double as band-limited noise: unlike RNG samples they
 stay consistent when the same waveform is sampled on two different clock
@@ -14,7 +16,7 @@ grids, which the chain experiments rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -34,10 +36,11 @@ class Tone:
 
 @dataclass(frozen=True)
 class ToneBankSignal:
-    """Immutable sum-of-sinusoids signal."""
+    """Immutable sum-of-sinusoids signal: its tones and nothing else.  No
+    band is declared; whatever rate samples it, a tone above half that rate
+    lands at its alias."""
 
     tones: tuple[Tone, ...]
-    band: tuple[float, float]
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(amplitudes, freqs, phases) as float64 arrays, for eval_tones."""
@@ -80,7 +83,7 @@ def synth_signal(
     tones = tuple(
         Tone(float(a * scale), float(f), float(p)) for a, f, p in zip(amps, freqs, phases)
     )
-    return ToneBankSignal(tones=tones, band=(float(f_lo), float(f_hi)))
+    return ToneBankSignal(tones)
 
 
 def _strata(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -98,11 +101,6 @@ def _strata(n: int, rng: np.random.Generator) -> np.ndarray:
             break
     order = (np.arange(n) * stride) % n
     return (order + rng.uniform(0.0, 1.0, n)) / n
-
-
-def combine(a: ToneBankSignal, b: ToneBankSignal) -> ToneBankSignal:
-    """Union of two banks (linear superposition); keeps a's band."""
-    return replace(a, tones=a.tones + b.tones)
 
 
 class SampleGrid(NamedTuple):

@@ -21,7 +21,6 @@ from scfosim.chain import (
     WELCH_NFFT,
     WELCH_STRIDE,
     ChainSpec,
-    SignalModel,
     _batches,
     _block_sums,
     _correlation,
@@ -29,8 +28,9 @@ from scfosim.chain import (
 )
 from scfosim.errors import ConfigInvalid
 from scfosim.frontend import QuantKind, QuantizerSpec
-from scfosim.resampler import cached_bank
+from scfosim.resampler import PASSBAND, cached_bank
 from scfosim.scenarios import run_scenario
+from scfosim.signal import ToneBankSignal, synth_signal
 
 Q4 = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
 CHAINS = {
@@ -42,6 +42,17 @@ CHAINS = {
         bank=cached_bank(56, 1024, 19),
     ),
 }
+
+
+
+def requant_antennas(seed, snr=1.0):
+    """requant-loss's two antennas at its default tone counts, a shared sky
+    plus each antenna's own noise, and their input RMS."""
+    band = (PASSBAND[0] * float(F_C) / 2, PASSBAND[1] * float(F_C) / 2)
+    sky = synth_signal(seed, 16, band)
+    noise_rms = float(np.sqrt(1.0 / snr))
+    noise = [synth_signal(seed * 1009 + 101 + i, 16, band, noise_rms) for i in (0, 1)]
+    return [ToneBankSignal(sky.tones + own.tones) for own in noise], float(np.sqrt(1.0 + noise_rms**2))
 
 
 def correlate_in_blocks(a, b, block, cap, seg_len):
@@ -150,12 +161,12 @@ def test_chain_memory_does_not_grow_with_the_stream(monkeypatch):
     monkeypatch.setattr(chain_module, "BLOCK", WELCH_STRIDE)
     monkeypatch.setattr(chain_module, "WELCH_CAP", 1 << 17)
     chains = CHAINS["q4-direct"], CHAINS["q4-resample-q8"]
-    sensitivity_loss(*chains, 4_096, SignalModel(sky_seed=3))  # the caches, before either peak
+    sensitivity_loss(*chains, 4_096, *requant_antennas(3))  # the caches, before either peak
     peaks = []
     for n_out in (1 << 17, 1 << 19):
         tracemalloc.start()
         try:
-            sensitivity_loss(*chains, n_out, SignalModel(sky_seed=3))
+            sensitivity_loss(*chains, n_out, *requant_antennas(3))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -166,7 +177,7 @@ def small_loss(monkeypatch, n=20_000, block=1 << 13):
     # blue and red over n outputs in 8 segments, in blocks of ``block``:
     # three at the defaults, so the child runs the second
     monkeypatch.setattr(chain_module, "BLOCK", block)
-    return sensitivity_loss(CHAINS["q4-direct"], CHAINS["q4-resample-q8"], n, SignalModel(sky_seed=3), segments=8)
+    return sensitivity_loss(CHAINS["q4-direct"], CHAINS["q4-resample-q8"], n, *requant_antennas(3), segments=8)
 
 
 def serial(monkeypatch):
@@ -249,11 +260,11 @@ def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
 
 def test_each_red_antenna_block_plans_once_per_plan_block(monkeypatch):
     # the chain and its twin fold on one plan: per red antenna block one
-    # fold_outputs call, and one phase_run per PLAN_BLOCK of its outputs
+    # resample_range call, and one phase_run per PLAN_BLOCK of its outputs
     serial(monkeypatch)
     monkeypatch.setattr(resampler_module, "PLAN_BLOCK", 4_096)  # a block spans several
     plans = record_calls(monkeypatch, "phase_run", resampler_module)
-    folds = record_calls(monkeypatch, "fold_outputs")
+    folds = record_calls(monkeypatch, "resample_range")
     small_loss(monkeypatch, n=50_000, block=WELCH_STRIDE)
     assert len(folds) == 2 * -(-50_000 // WELCH_STRIDE)
     assert len(plans) == sum(-(-count // 4_096) for *_, count in folds) > len(folds)
@@ -268,7 +279,7 @@ def test_both_antennas_yield_equal_blocks(monkeypatch):
     calls = record_calls(monkeypatch, "quantize_array")
     monkeypatch.setattr(chain_module, "BLOCK", 1_000)
     red = replace(CHAINS["q4-resample-q8"], offset=Fraction(1, 100))
-    sensitivity_loss(CHAINS["q4-direct"], red, 2_500, SignalModel(sky_seed=3), segments=4)
+    sensitivity_loss(CHAINS["q4-direct"], red, 2_500, *requant_antennas(3), segments=4)
     q8 = [len(x) for x, spec, _ in calls if spec is red.out_quant]
     assert q8 == [2_500, 2_500, 1_000, 1_000, 500, 500]
 
@@ -284,7 +295,7 @@ def test_the_samples_do_not_depend_on_the_blocks(monkeypatch, offset):
     runs = []
     for block in (6_000, BLOCK):
         monkeypatch.setattr(chain_module, "BLOCK", block)
-        runs.append(sensitivity_loss(CHAINS["q4-direct"], red, 20_000, SignalModel(sky_seed=3), segments=8))
+        runs.append(sensitivity_loss(CHAINS["q4-direct"], red, 20_000, *requant_antennas(3), segments=8))
     split, whole = runs
     assert np.array_equal(split.per_freq, whole.per_freq)
     for name in ("loss_a", "loss_b", "stderr", "rho_float_a", "rho_float_b"):
@@ -343,10 +354,10 @@ def test_both_chains_start_at_output_72_whatever_the_taps(monkeypatch, tmp_path)
     # same outputs of blue and red only if both chains start at one output
     serial(monkeypatch)
     sources = record_calls(monkeypatch, "eval_tones")
-    spans = record_calls(monkeypatch, "input_span")
+    folds = record_calls(monkeypatch, "resample_range")
     run_scenario("requant-loss", {"samples": 4_096, "taps": 64}, out_dir=tmp_path)
     blue = [g.start for *_, g in sources if g.rate == F_C]
-    red = [first for _, _, first, _ in spans]
+    red = [first for *_, first, _ in folds]
     assert blue == [72] * 2  # antennas 0 and 1, each chain with its twin
     assert red == [72] * 2
 

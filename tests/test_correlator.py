@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scfosim.chain import ChainSpec, SignalModel, sensitivity_loss
+from scfosim.chain import ChainSpec, sensitivity_loss
 from scfosim.correlator import correlate, washing_suppression_db
 from scfosim.errors import (
     EnvelopeRegimeViolated,
@@ -13,6 +13,7 @@ from scfosim.errors import (
     RateMismatch,
 )
 from scfosim.frontend import QuantKind, QuantizerSpec, SampleStream
+from test_chain import requant_antennas
 
 
 def cstream(data, rate=1000):
@@ -151,7 +152,7 @@ class TestWashingFormula:
 
 class TestSensitivityLoss:
     def test_float_chain_loss_near_zero(self):
-        rep = sensitivity_loss(ChainSpec(), ChainSpec(), n=400_000, model=SignalModel(sky_seed=1), segments=16)
+        rep = sensitivity_loss(ChainSpec(), ChainSpec(), 400_000, *requant_antennas(1), segments=16)
         assert abs(rep.loss_a) < 1e-12
         assert abs(rep.difference) < 1e-12
 
@@ -161,8 +162,7 @@ class TestSensitivityLoss:
         spec = QuantizerSpec(QuantKind.Q4_OPTIMAL, 1.0)
         chain = ChainSpec(input_quant=spec)
         ref = ChainSpec()
-        model = SignalModel(sky_seed=3, snr=0.25)
-        rep = sensitivity_loss(ref, chain, n=2_000_000, model=model, segments=16)
+        rep = sensitivity_loss(ref, chain, 2_000_000, *requant_antennas(3, snr=0.25), segments=16)
         expected = 1.0 - quantizer_efficiency(spec)
         assert rep.difference == pytest.approx(expected, abs=1.5e-3)
         assert rep.stderr < 1e-3

@@ -3,13 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from scfosim.errors import AlreadyQuantized, BandZoneMismatch
+from scfosim.errors import AlreadyQuantized
 from scfosim.frontend import (
     FilterSpec,
     QuantKind,
     QuantizerSpec,
     SampleStream,
-    Zone,
     antialias,
     lloyd_max_levels,
     quantize,
@@ -21,16 +20,14 @@ from scfosim.frontend import (
 from scfosim.signal import SampleGrid, Tone, ToneBankSignal, eval_tones, synth_signal
 
 
-def tone_bank(*tones, band=None):
-    freqs = [t[1] for t in tones]
-    band = band or (min(freqs), max(freqs))
-    return ToneBankSignal(tones=tuple(Tone(*t) for t in tones), band=band)
+def tone_bank(*tones):
+    return ToneBankSignal(tuple(Tone(*t) for t in tones))
 
 
 class TestSample:
     def test_dc_constant(self):
         # f=0 with phase pi/2 is the DC convention: sin(pi/2) = 1
-        sig = tone_bank((1.0, 0.0, np.pi / 2), band=(0.0, 0.0))
+        sig = tone_bank((1.0, 0.0, np.pi / 2))
         s = sample(sig, Fraction(1000), 64)
         assert np.all(s.data == s.data[0])
         assert s.data[0] == pytest.approx(1.0)
@@ -38,28 +35,20 @@ class TestSample:
     def test_zone1_peak_bin(self):
         fs = Fraction(1000)
         sig = tone_bank((1.0, 300.0, 0.3))
-        s = sample(sig, fs, 1000, Zone.ZONE1)
+        s = sample(sig, fs, 1000)
         spec = np.abs(np.fft.rfft(s.data))
         assert np.argmax(spec[1:]) + 1 == 300
 
     def test_zone2_alias_and_reversal(self):
         fs = Fraction(1000)
         # two tones at 0.6 and 0.7 fs with distinct amplitudes
-        sig = tone_bank((1.0, 700.0, 0.1), (0.5, 600.0, 0.2), band=(600.0, 700.0))
-        s = sample(sig, fs, 1000, Zone.ZONE2)
+        sig = tone_bank((1.0, 700.0, 0.1), (0.5, 600.0, 0.2))
+        s = sample(sig, fs, 1000)
         spec = np.abs(np.fft.rfft(s.data))
         # 700 aliases to 300 (strong), 600 aliases to 400 (weak): order reversed
         assert spec[300] > spec[400] > 10 * np.median(spec)
         strong, weak = np.argsort(spec[1:-1])[-2:][::-1] + 1
         assert strong == 300 and weak == 400
-
-    def test_zone2_band_check(self):
-        sig = tone_bank((1.0, 200.0, 0.0), band=(150.0, 300.0))
-        with pytest.raises(BandZoneMismatch):
-            sample(sig, Fraction(1000), 64, Zone.ZONE2)
-        # slack lets a slightly protruding band through
-        sig2 = tone_bank((1.0, 495.0, 0.0), band=(495.0, 900.0))
-        sample(sig2, Fraction(1000), 64, Zone.ZONE2, band_slack=0.02)
 
     def test_no_samples_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -248,7 +237,7 @@ class TestAntialias:
         assert out.tones == sig.tones
 
     def test_brickwall_removes(self):
-        sig = tone_bank((1.0, 2.0e9, 0.0), (1.0, 3.0e9, 0.0), band=(0.0, 2.75e9))
+        sig = tone_bank((1.0, 2.0e9, 0.0), (1.0, 3.0e9, 0.0))
         blocked = 2 * FilterSpec.BLOCKED_DB
         out = antialias(sig, FilterSpec(points=((0.0, 0.0), (2.75e9, 0.0), (2.75e9, blocked))))
         assert len(out.tones) == 1
@@ -258,7 +247,7 @@ class TestAntialias:
         # -20 dB at 1.2x band edge scales an out-of-band tone by 0.1
         edge = 2.75e9
         filt = FilterSpec(points=((0.0, 0.0), (edge, 0.0), (1.2 * edge, -20.0)))
-        sig = tone_bank((1.0, 1.2 * edge, 0.0), band=(0.25e9, edge))
+        sig = tone_bank((1.0, 1.2 * edge, 0.0))
         out = antialias(sig, filt)
         assert out.tones[0].amplitude == pytest.approx(0.1)
 

@@ -19,6 +19,10 @@ Parameters too: a defaulted parameter of a module-level function must be
 passed, by keyword or position, by some call of that function's name in the
 package or the benchmark's sources, or carry a ``KEEP_PARAMETERS`` reason.  A
 starred argument passes every position from its own on.
+
+Scenario results too: every key of the result dict a scenario body returns
+must be subscripted (``result["key"]``) in ``cli.py`` or in the benchmark's
+sources.  Only the key is matched, not the dict it is read from.
 """
 
 import ast
@@ -259,3 +263,37 @@ def test_every_defaulted_parameter_is_passed_or_kept():
     kept_but_passed = sorted(key for key in KEEP_PARAMETERS if reached(*defaulted[key]))
     assert kept_but_passed == [], f"KEEP_PARAMETERS names what a caller already passes: {kept_but_passed}"
     assert all(reason.strip() for reason in KEEP_PARAMETERS.values())
+
+
+def _result_keys(modules):
+    """(body, key) of each key of the result dict, the second item of the
+    ``(tables, result)`` that a scenario body returns; a key that is no
+    constant, or a ``**`` entry, reads as None, which no caller subscripts."""
+    bodies = _scenario_bodies(modules)
+    return {
+        (stmt.name, getattr(key, "value", None))
+        for stmt in modules["scenarios"].body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in bodies
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Tuple) and isinstance(node.value.elts[-1], ast.Dict)
+        for key in node.value.elts[-1].keys
+    }
+
+
+def _subscripts(trees):
+    """Every string constant that ``trees`` subscript with (``x["key"]``)."""
+    return {
+        node.slice.value
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, str)
+    }
+
+
+def test_every_scenario_result_key_is_read():
+    modules = _modules()
+    keys = _result_keys(modules)
+    assert ("_requant_loss", "report") in keys, "no scenario result found"
+    read = _subscripts([modules["cli"]] + [ast.parse((BENCHMARK / f).read_text()) for f in BENCHMARK_READERS])
+    unread = sorted(f"{body}: {key}" for body, key in keys if key not in read)
+    assert unread == [], f"no caller reads them; drop them from the result: {unread}"

@@ -241,7 +241,7 @@ class TestIdentityResampling:
 class TestResampling:
     def test_tone_absolute_frequency_preserved(self, bank_float):
         f_c, f_a = Fraction(1000), Fraction(1001)
-        sig = ToneBankSignal(tones=(Tone(1.0, 300.0, 0.4),), band=(300.0, 300.0))
+        sig = ToneBankSignal((Tone(1.0, 300.0, 0.4),))
         s = sample(sig, f_a, 9000)
         out = resample(s, f_c, bank_float)
         seg = out.data[:8000]
@@ -256,7 +256,7 @@ class TestResampling:
 
     def test_resample_error_in_band_tone(self, bank_float):
         f_c, f_a = Fraction(1000), Fraction(1001)
-        sig = ToneBankSignal(tones=(Tone(1.0, 40.0, 1.0),), band=(40.0, 40.0))
+        sig = ToneBankSignal((Tone(1.0, 40.0, 1.0),))
         s = sample(sig, f_a, 6000)
         out = resample(s, f_c, bank_float)
         rms, _ = resampled_error(sig, out)
@@ -267,7 +267,7 @@ class TestResampling:
         # delay grid: rms ~ omega/(2P sqrt(3)) per unit amplitude
         f_c, f_a = Fraction(1000), Fraction(1001)
         for freq in (100.0, 200.0, 400.0):
-            sig = ToneBankSignal(tones=(Tone(1.0, freq, 0.3),), band=(freq, freq))
+            sig = ToneBankSignal((Tone(1.0, freq, 0.3),))
             s = sample(sig, f_a, 8000)
             out = resample(s, f_c, bank_float)
             rms, _ = resampled_error(sig, out)
@@ -276,7 +276,7 @@ class TestResampling:
             assert rms == pytest.approx(predicted, rel=0.35)
 
     def test_resample_error_zero_signal(self, bank_float):
-        sig = ToneBankSignal(tones=(), band=(0.0, 1.0))
+        sig = ToneBankSignal(())
         s = stream_from(np.zeros(1000))
         out = resample(s, Fraction(1000), bank_float)
         rms, peak = resampled_error(sig, out)
@@ -290,7 +290,7 @@ class TestResampling:
     def test_guard_band_tone_reported_not_judged(self, bank_float):
         # beyond the passband edge the bank promises no accuracy, and the error shows it
         f_c, f_a = Fraction(1000), Fraction(1001)
-        sig = ToneBankSignal(tones=(Tone(1.0, 497.0, 0.0),), band=(497.0, 497.0))
+        sig = ToneBankSignal((Tone(1.0, 497.0, 0.0),))
         s = sample(sig, f_a, 6000)
         out = resample(s, f_c, bank_float)
         rms, _ = resampled_error(sig, out)
@@ -483,10 +483,11 @@ class TestResampleRange:
 
         def source(lo, n):
             calls.append((lo, n))
-            return np.zeros(n)
+            return [np.zeros(n)]
 
         for first, count in blocks:
-            assert len(resample_range(source, ratio, bank19, first, count)) == count
+            (out,) = resample_range(source, ratio, bank19, first, count)
+            assert len(out) == count
         want = []
         for first, count in blocks:
             n, _, _ = phase_run(aligned_start(bank19, ratio) + (first - 1) * ratio, ratio, bank19.phases, count)
@@ -500,7 +501,7 @@ class TestResampleRange:
         ratio, K = Fraction(3, 5), 300
         rate = 1000 * ratio
         tones = synth_signal(seed=6, n_tones=8, band=(50.0, 250.0)).arrays()
-        out = resample_range(lambda lo, n: eval_tones(*tones, SampleGrid(rate, lo, n)), ratio, bank19, 0, K)
+        (out,) = resample_range(lambda lo, n: [eval_tones(*tones, SampleGrid(rate, lo, n))], ratio, bank19, 0, K)
         n, lut, _ = phase_run(aligned_start(bank19, ratio) - ratio, ratio, bank19.phases, K)
         assert n[0] == -11
         x = eval_tones(*tones, SampleGrid(rate, n[0], n[-1] + 56 - n[0])).tolist()
@@ -525,12 +526,14 @@ class TestResampleRange:
 
         def source(lo, n):
             assert -40 <= lo and lo + n + 40 <= len(data)
-            return data[lo + 40 : lo + n + 40]
+            return [data[lo + 40 : lo + n + 40], -data[lo + 40 : lo + n + 40]]
 
         bounds = list(itertools.accumulate([0] + sizes))
         whole = resample_range(source, ratio, bank19, 0, bounds[-1])
         pieces = [resample_range(source, ratio, bank19, lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
-        assert np.array_equal(np.concatenate(pieces), whole)
+        for i, out in enumerate(whole):  # each input's outputs, the negated one's negated
+            assert np.array_equal(np.concatenate([piece[i] for piece in pieces]), out)
+        assert np.array_equal(whole[1], -whole[0])
 
 
 class TestTransients:

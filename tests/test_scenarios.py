@@ -10,11 +10,15 @@ import pytest
 
 from scfosim import scenarios as scenarios_module
 from scfosim.chain import map_forked
-from scfosim.errors import BandZoneMismatch, ConfigInvalid, Infeasible, InsufficientSamples
-from scfosim.frontend import SampleStream, Zone, sample
+from scfosim.errors import ConfigInvalid, Infeasible, InsufficientSamples, RatioOutOfRange
+from scfosim.frontend import SampleStream, sample
 from scfosim.resampler import cached_bank, design_bank, resample
 from scfosim.scenarios import (
-    ZONE_BANDS,
+    BAND_TABLE,
+    OFFSET_GRID_HZ,
+    OFFSET_LIMIT_HZ,
+    ZONE2_BAND,
+    Zone,
     _correlated_pair,
     _desk_rates,
     _peak_hz,
@@ -35,19 +39,22 @@ RATES = _desk_rates({"band": "B1", "f_c": "1000000/1", "offsets_hz": ["4240000/1
 def test_washout_delta_f_is_the_measured_clock_tone_split(tmp_path):
     # reduced size; offsets, tone scale and rates are the scenario defaults
     cfg = {"targets_dwt": [100.0], "windows": 2, "sky_T": 0.02}
-    result = run_scenario("selfclock-washout", cfg, out_dir=tmp_path)
+    run_scenario("selfclock-washout", cfg, out_dir=tmp_path)
     f_c = Fraction(1_000_000)
+    # each window's dwt = 2 pi delta_f n_samples / f_c
+    with open(tmp_path / "washout_windows.csv") as fh:
+        delta_f = [float(row["dwt"]) * float(f_c) / (2 * np.pi * int(row["n_samples"])) for row in csv.DictReader(fh)]
     n_fft = 1 << 16
     bank = design_bank(56, 1024, 19)
-    no_sky = ToneBankSignal((), band=(0.05e6, 0.45e6))
+    no_sky = ToneBankSignal(())
     streams = _resampled_tone_streams(RATES, Zone.ZONE1, f_c, bank, n_fft, no_sky, clock_tone=(1.0, Fraction(3, 4)))
     peaks = []
     for s in streams:
         spec = np.abs(np.fft.rfft(s.data * np.hanning(n_fft)))
         peaks.append(np.argmax(spec) * float(f_c) / n_fft)
     # the 3/4 f_a tones alias to 1/4 f_a: 1/4 of the 2120 Hz clock split
-    assert result["delta_f"] == 530.0
-    assert abs(abs(peaks[0] - peaks[1]) - result["delta_f"]) <= 2 * float(f_c) / n_fft
+    assert delta_f == pytest.approx([530.0, 530.0], rel=1e-12)
+    assert all(abs(abs(peaks[0] - peaks[1]) - d) <= 2 * float(f_c) / n_fft for d in delta_f)
 
 
 def test_peak_reads_only_valid_samples():
@@ -78,10 +85,8 @@ def test_map_forked_matches_serial_bit_for_bit(deadline):
 
 
 def zone_sky(zone):
-    """One tone inside the zone's band: 0.3 f_c in Zone 1, 0.7 f_c in Zone 2."""
-    hz = (0.3 if zone is Zone.ZONE1 else 0.7) * float(F_C)
-    band = tuple(frac * float(F_C) for frac in ZONE_BANDS[zone])
-    return ToneBankSignal((Tone(1.0, hz, 0.5),), band=band)
+    """One tone inside the zone: 0.3 f_c in Zone 1, 0.7 f_c in Zone 2."""
+    return ToneBankSignal((Tone(1.0, (0.3 if zone is Zone.ZONE1 else 0.7) * float(F_C), 0.5),))
 
 
 @pytest.mark.parametrize("zone", [Zone.ZONE1, Zone.ZONE2], ids=["zone1", "zone2"])
@@ -106,16 +111,27 @@ def test_a_shorter_stream_is_a_prefix_of_a_longer_one(zone):
         assert np.array_equal(s.data, l.data[:5_000])
 
 
+@pytest.mark.parametrize("band", list(BAND_TABLE))
+def test_the_zone2_band_lies_in_zone_2_at_every_desk_rate(band):
+    # why sampling checks no band: _desk_rates caps |f_a/f_c - 1| at
+    # OFFSET_LIMIT_HZ over the band's rate (0.3125% on B3, the lowest), so
+    # even at those extremes the Zone-2 band times f_c lies inside (f_a/2, f_a)
+    cfg = {"band": band, "f_c": "1000000/1"}
+    with pytest.raises(ConfigInvalid, match="offsets_hz"):
+        _desk_rates(cfg, [OFFSET_LIMIT_HZ + OFFSET_GRID_HZ[band]])  # one grid step past the limit
+    lo, hi = (Fraction(frac) * F_C for frac in ZONE2_BAND)
+    for f_a in _desk_rates(cfg, [OFFSET_LIMIT_HZ, -OFFSET_LIMIT_HZ]):
+        assert f_a / 2 < lo and hi < f_a
+
+
 @pytest.mark.parametrize("wrong", [1, 0], ids=["forked-antenna", "own-antenna"])
 def test_antenna_errors_reach_the_caller_with_their_class(wrong, deadline):
-    # a Zone-2 antenna whose sky band lies in Zone 1 raises BandZoneMismatch,
-    # whether it is the antenna run in the child or the one run here
-    zone2 = ToneBankSignal((Tone(1.0, 0.7 * float(F_C), 0.5),), band=(0.56e6, 0.94e6))
-    zone1 = ToneBankSignal((Tone(1.0, 0.3 * float(F_C), 0.5),), band=(0.05e6, 0.45e6))
-    skies = [zone2, zone2]
-    skies[wrong] = zone1
-    with deadline(), pytest.raises(BandZoneMismatch):
-        _resampled_tone_streams(RATES, Zone.ZONE2, F_C, cached_bank(56, 1024, 19), 20_000, sky=skies)
+    # an antenna at twice the common clock folds at ratio 2, which raises
+    # RatioOutOfRange, whether it is the antenna run in the child or the one run here
+    rates = list(RATES)
+    rates[wrong] = 2 * F_C
+    with deadline(), pytest.raises(RatioOutOfRange):
+        _resampled_tone_streams(rates, Zone.ZONE2, F_C, cached_bank(56, 1024, 19), 20_000, sky=zone_sky(Zone.ZONE2))
     assert not multiprocessing.active_children()
 
 

@@ -6,14 +6,12 @@ import pytest
 
 from scfosim import scenarios
 from scfosim.errors import EmptyBand
-from scfosim.frontend import Zone
 from scfosim.resampler import cached_bank
 from scfosim.signal import (
     TONE_BLOCK,
     SampleGrid,
     Tone,
     ToneBankSignal,
-    combine,
     eval_tones,
     synth_signal,
 )
@@ -71,16 +69,16 @@ def on_grid(sig, rate, start, count):
 
 class TestEval:
     def test_empty_bank_is_zero(self):
-        sig = ToneBankSignal(tones=(), band=(0.0, 1.0))
+        sig = ToneBankSignal(())
         assert on_grid(sig, 100, 37, 1)[0] == 0.0  # t = 0.37 s
 
     def test_quarter_period_peak(self):
-        sig = ToneBankSignal(tones=(Tone(1.0, 1.0, 0.0),), band=(1.0, 1.0))
+        sig = ToneBankSignal((Tone(1.0, 1.0, 0.0),))
         assert on_grid(sig, 4, 1, 1)[0] == pytest.approx(1.0)  # t = 0.25 s
 
     def test_periodicity(self):
         # one period of the 3 Hz tone is 100 samples at 300 samples/s
-        sig = ToneBankSignal(tones=(Tone(0.7, 3.0, 1.1),), band=(3.0, 3.0))
+        sig = ToneBankSignal((Tone(0.7, 3.0, 1.1),))
         idx = np.array([3, 36, 120])  # t = 0.01, 0.12, 0.4 s
         x = on_grid(sig, 300, 0, 300)
         assert x[idx] == pytest.approx(x[idx + 100], abs=1e-12)
@@ -88,7 +86,7 @@ class TestEval:
     def test_linearity(self):
         a = synth_signal(seed=5, n_tones=16, band=(1.0, 5.0))
         b = synth_signal(seed=6, n_tones=16, band=(1.0, 5.0))
-        both = combine(a, b)
+        both = ToneBankSignal(a.tones + b.tones)
         # 257 samples of 1/256 s, t = 0 .. 1 s
         assert on_grid(a, 256, 0, 257) + on_grid(b, 256, 0, 257) == pytest.approx(
             on_grid(both, 256, 0, 257), abs=1e-12
@@ -98,7 +96,7 @@ class TestEval:
 def chain_bank():
     """The requant-loss chain's bank: 16 sky plus 16 noise tones at f_c = 1 MHz."""
     band = (0.0833 * 5e5, 0.9167 * 5e5)
-    return combine(synth_signal(1, 16, band), synth_signal(1110, 16, band)).arrays()
+    return ToneBankSignal(synth_signal(1, 16, band).tones + synth_signal(1110, 16, band).tones).arrays()
 
 
 def exact_tones(amps, freqs, phases, rate, indices, epoch=Fraction(0)):
@@ -194,7 +192,7 @@ def test_clock_tone_sits_at_the_exact_scale_times_f_a(monkeypatch):
     sky = synth_signal(seed=1, n_tones=4, band=(1e5, 4e5))
     bank = cached_bank(56, 1024, 19)
     # one antenna runs in this process, so the spy sees its bank
-    scenarios._resampled_tone_streams([f_a], Zone.ZONE1, f_c, bank, 2_000, sky, clock_tone=(0.5, Fraction(3, 4)))
+    scenarios._resampled_tone_streams([f_a], scenarios.Zone.ZONE1, f_c, bank, 2_000, sky, clock_tone=(0.5, Fraction(3, 4)))
     (sig,) = seen
     assert sig.tones[:-1] == sky.tones
     assert sig.tones[-1] == Tone(0.5, float(Fraction(3, 4) * f_a), 0.0)
