@@ -12,13 +12,14 @@ sky content land at the same absolute frequency in every antenna.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import DesignInfeasible, StreamTooShort
 from .frontend import SampleStream
-from .rational import phase_run
+from .rational import phase_blocks
 from .resampler import _kaiser_beta, _kaiser_window
 
 
@@ -35,8 +36,9 @@ LUT_WORD_BITS = 20
 MIX_BLOCK = 1 << 16
 
 
+@functools.lru_cache(maxsize=4)
 def design_hilbert(n_taps: int, band: tuple[float, float]) -> np.ndarray:
-    """Kaiser-windowed Hilbert transformer taps h.
+    """Kaiser-windowed Hilbert transformer taps h, read-only, designed once per process.
 
     h approximates -90 degrees at unity gain over ``band`` (normalized to
     Nyquist); its delay-matched twin is the center tap, the input delayed by
@@ -62,6 +64,7 @@ def design_hilbert(n_taps: int, band: tuple[float, float]) -> np.ndarray:
             f"worst in-band image rejection {rejection.min():.1f} dB < 60 dB "
             f"({n_taps} taps, band {band})"
         )
+    h.setflags(write=False)
     return h
 
 
@@ -94,19 +97,6 @@ def quadrature_lut(bits_index: int, bits_word: int) -> np.ndarray:
     return table
 
 
-def oscillator_indices(start: Fraction, inc: Fraction, bits_index: int, count: int) -> np.ndarray:
-    """LUT indices of an exact rational phase ramp (cycles), vectorized.
-
-    index_k = round(L * frac(start + k*inc)) mod L, ties to even: the ramp is
-    rational.phase_run's exact grid decomposition, whose LUT index is offset
-    by L/2, so the oscillator can never drift.
-    """
-    L = 1 << bits_index
-    inc = Fraction(inc)
-    _, lut, _ = phase_run(Fraction(start) - inc, inc, L, count)
-    return (lut + L // 2) % L
-
-
 def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     """Analytic-signal frequency shift of a real stream at the common rate.
 
@@ -115,8 +105,10 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     input sample i + HILBERT_TAPS//2 (the S/H group delay is re-centered
     away), and the epoch moves on by that many samples.  The analytic signal,
     the oscillator and the mix are computed a block of at most MIX_BLOCK
-    samples at a time, so only the output spans the stream; each block plans
-    its own oscillator from its exact phase.
+    samples at a time, so only the output spans the stream.  The blocks are
+    the pieces of the oscillator's one exact phase ramp (phase_blocks): its
+    index k is round(L * frac(phase_k)) mod L, ties to even, and it is planned
+    once per call where its period fits in a block, else once per block.
     """
     if stream.is_complex:
         raise ValueError("ssb_shift expects a real input stream")
@@ -129,11 +121,11 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     epoch = stream.epoch + c / stream.rate
     inc = Fraction(shift_hz) / stream.rate
     out = np.empty(len(stream) - 2 * c, dtype=np.complex128)
-    for lo in range(0, len(out), MIX_BLOCK):
-        hi = min(lo + MIX_BLOCK, len(out))
+    for lo, _, lut in phase_blocks(Fraction(shift_hz) * epoch - inc, inc, L, len(out), MIX_BLOCK):
+        hi = lo + len(lut)
         analytic = 1j * np.convolve(stream.data[lo : hi + 2 * c], h, mode="valid")
         analytic += stream.data[lo + c : hi + c]
-        idx = oscillator_indices(Fraction(shift_hz) * epoch + lo * inc, inc, PHASE_LUT_BITS, hi - lo)
+        idx = (lut + L // 2) % L  # phase_run's LUT index i stands for (i - L/2)/L
         osc = 1j * table[(idx - L // 4) % L]  # j sin
         osc += table[idx]  # + cos
         # not in place: numpy rounds a one-element complex product in place

@@ -16,7 +16,8 @@ steps, so its phase plan is periodic: after den steps the grid index
 g = round_half_even(x * P) moves by num * P, n by num, and the LUT index
 repeats.  Round-half-even settles a tie by g's parity, so this holds only
 when num * P is even; when it is odd the plan repeats after 2 * den steps
-instead.  phase_run computes one period and repeats it.
+instead (plan_period).  phase_run computes one period and repeats it, and
+phase_blocks cuts a ramp into pieces of whole periods that share one plan.
 """
 
 from __future__ import annotations
@@ -81,6 +82,11 @@ def sample_index(position: Fraction, frac_width: int) -> int:
     return (g + frac_width // 2) // frac_width
 
 
+def plan_period(ratio: Fraction, frac_width: int) -> int:
+    """Steps after which a phase plan repeats: den, or 2 * den when num * P is odd."""
+    return ratio.denominator * (1 + ratio.numerator * frac_width % 2)
+
+
 def phase_run(
     position: Fraction, ratio: Fraction, frac_width: int, count: int
 ) -> tuple[np.ndarray, np.ndarray, Fraction]:
@@ -91,23 +97,40 @@ def phase_run(
     LUT index i stands for the fraction (i - P/2)/P of a sample past n, so a
     fraction of -1/2 addresses index 0, one just below +1/2 index P-1, and
     one within 1/(2P) of +1/2 folds onto index 0 of sample n + 1.
-    The plan is periodic (see the module docstring): with lap = 1 when
-    ratio.numerator * frac_width is even and 2 when it is odd, position
-    j + lap*den has n larger by lap*num and the same lut.  So only the first
-    min(count, lap*den) positions are computed; the rest repeat them.  Any
-    ratio works, negative and zero included, whose plan fits int64 (see
-    _phase_plan).
+    The plan is periodic (module docstring), so only the first min(count,
+    plan_period) positions are computed; the rest repeat them, n moved on by
+    period * ratio, a whole number.  Any ratio works, negative and zero
+    included, whose plan fits int64 (see _phase_plan).
     """
-    lap = 1 if ratio.numerator * frac_width % 2 == 0 else 2
-    period = lap * ratio.denominator
+    period = plan_period(ratio, frac_width)
     if count <= period:
         return _phase_plan(position, ratio, frac_width, count)
     n_head, lut_head, _ = _phase_plan(position, ratio, frac_width, period)
     reps = -(-count // period)
-    shift = lap * ratio.numerator * np.arange(reps, dtype=np.int64)
+    shift = int(period * ratio) * np.arange(reps, dtype=np.int64)
     n = (n_head + shift[:, None]).ravel()[:count]
     lut = np.tile(lut_head, reps)[:count]
     return n, lut, Fraction(position) + count * ratio
+
+
+def phase_blocks(position: Fraction, ratio: Fraction, frac_width: int, count: int, most: int):
+    """Yields (lo, n, lut) for steps lo .. lo + len(n) - 1 of phase_run(position,
+    ratio, frac_width, count), in order, in pieces of at most ``most`` steps.
+
+    Where a period fits in ``most``, each piece but the last is the same whole
+    number of periods, and only the first is planned: piece lo is its n moved
+    on by lo * ratio, a whole number, and its very lut, which no caller may
+    write.  Else each piece is planned from its own exact position.
+    """
+    period = plan_period(ratio, frac_width)
+    step = most // period * period or most
+    for lo in range(0, count, step):
+        k = min(step, count - lo)
+        if lo == 0 or step < period:  # planned from its own exact position
+            n, lut, position = phase_run(position, ratio, frac_width, k)
+            yield lo, n, lut
+        else:  # the first piece's whole periods, lo * ratio samples on
+            yield lo, n[:k] + int(lo * ratio), lut[:k]
 
 
 def _phase_plan(

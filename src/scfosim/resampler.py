@@ -20,8 +20,9 @@ So an output is a pure function of its position and the inputs under its
 window, and fold_outputs computes any range of outputs from exactly the
 inputs that range reads, with no state carried between calls.  It folds
 several inputs on one grid (the dual chain's quantized stream and its float
-twin) on one phase plan and one gather of tap rows.  Its one kernel,
-_fir_rows, computes each sum as the strict left fold
+twin) on one phase plan, whose period is planned once per call where it fits
+a block (rational.phase_blocks), and one gather of tap rows.  Its one
+kernel, _fir_rows, computes each sum as the strict left fold
 ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, FIR_TILE outputs at a time:
 a tile's products h_m x_m are copied into a taps x outputs array, and one
 np.add.reduce over its tap axis adds row m after row m - 1.  Tiling changes
@@ -49,7 +50,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DesignInfeasible, RatioOutOfRange, StreamTooShort
 from .frontend import QuantKind, SampleStream
-from .rational import count_outputs, phase_run, sample_index
+from .rational import count_outputs, phase_blocks, sample_index
 
 
 @dataclass(frozen=True)
@@ -237,9 +238,9 @@ def response(
 # Outputs per tile of _fir_rows: 512 timed faster than 256, 768, 1024 and 2048;
 # a tile's 56 x 512 products (224 KiB) and their copy stay in cache.
 FIR_TILE = 512
-# Outputs per plan block of fold_outputs: a block's n, lut and rel (512 KiB
-# each) are planned and folded into the output before the next block's, so
-# none spans a whole stream.
+# Outputs per block of fold_outputs, at most: a block's n, lut and rel (512
+# KiB each) are folded into the output before the next block's, so none spans
+# a whole stream.
 PLAN_BLOCK = 1 << 16
 
 
@@ -279,6 +280,14 @@ def _fir_rows(bufs, rel: np.ndarray, table: np.ndarray, lut: np.ndarray, outs=No
     return outs
 
 
+def _checked_ratio(ratio: Fraction) -> Fraction:
+    """``ratio`` as a Fraction if the scheme's small offsets hold it."""
+    ratio = Fraction(ratio)
+    if not Fraction(1, 2) < ratio < Fraction(3, 2):
+        raise RatioOutOfRange(f"ratio {ratio} outside (0.5, 1.5); the scheme assumes small offsets")
+    return ratio
+
+
 def aligned_start(bank: CoefficientBank, ratio: Fraction) -> Fraction:
     """Where output 0 sits on an antenna's input grid: c*(ratio - 1), with c
     the prototype center, so every antenna's outputs share one epoch, c/f_c."""
@@ -302,22 +311,18 @@ def fold_outputs(
     of output 0 (rational.sample_index) to that of output count-1 plus the
     tap count.  With ``in_step`` None the fold is float; given, inputs are
     rounded to integer multiples of in_step and folded exactly in int64
-    against the bank's integer taps (the fixed-point path).  The outputs are
-    planned PLAN_BLOCK at a time, one phase_run per block for all inputs, and
-    only a block's inputs are rounded at once.  The inputs share the plan and
-    the tap rows (_fir_rows), and each output is still its own strict left
-    fold, so an input's outputs are those of a fold of it alone, bit for bit.
+    against the bank's integer taps (the fixed-point path).  The outputs go
+    in the pieces of one phase_blocks(..., PLAN_BLOCK) ramp, and only a
+    piece's inputs are rounded at once.  The inputs share the plan and the tap
+    rows (_fir_rows), and each output is still its own strict left fold, so
+    an input's outputs are those of a fold of it alone, bit for bit.
     """
-    ratio = Fraction(ratio)
-    if not Fraction(1, 2) < ratio < Fraction(3, 2):
-        raise RatioOutOfRange(f"ratio {ratio} outside (0.5, 1.5); the scheme assumes small offsets")
+    ratio = _checked_ratio(ratio)
     if in_step is not None and bank.table_int is None:
         raise ValueError("fixed-point path needs a quantized bank")
     N = bank.taps_per_phase
     outs = [np.empty(count, dtype=np.float64) for _ in xs]
-    pos = Fraction(position) - ratio  # position before output 0
-    for lo in range(0, count, PLAN_BLOCK):
-        n, lut, pos = phase_run(pos, ratio, bank.phases, min(PLAN_BLOCK, count - lo))
+    for lo, n, lut in phase_blocks(Fraction(position) - ratio, ratio, bank.phases, count, PLAN_BLOCK):
         bufs = [x[n[0] - first : n[-1] - first + N] for x in xs]
         rel = n - n[0]
         blocks = [out[lo : lo + len(n)] for out in outs]
@@ -352,9 +357,11 @@ def resample_range(source, ratio: Fraction, bank: CoefficientBank, first: int, c
 
     The source is asked once, for exactly the inputs the outputs read: from
     the read pointer (rational.sample_index) of output ``first`` to that of
-    the last output plus the tap count.  No state passes between calls, so a
-    range gives the same outputs however it is split.
+    the last output plus the tap count, and not at all when the ratio is out
+    of range (RatioOutOfRange).  No state passes between calls, so a range
+    gives the same outputs however it is split.
     """
+    ratio = _checked_ratio(ratio)
     position = aligned_start(bank, ratio) + first * ratio
     lo = sample_index(position, bank.phases)
     end = sample_index(position + (count - 1) * ratio, bank.phases) + bank.taps_per_phase

@@ -11,6 +11,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from scfosim import chain as chain_module
+from scfosim import rational as rational_module
 from scfosim import resampler as resampler_module
 from scfosim.chain import (
     BLOCK,
@@ -28,7 +29,7 @@ from scfosim.chain import (
 )
 from scfosim.errors import ConfigInvalid
 from scfosim.frontend import QuantKind, QuantizerSpec
-from scfosim.resampler import PASSBAND, cached_bank
+from scfosim.resampler import PASSBAND, PLAN_BLOCK, cached_bank
 from scfosim.scenarios import run_scenario
 from scfosim.signal import ToneBankSignal, synth_signal
 
@@ -258,16 +259,23 @@ def test_each_source_evaluates_exactly_the_inputs_its_outputs_need(monkeypatch):
         assert all(abs(g.count - ((count - 1) * ratio + red.bank.taps_per_phase)) <= 1 for g, (_, count) in zip(mine, blocks))
 
 
-def test_each_red_antenna_block_plans_once_per_plan_block(monkeypatch):
+@pytest.mark.parametrize("plan_block", [PLAN_BLOCK, 4_096])
+def test_each_red_antenna_block_is_planned_once_where_its_period_fits(monkeypatch, plan_block):
     # the chain and its twin fold on one plan: per red antenna block one
-    # resample_range call, and one phase_run per PLAN_BLOCK of its outputs
+    # resample_range call.  At 1 +- 1/10,000 the plan's period is 10,000
+    # outputs: at the default PLAN_BLOCK a block goes in pieces of 60,000,
+    # six periods, planned once; below the period, once per PLAN_BLOCK
     serial(monkeypatch)
-    monkeypatch.setattr(resampler_module, "PLAN_BLOCK", 4_096)  # a block spans several
-    plans = record_calls(monkeypatch, "phase_run", resampler_module)
+    monkeypatch.setattr(resampler_module, "PLAN_BLOCK", plan_block)
+    plans = record_calls(monkeypatch, "phase_run", rational_module)
     folds = record_calls(monkeypatch, "resample_range")
-    small_loss(monkeypatch, n=50_000, block=WELCH_STRIDE)
-    assert len(folds) == 2 * -(-50_000 // WELCH_STRIDE)
-    assert len(plans) == sum(-(-count // 4_096) for *_, count in folds) > len(folds)
+    small_loss(monkeypatch, n=150_000, block=5 * WELCH_STRIDE)
+    counts = [count for *_, count in folds]
+    assert len(counts) == 4 and min(counts) > 60_000  # two blocks per antenna
+    if plan_block == PLAN_BLOCK:
+        assert [count for *_, count in plans] == [60_000] * len(counts)
+    else:
+        assert len(plans) == sum(-(-count // plan_block) for count in counts)
 
 
 def test_both_antennas_yield_equal_blocks(monkeypatch):

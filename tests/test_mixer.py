@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scfosim import rational as rational_module
 from scfosim.errors import DesignInfeasible, StreamTooShort
 from scfosim.frontend import SampleStream, sample
 from scfosim.mixer import (
@@ -15,10 +16,10 @@ from scfosim.mixer import (
     design_hilbert,
     hilbert_response,
     image_rejection_db,
-    oscillator_indices,
     quadrature_lut,
     ssb_shift,
 )
+from scfosim.rational import phase_run
 from scfosim.signal import Tone, ToneBankSignal
 
 
@@ -46,6 +47,10 @@ class TestHilbertDesign:
         rej = image_rejection_db(h, np.linspace(0.1, 0.9, 201))
         assert rej.min() >= 60.0
 
+    def test_designed_once_per_process_and_read_only(self):
+        h = design_hilbert(HILBERT_TAPS, HILBERT_BAND)
+        assert design_hilbert(HILBERT_TAPS, HILBERT_BAND) is h and not h.flags.writeable
+
     def test_infeasible_design(self):
         with pytest.raises(DesignInfeasible):
             design_hilbert(9, (0.02, 0.98))
@@ -64,10 +69,19 @@ class TestHilbertDesign:
             design_hilbert(63, band)
 
 
+def ramp_indices(start, inc, bits, count):
+    """Oscillator LUT indices of the phases start + k*inc, k < count, in one
+    pass: the ramp's one phase_run plan on the 1/L grid, L = 2**bits, whose
+    LUT index i stands for (i - L/2)/L, moved on by L/2."""
+    L = 1 << bits
+    _, lut, _ = phase_run(Fraction(start) - inc, Fraction(inc), L, count)
+    return (lut + L // 2) % L
+
+
 class TestOscillator:
     def test_exact_rational_phase_no_drift(self):
         inc = Fraction(12345, 1_000_000)
-        idx = oscillator_indices(Fraction(0), inc, 10, 200_000)
+        idx = ramp_indices(Fraction(0), inc, 10, 200_000)
         # recompute a late index directly from the exact fraction
         k = 199_999
         frac = (inc * k) % 1
@@ -75,7 +89,7 @@ class TestOscillator:
         assert idx[k] == expect
 
     def test_negative_increment(self):
-        idx = oscillator_indices(Fraction(0), Fraction(-1, 7), 10, 14)
+        idx = ramp_indices(Fraction(0), Fraction(-1, 7), 10, 14)
         assert np.all((0 <= idx) & (idx < 1024))
         assert idx[7] == round(Fraction(-1) % 1 * 1024) % 1024
 
@@ -92,7 +106,7 @@ class TestOscillator:
     )
     def test_every_index_is_the_rounded_exact_phase(self, start, inc, bits):
         L = 1 << bits
-        idx = oscillator_indices(start, inc, bits, 3000)
+        idx = ramp_indices(start, inc, bits, 3000)
         want = [round(L * ((start + k * inc) % 1)) % L for k in range(3000)]
         assert idx.tolist() == want
 
@@ -140,7 +154,7 @@ class TestSsbShift:
         # the blocks give the one-pass mix over the whole stream
         c, L = HILBERT_TAPS // 2, 1 << PHASE_LUT_BITS
         h, table = design_hilbert(HILBERT_TAPS, HILBERT_BAND), quadrature_lut(PHASE_LUT_BITS, LUT_WORD_BITS)
-        idx = oscillator_indices(shift * Fraction(c) / rate, shift / rate, PHASE_LUT_BITS, len(whole))
+        idx = ramp_indices(shift * Fraction(c) / rate, shift / rate, PHASE_LUT_BITS, len(whole))
         one_pass = (1j * np.convolve(data, h, mode="valid") + data[c:-c]) * (1j * table[(idx - L // 4) % L] + table[idx])
         assert np.array_equal(whole, one_pass)
         cuts = [(s, 1) for s in range(300)]
@@ -148,6 +162,22 @@ class TestSsbShift:
         for s, k in cuts:
             cut = SampleStream(rate=rate, epoch=s / rate, data=data[s : s + HILBERT_TAPS - 1 + k])
             assert np.array_equal(ssb_shift(cut, shift).data, whole[s : s + k]), (s, k)
+
+    # oscillator periods of 3,000 and 1,000 samples: one plan for the call;
+    # of 101,000, longer than a block: one plan for each of the 3 blocks
+    @pytest.mark.parametrize(
+        "shift, period, plans",
+        [(Fraction(-37, 3), 3_000, 1), (Fraction(12_347), 1_000, 1), (Fraction(12_347, 101), 101_000, 3)],
+    )
+    def test_the_oscillator_is_planned_once_where_its_period_fits_a_block(self, monkeypatch, shift, period, plans):
+        calls = []
+        original = rational_module.phase_run
+        monkeypatch.setattr(rational_module, "phase_run", lambda *args: calls.append(args) or original(*args))
+        data = np.random.default_rng(2).standard_normal(2 * MIX_BLOCK + 500)
+        out = ssb_shift(SampleStream(rate=Fraction(1000), epoch=Fraction(0), data=data), shift)
+        assert -(-len(out) // MIX_BLOCK) == 3
+        assert rational_module.plan_period(shift / 1000, 1 << PHASE_LUT_BITS) == period
+        assert len(calls) == plans
 
     def test_ssb_shift_peaks_near_its_output_bytes(self):
         # the analytic signal, the oscillator and the mix go a block at a

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scfosim import rational as rational_module
 from scfosim.errors import RatioOutOfRange, ZeroDenominator
-from scfosim.rational import count_outputs, parse_rational, phase_run, round_half_even, sample_index
+from scfosim.rational import (
+    count_outputs,
+    parse_rational,
+    phase_blocks,
+    phase_run,
+    plan_period,
+    round_half_even,
+    sample_index,
+)
 
 
 def brute_force_steps(ratio, n_steps, frac_width=1024, position=Fraction(0)):
@@ -258,6 +267,56 @@ class TestPeriodicPlan:
                 n, lut, end = phase_run(start, ratio, frac_width, count)
                 assert (list(n), list(lut)) == grid_positions(start, ratio, count, frac_width)
                 assert end == start + count * ratio
+
+
+class TestPhaseBlocks:
+    """phase_blocks cuts phase_run into pieces of at most ``most`` steps, and
+    plans once where a period fits in a piece."""
+
+    @given(
+        data=st.data(),
+        frac_width=st.sampled_from([1, 3, 1023, 1024]),
+        den=st.integers(1, 40),
+        fit=st.sampled_from(["below", "at", "above"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pieces_concatenate_to_phase_run(self, data, frac_width, den, fit):
+        # ratios of both signs and 0, lap 1 and 2; ``most`` below, at and
+        # above the plan period
+        ratio = Fraction(data.draw(st.integers(-2 * den, 2 * den)), den)
+        period = plan_period(ratio, frac_width)
+        most = {"below": data.draw(st.integers(1, max(period - 1, 1))), "at": period}.get(fit)
+        most = most or data.draw(st.integers(period + 1, 5 * period))
+        count = data.draw(st.integers(0, 6 * period + 3))
+        start = Fraction(data.draw(st.integers(-1000, 1000)), data.draw(st.integers(1, 1000)))
+        pieces = list(phase_blocks(start, ratio, frac_width, count, most))
+        n, lut, _ = phase_run(start, ratio, frac_width, count)
+        lens = [len(pn) for _, pn, _ in pieces]
+        assert [lo for lo, _, _ in pieces] == [sum(lens[:i]) for i in range(len(pieces))]
+        assert sum(lens) == count and all(0 < k <= most for k in lens)
+        if period <= most:  # each piece but the last whole periods
+            assert all(k % period == 0 for k in lens[:-1])
+        assert [v for _, pn, _ in pieces for v in pn.tolist()] == n.tolist()
+        assert [v for _, _, pl in pieces for v in pl.tolist()] == lut.tolist()
+
+    @pytest.mark.parametrize(
+        "ratio, frac_width, period",
+        [(Fraction(1001, 1000), 1024, 1000), (Fraction(1), 1, 2), (Fraction(-3, 4), 3, 8), (Fraction(0), 1, 1)],
+    )
+    def test_the_period_is_den_or_twice_den_when_num_times_p_is_odd(self, ratio, frac_width, period):
+        assert plan_period(ratio, frac_width) == period
+
+    def test_pieces_of_whole_periods_are_planned_once(self, monkeypatch):
+        calls = []
+        original = rational_module.phase_run
+        monkeypatch.setattr(rational_module, "phase_run", lambda *args: calls.append(args[3]) or original(*args))
+        ratio = 1 + Fraction(53, 50_000)  # period 50,000
+        pieces = list(phase_blocks(Fraction(-7, 3), ratio, 1024, 230_000, 1 << 16))
+        assert [len(n) for _, n, _ in pieces] == [50_000] * 4 + [30_000]
+        assert calls == [50_000]
+        calls.clear()
+        pieces = list(phase_blocks(Fraction(-7, 3), ratio, 1024, 230_000, 40_000))  # shorter than a period
+        assert [len(n) for _, n, _ in pieces] == calls == [40_000] * 5 + [30_000]
 
 
 def brute_force_count(position, ratio, frac_width, last_n):

@@ -430,11 +430,13 @@ class TestResampling:
         assert np.array_equal(np.concatenate(pieces)[:200], whole)
 
     @pytest.mark.parametrize("fixed", [False, True])
-    @pytest.mark.parametrize("ratio", [1 + Fraction(53, 50_000), 1 - Fraction(47, 50_000)])
+    # skips and repeats, with plan periods of 50,000 outputs, inside a plan
+    # block, and of 100,003, longer than one
+    @pytest.mark.parametrize("ratio", [1 + Fraction(53, 50_000), 1 - Fraction(47, 50_000), 1 + Fraction(1, 100_003)])
     # the first output to read sample 0 or later: in the first plan block, past the second's start
     @pytest.mark.parametrize("start", [Fraction(-40, 3), -PLAN_BLOCK - Fraction(301, 3)])
     def test_one_call_over_plan_blocks_matches_small_calls(self, bank19, fixed, ratio, start):
-        K = 3 * PLAN_BLOCK + 1_000  # the one fold plans four blocks
+        K = 3 * PLAN_BLOCK + 1_000  # the one fold goes in four or five blocks
         n, _, _ = phase_run(start - ratio, ratio, bank19.phases, K)
         assert n[0] < 0  # the first outputs read before sample 0
         data = np.random.default_rng(6).standard_normal(n[-1] + 56 - n[0])  # input samples n[0] ..
@@ -493,6 +495,14 @@ class TestResampleRange:
             n, _, _ = phase_run(aligned_start(bank19, ratio) + (first - 1) * ratio, ratio, bank19.phases, count)
             want.append((n[0], n[-1] + 56 - n[0]))
         assert calls == want
+
+    @pytest.mark.parametrize("ratio", [Fraction(2), Fraction(1, 2), Fraction(3, 2)])
+    def test_a_ratio_out_of_range_raises_before_the_source_is_asked(self, bank19, ratio):
+        def source(lo, n):
+            raise AssertionError(f"the source was asked for inputs {lo} .. {lo + n - 1}")
+
+        with pytest.raises(RatioOutOfRange):
+            resample_range(source, ratio, bank19, 0, 20_000)
 
     def test_outputs_that_read_negative_indices_are_exact_sums(self, bank19):
         # at ratio 3/5 output 0 sits at 27.5 * (3/5 - 1) = -11 on the input
