@@ -13,10 +13,6 @@ class ScfoError(Exception):
 
 
 # rational clock math
-class ZeroDenominator(ScfoError):
-    pass
-
-
 class RatioOutOfRange(ScfoError):
     """Resampling ratio outside the +/-50% band the scheme assumes, or with a
     denominator too large for the int64 phase plan (rational.phase_run)."""

@@ -101,13 +101,7 @@ def sample(sig: ToneBankSignal, f_a: Fraction, n: int, first: int = 0) -> Sample
     if n < 1:
         raise ValueError("n must be >= 1")
     f_a = Fraction(f_a)
-    data = np.empty(n, dtype=np.float64)
-    tones = sig.arrays()
-    chunk = 1 << 20  # whole TONE_BLOCKs: from a block-aligned first, no block is synthesized twice
-    for start in range(0, n, chunk):
-        count = min(chunk, n - start)
-        data[start : start + count] = eval_tones(*tones, SampleGrid(f_a, first + start, count))
-    return SampleStream(rate=f_a, epoch=first / f_a, data=data)
+    return SampleStream(rate=f_a, epoch=first / f_a, data=eval_tones(*sig.arrays(), SampleGrid(f_a, first, n)))
 
 
 LLOYD_TOL = 1e-12

@@ -3,21 +3,22 @@
 All clock relationships are held as ``fractions.Fraction`` so that no ratio
 or position ever drifts: step j of a ramp sits exactly at
 ``position + (j+1) * ratio``.  Frequencies are Fractions in Hz; config files
-carry them as "num/den" or decimal strings, and parse_rational converts both
-exactly (no float parsing anywhere).
+carry them as "num/den" or decimal strings, which Fraction reads exactly
+("0.1" is 1/10; no float parsing anywhere).
 
-phase_run is the one ramp: it splits each position on the 1/P grid into the
-integer sample n (the read pointer) and the LUT index; sample_index gives
-the n of one position, and count_outputs is its exact inverse: how many
-steps stay within a given last input sample.
+phase_run is the one ramp: it splits each position x on the 1/P grid into
+the integer sample n (the read pointer) and the LUT index, both read off the
+grid index g = round(x * P), ties to even as Python rounds a Fraction;
+sample_index gives the n of one position, and count_outputs is its exact
+inverse: how many steps stay within a given last input sample.
 
 A ratio num/den moves a position by exactly num whole samples every den
-steps, so its phase plan is periodic: after den steps the grid index
-g = round_half_even(x * P) moves by num * P, n by num, and the LUT index
-repeats.  Round-half-even settles a tie by g's parity, so this holds only
-when num * P is even; when it is odd the plan repeats after 2 * den steps
-instead (plan_period).  phase_run computes one period and repeats it, and
-phase_blocks cuts a ramp into pieces of whole periods that share one plan.
+steps, so its phase plan is periodic: after den steps g moves by num * P, n
+by num, and the LUT index repeats.  Round-half-even settles a tie by g's
+parity, so this holds only when num * P is even; when it is odd the plan
+repeats after 2 * den steps instead (plan_period).  phase_run plans position
+by position, and phase_blocks, which cuts a ramp into pieces, is the one
+place a plan repeats: where a period fits a piece, every piece shares one.
 """
 
 from __future__ import annotations
@@ -27,40 +28,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import RatioOutOfRange, ZeroDenominator
-
-
-def parse_rational(text: str) -> Fraction:
-    """Exact conversion of a "num/den" or decimal string to a Fraction.
-
-    Decimal strings convert via their exact decimal expansion ("0.1" becomes
-    1/10, not the nearest float).
-    """
-    text = text.strip()
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        if "/" in text and text.count("/") == 1:
-            num, den = text.split("/")
-            if den.strip() in ("0", "+0", "-0"):
-                raise ZeroDenominator(f"zero denominator in {text!r}") from exc
-        raise
-
-
-def round_half_even(num: int, den: int) -> int:
-    """Round num/den (den > 0) to the nearest integer, ties to even."""
-    q, r = divmod(num, den)
-    twice = 2 * r
-    if twice > den or (twice == den and q % 2 == 1):
-        return q + 1
-    return q
+from .errors import RatioOutOfRange
 
 
 def count_outputs(position: Fraction, ratio: Fraction, frac_width: int, last_n: int) -> int:
     """How many of the positions ``position + (j+1)*ratio``, j = 0, 1, ... have
     integer sample n <= last_n on the 1/frac_width grid.
 
-    n <= H holds exactly when the grid index g = round_half_even(x * P) is at
+    n <= H holds exactly when the grid index g = round(x * P) is at
     most G = (H+1)*P - P/2 - 1, i.e. when x * P < G + 1/2, or x * P equals
     G + 1/2 with G even (that tie rounds down).  Since positions increase, the
     count is one exact floor of the number of ratio steps below that bound.
@@ -77,9 +52,7 @@ def count_outputs(position: Fraction, ratio: Fraction, frac_width: int, last_n: 
 def sample_index(position: Fraction, frac_width: int) -> int:
     """The integer sample n of ``position`` on the 1/frac_width grid: the read
     pointer phase_run gives that position."""
-    position = Fraction(position)
-    g = round_half_even(position.numerator * frac_width, position.denominator)
-    return (g + frac_width // 2) // frac_width
+    return (round(Fraction(position) * frac_width) + frac_width // 2) // frac_width
 
 
 def plan_period(ratio: Fraction, frac_width: int) -> int:
@@ -97,46 +70,7 @@ def phase_run(
     LUT index i stands for the fraction (i - P/2)/P of a sample past n, so a
     fraction of -1/2 addresses index 0, one just below +1/2 index P-1, and
     one within 1/(2P) of +1/2 folds onto index 0 of sample n + 1.
-    The plan is periodic (module docstring), so only the first min(count,
-    plan_period) positions are computed; the rest repeat them, n moved on by
-    period * ratio, a whole number.  Any ratio works, negative and zero
-    included, whose plan fits int64 (see _phase_plan).
-    """
-    period = plan_period(ratio, frac_width)
-    if count <= period:
-        return _phase_plan(position, ratio, frac_width, count)
-    n_head, lut_head, _ = _phase_plan(position, ratio, frac_width, period)
-    reps = -(-count // period)
-    shift = int(period * ratio) * np.arange(reps, dtype=np.int64)
-    n = (n_head + shift[:, None]).ravel()[:count]
-    lut = np.tile(lut_head, reps)[:count]
-    return n, lut, Fraction(position) + count * ratio
-
-
-def phase_blocks(position: Fraction, ratio: Fraction, frac_width: int, count: int, most: int):
-    """Yields (lo, n, lut) for steps lo .. lo + len(n) - 1 of phase_run(position,
-    ratio, frac_width, count), in order, in pieces of at most ``most`` steps.
-
-    Where a period fits in ``most``, each piece but the last is the same whole
-    number of periods, and only the first is planned: piece lo is its n moved
-    on by lo * ratio, a whole number, and its very lut, which no caller may
-    write.  Else each piece is planned from its own exact position.
-    """
-    period = plan_period(ratio, frac_width)
-    step = most // period * period or most
-    for lo in range(0, count, step):
-        k = min(step, count - lo)
-        if lo == 0 or step < period:  # planned from its own exact position
-            n, lut, position = phase_run(position, ratio, frac_width, k)
-            yield lo, n, lut
-        else:  # the first piece's whole periods, lo * ratio samples on
-            yield lo, n[:k] + int(lo * ratio), lut[:k]
-
-
-def _phase_plan(
-    position: Fraction, ratio: Fraction, frac_width: int, count: int
-) -> tuple[np.ndarray, np.ndarray, Fraction]:
-    """phase_run computed position by position, without using the period.
+    Any ratio works, negative and zero included, whose plan fits int64.
 
     Work is chunked so the int64 intermediates (numerators times P over the
     common denominator of position and ratio) cannot overflow.  Where a chunk
@@ -189,3 +123,31 @@ def _phase_plan(
         base = Fraction(whole) + Fraction(fnum0 + chunk * rnum, fden)
     return n_out, lut_out, base
 
+
+def phase_blocks(position: Fraction, ratio: Fraction, frac_width: int, count: int, most: int):
+    """Yields (lo, base, rel, lut) for steps lo .. lo + len(rel) - 1 of
+    phase_run(position, ratio, frac_width, count), in order, in pieces of at
+    most ``most`` steps: step lo + j reads sample base + rel[j] at LUT index
+    lut[j].
+
+    Where a period fits in ``most``, one period is planned and repeated once,
+    to the most whole periods that fit.  Every piece shares that rel and lut,
+    read-only; only base moves, by lo * ratio, a whole number.
+    Else each piece is planned from its own exact position.
+    """
+    period = plan_period(ratio, frac_width)
+    step = most // period * period or most
+    for lo in range(0, count, step):
+        k = min(step, count - lo)
+        if lo == 0 or step < period:  # planned from its own exact position
+            rel, lut, position = phase_run(position, ratio, frac_width, min(k, period))
+            base = int(rel[0])
+            rel -= base
+            if k > period:  # whole periods: the one period, repeated
+                reps = -(-k // period)
+                rel = (rel + int(period * ratio) * np.arange(reps, dtype=np.int64)[:, None]).ravel()
+                lut = np.tile(lut, reps)
+            rel.flags.writeable = lut.flags.writeable = False
+            yield lo, base, rel[:k], lut[:k]
+        else:
+            yield lo, base + int(lo * ratio), rel[:k], lut[:k]

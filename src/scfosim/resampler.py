@@ -20,8 +20,8 @@ So an output is a pure function of its position and the inputs under its
 window, and fold_outputs computes any range of outputs from exactly the
 inputs that range reads, with no state carried between calls.  It folds
 several inputs on one grid (the dual chain's quantized stream and its float
-twin) on one phase plan, whose period is planned once per call where it fits
-a block (rational.phase_blocks), and one gather of tap rows.  Its one
+twin) on one phase plan, which every block shares where its period fits a
+block (rational.phase_blocks), and one gather of tap rows.  Its one
 kernel, _fir_rows, computes each sum as the strict left fold
 ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, FIR_TILE outputs at a time:
 a tile's products h_m x_m are copied into a taps x outputs array, and one
@@ -238,9 +238,9 @@ def response(
 # Outputs per tile of _fir_rows: 512 timed faster than 256, 768, 1024 and 2048;
 # a tile's 56 x 512 products (224 KiB) and their copy stay in cache.
 FIR_TILE = 512
-# Outputs per block of fold_outputs, at most: a block's n, lut and rel (512
-# KiB each) are folded into the output before the next block's, so none spans
-# a whole stream.
+# Outputs per block of fold_outputs, at most: a block's inputs and its plan,
+# rel and lut (512 KiB each at most), are all a fold holds besides the outputs,
+# so none spans a whole stream.
 PLAN_BLOCK = 1 << 16
 
 
@@ -312,20 +312,20 @@ def fold_outputs(
     tap count.  With ``in_step`` None the fold is float; given, inputs are
     rounded to integer multiples of in_step and folded exactly in int64
     against the bank's integer taps (the fixed-point path).  The outputs go
-    in the pieces of one phase_blocks(..., PLAN_BLOCK) ramp, and only a
-    piece's inputs are rounded at once.  The inputs share the plan and the tap
-    rows (_fir_rows), and each output is still its own strict left fold, so
-    an input's outputs are those of a fold of it alone, bit for bit.
+    in the pieces (lo, base, rel, lut) of one phase_blocks(..., PLAN_BLOCK)
+    ramp: a piece reads its inputs from sample base to base + rel[-1] plus the
+    tap count, and only they are rounded at once.  The inputs share the plan
+    and the tap rows (_fir_rows), and each output is still its own strict left
+    fold, so an input's outputs are those of a fold of it alone, bit for bit.
     """
     ratio = _checked_ratio(ratio)
     if in_step is not None and bank.table_int is None:
         raise ValueError("fixed-point path needs a quantized bank")
     N = bank.taps_per_phase
     outs = [np.empty(count, dtype=np.float64) for _ in xs]
-    for lo, n, lut in phase_blocks(Fraction(position) - ratio, ratio, bank.phases, count, PLAN_BLOCK):
-        bufs = [x[n[0] - first : n[-1] - first + N] for x in xs]
-        rel = n - n[0]
-        blocks = [out[lo : lo + len(n)] for out in outs]
+    for lo, base, rel, lut in phase_blocks(Fraction(position) - ratio, ratio, bank.phases, count, PLAN_BLOCK):
+        bufs = [x[base - first : base + rel[-1] - first + N] for x in xs]
+        blocks = [out[lo : lo + len(rel)] for out in outs]
         if in_step is None:
             _fir_rows(bufs, rel, bank.table, lut, blocks)
         else:

@@ -50,10 +50,10 @@ import numpy as np
 
 from .chain import F_C, WELCH_NFFT, ChainSpec, map_forked, sensitivity_loss
 from .correlator import correlate, washing_suppression_db, window_length
-from .errors import ConfigInvalid, Infeasible, ZeroDenominator
+from .errors import ConfigInvalid, Infeasible
 from .frontend import FilterSpec, QuantKind, QuantizerSpec, SampleStream, antialias, sample
 from .mixer import HILBERT_TAPS, ssb_shift
-from .rational import count_outputs, parse_rational
+from .rational import count_outputs
 from .resampler import PASSBAND, aligned_start, cached_bank, resample_range
 from .signal import Tone, ToneBankSignal, synth_signal
 
@@ -169,8 +169,9 @@ def _within(lo: float, hi: float, kind: str = "real") -> tuple:
 
 
 def _frac(value) -> Fraction:
-    """The exact rational of a rational field's value."""
-    return parse_rational(str(value))
+    """The exact rational of a rational field's value: "num/den" or a decimal
+    string, read exactly ("0.1" is 1/10)."""
+    return Fraction(str(value))
 
 
 def _read(kind, value):
@@ -188,7 +189,7 @@ def _read(kind, value):
         read = _frac(value) if kind == "rational" else value
         if not math.isfinite(read):
             return None
-    except (ValueError, ZeroDivisionError, ZeroDenominator, OverflowError):  # OverflowError: beyond any float
+    except (ValueError, ZeroDivisionError, OverflowError):  # OverflowError: beyond any float
         return None
     if kind == "int":
         return int(read) if read == int(read) else None
@@ -705,7 +706,9 @@ def _zone2_shift(cfg, summary):
     "4-bit vs 4-bit+resample+8-bit sensitivity loss difference",
     {
         "seed": (1, _integer(0)),
-        "samples": (100_000_000, _integer(WELCH_NFFT)),
+        # at most 2**36, 262,144 chain blocks, about 690 times the default: past
+        # 2**63 not even the list of blocks fits a C index, and far less takes years
+        "samples": (100_000_000, _integer(WELCH_NFFT, 1 << 36)),
         # the red chain's ratios 1 +/- it stay inside (1/2, 3/2), and its
         # int64 phase plan (rational.phase_run) holds the denominator up to 2**26 phases
         "offset_ratio": ("1/10000", ("rational", lambda q: abs(q) < Fraction(1, 2) and q.denominator <= 1 << 32,

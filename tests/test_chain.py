@@ -264,7 +264,8 @@ def test_each_red_antenna_block_is_planned_once_where_its_period_fits(monkeypatc
     # the chain and its twin fold on one plan: per red antenna block one
     # resample_range call.  At 1 +- 1/10,000 the plan's period is 10,000
     # outputs: at the default PLAN_BLOCK a block goes in pieces of 60,000,
-    # six periods, planned once; below the period, once per PLAN_BLOCK
+    # six periods, that share one plan of a single period; below the period,
+    # one plan per PLAN_BLOCK
     serial(monkeypatch)
     monkeypatch.setattr(resampler_module, "PLAN_BLOCK", plan_block)
     plans = record_calls(monkeypatch, "phase_run", rational_module)
@@ -273,7 +274,7 @@ def test_each_red_antenna_block_is_planned_once_where_its_period_fits(monkeypatc
     counts = [count for *_, count in folds]
     assert len(counts) == 4 and min(counts) > 60_000  # two blocks per antenna
     if plan_block == PLAN_BLOCK:
-        assert [count for *_, count in plans] == [60_000] * len(counts)
+        assert [count for *_, count in plans] == [10_000] * len(counts)
     else:
         assert len(plans) == sum(-(-count // plan_block) for count in counts)
 

@@ -56,6 +56,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         ("requant-loss", '{"segments": 1}'),
         ("requant-loss", '{"samples": 0}'),
         ("requant-loss", '{"samples": 1000}'),
+        ("requant-loss", '{"samples": 1e30}'),
+        ("requant-loss", '{"samples": 68719476737}'),
         ("selfclock-washout", '{"windows": 0}'),
         ("selfclock-washout", '{"targets_dwt": []}'),
         ("selfclock-washout", '{"targets_dwt": ["x"]}'),
@@ -132,7 +134,8 @@ def test_run_writes_what_run_scenario_writes(tmp_path, capsys):
         "clock-scale-zero-denominator", "offset-ratio-not-rational",
         "zero-resolution", "negative-resolution", "resolution-below-a-nanohertz",
         "no-segments", "one-segment", "no-samples",
-        "fewer-samples-than-a-spectrum-window", "no-windows", "no-targets",
+        "fewer-samples-than-a-spectrum-window", "samples-past-any-index", "samples-past-the-bound",
+        "no-windows", "no-targets",
         "target-not-a-number", "negative-target", "jitter-above-one", "negative-jitter",
         "jittered-window-longer-than-the-streams",
         "no-fit-segments", "two-fit-segments", "no-fft-points", "fewer-fft-points-than-segments",

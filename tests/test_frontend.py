@@ -58,8 +58,9 @@ class TestSample:
         "m, n", [(1000, (1 << 20) + 1), ((1 << 20) - 3, (1 << 20) + 5), (1 << 20, (1 << 20) + 1)]
     )
     def test_prefix_bit_identical_across_chunk_boundary(self, m, n):
-        # sample() synthesizes in 2^20-sample chunks; a sample's value must not
-        # depend on which chunk it fell in or on the stream length
+        # sample() synthesizes in blocks anchored at absolute sample indices; a
+        # sample's value must not depend on the stream length, so a prefix
+        # across the 2^20-sample mark matches a shorter stream
         sig = synth_signal(seed=4, n_tones=6, band=(1e3, 4e5))
         f_a, first = Fraction(1_000_100), -2_333  # off the tone-block grid
         long = sample(sig, f_a, n, first=first)

@@ -6,16 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfosim import rational as rational_module
-from scfosim.errors import RatioOutOfRange, ZeroDenominator
-from scfosim.rational import (
-    count_outputs,
-    parse_rational,
-    phase_blocks,
-    phase_run,
-    plan_period,
-    round_half_even,
-    sample_index,
-)
+from scfosim.errors import RatioOutOfRange
+from scfosim.rational import count_outputs, phase_blocks, phase_run, plan_period, sample_index
 
 
 def brute_force_steps(ratio, n_steps, frac_width=1024, position=Fraction(0)):
@@ -41,56 +33,6 @@ def read_steps(ratio, count, frac_width=1024, position=Fraction(0)):
     from the previous one's, so the ramp starts one step early."""
     n, lut, end = phase_run(position - ratio, ratio, frac_width, count + 1)
     return np.diff(n), lut[1:], end
-
-
-class TestMakeRational:
-    """Clock frequencies come out of config text exact, through parse_rational."""
-
-    def test_band1_clock_exact(self):
-        f = parse_rational("4000000000")
-        assert f == Fraction(4_000_000_000)
-        assert float(f) == 4.0e9
-
-    def test_gcd_reduction(self):
-        f = parse_rational("2/4")
-        assert f.numerator == 1 and f.denominator == 2
-
-    def test_non_integer_hz_exact(self):
-        f = parse_rational(" 3000000000.1 ")
-        assert f * 10 == 30_000_000_001
-        assert f - 3_000_000_000 == Fraction(1, 10)
-
-    def test_zero_denominator(self):
-        for text in ("1/+0", "5/-0"):
-            with pytest.raises(ZeroDenominator):
-                parse_rational(text)
-
-
-class TestParse:
-    def test_slash_form(self):
-        assert parse_rational("30000000001/10") == Fraction(30_000_000_001, 10)
-
-    def test_decimal_exact(self):
-        # exact decimal expansion, not float rounding
-        assert parse_rational("3000000000.1") == Fraction(30_000_000_001, 10)
-        assert parse_rational("0.1") == Fraction(1, 10)
-
-    def test_zero_den(self):
-        with pytest.raises(ZeroDenominator):
-            parse_rational("1/0")
-
-
-class TestRoundHalfEven:
-    @pytest.mark.parametrize(
-        "num,den,expect",
-        [(1, 2, 0), (3, 2, 2), (5, 2, 2), (7, 2, 4), (-1, 2, 0), (-3, 2, -2), (4, 3, 1), (5, 3, 2)],
-    )
-    def test_cases(self, num, den, expect):
-        assert round_half_even(num, den) == expect
-
-    @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
-    def test_matches_python_round_of_fraction(self, num, den):
-        assert round_half_even(num, den) == round(Fraction(num, den))
 
 
 class TestAccumulator:
@@ -223,8 +165,9 @@ def grid_positions(start, ratio, count, frac_width):
 
 
 class TestPeriodicPlan:
-    """phase_run repeats one period of its plan: den steps, or 2*den when
-    num * P is odd, since an odd move of g flips round-half-even's ties."""
+    """phase_run over several periods of its plan, the span phase_blocks
+    repeats: den steps, or 2*den when num * P is odd, since an odd move of g
+    flips round-half-even's ties."""
 
     @given(
         data=st.data(),
@@ -270,8 +213,9 @@ class TestPeriodicPlan:
 
 
 class TestPhaseBlocks:
-    """phase_blocks cuts phase_run into pieces of at most ``most`` steps, and
-    plans once where a period fits in a piece."""
+    """phase_blocks cuts phase_run into pieces (lo, base, rel, lut) of at most
+    ``most`` steps, and where a period fits in a piece every piece shares one
+    plan of whole periods, planned once."""
 
     @given(
         data=st.data(),
@@ -291,13 +235,16 @@ class TestPhaseBlocks:
         start = Fraction(data.draw(st.integers(-1000, 1000)), data.draw(st.integers(1, 1000)))
         pieces = list(phase_blocks(start, ratio, frac_width, count, most))
         n, lut, _ = phase_run(start, ratio, frac_width, count)
-        lens = [len(pn) for _, pn, _ in pieces]
-        assert [lo for lo, _, _ in pieces] == [sum(lens[:i]) for i in range(len(pieces))]
+        lens = [len(rel) for _, _, rel, _ in pieces]
+        assert [lo for lo, *_ in pieces] == [sum(lens[:i]) for i in range(len(pieces))]
         assert sum(lens) == count and all(0 < k <= most for k in lens)
-        if period <= most:  # each piece but the last whole periods
+        assert all(len(pl) == len(rel) and not (rel.flags.writeable or pl.flags.writeable) for *_, rel, pl in pieces)
+        if period <= most:  # each piece but the last whole periods, all on one plan
             assert all(k % period == 0 for k in lens[:-1])
-        assert [v for _, pn, _ in pieces for v in pn.tolist()] == n.tolist()
-        assert [v for _, _, pl in pieces for v in pl.tolist()] == lut.tolist()
+            for *_, rel, pl in pieces[1:]:
+                assert np.shares_memory(rel, pieces[0][2]) and np.shares_memory(pl, pieces[0][3])
+        assert [base + v for _, base, rel, _ in pieces for v in rel.tolist()] == n.tolist()
+        assert [v for *_, pl in pieces for v in pl.tolist()] == lut.tolist()
 
     @pytest.mark.parametrize(
         "ratio, frac_width, period",
@@ -312,11 +259,15 @@ class TestPhaseBlocks:
         monkeypatch.setattr(rational_module, "phase_run", lambda *args: calls.append(args[3]) or original(*args))
         ratio = 1 + Fraction(53, 50_000)  # period 50,000
         pieces = list(phase_blocks(Fraction(-7, 3), ratio, 1024, 230_000, 1 << 16))
-        assert [len(n) for _, n, _ in pieces] == [50_000] * 4 + [30_000]
+        assert [len(rel) for _, _, rel, _ in pieces] == [50_000] * 4 + [30_000]
         assert calls == [50_000]
         calls.clear()
         pieces = list(phase_blocks(Fraction(-7, 3), ratio, 1024, 230_000, 40_000))  # shorter than a period
-        assert [len(n) for _, n, _ in pieces] == calls == [40_000] * 5 + [30_000]
+        assert [len(rel) for _, _, rel, _ in pieces] == calls == [40_000] * 5 + [30_000]
+
+    @pytest.mark.parametrize("most", [1, 999, 1000, 1 << 16])
+    def test_no_steps_yield_no_piece(self, most):
+        assert list(phase_blocks(Fraction(-7, 3), Fraction(1001, 1000), 1024, 0, most)) == []
 
 
 def brute_force_count(position, ratio, frac_width, last_n):
@@ -369,6 +320,15 @@ STARTS = st.one_of(
     st.fractions(Fraction(-20), Fraction(20), max_denominator=5000),
     st.integers(-20, 20).map(lambda k: k + Fraction(1, 2)),  # a rounding tie
 )
+
+
+@pytest.mark.parametrize(
+    "num,den,expect",
+    [(1, 2, 0), (3, 2, 2), (5, 2, 2), (7, 2, 4), (-1, 2, 0), (-3, 2, -2), (4, 3, 1), (5, 3, 2)],
+)
+def test_sample_index_rounds_ties_to_even(num, den, expect):
+    # on a 1/1 grid the sample index is the position rounded, ties to even
+    assert sample_index(Fraction(num, den), 1) == expect
 
 
 @given(position=STARTS, width=st.sampled_from([2, 8, 256, 1024]))

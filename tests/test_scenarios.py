@@ -21,6 +21,7 @@ from scfosim.scenarios import (
     Zone,
     _correlated_pair,
     _desk_rates,
+    _frac,
     _peak_hz,
     _resampled_tone_streams,
     SCENARIOS,
@@ -370,6 +371,37 @@ def test_an_integer_field_holds_an_int_and_others_their_value_as_given():
     assert type(cfg["n_fft"]) is int and cfg["n_fft"] == 4096
     assert type(cfg["residual_tol_hz"]) is int
     assert cfg["f_c"] == 2000000 and cfg["offsets_hz"] == ["4240000/1", "-4240000/1"]
+
+
+class TestFrac:
+    """Clock frequencies come out of config values exact, through _frac."""
+
+    def test_band1_clock_exact(self):
+        for value in ("4000000000", 4_000_000_000):
+            assert _frac(value) == Fraction(4_000_000_000) and float(_frac(value)) == 4.0e9
+
+    def test_gcd_reduction(self):
+        f = _frac("2/4")
+        assert f.numerator == 1 and f.denominator == 2
+
+    def test_non_integer_hz_exact(self):
+        f = _frac(" 3000000000.1 ")
+        assert f * 10 == 30_000_000_001
+        assert f - 3_000_000_000 == Fraction(1, 10)
+
+    def test_slash_form(self):
+        assert _frac("30000000001/10") == Fraction(30_000_000_001, 10)
+
+    def test_decimal_exact(self):
+        # exact decimal expansion, not float rounding
+        assert _frac("3000000000.1") == Fraction(30_000_000_001, 10)
+        assert _frac("0.1") == Fraction(1, 10)
+
+    @pytest.mark.parametrize("text", ["1/0", "1/+0", "5/-0"])
+    def test_zero_denominator_is_an_invalid_field(self, text):
+        with pytest.raises(ConfigInvalid) as exc:
+            merge_config(SCENARIOS["zone2-shift"][2], {"f_c": text})
+        assert exc.value.field == "f_c"
 
 
 class ReadKeys(dict):
