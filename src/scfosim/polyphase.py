@@ -4,10 +4,10 @@ A k-way demux computes k output samples per demuxed clock, so it emits
 whole blocks of k outputs only.  The scheduling changes; the arithmetic must
 not: the load-bearing property is bit-exact equality with the direct-form
 resampler, including around skip/repeat events, on both the float and the
-fixed-point paths.  Every output sum is one strict left fold over the taps
-(see resampler._fir_rows) whichever outputs are computed together, so the
-demux stream is the direct stream cut to whole blocks, and demux_resample
-computes it that way.
+fixed-point paths.  Every float output sum is one strict left fold over the
+taps and every integer one is exact in any order (see resampler._fir_rows),
+whichever outputs are computed together, so the demux stream is the direct
+stream cut to whole blocks, and demux_resample computes it that way.
 """
 
 from __future__ import annotations

@@ -22,13 +22,14 @@ inputs that range reads, with no state carried between calls.  It folds
 several inputs on one grid (the dual chain's quantized stream and its float
 twin) on one phase plan, which every block shares where its period fits a
 block (rational.phase_blocks), and one gather of tap rows.  Its one
-kernel, _fir_rows, computes each sum as the strict left fold
-((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m, FIR_TILE outputs at a time:
-a tile's products h_m x_m are copied into a taps x outputs array, and one
-np.add.reduce over its tap axis adds row m after row m - 1.  Tiling changes
-only which outputs are computed together, never the order of any one
-output's sum, so a fold over outputs [0, K) equals the folds over any split
-of that range, bit for bit.
+kernel, _fir_rows, goes FIR_TILE outputs at a time.  A float sum is the
+strict left fold ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m: a tile's
+products h_m x_m are copied into a taps x outputs array, and one
+np.add.reduce over its tap axis adds row m after row m - 1.  An integer sum
+(the fixed-point path) is exact in int64 in any order, so it is one
+np.einsum per tile.  Tiling changes only which outputs are computed
+together, never the value of any one output's sum, so a fold over outputs
+[0, K) equals the folds over any split of that range, bit for bit.
 
 resample_range holds the one rule for which inputs a range of outputs
 reads: outputs first .. first+count-1 of an antenna whose output 0 sits at
@@ -136,6 +137,7 @@ def quantize_taps(taps: np.ndarray, bits: int) -> np.ndarray:
 PASSBAND = (0.0833, 0.9167)
 
 
+@functools.lru_cache(maxsize=8)
 def design_bank(
     N: int,
     P: int,
@@ -148,7 +150,8 @@ def design_bank(
     The prototype is a Kaiser-windowed sinc with the transition centered at
     Nyquist; beta is chosen from the gap between the passband edge and its
     image above Nyquist.  The design is verified against ``max_ripple_db``
-    over the passband before being returned.
+    over the passband before being returned, once per process: every caller
+    shares the bank, whose tables are read-only.
     """
     if N < 2:
         raise ValueError("need at least 2 taps")
@@ -187,13 +190,6 @@ def design_bank(
             f"(N={N}, beta={beta:.3f})"
         )
     return bank
-
-
-@functools.lru_cache(maxsize=8)
-def cached_bank(N: int, P: int, coeff_bits: int | None = 19) -> CoefficientBank:
-    """``design_bank(N, P, coeff_bits)`` designed once per process and shared
-    by every caller; both tables are read-only, so sharing is safe."""
-    return design_bank(N, P, coeff_bits)
 
 
 @dataclass
@@ -246,31 +242,38 @@ PLAN_BLOCK = 1 << 16
 
 def _fir_rows(bufs, rel: np.ndarray, table: np.ndarray, lut: np.ndarray, outs=None) -> list:
     """Output j of each buffer in ``bufs``: sum_m table[lut[j], m] * buf[rel[j] + m],
-    as a strict left fold, written into the matching array of ``outs`` when
-    given.
+    written into the matching array of ``outs`` when given; ``rel`` is
+    non-decreasing.
 
-    The FIR kernel of fold_outputs, float and fixed point.  The buffers share
-    the plan (rel, lut), and outputs go in tiles of FIR_TILE whose tap rows
-    are gathered once for all of them.  Per buffer, the tile's windows are
-    gathered into an outputs x taps product and multiplied by those rows; the
-    product is copied once into a C-ordered taps x outputs array, and one
-    np.add.reduce over its first axis adds its contiguous rows in order,
-    ((p_0 + p_1) + p_2) + ...  A one-output tile has no outputs axis to run
-    along, and numpy would sum its lone column pairwise, so it is folded by
-    np.add.accumulate, a left fold by definition.  The order thus never
+    The FIR kernel of fold_outputs.  The buffers share the plan (rel, lut),
+    and outputs go in tiles of FIR_TILE whose tap rows are gathered once for
+    all of them.  Float sums are strict left folds: per buffer, the tile's
+    windows are gathered into an outputs x taps product and multiplied by
+    those rows; the product is copied once into a C-ordered taps x outputs
+    array, and one np.add.reduce over its first axis adds its contiguous rows
+    in order, ((p_0 + p_1) + p_2) + ...  A one-output tile has no outputs
+    axis to run along, and numpy would sum its lone column pairwise, so it is
+    folded by np.add.accumulate, a left fold by definition.  The order never
     depends on the tile, on how many outputs a call yields or on the other
     buffers, so float outputs are bit-identical however the outputs are split
-    and whatever is folded beside them; test_fir_rows_is_a_left_fold (every
-    tile width numpy treats apart) and the block tests pin it.
-    Integer inputs fold exactly in int64.
+    and whatever is folded beside them (test_fir_rows_is_a_left_fold, every
+    tile width numpy treats apart, and the block tests).  Integer sums are
+    exact in any order, int64 wrapping mod 2**64 however it adds: one np.einsum
+    per tile, reading windows in place where read pointers step by exactly 1.
     """
     wins = [sliding_window_view(buf, table.shape[1]) for buf in bufs]
     if outs is None:
         outs = [np.empty(len(rel), dtype=np.result_type(buf, table)) for buf in bufs]
+    # breaks[j]: outputs up to j whose read pointer is not one past the last one's
+    breaks = np.cumsum(np.diff(rel, prepend=rel[:1]) != 1) if any(o.dtype.kind == "i" for o in outs) else None
     for lo in range(0, len(rel), FIR_TILE):
         hi = min(lo + FIR_TILE, len(rel))
         rows, at = table[lut[lo:hi]], rel[lo:hi]
         for win, out in zip(wins, outs):
+            if out.dtype.kind == "i":
+                windows = win[at[0] : at[0] + hi - lo] if breaks[hi - 1] == breaks[lo] else win[at]
+                np.einsum("jm,jm->j", windows, rows, out=out[lo:hi])
+                continue
             prod = win[at]
             prod *= rows
             if hi - lo == 1:
@@ -311,16 +314,26 @@ def fold_outputs(
     of output 0 (rational.sample_index) to that of output count-1 plus the
     tap count.  With ``in_step`` None the fold is float; given, inputs are
     rounded to integer multiples of in_step and folded exactly in int64
-    against the bank's integer taps (the fixed-point path).  The outputs go
-    in the pieces (lo, base, rel, lut) of one phase_blocks(..., PLAN_BLOCK)
+    against the bank's integer taps (the fixed-point path).  ``in_step`` must
+    be positive and finite, and the largest register word times the largest
+    row sum of |table_int| must fit in int64 (ValueError).  The outputs go in
+    the pieces (lo, base, rel, lut) of one phase_blocks(..., PLAN_BLOCK)
     ramp: a piece reads its inputs from sample base to base + rel[-1] plus the
     tap count, and only they are rounded at once.  The inputs share the plan
-    and the tap rows (_fir_rows), and each output is still its own strict left
-    fold, so an input's outputs are those of a fold of it alone, bit for bit.
+    and the tap rows (_fir_rows), and each output is still its own sum (a
+    strict left fold in float, exact in int64), so an input's outputs are
+    those of a fold of it alone, bit for bit.
     """
     ratio = _checked_ratio(ratio)
-    if in_step is not None and bank.table_int is None:
-        raise ValueError("fixed-point path needs a quantized bank")
+    if in_step is not None:
+        if bank.table_int is None:
+            raise ValueError("fixed-point path needs a quantized bank")
+        if not 0.0 < in_step < np.inf:
+            raise ValueError(f"in_step {in_step} is not a positive finite register step")
+        word = np.rint(max(max(np.max(x), -np.min(x)) for x in xs) / in_step)
+        gain = int(np.abs(bank.table_int).sum(axis=1, dtype=np.uint64).max())
+        if not (np.isfinite(word) and int(word) * gain < 1 << 63):
+            raise ValueError(f"register words up to {word} times taps of row sum {gain} can overflow int64")
     N = bank.taps_per_phase
     outs = [np.empty(count, dtype=np.float64) for _ in xs]
     for lo, base, rel, lut in phase_blocks(Fraction(position) - ratio, ratio, bank.phases, count, PLAN_BLOCK):

@@ -54,7 +54,7 @@ from .errors import ConfigInvalid, Infeasible
 from .frontend import FilterSpec, QuantKind, QuantizerSpec, SampleStream, antialias, sample
 from .mixer import HILBERT_TAPS, ssb_shift
 from .rational import count_outputs
-from .resampler import PASSBAND, aligned_start, cached_bank, resample_range
+from .resampler import PASSBAND, aligned_start, design_bank, resample_range
 from .signal import Tone, ToneBankSignal, synth_signal
 
 BAND_TABLE = {
@@ -289,7 +289,7 @@ _RESAMPLING = {
 
 def _clock_and_bank(cfg) -> tuple[Fraction, object]:
     """The common clock f_c and the cached coefficient bank of ``cfg``."""
-    return _frac(cfg["f_c"]), cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
+    return _frac(cfg["f_c"]), design_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"])
 
 
 def _desk_rates(cfg, offsets=None) -> list[Fraction]:
@@ -736,7 +736,7 @@ def _requant_loss(cfg, summary):
         input_quant=q4,
         offset=_frac(cfg["offset_ratio"]),
         out_quant=QuantizerSpec(QuantKind.Q8_UNIFORM, float(cfg["q8_loading"])),
-        bank=cached_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"]),  # designed before the fork
+        bank=design_bank(cfg["taps"], cfg["phases"], cfg["coeff_bits"]),  # designed before the fork
     )
     # a shared sky plus each antenna's own noise, sky power over noise power snr
     band = _band(PASSBAND, F_C / 2)

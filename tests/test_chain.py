@@ -29,7 +29,7 @@ from scfosim.chain import (
 )
 from scfosim.errors import ConfigInvalid
 from scfosim.frontend import QuantKind, QuantizerSpec
-from scfosim.resampler import PASSBAND, PLAN_BLOCK, cached_bank
+from scfosim.resampler import PASSBAND, PLAN_BLOCK, design_bank
 from scfosim.scenarios import run_scenario
 from scfosim.signal import ToneBankSignal, synth_signal
 
@@ -40,7 +40,7 @@ CHAINS = {
         input_quant=Q4,
         offset=Fraction(1, 10_000),
         out_quant=QuantizerSpec(QuantKind.Q8_UNIFORM, 0.5),
-        bank=cached_bank(56, 1024, 19),
+        bank=design_bank(56, 1024, 19),
     ),
 }
 

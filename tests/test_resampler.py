@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfosim.errors import DesignInfeasible, RatioOutOfRange, StreamTooShort
-from scfosim.frontend import SampleStream, sample
+from scfosim.frontend import QuantizerSpec, QuantKind, SampleStream, quantize, sample
 from scfosim.rational import phase_run, sample_index
 from scfosim.resampler import (
     FIR_TILE,
     PLAN_BLOCK,
     _fir_rows,
     aligned_start,
-    cached_bank,
     design_bank,
     fixed_in_step,
     fold_outputs,
@@ -70,10 +69,9 @@ class TestDesign:
         i = int(np.argmin(np.abs(r.freq - 0.5)))
         assert abs(10 ** (r.mag_db[i] / 20.0) - 1.0) < 1e-4
 
-    def test_cached_bank_is_shared_and_read_only(self, bank19):
-        shared = cached_bank(56, 1024, 19)
-        assert cached_bank(56, 1024, 19) is shared
-        assert np.array_equal(shared.table_int, bank19.table_int)
+    def test_design_bank_is_shared_and_read_only(self, bank19):
+        shared = design_bank(56, 1024, 19)
+        assert design_bank(56, 1024, 19) is shared is bank19
         assert not shared.table.flags.writeable
         assert not shared.table_int.flags.writeable
 
@@ -472,6 +470,58 @@ class TestResampling:
         s = stream_from(np.random.default_rng(2).standard_normal(200), rate=1001)
         with pytest.raises(ValueError, match="fixed-point path needs a quantized bank"):
             resample(s, Fraction(1000), bank_float, fixed_point=True)
+
+
+def integer_plan(kind, outputs, rng):
+    """Read pointers of ``outputs`` outputs: one run (every tile inside it),
+    a skip or a repeat at output 100 of every tile, a repeat at 100 and a skip
+    at 300 (a tile whose ends look like a run's), or sorted random draws."""
+    k = np.arange(outputs)
+    at = np.cumsum(k % FIR_TILE == 100), np.cumsum(k % FIR_TILE == 300)
+    return {
+        "run": k + 3,
+        "skip": k + 3 + at[0],
+        "repeat": k + 3 - at[0],
+        "repeat-then-skip": k + 3 - at[0] + at[1],
+        "random": np.sort(rng.integers(0, outputs + outputs // 8 + 2, outputs)),
+    }[kind]
+
+
+class TestIntegerSums:
+    @pytest.mark.parametrize("outputs", [1, FIR_TILE - 1, FIR_TILE + 1, 2 * FIR_TILE + 1])
+    @pytest.mark.parametrize("kind", ["run", "skip", "repeat", "repeat-then-skip", "random"])
+    def test_integer_fir_rows_are_exact_sums(self, bank19, kind, outputs):
+        # words near 2**38 times 19-bit taps: exact in int64, not in float64
+        rng = np.random.default_rng([outputs, len(kind)])
+        rel = integer_plan(kind, outputs, rng)
+        if kind == "random" and outputs > FIR_TILE:
+            steps = np.diff(rel)
+            assert np.any(steps == 0) and np.any(steps > 1)
+        lut = rng.integers(0, 1024, outputs)
+        bufs = rng.integers(-(1 << 38), 1 << 38, (2, rel[-1] + 56))
+        got = _fir_rows(list(bufs), rel, bank19.table_int, lut)
+        windows = rel[:, None] + np.arange(56)
+        rows = bank19.table_int[lut].astype(object)
+        for buf, out in zip(bufs, got):
+            assert out.dtype == np.int64
+            want = (buf.astype(object)[windows] * rows).sum(axis=1)
+            assert out.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("in_step", [0.0, -1.0, np.nan, np.inf])
+    def test_a_register_step_that_is_not_positive_and_finite_raises(self, bank19, in_step):
+        with pytest.raises(ValueError, match="positive finite"):
+            fold_outputs([np.ones(200)], 0, Fraction(0), Fraction(1001, 1000), bank19, 1, in_step)
+
+    @pytest.mark.parametrize("ratio", [1 + Fraction(53, 50_000), 1 - Fraction(47, 50_000)])  # skips, repeats
+    def test_sums_that_could_wrap_int64_raise(self, bank19, ratio):
+        # Q8 words here reach 125, and at 60 bits a row's |taps| sums to 2.78 * 2**59:
+        # past 2**63, and unchecked, the sums wrap into outputs far from the float fold's
+        data = np.random.default_rng(3).standard_normal(4_000)
+        q8 = quantize(stream_from(data, rate=1000 * ratio), QuantizerSpec(QuantKind.Q8_UNIFORM, 0.5))
+        with pytest.raises(ValueError, match="overflow int64"):
+            resample(q8, Fraction(1000), design_bank(56, 1024, 60), fixed_point=True)
+        fixed = resample(q8, Fraction(1000), bank19, fixed_point=True).data
+        assert np.max(np.abs(fixed - resample(q8, Fraction(1000), bank19).data)) < 1e-4
 
 
 class TestResampleRange:

@@ -12,7 +12,7 @@ from scfosim import scenarios as scenarios_module
 from scfosim.chain import map_forked
 from scfosim.errors import ConfigInvalid, Infeasible, InsufficientSamples, RatioOutOfRange
 from scfosim.frontend import SampleStream, sample
-from scfosim.resampler import cached_bank, design_bank, resample
+from scfosim.resampler import design_bank, resample
 from scfosim.scenarios import (
     BAND_TABLE,
     OFFSET_GRID_HZ,
@@ -69,7 +69,7 @@ def test_peak_reads_only_valid_samples():
 
 def test_map_forked_matches_serial_bit_for_bit(deadline):
     sky = synth_signal(3, 8, (0.05 * float(F_C), 0.45 * float(F_C)))
-    bank = cached_bank(56, 1024, 19)
+    bank = design_bank(56, 1024, 19)
 
     def one(f_a):
         return resample(sample(sky, f_a, 50_000), F_C, bank)
@@ -93,7 +93,7 @@ def zone_sky(zone):
 @pytest.mark.parametrize("zone", [Zone.ZONE1, Zone.ZONE2], ids=["zone1", "zone2"])
 def test_correlated_pair_holds_its_window_and_little_more(zone):
     # exactly the window: every sample of both streams is correlated
-    bank = cached_bank(56, 1024, 19)
+    bank = design_bank(56, 1024, 19)
     rep, pair = _correlated_pair(RATES, zone, F_C, bank, 0.02, sky=zone_sky(zone))
     assert (rep.start, rep.n_samples) == (0, 20_000)
     assert [len(s) for s in pair] == [20_000, 20_000]
@@ -103,7 +103,7 @@ def test_correlated_pair_holds_its_window_and_little_more(zone):
 @pytest.mark.parametrize("zone", [Zone.ZONE1, Zone.ZONE2], ids=["zone1", "zone2"])
 def test_a_shorter_stream_is_a_prefix_of_a_longer_one(zone):
     # stopping the input early changes no sample, through the Zone-2 shift too
-    bank = cached_bank(56, 1024, 19)
+    bank = design_bank(56, 1024, 19)
     short = _resampled_tone_streams(RATES, zone, F_C, bank, 5_000, sky=zone_sky(zone))
     long = _resampled_tone_streams(RATES, zone, F_C, bank, 9_000, sky=zone_sky(zone))
     for s, l in zip(short, long):
@@ -132,7 +132,7 @@ def test_antenna_errors_reach_the_caller_with_their_class(wrong, deadline):
     rates = list(RATES)
     rates[wrong] = 2 * F_C
     with deadline(), pytest.raises(RatioOutOfRange):
-        _resampled_tone_streams(rates, Zone.ZONE2, F_C, cached_bank(56, 1024, 19), 20_000, sky=zone_sky(Zone.ZONE2))
+        _resampled_tone_streams(rates, Zone.ZONE2, F_C, design_bank(56, 1024, 19), 20_000, sky=zone_sky(Zone.ZONE2))
     assert not multiprocessing.active_children()
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from scfosim import scenarios
 from scfosim.errors import EmptyBand
-from scfosim.resampler import cached_bank
+from scfosim.resampler import design_bank
 from scfosim.signal import (
     TONE_BLOCK,
     SampleGrid,
@@ -190,7 +190,7 @@ def test_clock_tone_sits_at_the_exact_scale_times_f_a(monkeypatch):
 
     monkeypatch.setattr(scenarios, "sample", spy)
     sky = synth_signal(seed=1, n_tones=4, band=(1e5, 4e5))
-    bank = cached_bank(56, 1024, 19)
+    bank = design_bank(56, 1024, 19)
     # one antenna runs in this process, so the spy sees its bank
     scenarios._resampled_tone_streams([f_a], scenarios.Zone.ZONE1, f_c, bank, 2_000, sky, clock_tone=(0.5, Fraction(3, 4)))
     (sig,) = seen
