@@ -150,12 +150,14 @@ def _block_sums(a: np.ndarray, b: np.ndarray, first: int, m: int, seg_len: int, 
         sa, sb = a[lo - first : hi - first], b[lo - first : hi - first]
         pieces.append((lo // seg_len, (float(sa @ sb), float(sa @ sa), float(sb @ sb))))
     win = np.hanning(WELCH_NFFT)
+    hop = WELCH_NFFT // 4
+    spans = _batches(first, first + m, welch_end)
+    # batches start whole hops apart: each one's windows are rows of one view
+    frames = [sliding_window_view(x[spans[0][0] - first :], WELCH_NFFT)[::hop] for x in (a, b)] if spans else []
     batches = []
-    for start, end in _batches(first, first + m, welch_end):
-        fa, fb = (
-            np.fft.rfft(sliding_window_view(x[start - first : end - first], WELCH_NFFT)[:: WELCH_NFFT // 4] * win)
-            for x in (a, b)
-        )
+    for start, end in spans:
+        rows = slice((start - spans[0][0]) // hop, (end - spans[0][0] - WELCH_NFFT) // hop + 1)
+        fa, fb = (np.fft.rfft(f[rows] * win) for f in frames)
         sums = np.sum(fa * np.conj(fb), axis=0), np.sum(np.abs(fa) ** 2, axis=0), np.sum(np.abs(fb) ** 2, axis=0)
         batches.append((*sums, len(fa)))
     return pieces, batches

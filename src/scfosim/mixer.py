@@ -107,8 +107,9 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     the oscillator and the mix are computed a block of at most MIX_BLOCK
     samples at a time, so only the output spans the stream.  The blocks are
     the pieces of the oscillator's one exact phase ramp (phase_blocks): its
-    index k is round(L * frac(phase_k)) mod L, ties to even, and every block
-    shares one plan where its period fits in a block, else each has its own.
+    index k is round(L * frac(phase_k)) mod L, ties to even.  Each plan's
+    oscillator is built once and mixes every block on that plan: every whole
+    block shares one where its period fits in a block, else each has its own.
     """
     if stream.is_complex:
         raise ValueError("ssb_shift expects a real input stream")
@@ -121,14 +122,15 @@ def ssb_shift(stream: SampleStream, shift_hz: Fraction) -> SampleStream:
     epoch = stream.epoch + c / stream.rate
     inc = Fraction(shift_hz) / stream.rate
     out = np.empty(len(stream) - 2 * c, dtype=np.complex128)
-    for lo, _, _, lut in phase_blocks(Fraction(shift_hz) * epoch - inc, inc, L, len(out), MIX_BLOCK):
-        hi = lo + len(lut)
-        analytic = 1j * np.convolve(stream.data[lo : hi + 2 * c], h, mode="valid")
-        analytic += stream.data[lo + c : hi + c]
+    for _, lut, starts in phase_blocks(Fraction(shift_hz) * epoch - inc, inc, L, len(out), MIX_BLOCK):
         idx = (lut + L // 2) % L  # phase_run's LUT index i stands for (i - L/2)/L
         osc = 1j * table[(idx - L // 4) % L]  # j sin
         osc += table[idx]  # + cos
-        # not in place: numpy rounds a one-element complex product in place
-        # apart from the same product inside a longer array
-        np.multiply(analytic, osc, out=out[lo:hi])
+        for lo, _ in starts:
+            hi = lo + len(lut)
+            analytic = 1j * np.convolve(stream.data[lo : hi + 2 * c], h, mode="valid")
+            analytic += stream.data[lo + c : hi + c]
+            # not in place: numpy rounds a one-element complex product in place
+            # apart from the same product inside a longer array
+            np.multiply(analytic, osc, out=out[lo:hi])
     return SampleStream(rate=stream.rate, epoch=epoch, data=out)

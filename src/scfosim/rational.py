@@ -18,7 +18,8 @@ by num, and the LUT index repeats.  Round-half-even settles a tie by g's
 parity, so this holds only when num * P is even; when it is odd the plan
 repeats after 2 * den steps instead (plan_period).  phase_run plans position
 by position, and phase_blocks, which cuts a ramp into pieces, is the one
-place a plan repeats: where a period fits a piece, every piece shares one.
+place a plan repeats: it yields each plan once, with every piece it applies
+to, and where a period fits a piece, every whole piece shares one.
 """
 
 from __future__ import annotations
@@ -125,29 +126,30 @@ def phase_run(
 
 
 def phase_blocks(position: Fraction, ratio: Fraction, frac_width: int, count: int, most: int):
-    """Yields (lo, base, rel, lut) for steps lo .. lo + len(rel) - 1 of
-    phase_run(position, ratio, frac_width, count), in order, in pieces of at
-    most ``most`` steps: step lo + j reads sample base + rel[j] at LUT index
-    lut[j].
+    """Yields each plan of phase_run(position, ratio, frac_width, count) once,
+    with every piece of at most ``most`` steps it applies to: (rel, lut,
+    starts), where for each (lo, base) in starts, step lo + j reads sample
+    base + rel[j] at LUT index lut[j]; rel and lut are read-only.
 
-    Where a period fits in ``most``, one period is planned and repeated once,
-    to the most whole periods that fit.  Every piece shares that rel and lut,
-    read-only; only base moves, by lo * ratio, a whole number.
-    Else each piece is planned from its own exact position.
+    Where a period fits in ``most``, one period is planned and repeated to the
+    most whole periods that fit, and the pieces of that length share one
+    entry, their starts whole periods apart (base moves by lo * ratio, a whole
+    number); the shorter tail, a prefix of that plan, is an entry of its own.
+    Else each piece is planned from its own exact position, a single start.
     """
     period = plan_period(ratio, frac_width)
     step = most // period * period or most
-    for lo in range(0, count, step):
+    shared = step >= period  # a period fits: the first piece's plan serves every piece
+    for lo in range(0, min(count, step) if shared else count, step):
         k = min(step, count - lo)
-        if lo == 0 or step < period:  # planned from its own exact position
-            rel, lut, position = phase_run(position, ratio, frac_width, min(k, period))
-            base = int(rel[0])
-            rel -= base
-            if k > period:  # whole periods: the one period, repeated
-                reps = -(-k // period)
-                rel = (rel + int(period * ratio) * np.arange(reps, dtype=np.int64)[:, None]).ravel()
-                lut = np.tile(lut, reps)
-            rel.flags.writeable = lut.flags.writeable = False
-            yield lo, base, rel[:k], lut[:k]
-        else:
-            yield lo, base + int(lo * ratio), rel[:k], lut[:k]
+        rel, lut, position = phase_run(position, ratio, frac_width, min(k, period))
+        base = int(rel[0])
+        rel -= base
+        if k > period:  # whole periods: the one period, repeated
+            reps = -(-k // period)
+            rel = (rel + int(period * ratio) * np.arange(reps, dtype=np.int64)[:, None]).ravel()
+            lut = np.tile(lut, reps)
+        rel.flags.writeable = lut.flags.writeable = False
+        pieces = [(at, min(step, count - at)) for at in (range(0, count, step) if shared else [lo])]
+        for size in sorted({n for _, n in pieces}, reverse=True):  # the whole pieces, then a shorter tail
+            yield rel[:size], lut[:size], [(at, base + int((at - lo) * ratio)) for at, n in pieces if n == size]

@@ -20,11 +20,11 @@ So an output is a pure function of its position and the inputs under its
 window, and fold_outputs computes any range of outputs from exactly the
 inputs that range reads, with no state carried between calls.  It folds
 several inputs on one grid (the dual chain's quantized stream and its float
-twin) on one phase plan, which every block shares where its period fits a
-block (rational.phase_blocks), and one gather of tap rows.  Its one
-kernel, _fir_rows, goes FIR_TILE outputs at a time.  A float sum is the
-strict left fold ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over m: a tile's
-products h_m x_m are copied into a taps x outputs array, and one
+twin) on one phase plan, with one _fir_rows call per plan over every block
+of every input on it (rational.phase_blocks), so each tile of a plan gathers
+its tap rows once.  That one kernel goes FIR_TILE outputs at a time.  A
+float sum is the strict left fold ((h_0 x_0 + h_1 x_1) + h_2 x_2) + ... over
+m: a tile's products h_m x_m are copied into a taps x outputs array, and one
 np.add.reduce over its tap axis adds row m after row m - 1.  An integer sum
 (the fixed-point path) is exact in int64 in any order, so it is one
 np.einsum per tile.  Tiling changes only which outputs are computed
@@ -234,9 +234,10 @@ def response(
 # Outputs per tile of _fir_rows: 512 timed faster than 256, 768, 1024 and 2048;
 # a tile's 56 x 512 products (224 KiB) and their copy stay in cache.
 FIR_TILE = 512
-# Outputs per block of fold_outputs, at most: a block's inputs and its plan,
-# rel and lut (512 KiB each at most), are all a fold holds besides the outputs,
-# so none spans a whole stream.
+# Outputs per block of fold_outputs, at most: besides the outputs a float fold
+# holds one plan, rel and lut (512 KiB each at most); the fixed-point fold also
+# holds the rounded int64 words of every block on that plan at once, about as
+# many bytes as those blocks' outputs.
 PLAN_BLOCK = 1 << 16
 
 
@@ -317,12 +318,13 @@ def fold_outputs(
     against the bank's integer taps (the fixed-point path).  ``in_step`` must
     be positive and finite, and the largest register word times the largest
     row sum of |table_int| must fit in int64 (ValueError).  The outputs go in
-    the pieces (lo, base, rel, lut) of one phase_blocks(..., PLAN_BLOCK)
-    ramp: a piece reads its inputs from sample base to base + rel[-1] plus the
-    tap count, and only they are rounded at once.  The inputs share the plan
-    and the tap rows (_fir_rows), and each output is still its own sum (a
-    strict left fold in float, exact in int64), so an input's outputs are
-    those of a fold of it alone, bit for bit.
+    the blocks of one phase_blocks(..., PLAN_BLOCK) ramp, one _fir_rows call
+    per plan (rel, lut, starts): the block at (lo, base) reads its inputs from
+    sample base to base + rel[-1] plus the tap count, and the fixed-point
+    path rounds the inputs of one plan's blocks at once.  Every block of every
+    input on a plan shares its tap rows, and each output is still its own sum
+    (a strict left fold in float, exact in int64), so an input's outputs are
+    those of a fold of it alone, bit for bit, however they are split.
     """
     ratio = _checked_ratio(ratio)
     if in_step is not None:
@@ -336,16 +338,17 @@ def fold_outputs(
             raise ValueError(f"register words up to {word} times taps of row sum {gain} can overflow int64")
     N = bank.taps_per_phase
     outs = [np.empty(count, dtype=np.float64) for _ in xs]
-    for lo, base, rel, lut in phase_blocks(Fraction(position) - ratio, ratio, bank.phases, count, PLAN_BLOCK):
-        bufs = [x[base - first : base + rel[-1] - first + N] for x in xs]
-        blocks = [out[lo : lo + len(rel)] for out in outs]
+    for rel, lut, starts in phase_blocks(Fraction(position) - ratio, ratio, bank.phases, count, PLAN_BLOCK):
+        bufs = [x[base - first : base + rel[-1] - first + N] for _, base in starts for x in xs]
+        blocks = [out[lo : lo + len(rel)] for lo, _ in starts for out in outs]
         if in_step is None:
             _fir_rows(bufs, rel, bank.table, lut, blocks)
         else:
-            bufs = [np.rint(buf / in_step).astype(np.int64) for buf in bufs]
-            scale = in_step / float(1 << (bank.coeff_bits - 1))
-            for sums, block in zip(_fir_rows(bufs, rel, bank.table_int, lut), blocks):
-                np.multiply(sums, scale, out=block)
+            # each block's int64 sums go into its own bytes, then are scaled in place
+            sums = [block.view(np.int64) for block in blocks]
+            _fir_rows([np.rint(buf / in_step).astype(np.int64) for buf in bufs], rel, bank.table_int, lut, sums)
+            for block_sums, block in zip(sums, blocks):
+                np.multiply(block_sums, in_step / float(1 << (bank.coeff_bits - 1)), out=block)
     return outs
 
 

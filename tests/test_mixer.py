@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from scfosim import mixer as mixer_module
 from scfosim import rational as rational_module
 from scfosim.errors import DesignInfeasible, StreamTooShort
 from scfosim.frontend import SampleStream, sample
@@ -163,21 +164,32 @@ class TestSsbShift:
             cut = SampleStream(rate=rate, epoch=s / rate, data=data[s : s + HILBERT_TAPS - 1 + k])
             assert np.array_equal(ssb_shift(cut, shift).data, whole[s : s + k]), (s, k)
 
-    # oscillator periods of 3,000 and 1,000 samples: one plan for the call;
-    # of 101,000, longer than a block: one plan for each of the 3 blocks
+    # oscillator periods of 3,000 and 1,000 samples: one plan for the call,
+    # one oscillator for the two whole blocks and one for the tail; of
+    # 101,000, longer than a block: a plan and an oscillator for each of the 3
     @pytest.mark.parametrize(
-        "shift, period, plans",
-        [(Fraction(-37, 3), 3_000, 1), (Fraction(12_347), 1_000, 1), (Fraction(12_347, 101), 101_000, 3)],
+        "shift, period, plans, oscillators",
+        [(Fraction(-37, 3), 3_000, 1, 2), (Fraction(12_347), 1_000, 1, 2), (Fraction(12_347, 101), 101_000, 3, 3)],
     )
-    def test_the_oscillator_is_planned_once_where_its_period_fits_a_block(self, monkeypatch, shift, period, plans):
+    def test_each_plan_and_its_oscillator_are_built_once(self, monkeypatch, shift, period, plans, oscillators):
+        class Table:  # the oscillator table, counting its reads: two per oscillator (cos, sin)
+            reads = 0
+
+            def __getitem__(self, index):
+                Table.reads += 1
+                return quadrature_lut(PHASE_LUT_BITS, LUT_WORD_BITS)[index]
+
+        data = np.random.default_rng(2).standard_normal(2 * MIX_BLOCK + 500)
+        stream = SampleStream(rate=Fraction(1000), epoch=Fraction(0), data=data)
+        want = ssb_shift(stream, shift).data
         calls = []
         original = rational_module.phase_run
         monkeypatch.setattr(rational_module, "phase_run", lambda *args: calls.append(args) or original(*args))
-        data = np.random.default_rng(2).standard_normal(2 * MIX_BLOCK + 500)
-        out = ssb_shift(SampleStream(rate=Fraction(1000), epoch=Fraction(0), data=data), shift)
-        assert -(-len(out) // MIX_BLOCK) == 3
+        monkeypatch.setattr(mixer_module, "quadrature_lut", lambda *args: Table())
+        out = ssb_shift(stream, shift)
+        assert -(-len(out) // MIX_BLOCK) == 3 and np.array_equal(out.data, want)
         assert rational_module.plan_period(shift / 1000, 1 << PHASE_LUT_BITS) == period
-        assert len(calls) == plans
+        assert len(calls) == plans and Table.reads == 2 * oscillators
 
     def test_ssb_shift_peaks_near_its_output_bytes(self):
         # the analytic signal, the oscillator and the mix go a block at a

@@ -213,9 +213,10 @@ class TestPeriodicPlan:
 
 
 class TestPhaseBlocks:
-    """phase_blocks cuts phase_run into pieces (lo, base, rel, lut) of at most
-    ``most`` steps, and where a period fits in a piece every piece shares one
-    plan of whole periods, planned once."""
+    """phase_blocks yields each plan of phase_run once, as (rel, lut, starts),
+    with every piece of at most ``most`` steps it applies to; where a period
+    fits in a piece every whole piece shares one plan of whole periods,
+    planned once, and the tail is a prefix of it."""
 
     @given(
         data=st.data(),
@@ -224,7 +225,7 @@ class TestPhaseBlocks:
         fit=st.sampled_from(["below", "at", "above"]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_pieces_concatenate_to_phase_run(self, data, frac_width, den, fit):
+    def test_starts_expand_to_phase_run(self, data, frac_width, den, fit):
         # ratios of both signs and 0, lap 1 and 2; ``most`` below, at and
         # above the plan period
         ratio = Fraction(data.draw(st.integers(-2 * den, 2 * den)), den)
@@ -233,16 +234,23 @@ class TestPhaseBlocks:
         most = most or data.draw(st.integers(period + 1, 5 * period))
         count = data.draw(st.integers(0, 6 * period + 3))
         start = Fraction(data.draw(st.integers(-1000, 1000)), data.draw(st.integers(1, 1000)))
-        pieces = list(phase_blocks(start, ratio, frac_width, count, most))
+        entries = list(phase_blocks(start, ratio, frac_width, count, most))
         n, lut, _ = phase_run(start, ratio, frac_width, count)
+        pieces = sorted((lo, base, rel, pl) for rel, pl, starts in entries for lo, base in starts)
         lens = [len(rel) for _, _, rel, _ in pieces]
         assert [lo for lo, *_ in pieces] == [sum(lens[:i]) for i in range(len(pieces))]
         assert sum(lens) == count and all(0 < k <= most for k in lens)
-        assert all(len(pl) == len(rel) and not (rel.flags.writeable or pl.flags.writeable) for *_, rel, pl in pieces)
-        if period <= most:  # each piece but the last whole periods, all on one plan
+        assert [starts[0][0] for *_, starts in entries] == sorted(starts[0][0] for *_, starts in entries)
+        for rel, pl, starts in entries:
+            assert len(pl) == len(rel) and not (rel.flags.writeable or pl.flags.writeable)
+            (lo0, base0), *rest = starts
+            for lo, base in rest:  # whole periods on, so the plan repeats
+                assert (lo - lo0) % period == 0 and base - base0 == (lo - lo0) * ratio
+        if period <= most:  # each piece but the last whole periods, all on one plan, and the tail
             assert all(k % period == 0 for k in lens[:-1])
-            for *_, rel, pl in pieces[1:]:
-                assert np.shares_memory(rel, pieces[0][2]) and np.shares_memory(pl, pieces[0][3])
+            assert len(entries) == (count >= most // period * period) + (count % (most // period * period) > 0)
+        else:
+            assert len(entries) == len(pieces)
         assert [base + v for _, base, rel, _ in pieces for v in rel.tolist()] == n.tolist()
         assert [v for *_, pl in pieces for v in pl.tolist()] == lut.tolist()
 
@@ -253,20 +261,25 @@ class TestPhaseBlocks:
     def test_the_period_is_den_or_twice_den_when_num_times_p_is_odd(self, ratio, frac_width, period):
         assert plan_period(ratio, frac_width) == period
 
-    def test_pieces_of_whole_periods_are_planned_once(self, monkeypatch):
+    def test_each_plan_is_planned_once(self, monkeypatch):
         calls = []
         original = rational_module.phase_run
         monkeypatch.setattr(rational_module, "phase_run", lambda *args: calls.append(args[3]) or original(*args))
         ratio = 1 + Fraction(53, 50_000)  # period 50,000
-        pieces = list(phase_blocks(Fraction(-7, 3), ratio, 1024, 230_000, 1 << 16))
-        assert [len(rel) for _, _, rel, _ in pieces] == [50_000] * 4 + [30_000]
+        entries = list(phase_blocks(Fraction(-7, 3), ratio, 1024, 230_000, 1 << 16))
+        assert [(len(rel), [lo for lo, _ in starts]) for rel, _, starts in entries] == [
+            (50_000, [0, 50_000, 100_000, 150_000]),
+            (30_000, [200_000]),
+        ]
+        assert np.shares_memory(entries[0][0], entries[1][0]) and np.shares_memory(entries[0][1], entries[1][1])
         assert calls == [50_000]
         calls.clear()
-        pieces = list(phase_blocks(Fraction(-7, 3), ratio, 1024, 230_000, 40_000))  # shorter than a period
-        assert [len(rel) for _, _, rel, _ in pieces] == calls == [40_000] * 5 + [30_000]
+        entries = list(phase_blocks(Fraction(-7, 3), ratio, 1024, 230_000, 40_000))  # shorter than a period
+        assert [(len(rel), len(starts)) for rel, _, starts in entries] == [(40_000, 1)] * 5 + [(30_000, 1)]
+        assert calls == [40_000] * 5 + [30_000]
 
     @pytest.mark.parametrize("most", [1, 999, 1000, 1 << 16])
-    def test_no_steps_yield_no_piece(self, most):
+    def test_no_steps_yield_no_entry(self, most):
         assert list(phase_blocks(Fraction(-7, 3), Fraction(1001, 1000), 1024, 0, most)) == []
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scfosim import resampler as resampler_module
 from scfosim.errors import DesignInfeasible, RatioOutOfRange, StreamTooShort
 from scfosim.frontend import QuantizerSpec, QuantKind, SampleStream, quantize, sample
 from scfosim.rational import phase_run, sample_index
@@ -445,16 +446,53 @@ class TestResampling:
         ]
         assert np.array_equal(np.concatenate(pieces), whole)
 
-    def test_resample_peaks_near_its_output_bytes(self, bank19):
-        # the fold reads the stream in place; only plan blocks sit beside the output
+    @pytest.mark.parametrize("fixed", [False, True])
+    # a period of 50,000 outputs: four whole pieces on one plan, then a tail;
+    # of 99,991, longer than a plan block: a plan and a call for each piece
+    @pytest.mark.parametrize(
+        "ratio, count, calls",
+        [
+            (1 + Fraction(53, 50_000), 230_000, [(50_000, 8), (30_000, 2)]),
+            (1 + Fraction(1, 99_991), 3 * PLAN_BLOCK + 1_000, [(PLAN_BLOCK, 2)] * 3 + [(1_000, 2)]),
+        ],
+    )
+    def test_one_fir_rows_call_per_plan(self, monkeypatch, bank19, fixed, ratio, count, calls):
+        # each call folds every place of its plan for both inputs, and the
+        # outputs are those of folds of 7,000 outputs of one input
+        seen = []
+        original = resampler_module._fir_rows
+
+        def counted(bufs, rel, *rest):
+            seen.append((len(rel), len(bufs)))
+            return original(bufs, rel, *rest)
+
+        monkeypatch.setattr(resampler_module, "_fir_rows", counted)
+        start = Fraction(-40, 3)
+        n, _, _ = phase_run(start - ratio, ratio, bank19.phases, count)
+        a, b = np.random.default_rng(5).standard_normal((2, n[-1] + 56 - n[0]))  # input samples n[0] ..
+        in_step = fixed_in_step(stream_from(a)) if fixed else None
+        pair = fold_outputs([a, b], n[0], start, ratio, bank19, count, in_step)
+        assert seen == calls
+        for x, got in zip((a, b), pair):
+            pieces = [
+                fold_range(x, start, ratio, bank19, lo, min(lo + 7_000, count), in_step, origin=n[0])
+                for lo in range(0, count, 7_000)
+            ]
+            assert np.array_equal(np.concatenate(pieces), got)
+
+    # the float fold reads the stream in place, so only plan blocks sit beside
+    # the output; the fixed-point fold also holds the int64 words of one plan's
+    # blocks, here all but the tail of the stream
+    @pytest.mark.parametrize("fixed, most", [(False, 1.5), (True, 2.5)])
+    def test_resample_peaks_near_its_output_bytes(self, bank19, fixed, most):
         stream = stream_from(np.random.default_rng(1).standard_normal(1 << 20), rate=1001)
         tracemalloc.start()
         try:
-            out = resample(stream, Fraction(1000), bank19)
+            out = resample(stream, Fraction(1000), bank19, fixed_point=fixed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * out.data.nbytes
+        assert peak <= most * out.data.nbytes
 
     def test_fixed_point_close_to_float(self, bank19):
         sig = synth_signal(seed=3, n_tones=12, band=(50.0, 400.0))
